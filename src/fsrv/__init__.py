@@ -28,6 +28,7 @@ from .limits import (
     SumLaw,
     cdf_limit_exponential_closed,
     cdf_limit_uniform_closed,
+    limit_density_law,
     limit_law,
     normalized_sum_law,
     pdf_limit_exponential_closed,
@@ -35,14 +36,16 @@ from .limits import (
     pdf_limit_uniform_closed,
     pdf_sum,
     pdf_sum_exponential_closed,
+    sum_density_law,
     sum_law,
 )
 from .marginal import (
+    DensityLaw,
     FsrvModel,
-    MarginalLaw,
     RatioDiagnostics,
     exponential_model,
-    marginal_law,
+    linear_form_pdf,
+    member_law,
     mode_exponential,
     moments_xn,
     normal_model,
@@ -64,7 +67,6 @@ from .numerics import (
 )
 from .seeds import (
     Exponential,
-    RngStream,
     SeedDistribution,
     StandardNormal,
     Tabulated,

@@ -9,6 +9,7 @@ table failing its normalization certificate.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,10 +41,12 @@ def _dumps(obj) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text, newline-terminated, to stdout or to out_path: both get the
+    same bytes."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -66,8 +69,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"grid must be numeric lo:hi:points, got {text!r}")
     if points < 2:
         raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"grid needs lo < hi, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, got {text!r}")
     return lo, hi, points
 
 
@@ -109,13 +112,13 @@ def _curve_output(curve: DensityCurve, output: str, out_path: str | None,
     return 0
 
 
-
 def _flagged(flag: str, fn, *fn_args):
     """Run fn, prefixing any domain error with the flag that caused it."""
     try:
         return fn(*fn_args)
     except FsrvError as exc:
         raise FsrvError(f"{flag}: {exc}") from None
+
 
 def _cmd_fib(args) -> int:
     value = _flagged("--n", fib_core.fib, args.n)
@@ -126,26 +129,25 @@ def _cmd_fib(args) -> int:
     return 0
 
 
-def _cmd_pdf(args) -> int:
+def _cmd_density(args) -> int:
+    """pdf, limit and sums: sample the density law the subcommand builds on
+    the grid. Only pdf has --method, and only pdf reports which route ran."""
     model = _model_from(args)
     cfg = _quad_config()
-    support = _flagged("--n", marginal.support_xn, model, args.n, True,
-                       cfg.tail_mass_cutoff)
-    closed = marginal.closed_pdf(model, args.n)
-    if args.method == "closed" and closed is None:
+    law = args.law(args, model, cfg)
+    method = getattr(args, "method", None)
+    if method == "closed" and law.closed is None:
         print(f"error: --method closed: no closed form for seeds {args.seeds!r}",
               file=sys.stderr)
         return 2
-    if args.method == "numeric" or closed is None:
-        f = lambda x: marginal.pdf_numeric(model, args.n, x, cfg)
-        method = "numeric"
-    else:
-        f = closed
-        method = "closed"
+    numeric = method == "numeric" or law.closed is None
     lo, hi, points = args.grid
-    curve = DensityCurve.from_function(f, lo, hi, points, support, cfg,
-                                       label=f"member_{args.n}")
-    return _curve_output(curve, args.output, args.out, extra={"method": method, "n": args.n})
+    curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
+                                       law.support, cfg, label=law.label)
+    extra = law.fields
+    if method is not None:
+        extra = {"method": "numeric" if numeric else "closed", **extra}
+    return _curve_output(curve, args.output, args.out, extra=extra)
 
 
 def _cmd_moments(args) -> int:
@@ -168,48 +170,6 @@ def _cmd_ratios(args) -> int:
         _emit(_csv_table(["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"], table),
               args.out)
     return 0
-
-
-def _cmd_limit(args) -> int:
-    model = _model_from(args)
-    cfg = _quad_config()
-    law = limits.limit_law(model)
-    tag = marginal.closed_form_tag(model)
-    if tag == "exponential":
-        f = limits.pdf_limit_exponential_closed
-    elif tag == "uniform":
-        f = limits.pdf_limit_uniform_closed
-    else:
-        f = lambda x: limits.pdf_limit_numeric(law, x, cfg)
-    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
-    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
-    support = ((s0[0] + fib_core.PHI * s1[0] - law.b_shift) / law.a_scale,
-               (s0[1] + fib_core.PHI * s1[1] - law.b_shift) / law.a_scale)
-    lo, hi, points = args.grid
-    curve = DensityCurve.from_function(f, lo, hi, points, support, cfg, label="limit_law")
-    return _curve_output(curve, args.output, args.out,
-                         extra={"a_scale": law.a_scale, "b_shift": law.b_shift})
-
-
-def _cmd_sums(args) -> int:
-    model = _model_from(args)
-    cfg = _quad_config()
-    law = _flagged("--n", limits.sum_law, args.n, model)
-    tag = marginal.closed_form_tag(model)
-    if tag == "exponential":
-        rate = model.seed0.rate
-        f = lambda x: limits.pdf_sum_exponential_closed(args.n, x, rate)
-    else:
-        f = lambda x: limits.pdf_sum(args.n, model, x, cfg)
-    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
-    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
-    support = (law.coeff0 * s0[0] + law.coeff1 * s1[0],
-               law.coeff0 * s0[1] + law.coeff1 * s1[1])
-    lo, hi, points = args.grid
-    curve = DensityCurve.from_function(f, lo, hi, points, support, cfg,
-                                       label=f"sum_through_{args.n}")
-    return _curve_output(curve, args.output, args.out,
-                         extra={"n": args.n, "mean": law.mean, "variance": law.variance})
 
 
 def _cmd_joint(args) -> int:
@@ -288,11 +248,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _model_from(args) -> marginal.FsrvModel:
-    """Both seeds share the requested family; errors name the flag."""
+    """Both seeds are the one parsed (immutable) law; errors name the flag."""
     try:
-        return marginal.FsrvModel(parse_seed_spec(args.seeds), parse_seed_spec(args.seeds))
+        seed = parse_seed_spec(args.seeds)
     except (FsrvError, OSError) as exc:
         raise FsrvError(f"--seeds: {exc}") from None
+    return marginal.FsrvModel(seed, seed)
 
 
 def _add_seeds_argument(sub) -> None:
@@ -324,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     p.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto")
     common(p)
-    p.set_defaults(func=_cmd_pdf)
+    p.set_defaults(func=_cmd_density, law=lambda a, model, cfg:
+                   _flagged("--n", marginal.member_law, model, a.n, cfg))
 
     p = subparsers.add_parser("moments", help="mean and variance of member n")
     _add_seeds_argument(p)
@@ -342,14 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seeds_argument(p)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     common(p)
-    p.set_defaults(func=_cmd_limit)
+    p.set_defaults(func=_cmd_density,
+                   law=lambda a, model, cfg: limits.limit_density_law(model, cfg))
 
     p = subparsers.add_parser("sums", help="density of the partial sum through member n")
     _add_seeds_argument(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     common(p)
-    p.set_defaults(func=_cmd_sums)
+    p.set_defaults(func=_cmd_density, law=lambda a, model, cfg:
+                   _flagged("--n", limits.sum_density_law, a.n, model, cfg))
 
     p = subparsers.add_parser("joint", help="joint density of members n and n+k on a grid")
     _add_seeds_argument(p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import FsrvModel, pdf_numeric
+from .marginal import FsrvModel, closed_form_tag, pdf_numeric
 from .numerics import QuadratureConfig, integrate
 
 #: Quadrature settings for conditional expectations: the division by the
@@ -196,8 +196,6 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
     """
     xs = np.asarray(xs, dtype=np.float64)
     if method == "closed_form":
-        from .marginal import closed_form_tag
-
         if (law.n, law.k) != (4, 3) or closed_form_tag(model) != "exponential" \
                 or model.seed0.rate != 1.0:
             raise DomainError(

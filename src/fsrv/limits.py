@@ -4,7 +4,9 @@ Standardizing member n yields (V0 + r_n*V1 - mean)/sd with r_n the ratio of
 consecutive Fibonacci numbers; as n grows this converges, for every outcome,
 to Y = (V0 + phi*V1 - (mean0 + phi*mean1)) / sqrt(var0 + phi^2*var1). The
 same Y is the limit of the standardized partial sums S_n = sum of members 0
-through n, which collapse exactly to a_{n+1}*V0 + (a_{n+2}-1)*V1.
+through n, which collapse exactly to a_{n+1}*V0 + (a_{n+2}-1)*V1. Both
+densities come from the linear-form kernel of `marginal`, and
+`limit_density_law` and `sum_density_law` package them for the CLI.
 """
 
 import math
@@ -15,8 +17,8 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError
 from .fib_core import PHI
-from .marginal import FsrvModel
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, scaled_convolution
+from .marginal import DensityLaw, FsrvModel, closed_form_tag, linear_form_pdf
+from .numerics import DEFAULT_CONFIG, QuadratureConfig
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
 
@@ -43,19 +45,7 @@ def pdf_limit_numeric(law: LimitLaw, x: float,
     """Density of Y at x: the density of V0 + phi*V1 evaluated at
     a_scale*x + b_shift and rescaled by a_scale, with the inner density
     obtained by scaled convolution."""
-    inner = scaled_convolution(
-        law.model.seed0.pdf,
-        law.model.seed1.pdf,
-        1.0,
-        PHI,
-        law.a_scale * x + law.b_shift,
-        cfg,
-        support0=law.model.seed0.effective_support(cfg.tail_mass_cutoff),
-        support1=law.model.seed1.effective_support(cfg.tail_mass_cutoff),
-        breakpoints0=law.model.seed0.breakpoints(),
-        breakpoints1=law.model.seed1.breakpoints(),
-    )
-    return law.a_scale * inner
+    return law.a_scale * linear_form_pdf(law.model, 1.0, PHI, law.a_scale * x + law.b_shift, cfg)
 
 
 def pdf_limit_exponential_closed(x: float) -> float:
@@ -118,6 +108,20 @@ def cdf_limit_uniform_closed(x):
     return float(out) if np.isscalar(x) else out
 
 
+def limit_density_law(model: FsrvModel, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+    """Density law of Y: closed for exponential and unit-uniform seeds, by
+    convolution otherwise (normal seeds included, though Y is then N(0, 1))."""
+    law = limit_law(model)
+    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
+    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
+    support = ((s0[0] + PHI * s1[0] - law.b_shift) / law.a_scale,
+               (s0[1] + PHI * s1[1] - law.b_shift) / law.a_scale)
+    closed = {"exponential": pdf_limit_exponential_closed,
+              "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
+    return DensityLaw("limit_law", support, closed, lambda x: pdf_limit_numeric(law, x, cfg),
+                      {"a_scale": law.a_scale, "b_shift": law.b_shift})
+
+
 @dataclass(frozen=True)
 class SumLaw:
     """Exact linear reduction of the partial sum S_n and its moments."""
@@ -150,18 +154,7 @@ def pdf_sum(n: int, model: FsrvModel, x: float,
     """Density of the partial sum S_n at x by scaled convolution with
     coefficients a_{n+1} and a_{n+2}-1."""
     law = sum_law(n, model)
-    return scaled_convolution(
-        model.seed0.pdf,
-        model.seed1.pdf,
-        float(law.coeff0),
-        float(law.coeff1),
-        x,
-        cfg,
-        support0=model.seed0.effective_support(cfg.tail_mass_cutoff),
-        support1=model.seed1.effective_support(cfg.tail_mass_cutoff),
-        breakpoints0=model.seed0.breakpoints(),
-        breakpoints1=model.seed1.breakpoints(),
-    )
+    return linear_form_pdf(model, float(law.coeff0), float(law.coeff1), x, cfg)
 
 
 def pdf_sum_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
@@ -178,6 +171,23 @@ def pdf_sum_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     b = float(fib_core.fib(n + 2) - 1)
     y = rate * x
     return rate * (math.exp(-y / b) - math.exp(-y / a)) / (b - a)
+
+
+def sum_density_law(n: int, model: FsrvModel,
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+    """Density law of S_n: closed for exponential seeds of one rate, by
+    convolution for every other seed pair."""
+    law = sum_law(n, model)
+    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
+    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
+    support = (law.coeff0 * s0[0] + law.coeff1 * s1[0],
+               law.coeff0 * s0[1] + law.coeff1 * s1[1])
+    closed = None
+    if closed_form_tag(model) == "exponential":
+        rate = model.seed0.rate
+        closed = lambda x: pdf_sum_exponential_closed(n, x, rate)
+    return DensityLaw(f"sum_through_{n}", support, closed, lambda x: pdf_sum(n, model, x, cfg),
+                      {"n": n, "mean": law.mean, "variance": law.variance})
 
 
 def normalized_sum_law(n: int, model: FsrvModel) -> tuple[float, float]:

@@ -1,10 +1,12 @@
 """The law of the n-th member of a random Fibonacci recursion.
 
 With seeds V0, V1 and Fibonacci coefficients, the n-th member is
-a_{n-1}*V0 + a_n*V1. This module evaluates its density generically (by
-scaled convolution), in closed form for exponential, unit-uniform, and
-standard-normal seeds, and provides moments, modes, maxima, and the
-golden-ratio diagnostics of consecutive-index ratios.
+a_{n-1}*V0 + a_n*V1. This module evaluates the density of any such linear
+form of the seeds by scaled convolution, the member density in closed form
+for exponential, unit-uniform, and standard-normal seeds, and provides
+moments, modes, maxima, and the golden-ratio diagnostics of
+consecutive-index ratios. `DensityLaw` is the common shape of every density
+the CLI samples: members here, the limit law and partial sums in `limits`.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from . import fib_core
 from .errors import DomainError
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, scaled_convolution, integrate
+from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, scaled_convolution, integrate
 from .seeds import Exponential, SeedDistribution, StandardNormal, UniformUnit
 
 
@@ -22,7 +24,6 @@ class FsrvModel:
 
     seed0: SeedDistribution
     seed1: SeedDistribution
-    independent: bool = True
 
     def seed_moments(self) -> tuple[float, float, float, float]:
         """(mean0, var0, mean1, var1)."""
@@ -56,26 +57,17 @@ def closed_form_tag(model: FsrvModel) -> str | None:
 
 
 @dataclass(frozen=True)
-class MarginalLaw:
-    """Summary of the law of member n: coefficients, moments, closed-form tag."""
+class DensityLaw:
+    """One density as a subcommand samples it: the curve label, the effective
+    support that bounds its normalization certificate, the closed form (None
+    when the seed pair has none), the numeric fallback, and the fields the
+    command reports next to the curve."""
 
-    n: int
-    coeffs: tuple[int, int]
-    closed_form: str | None
-    mean: float
-    variance: float
-
-
-def marginal_law(model: FsrvModel, n: int) -> MarginalLaw:
-    _require_member_index(n)
-    mean, variance = moments_xn(model, n)
-    return MarginalLaw(
-        n=n,
-        coeffs=(fib_core.fib(n - 1), fib_core.fib(n)),
-        closed_form=closed_form_tag(model),
-        mean=mean,
-        variance=variance,
-    )
+    label: str
+    support: tuple[float, float]
+    closed: Func | None
+    numeric: Func
+    fields: dict
 
 
 def _require_member_index(n: int) -> None:
@@ -100,15 +92,15 @@ def support_xn(model: FsrvModel, n: int, effective: bool = False,
     return c0 * s0[0] + c1 * s1[0], c0 * s0[1] + c1 * s1[1]
 
 
-def pdf_numeric(model: FsrvModel, n: int, x: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Density of member n at x by scaled convolution of the seed densities."""
-    _require_member_index(n)
+def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Density of c0*V0 + c1*V1 at x by scaled convolution of the seed
+    densities, split at their kinks, over their effective supports."""
     return scaled_convolution(
         model.seed0.pdf,
         model.seed1.pdf,
-        float(fib_core.fib(n - 1)),
-        float(fib_core.fib(n)),
+        c0,
+        c1,
         x,
         cfg,
         support0=model.seed0.effective_support(cfg.tail_mass_cutoff),
@@ -116,6 +108,13 @@ def pdf_numeric(model: FsrvModel, n: int, x: float,
         breakpoints0=model.seed0.breakpoints(),
         breakpoints1=model.seed1.breakpoints(),
     )
+
+
+def pdf_numeric(model: FsrvModel, n: int, x: float,
+                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Density of member n at x by scaled convolution of the seed densities."""
+    _require_member_index(n)
+    return linear_form_pdf(model, float(fib_core.fib(n - 1)), float(fib_core.fib(n)), x, cfg)
 
 
 def pdf_numeric_joint(joint_pdf, n: int, x: float,
@@ -185,18 +184,22 @@ def pdf_normal_closed(n: int, x: float) -> float:
     return math.exp(-0.5 * x * x / variance) / math.sqrt(2.0 * math.pi * variance)
 
 
-def closed_pdf(model: FsrvModel, n: int):
-    """Closed-form density callable for the model, or None if no closed form
-    applies to its seed pair."""
+def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+    """Density law of member n: closed for exponential seeds of one rate,
+    unit-uniform and standard-normal seeds, by convolution otherwise."""
+    support = support_xn(model, n, True, cfg.tail_mass_cutoff)
     tag = closed_form_tag(model)
     if tag == "exponential":
         rate = model.seed0.rate
-        return lambda x: pdf_exponential_closed(n, x, rate)
-    if tag == "uniform":
-        return lambda x: pdf_uniform_closed(n, x)
-    if tag == "normal":
-        return lambda x: pdf_normal_closed(n, x)
-    return None
+        closed = lambda x: pdf_exponential_closed(n, x, rate)
+    elif tag == "uniform":
+        closed = lambda x: pdf_uniform_closed(n, x)
+    elif tag == "normal":
+        closed = lambda x: pdf_normal_closed(n, x)
+    else:
+        closed = None
+    return DensityLaw(f"member_{n}", support, closed,
+                      lambda x: pdf_numeric(model, n, x, cfg), {"n": n})
 
 
 def moments_xn(model: FsrvModel, n: int) -> tuple[float, float]:

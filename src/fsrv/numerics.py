@@ -264,8 +264,8 @@ class DensityCurve:
             raise DomainError("xs and ys must be 1-D arrays of equal length")
         if self.xs.size < 2:
             raise DomainError("a density curve needs at least 2 grid points")
-        if np.any(np.diff(self.xs) <= 0):
-            raise DomainError("grid must be strictly increasing")
+        if not (np.all(np.isfinite(self.xs)) and np.all(np.diff(self.xs) > 0)):
+            raise DomainError("grid must be finite and strictly increasing")
         if np.any(self.ys < 0):
             raise DomainError("density values must be nonnegative")
 

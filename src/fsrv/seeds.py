@@ -3,8 +3,8 @@
 Four families are supported: exponential with arbitrary positive rate,
 uniform on the unit interval, standard normal, and tabulated piecewise-linear
 densities on a uniform grid (loadable from two-column CSV). Every family
-exposes pdf, cdf, moments, support truncation for quadrature, and sampling
-from an owned random stream.
+exposes pdf, cdf, moments, support truncation for quadrature, and a map from
+blocks of uniforms to variates that the simulation's block sampler uses.
 """
 
 import csv
@@ -15,33 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 
-_MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
-
-
-class RngStream:
-    """A single-owner stream of uniform variates.
-
-    Streams with distinct (seed, substream) pairs are independent: the pair
-    forms the 128-bit key of a counter-based Philox generator. A stream must
-    not be shared between concurrent consumers; create one substream per
-    consumer instead.
-    """
-
-    def __init__(self, seed: int, substream: int = 0):
-        key = ((substream & _MASK64) << 64) | (seed & _MASK64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-        self.seed = seed
-        self.substream = substream
-
-    def uniform(self) -> float:
-        """Next uniform variate in [0, 1)."""
-        return float(self._gen.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniform variates in [0, 1)."""
-        return self._gen.random(n)
 
 
 class SeedDistribution:
@@ -74,17 +49,12 @@ class SeedDistribution:
         are not listed (integration ranges already stop at them)."""
         return ()
 
-    def sample(self, stream: RngStream, size: int | None = None):
-        """Draw one variate (size=None) or an array of size variates."""
-        raise NotImplementedError
-
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map an (n, 2) block of uniforms to n variates.
 
-        Inverse-cdf families consume column 0 only; the normal family feeds
-        both columns to the Box-Muller pair transform and keeps the cosine
-        branch. Fixed consumption keeps bulk simulation reproducible under
-        any chunking of paths.
+        Inverse-cdf families consume column 0 only; the normal family uses
+        both. Fixed consumption keeps bulk simulation reproducible under any
+        chunking of paths.
         """
         raise NotImplementedError
 
@@ -121,11 +91,6 @@ class Exponential(SeedDistribution):
     def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
         return 0.0, -math.log(tail_mass_cutoff / 2.0) / self.rate
 
-    def sample(self, stream: RngStream, size: int | None = None):
-        u = stream.uniforms(1 if size is None else size)
-        x = -np.log1p(-u) / self.rate
-        return float(x[0]) if size is None else x
-
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u[:, 0]) / self.rate
 
@@ -151,10 +116,6 @@ class UniformUnit(SeedDistribution):
 
     def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
         return 0.0, 1.0
-
-    def sample(self, stream: RngStream, size: int | None = None):
-        u = stream.uniforms(1 if size is None else size)
-        return float(u[0]) if size is None else u
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return u[:, 0].copy()
@@ -183,15 +144,9 @@ class StandardNormal(SeedDistribution):
         z = math.sqrt(2.0 * math.log(2.0 / tail_mass_cutoff))
         return -z, z
 
-    def sample(self, stream: RngStream, size: int | None = None):
+    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         # Box-Muller pair method, cosine branch; the sine branch is discarded
         # so each draw consumes exactly two uniforms.
-        n = 1 if size is None else size
-        u = stream.uniforms(2 * n).reshape(n, 2)
-        z = self._variates_from_uniforms(u)
-        return float(z[0]) if size is None else z
-
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
         return radius * np.cos(_TWO_PI * u[:, 1])
 
@@ -297,11 +252,6 @@ class Tabulated(SeedDistribution):
         # the interpolant kinks at every interior node
         nodes = self.grid.nodes.size
         return tuple(self.grid.lo + self.grid.step * i for i in range(1, nodes - 1))
-
-    def sample(self, stream: RngStream, size: int | None = None):
-        u = stream.uniforms(1 if size is None else size)
-        x = self.grid.inverse_cdf(u)
-        return float(x[0]) if size is None else x
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.grid.inverse_cdf(u[:, 0])

@@ -172,14 +172,27 @@ def test_out_file_writing_and_byte_stability(tmp_path, capsys):
     assert main(args + ["--out", str(target2)]) == 0
     capsys.readouterr()
     assert target1.read_bytes() == target2.read_bytes()
+    # --out writes exactly the bytes stdout gets, for CSV and for JSON
+    for args in (args, ["moments", "--seeds", "exp:1", "--n", "4", "--output", "json"],
+                 ["fib", "--n", "12"]):
+        target = tmp_path / "out.txt"
+        _, out, _ = run_cli(capsys, *args)
+        assert main(args + ["--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
 
 
 def test_grid_validation_names_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "--grid" in err
+    for flag, argv in (
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"]),
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=0:inf:5"]),
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=-inf:0:5"]),
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=nan:1:5"]),
+            ("--grid1", ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                         "--grid0", "0:1:5", "--grid1", "0:inf:5"])):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_unknown_seed_family(capsys):

@@ -7,9 +7,8 @@ from fsrv.errors import DomainError
 from fsrv.fib_core import PHI, fib
 from fsrv.marginal import (
     FsrvModel,
-    closed_form_tag,
     exponential_model,
-    marginal_law,
+    member_law,
     mode_exponential,
     moments_xn,
     pdf_exponential_closed,
@@ -19,6 +18,16 @@ from fsrv.marginal import (
     pdf_uniform_closed,
     ratio_diagnostics,
     support_xn,
+)
+from fsrv.limits import (
+    limit_density_law,
+    limit_law,
+    pdf_limit_exponential_closed,
+    pdf_limit_numeric,
+    pdf_sum,
+    pdf_sum_exponential_closed,
+    sum_density_law,
+    sum_law,
 )
 from fsrv.numerics import QuadratureConfig, argmax_scalar, integrate
 from fsrv.seeds import Exponential, UniformUnit
@@ -185,13 +194,44 @@ def test_ratio_diagnostics_bounds():
         ratio_diagnostics(10, 5)
 
 
-def test_marginal_law_summary(exp_model):
-    law = marginal_law(exp_model, 6)
-    assert law.coeffs == (5, 8)
-    assert law.closed_form == "exponential"
-    assert law.mean == 13.0
-    assert law.variance == float(fib(11))
-    assert closed_form_tag(FsrvModel(Exponential(1.0), Exponential(2.0))) is None
+def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
+    cfg = QuadratureConfig()
+    xs = (0.3, 4.0, 17.0)
+    member = member_law(exp_model, 6, cfg)
+    assert member.label == "member_6" and member.fields == {"n": 6}
+    assert member.support == support_xn(exp_model, 6, effective=True)
+    for x in xs:
+        assert member.closed(x) == pdf_exponential_closed(6, x)
+        assert member.numeric(x) == pdf_numeric(exp_model, 6, x, cfg)
+
+    limit, constants = limit_density_law(exp_model, cfg), limit_law(exp_model)
+    assert limit.label == "limit_law"
+    assert limit.fields == {"a_scale": constants.a_scale, "b_shift": constants.b_shift}
+    hi = exp_model.seed0.effective_support(cfg.tail_mass_cutoff)[1]
+    assert limit.support == (-constants.b_shift / constants.a_scale,
+                             ((1.0 + PHI) * hi - constants.b_shift) / constants.a_scale)
+    for x in (-1.0, 0.5, 3.0):
+        assert limit.closed(x) == pdf_limit_exponential_closed(x)
+        assert limit.numeric(x) == pdf_limit_numeric(constants, x, cfg)
+
+    sums, reduction = sum_density_law(5, exp_model, cfg), sum_law(5, exp_model)
+    assert sums.label == "sum_through_5"
+    assert sums.fields == {"n": 5, "mean": reduction.mean, "variance": reduction.variance}
+    assert sums.support == (0.0, (fib(6) + fib(7) - 1) * hi)
+    for x in xs:
+        assert sums.closed(x) == pdf_sum_exponential_closed(5, x)
+        assert sums.numeric(x) == pdf_sum(5, exp_model, x, cfg)
+
+    assert member_law(unif_model, 5, cfg).closed(4.0) == pdf_uniform_closed(5, 4.0)
+    assert member_law(norm_model, 5, cfg).closed(4.0) == pdf_normal_closed(5, 4.0)
+    # normal seeds: the limit and the sums stay on the numeric route
+    assert limit_density_law(norm_model, cfg).closed is None
+    assert sum_density_law(5, norm_model, cfg).closed is None
+    for model in (FsrvModel(Exponential(1.0), Exponential(2.0)),
+                  FsrvModel(triangle_seed, triangle_seed)):
+        assert member_law(model, 6, cfg).closed is None
+        assert limit_density_law(model, cfg).closed is None
+        assert sum_density_law(5, model, cfg).closed is None
 
 
 def test_support_xn(exp_model, unif_model):

@@ -152,6 +152,9 @@ def test_density_curve_validation():
     with pytest.raises(DomainError):
         DensityCurve(xs=np.array([0.0]), ys=np.array([1.0]),
                      support=(0, 1), norm_defect=0.0)
+    for xs in ([0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]):
+        with pytest.raises(DomainError):
+            DensityCurve(xs=np.array(xs), ys=np.ones(len(xs)), support=(0, 1), norm_defect=0.0)
 
 
 def test_density_curve_from_function_certificate():

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from fsrv.errors import DomainError
+from fsrv.marginal import FsrvModel
 from fsrv.numerics import integrate
 from fsrv.seeds import (
     Exponential,
-    RngStream,
     StandardNormal,
     TabulatedPdf,
     UniformUnit,
     parse_seed_spec,
     tabulated_from_csv,
 )
+from fsrv.simulate import SimulationConfig, run_simulation
 
 ALL_KINDS = [Exponential(1.0), Exponential(2.5), UniformUnit(), StandardNormal()]
 
@@ -52,40 +53,41 @@ def test_cdf_monotone_and_endpoint_anchored(dist):
     assert abs(dist.cdf(hi) - 1.0) < 1e-9
 
 
+def seed_pairs(dist, rng_seed: int, n_paths: int) -> np.ndarray:
+    """Seed draws of the block sampler that simulation uses."""
+    config = SimulationConfig(rng_seed=rng_seed, n_paths=n_paths, horizon=2,
+                              model=FsrvModel(dist, dist))
+    return run_simulation(config).seed_pairs
+
+
 def test_exponential_golden_first_draw():
     # pinned generator, captured once and frozen
-    assert Exponential(1.0).sample(RngStream(42)) == 1.715899855890263
+    assert tuple(seed_pairs(Exponential(1.0), 42, 1)[0]) == (1.715899855890263,
+                                                             2.0223870679065734)
 
 
 def test_uniform_golden_first_draw_and_range():
-    value = UniformUnit().sample(RngStream(42))
-    assert value == 0.8201981478608876
-    assert 0.0 <= value < 1.0
+    pair = seed_pairs(UniformUnit(), 42, 1)[0]
+    assert tuple(pair) == (0.8201981478608876, 0.8676608148821462)
+    assert np.all((0.0 <= pair) & (pair < 1.0))
 
 
 def test_normal_golden_first_draw():
-    assert StandardNormal().sample(RngStream(42)) == 0.6901114401823835
-
-
-def test_streams_reproducible_and_distinct():
-    a = RngStream(7, substream=0).uniforms(8)
-    b = RngStream(7, substream=0).uniforms(8)
-    c = RngStream(7, substream=1).uniforms(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert tuple(seed_pairs(StandardNormal(), 42, 1)[0]) == (0.6901114401823835,
+                                                             -1.5858830335039964)
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec_string())
 def test_sampler_matches_moments(dist):
     n = 10**5
-    draws = dist.sample(RngStream(314), size=n)
     mean, var = dist.moments()
     # standard-error bounds; fourth central moments by family
     m4 = {"exponential": 9.0 * var * var,
           "uniform_unit": 1.0 / 80.0,
           "standard_normal": 3.0}[dist.kind]
-    assert abs(float(np.mean(draws)) - mean) <= 4.0 * math.sqrt(var / n)
-    assert abs(float(np.var(draws)) - var) <= 4.0 * math.sqrt((m4 - var * var) / n)
+    for draws in seed_pairs(dist, 314, n).T:
+        assert abs(float(np.mean(draws)) - mean) <= 4.0 * math.sqrt(var / n)
+        assert abs(float(np.var(draws)) - var) <= 4.0 * math.sqrt((m4 - var * var) / n)
 
 
 def test_tabulated_triangle_moments_exact(triangle_seed):
@@ -95,10 +97,10 @@ def test_tabulated_triangle_moments_exact(triangle_seed):
 
 
 def test_tabulated_triangle_sampling(triangle_seed):
-    draws = triangle_seed.sample(RngStream(99), size=10**6)
-    assert draws.min() >= 0.0 and draws.max() <= 2.0
-    # 3 standard errors with sigma^2 = 1/6
-    assert abs(float(np.mean(draws)) - 1.0) <= 0.003
+    for draws in seed_pairs(triangle_seed, 99, 10**6).T:
+        assert draws.min() >= 0.0 and draws.max() <= 2.0
+        # 7 standard errors with sigma^2 = 1/6
+        assert abs(float(np.mean(draws)) - 1.0) <= 0.003
 
 
 def test_tabulated_pdf_cdf_consistency(triangle_seed):
