@@ -82,9 +82,7 @@ def _quad_config() -> QuadratureConfig:
         tol = float(raw)
     except ValueError:
         raise FsrvError(f"FSRV_QUAD_TOL: not a number: {raw!r}") from None
-    if tol <= 0:
-        raise FsrvError(f"FSRV_QUAD_TOL: must be positive, got {raw}")
-    return QuadratureConfig(abs_tol=tol)
+    return _flagged("FSRV_QUAD_TOL", QuadratureConfig, tol)
 
 
 def _curve_output(curve: DensityCurve, output: str, out_path: str | None,

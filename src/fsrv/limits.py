@@ -133,12 +133,16 @@ class SumLaw:
     variance: float
 
 
-def sum_law(n: int, model: FsrvModel) -> SumLaw:
-    """Coefficients and moments of S_n = a_{n+1}*V0 + (a_{n+2}-1)*V1."""
+def _sum_coefficients(n: int) -> tuple[int, int]:
+    """(a_{n+1}, a_{n+2}-1), the exact coefficients of V0 and V1 in S_n."""
     if n < 2:
         raise DomainError(f"sum index must be >= 2, got {n}")
-    c0 = fib_core.fib(n + 1)
-    c1 = fib_core.fib(n + 2) - 1
+    return fib_core.fib(n + 1), fib_core.fib(n + 2) - 1
+
+
+def sum_law(n: int, model: FsrvModel) -> SumLaw:
+    """Coefficients and moments of S_n = a_{n+1}*V0 + (a_{n+2}-1)*V1."""
+    c0, c1 = _sum_coefficients(n)
     m0, v0, m1, v1 = model.seed_moments()
     return SumLaw(
         n=n,
@@ -153,22 +157,20 @@ def pdf_sum(n: int, model: FsrvModel, x: float,
             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Density of the partial sum S_n at x by scaled convolution with
     coefficients a_{n+1} and a_{n+2}-1."""
-    law = sum_law(n, model)
-    return linear_form_pdf(model, float(law.coeff0), float(law.coeff1), x, cfg)
+    c0, c1 = _sum_coefficients(n)
+    return linear_form_pdf(model, float(c0), float(c1), x, cfg)
 
 
 def pdf_sum_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     """Closed-form density of S_n for iid exponential seeds:
     (exp(-x/B) - exp(-x/A)) / (B - A) with A = a_{n+1}, B = a_{n+2}-1
     at unit rate, scaled to other rates."""
-    if n < 2:
-        raise DomainError(f"sum index must be >= 2, got {n}")
+    c0, c1 = _sum_coefficients(n)
     if rate <= 0:
         raise DomainError(f"rate must be positive, got {rate}")
     if x < 0:
         return 0.0
-    a = float(fib_core.fib(n + 1))
-    b = float(fib_core.fib(n + 2) - 1)
+    a, b = float(c0), float(c1)
     y = rate * x
     return rate * (math.exp(-y / b) - math.exp(-y / a)) / (b - a)
 

@@ -7,6 +7,7 @@ V0, V1; `argmax_scalar` is a golden-section search with an explicit tie-break
 for plateau-topped densities.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -32,11 +33,12 @@ class QuadratureConfig:
     tail_mass_cutoff: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.tail_mass_cutoff <= 0:
+        # a nan tolerance is never met, so every panel would bisect to max_depth
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if not 0 < self.tail_mass_cutoff < math.inf:
             raise DomainError(
-                f"tail_mass_cutoff must be positive, got {self.tail_mass_cutoff}"
+                f"tail_mass_cutoff must be positive and finite, got {self.tail_mass_cutoff}"
             )
 
 

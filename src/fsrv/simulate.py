@@ -3,7 +3,12 @@
 Each path draws its two seed values from a dedicated substream: path i reads
 counter block i of a Philox generator keyed by the run seed, a fixed block
 of four uniforms per path. Results are therefore bit-identical no matter how
-paths are chunked across workers, and any path can be regenerated on its own.
+the draws are chunked, and any path can be regenerated on its own.
+
+A run walks the recursion forward with a cursor over the index: reading
+members in ascending n costs one array addition per index, and reading a
+smaller n restarts the walk from the seed pairs. The cursor makes a run
+stateful, so a run must not be shared across threads.
 """
 
 import json
@@ -23,6 +28,10 @@ _MASK64 = (1 << 64) - 1
 
 #: Uniform variates reserved per path: two per seed draw.
 _BLOCK = 4
+
+#: Paths drawn per Philox call by run_simulation; bounds the uniform block at
+#: 2 MB whatever the path count.
+_CHUNK_PATHS = 1 << 16
 
 #: Paths whose denominator magnitude falls below this are excluded from
 #: ratio statistics.
@@ -65,8 +74,12 @@ class SimulationRun:
     """Sampled seed pairs plus derived per-index statistics.
 
     Everything downstream of the seed pairs is deterministic, so the run
-    stores only those and recomputes path values on demand by the additive
-    recursion.
+    stores only those and derives path values by the additive recursion. A
+    forward cursor keeps members k and k+1 of every path in two run-owned
+    buffers, stepped in place: ascending reads are O(1) array additions per
+    index, and a read below the cursor restarts the walk from the seeds.
+    In-place steps give the same IEEE sums as fresh additions, so results do
+    not depend on the order of reads. Not safe to share across threads.
     """
 
     def __init__(self, config: SimulationConfig, seed_pairs: np.ndarray, n_workers: int):
@@ -74,27 +87,44 @@ class SimulationRun:
         self.seed_pairs = seed_pairs
         self.n_workers = n_workers
         self._summary = None
+        self._k = None
+        self._prev = self._cur = None
 
-    def values_at(self, n: int) -> np.ndarray:
-        """Member n of every path, by running the recursion forward."""
+    def _check_index(self, n: int) -> None:
         if not 0 <= n <= self.config.horizon:
             raise DomainError(f"n must be in [0, {self.config.horizon}], got {n}")
-        prev, cur = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
-        if n == 0:
-            return prev.copy()
-        for _ in range(n - 1):
-            prev, cur = cur, prev + cur
-        return cur.copy()
+
+    def _members(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Members k and k+1 of every path as views of the cursor buffers,
+        which the next cursor move overwrites."""
+        if self._k is None or k < self._k:
+            self._k = 0
+            self._prev, self._cur = self.seed_pairs[:, 0].copy(), self.seed_pairs[:, 1].copy()
+        prev, cur = self._prev, self._cur
+        for _ in range(k - self._k):
+            prev += cur
+            prev, cur = cur, prev
+        self._prev, self._cur, self._k = prev, cur, k
+        return prev, cur
+
+    def _member(self, n: int) -> np.ndarray:
+        prev, cur = self._members(max(n - 1, 0))
+        return prev if n == 0 else cur
+
+    def values_at(self, n: int) -> np.ndarray:
+        """Member n of every path, as a new array."""
+        self._check_index(n)
+        return self._member(n).copy()
 
     def sums_at(self, n: int) -> np.ndarray:
         """Running sum of members 0..n per path, accumulated term by term."""
-        if not 0 <= n <= self.config.horizon:
-            raise DomainError(f"n must be in [0, {self.config.horizon}], got {n}")
-        prev, cur = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
+        self._check_index(n)
+        prev, cur = self.seed_pairs[:, 0].copy(), self.seed_pairs[:, 1].copy()
         total = prev.copy()
         for _ in range(n):
             total += cur
-            prev, cur = cur, prev + cur
+            prev += cur
+            prev, cur = cur, prev
         return total
 
     def y_normalized(self, n: int) -> np.ndarray:
@@ -116,13 +146,10 @@ class SimulationRun:
         is fixed by path index, so the result is chunking-invariant."""
         if self._summary is None:
             means, variances = [], []
-            prev, cur = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
             for n in range(self.config.horizon + 1):
-                vals = prev if n == 0 else cur
+                vals = self._member(n)
                 means.append(float(np.mean(vals)))
                 variances.append(float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0)
-                if n >= 1:
-                    prev, cur = cur, prev + cur
             self._summary = {
                 "rng_seed": self.config.rng_seed,
                 "n_paths": self.config.n_paths,
@@ -141,16 +168,17 @@ class SimulationRun:
 
 
 def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRun:
-    """Generate all paths' seed draws, chunked into n_workers contiguous
-    slices merged in path order."""
+    """Draw every path's seed pair, in chunks of at most _CHUNK_PATHS paths.
+
+    n_workers is validated and kept for callers that pass it; it changes
+    neither the results nor the speed.
+    """
     if n_workers < 1:
         raise DomainError(f"n_workers must be >= 1, got {n_workers}")
     pairs = np.empty((config.n_paths, 2))
-    for w in range(n_workers):
-        start = w * config.n_paths // n_workers
-        stop = (w + 1) * config.n_paths // n_workers
-        if stop > start:
-            pairs[start:stop] = _draw_seed_pairs(config, start, stop - start)
+    for start in range(0, config.n_paths, _CHUNK_PATHS):
+        count = min(_CHUNK_PATHS, config.n_paths - start)
+        pairs[start:start + count] = _draw_seed_pairs(config, start, count)
     return SimulationRun(config, pairs, n_workers)
 
 
@@ -188,8 +216,8 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     """
     if n + 1 > run.config.horizon:
         raise DomainError(f"need n+1 <= horizon={run.config.horizon}, got n={n}")
-    denom = run.values_at(n)
-    numer = run.values_at(n + 1)
+    run._check_index(n)
+    denom, numer = run._members(n)
     keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR
     n_excluded = int(np.sum(~keep))
     if not np.any(keep):

@@ -208,6 +208,13 @@ def test_quad_tol_env_validation(capsys, monkeypatch):
                            "--grid", "0:10:10")
     assert code == 2
     assert "FSRV_QUAD_TOL" in err
+    # a nan tolerance used to hang the numeric route and inf to exit 3
+    for raw in ("nan", "inf", "-inf"):
+        monkeypatch.setenv("FSRV_QUAD_TOL", raw)
+        code, _, err = run_cli(capsys, "pdf", "--seeds", "normal01", "--n", "4",
+                               "--grid", "0:1:3", "--method", "numeric")
+        assert code == 2
+        assert "FSRV_QUAD_TOL" in err
     monkeypatch.setenv("FSRV_QUAD_TOL", "1e-8")
     code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:10:10")

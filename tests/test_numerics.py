@@ -140,6 +140,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(tail_mass_cutoff=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            QuadratureConfig(abs_tol=bad)
+        with pytest.raises(DomainError):
+            QuadratureConfig(tail_mass_cutoff=bad)
 
 
 def test_density_curve_validation():

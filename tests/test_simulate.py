@@ -1,13 +1,21 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsrv.cli import main
 from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
 from fsrv.limits import cdf_limit_exponential_closed, sum_law
-from fsrv.marginal import moments_xn
+from fsrv.marginal import FsrvModel, moments_xn
 from fsrv.simulate import (
+    _CHUNK_PATHS,
+    PHI_TOLERANCE,
+    RATIO_EXCLUSION_FLOOR,
+    RatioStats,
     SimulationConfig,
     SimulationRun,
     _draw_seed_pairs,
@@ -180,3 +188,93 @@ def test_summary_contents(exp_model):
     assert len(summary["mean"]) == 11
     mean, var = moments_xn(exp_model, 10)
     assert abs(summary["mean"][10] - mean) <= 4.0 * math.sqrt(var / 500)
+
+
+def _reference_members(pairs: np.ndarray, horizon: int) -> list[np.ndarray]:
+    members = [pairs[:, 0].copy(), pairs[:, 1].copy()]
+    for _ in range(horizon - 1):
+        members.append(members[-2] + members[-1])
+    return members
+
+
+def _reference_ratio_stats(members: list[np.ndarray], n: int) -> RatioStats:
+    denom, numer = members[n], members[n + 1]
+    keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR
+    z = numer[keep] / denom[keep]
+    return RatioStats(n=n, mean=float(np.mean(z)), min=float(np.min(z)), max=float(np.max(z)),
+                      frac_near_phi=float(np.mean(np.abs(z - PHI) <= PHI_TOLERANCE)),
+                      n_used=int(z.size), n_excluded=int(np.sum(~keep)))
+
+
+_HORIZON = 24
+_QUERIES = st.lists(st.tuples(st.sampled_from(("values", "sums", "ratio")),
+                              st.integers(0, _HORIZON)), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("exp", "unif", "norm", "tri")), rng_seed=st.integers(0, 2**32),
+       queries=_QUERIES, order=st.sampled_from(("drawn", "ascending", "descending")))
+def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_model,
+                                                triangle_seed, family, rng_seed, queries, order):
+    model = {"exp": exp_model, "unif": unif_model, "norm": norm_model,
+             "tri": FsrvModel(triangle_seed, triangle_seed)}[family]
+    config = SimulationConfig(rng_seed=rng_seed, n_paths=37, horizon=_HORIZON, model=model)
+    run = run_simulation(config)
+    members = _reference_members(run.seed_pairs, _HORIZON)
+    if order != "drawn":
+        queries = sorted(queries, key=lambda q: q[1], reverse=order == "descending")
+    for kind, n in queries:
+        if kind == "values":
+            assert np.array_equal(run.values_at(n), members[n])
+        elif kind == "sums":
+            total = members[0].copy()
+            for k in range(1, n + 1):
+                total = total + members[k]
+            assert np.array_equal(run.sums_at(n), total)
+        else:
+            n = min(n, _HORIZON - 1)
+            assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
+
+
+def test_values_at_returns_a_private_copy(exp_model):
+    config = SimulationConfig(rng_seed=8, n_paths=50, horizon=20, model=exp_model)
+    run = run_simulation(config)
+    members = _reference_members(run.seed_pairs, 20)
+    for n in (0, 1, 5, 6):
+        run.values_at(n)[:] = -1.0
+    assert np.array_equal(run.values_at(7), members[7])
+    assert np.array_equal(run.values_at(6), members[6])
+    assert ratio_stats(run, 12) == _reference_ratio_stats(members, 12)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 7])
+def test_chunked_run_matches_one_draw(norm_model, n_workers):
+    n_paths = _CHUNK_PATHS + 3
+    config = SimulationConfig(rng_seed=31, n_paths=n_paths, horizon=5, model=norm_model)
+    run = run_simulation(config, n_workers=n_workers)
+    assert np.array_equal(run.seed_pairs, _draw_seed_pairs(config, 0, n_paths))
+
+
+# sha256 of the CLI outputs, recorded before the forward cursor and the
+# chunked draw replaced the per-call recursion and the per-worker slices.
+_SIMULATE_DIGESTS = [
+    ("exp:1", 300, 40, 11, 3,
+     "cec0128c094452139099504582422cce1e357c127578bf50fefd7a46613ff542",
+     "7a009a3c7ff7ea7b63166a4c9b4e2f38e41802b10b6ecdf6f555134f6a343741"),
+    ("normal01", 200, 30, 12, 2,
+     "830734db6a86476589df92225cd2b877cfbef861d6c23b00f135df7d1548cab6",
+     "ab767d8112c07b9f1ecf3c54994fe94ff5ed0a9be1999d4bd42e77c3a54c5136"),
+]
+
+
+@pytest.mark.parametrize("seeds,paths,horizon,rng_seed,workers,stdout_sha,paths_sha",
+                         _SIMULATE_DIGESTS, ids=["exp", "normal"])
+def test_simulate_outputs_are_pinned(capsys, tmp_path, seeds, paths, horizon, rng_seed,
+                                     workers, stdout_sha, paths_sha):
+    paths_out = tmp_path / "paths.csv"
+    code = main(["simulate", "--seeds", seeds, "--paths", str(paths), "--horizon", str(horizon),
+                 "--rng-seed", str(rng_seed), "--workers", str(workers), "--output", "json",
+                 "--paths-out", str(paths_out)])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(paths_out.read_bytes()).hexdigest() == paths_sha
