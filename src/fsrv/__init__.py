@@ -44,7 +44,9 @@ from .marginal import (
     FsrvModel,
     RatioDiagnostics,
     exponential_model,
+    linear_form_moments,
     linear_form_pdf,
+    linear_form_support,
     member_law,
     mode_exponential,
     moments_xn,

@@ -226,9 +226,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _model_from(args)
-    config = simulate.SimulationConfig(rng_seed=args.rng_seed, n_paths=args.paths,
-                                       horizon=args.horizon, model=model)
-    run = simulate.run_simulation(config, n_workers=args.workers)
+    config = _flagged("--paths/--horizon", simulate.SimulationConfig,
+                      args.rng_seed, args.paths, args.horizon, model)
+    run = _flagged("--workers", simulate.run_simulation, config, args.workers)
     if args.paths_out is not None:
         rows = []
         for i in range(config.n_paths):

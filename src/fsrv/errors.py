@@ -14,7 +14,8 @@ class FibOverflowError(FsrvError, OverflowError):
 
 
 class NonConvergenceError(FsrvError, RuntimeError):
-    """Adaptive quadrature hit its depth cap before reaching tolerance.
+    """Adaptive quadrature hit its depth cap or ran out of its evaluation
+    budget before reaching tolerance.
 
     The best available estimate is carried in ``partial``.
     """

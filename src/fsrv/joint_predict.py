@@ -16,16 +16,13 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import FsrvModel, closed_form_tag, pdf_numeric
-from .numerics import QuadratureConfig, integrate
+from .marginal import FsrvModel, closed_form_tag, linear_form_support, pdf_numeric
+from .numerics import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 #: Quadrature settings for conditional expectations: the division by the
 #: marginal density amplifies absolute error, so the default target is
 #: tighter than the package-wide one.
 PREDICT_CONFIG = QuadratureConfig(abs_tol=1e-12)
-
-#: Settings for normalization certificates of the joint density.
-JOINT_CHECK_CONFIG = QuadratureConfig(abs_tol=1e-9)
 
 #: Conditioning values where the marginal density falls below this floor
 #: are treated as outside the effective support.
@@ -108,33 +105,19 @@ def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, fl
     return _y1_interval(law, model.seed0.support(), model.seed1.support(), y0)
 
 
-def _effective_slice(law: JointLaw, model: FsrvModel, y0: float,
-                     tail_mass_cutoff: float) -> tuple[float, float] | None:
-    return _y1_interval(
-        law,
-        model.seed0.effective_support(tail_mass_cutoff),
-        model.seed1.effective_support(tail_mass_cutoff),
-        y0,
-    )
+def _effective_slice(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, float] | None:
+    return _y1_interval(law, model.seed0.effective_support(), model.seed1.effective_support(), y0)
 
 
 def joint_normalization_check(law: JointLaw, model: FsrvModel,
-                              cfg: QuadratureConfig = JOINT_CHECK_CONFIG) -> float:
+                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total mass of the joint density by iterated 1-D quadrature over the
     exact support slices. A correct implementation returns 1 within 1e-6."""
-    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
-    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
-    c_nm1, c_n = law.coeff_matrix[0], law.coeff_matrix[1]
-    y0_lo = c_nm1 * s0[0] + c_n * s1[0]
-    y0_hi = c_nm1 * s0[1] + c_n * s1[1]
-    inner_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol * 1e-2,
-        max_depth=cfg.max_depth,
-        tail_mass_cutoff=cfg.tail_mass_cutoff,
-    )
+    y0_lo, y0_hi = linear_form_support(model, law.coeff_matrix[0], law.coeff_matrix[1])
+    inner_cfg = QuadratureConfig(cfg.abs_tol * 1e-2)
 
     def slice_mass(y0: float) -> float:
-        bounds = _effective_slice(law, model, y0, cfg.tail_mass_cutoff)
+        bounds = _effective_slice(law, model, y0)
         if bounds is None:
             return 0.0
         return integrate(lambda y1: joint_pdf(law, model, y0, y1),
@@ -144,18 +127,17 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
 
 
 def predict(law: JointLaw, model: FsrvModel, x: float,
-            cfg: QuadratureConfig = PREDICT_CONFIG,
-            density_floor: float = DENSITY_FLOOR) -> float:
+            cfg: QuadratureConfig = PREDICT_CONFIG) -> float:
     """Least-squares predictor of member n+k given member n = x: the
     conditional mean, computed as the y-weighted joint mass over the
     conditional slice divided by the marginal density at x."""
     marginal = pdf_numeric(model, law.n, x, cfg)
-    if marginal < density_floor:
+    if marginal < DENSITY_FLOOR:
         raise OutsideSupportError(
-            f"marginal density at x={x} is below the floor {density_floor}; "
+            f"marginal density at x={x} is below the floor {DENSITY_FLOOR}; "
             "the conditional mean is not identifiable there"
         )
-    bounds = _effective_slice(law, model, x, cfg.tail_mass_cutoff)
+    bounds = _effective_slice(law, model, x)
     if bounds is None:
         raise OutsideSupportError(f"empty conditional support at x={x}")
     weighted = integrate(lambda y1: y1 * joint_pdf(law, model, x, y1),

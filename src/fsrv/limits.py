@@ -17,7 +17,8 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError
 from .fib_core import PHI
-from .marginal import DensityLaw, FsrvModel, closed_form_tag, linear_form_pdf
+from .marginal import (DensityLaw, FsrvModel, closed_form_tag, linear_form_moments,
+                       linear_form_pdf, linear_form_support)
 from .numerics import DEFAULT_CONFIG, QuadratureConfig
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
@@ -33,11 +34,11 @@ class LimitLaw:
 
 
 def limit_law(model: FsrvModel) -> LimitLaw:
-    m0, v0, m1, v1 = model.seed_moments()
-    a_scale = math.sqrt(v0 + PHI * PHI * v1)
+    mean, variance = linear_form_moments(model, 1.0, PHI)
+    a_scale = math.sqrt(variance)
     if a_scale <= 0.0:
         raise DomainError("limit law undefined: both seeds are degenerate (zero variance)")
-    return LimitLaw(model=model, a_scale=a_scale, b_shift=m0 + PHI * m1)
+    return LimitLaw(model=model, a_scale=a_scale, b_shift=mean)
 
 
 def pdf_limit_numeric(law: LimitLaw, x: float,
@@ -112,10 +113,8 @@ def limit_density_law(model: FsrvModel, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     """Density law of Y: closed for exponential and unit-uniform seeds, by
     convolution otherwise (normal seeds included, though Y is then N(0, 1))."""
     law = limit_law(model)
-    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
-    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
-    support = ((s0[0] + PHI * s1[0] - law.b_shift) / law.a_scale,
-               (s0[1] + PHI * s1[1] - law.b_shift) / law.a_scale)
+    lo, hi = linear_form_support(model, 1.0, PHI)
+    support = ((lo - law.b_shift) / law.a_scale, (hi - law.b_shift) / law.a_scale)
     closed = {"exponential": pdf_limit_exponential_closed,
               "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
     return DensityLaw("limit_law", support, closed, lambda x: pdf_limit_numeric(law, x, cfg),
@@ -143,14 +142,8 @@ def _sum_coefficients(n: int) -> tuple[int, int]:
 def sum_law(n: int, model: FsrvModel) -> SumLaw:
     """Coefficients and moments of S_n = a_{n+1}*V0 + (a_{n+2}-1)*V1."""
     c0, c1 = _sum_coefficients(n)
-    m0, v0, m1, v1 = model.seed_moments()
-    return SumLaw(
-        n=n,
-        coeff0=c0,
-        coeff1=c1,
-        mean=float(c0) * m0 + float(c1) * m1,
-        variance=float(c0 * c0) * v0 + float(c1 * c1) * v1,
-    )
+    mean, variance = linear_form_moments(model, c0, c1)
+    return SumLaw(n=n, coeff0=c0, coeff1=c1, mean=mean, variance=variance)
 
 
 def pdf_sum(n: int, model: FsrvModel, x: float,
@@ -180,10 +173,7 @@ def sum_density_law(n: int, model: FsrvModel,
     """Density law of S_n: closed for exponential seeds of one rate, by
     convolution for every other seed pair."""
     law = sum_law(n, model)
-    s0 = model.seed0.effective_support(cfg.tail_mass_cutoff)
-    s1 = model.seed1.effective_support(cfg.tail_mass_cutoff)
-    support = (law.coeff0 * s0[0] + law.coeff1 * s1[0],
-               law.coeff0 * s0[1] + law.coeff1 * s1[1])
+    support = linear_form_support(model, law.coeff0, law.coeff1)
     closed = None
     if closed_form_tag(model) == "exponential":
         rate = model.seed0.rate

@@ -1,11 +1,12 @@
 """The law of the n-th member of a random Fibonacci recursion.
 
 With seeds V0, V1 and Fibonacci coefficients, the n-th member is
-a_{n-1}*V0 + a_n*V1. This module evaluates the density of any such linear
-form of the seeds by scaled convolution, the member density in closed form
-for exponential, unit-uniform, and standard-normal seeds, and provides
-moments, modes, maxima, and the golden-ratio diagnostics of
-consecutive-index ratios. `DensityLaw` is the common shape of every density
+a_{n-1}*V0 + a_n*V1. This module holds the algebra of any such linear form
+of the seeds, which members, partial sums and the limit law share: its
+support, its mean and variance, and its density by scaled convolution. It
+also gives the member density in closed form for exponential, unit-uniform,
+and standard-normal seeds, modes, maxima, and the golden-ratio diagnostics
+of consecutive-index ratios. `DensityLaw` is the common shape of every density
 the CLI samples: members here, the limit law and partial sums in `limits`.
 """
 
@@ -24,12 +25,6 @@ class FsrvModel:
 
     seed0: SeedDistribution
     seed1: SeedDistribution
-
-    def seed_moments(self) -> tuple[float, float, float, float]:
-        """(mean0, var0, mean1, var1)."""
-        m0, v0 = self.seed0.moments()
-        m1, v1 = self.seed1.moments()
-        return m0, v0, m1, v1
 
 
 def exponential_model(rate: float = 1.0) -> FsrvModel:
@@ -77,19 +72,31 @@ def _require_member_index(n: int) -> None:
         )
 
 
-def support_xn(model: FsrvModel, n: int, effective: bool = False,
-               tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
-    """Support of member n; with effective=True, infinite seed tails are
-    truncated so the discarded mass per seed stays below the cutoff."""
-    _require_member_index(n)
-    c0, c1 = fib_core.fib(n - 1), fib_core.fib(n)
+def linear_form_support(model: FsrvModel, c0, c1,
+                        effective: bool = True) -> tuple[float, float]:
+    """Support of c0*V0 + c1*V1 for nonnegative c0, c1, from the seeds'
+    effective supports (infinite tails truncated at seeds.TAIL_MASS) or,
+    with effective=False, their mathematical ones."""
     if effective:
-        s0 = model.seed0.effective_support(tail_mass_cutoff)
-        s1 = model.seed1.effective_support(tail_mass_cutoff)
+        s0, s1 = model.seed0.effective_support(), model.seed1.effective_support()
     else:
-        s0 = model.seed0.support()
-        s1 = model.seed1.support()
+        s0, s1 = model.seed0.support(), model.seed1.support()
     return c0 * s0[0] + c1 * s1[0], c0 * s0[1] + c1 * s1[1]
+
+
+def linear_form_moments(model: FsrvModel, c0, c1) -> tuple[float, float]:
+    """(mean, variance) of c0*V0 + c1*V1; the variances add because the
+    seeds are independent, and integer coefficients are squared exactly."""
+    m0, v0 = model.seed0.moments()
+    m1, v1 = model.seed1.moments()
+    return float(c0) * m0 + float(c1) * m1, float(c0 * c0) * v0 + float(c1 * c1) * v1
+
+
+def support_xn(model: FsrvModel, n: int, effective: bool = False) -> tuple[float, float]:
+    """Support of member n; with effective=True, infinite seed tails are
+    truncated at seeds.TAIL_MASS."""
+    _require_member_index(n)
+    return linear_form_support(model, fib_core.fib(n - 1), fib_core.fib(n), effective)
 
 
 def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
@@ -103,8 +110,8 @@ def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
         c1,
         x,
         cfg,
-        support0=model.seed0.effective_support(cfg.tail_mass_cutoff),
-        support1=model.seed1.effective_support(cfg.tail_mass_cutoff),
+        support0=model.seed0.effective_support(),
+        support1=model.seed1.effective_support(),
         breakpoints0=model.seed0.breakpoints(),
         breakpoints1=model.seed1.breakpoints(),
     )
@@ -187,7 +194,7 @@ def pdf_normal_closed(n: int, x: float) -> float:
 def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
     """Density law of member n: closed for exponential seeds of one rate,
     unit-uniform and standard-normal seeds, by convolution otherwise."""
-    support = support_xn(model, n, True, cfg.tail_mass_cutoff)
+    support = support_xn(model, n, True)
     tag = closed_form_tag(model)
     if tag == "exponential":
         rate = model.seed0.rate
@@ -203,17 +210,9 @@ def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG)
 
 
 def moments_xn(model: FsrvModel, n: int) -> tuple[float, float]:
-    """(mean, variance) of member n from seed moments and exact coefficients.
-
-    mean = a_{n-1}*mean0 + a_n*mean1; variance adds in quadrature since the
-    seeds are independent.
-    """
+    """(mean, variance) of member n = a_{n-1}*V0 + a_n*V1."""
     _require_member_index(n)
-    m0, v0, m1, v1 = model.seed_moments()
-    c0, c1 = fib_core.fib(n - 1), fib_core.fib(n)
-    mean = float(c0) * m0 + float(c1) * m1
-    variance = float(c0 * c0) * v0 + float(c1 * c1) * v1
-    return mean, variance
+    return linear_form_moments(model, fib_core.fib(n - 1), fib_core.fib(n))
 
 
 def mode_exponential(n: int, rate: float = 1.0) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Quadrature, scaled density convolution, grid curves, and 1-D maximization.
 
 All analytic modules funnel their integrals through `integrate`, an adaptive
-Simpson scheme with an absolute error target and a recursion-depth cap.
+Simpson scheme with an absolute error target, a recursion-depth cap and an
+evaluation budget.
 `scaled_convolution` evaluates the density of c0*V0 + c1*V1 for independent
 V0, V1; `argmax_scalar` is a golden-section search with an explicit tie-break
 for plateau-topped densities.
@@ -18,28 +19,28 @@ from .errors import DomainError, NonConvergenceError
 Func = Callable[[float], float]
 
 
+#: Bisection depth cap of one adaptive panel; a panel still short of its
+#: tolerance share there makes the integral raise NonConvergenceError.
+_MAX_DEPTH = 60
+
+#: Integrand evaluations one `integrate` call may spend before it raises
+#: NonConvergenceError; real work stays below 10^4, but a tolerance finer
+#: than doubles resolve would otherwise bisect every panel to _MAX_DEPTH.
+_MAX_EVALS = 1 << 20
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Error-control knobs for adaptive integration.
-
-    abs_tol: absolute error target for one integral.
-    max_depth: bisection depth cap; exceeding it raises NonConvergenceError.
-    tail_mass_cutoff: probability mass a caller may discard when truncating
-        an infinite support to a finite integration window.
-    """
+    """Error target for adaptive integration: abs_tol is the absolute error
+    allowed in one integral. The depth cap, the evaluation budget and the
+    seeds' tail cutoff are fixed constants, not settings."""
 
     abs_tol: float = 1e-9
-    max_depth: int = 60
-    tail_mass_cutoff: float = 1e-12
 
     def __post_init__(self):
-        # a nan tolerance is never met, so every panel would bisect to max_depth
+        # a nan tolerance is never met, so every panel would bisect to the cap
         if not 0 < self.abs_tol < math.inf:
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not 0 < self.tail_mass_cutoff < math.inf:
-            raise DomainError(
-                f"tail_mass_cutoff must be positive and finite, got {self.tail_mass_cutoff}"
-            )
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -55,8 +56,9 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
     Absolute error is controlled to cfg.abs_tol on smooth integrands; panels
     whose midpoint is no longer representable between the endpoints are
     accepted as converged (the float grid cannot be refined further). If any
-    panel still misses its tolerance share at cfg.max_depth, the whole
-    integral is flagged and NonConvergenceError carries the partial estimate.
+    panel still misses its tolerance share at depth _MAX_DEPTH, or the call
+    would spend more than _MAX_EVALS integrand evaluations, NonConvergenceError
+    carries the estimate reached so far.
     """
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
@@ -68,10 +70,8 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
     # stack entries: (a, b, fa, fm, fb, panel_estimate, tol, depth)
     stack = [(lo, hi, fa, fm, fb, whole, cfg.abs_tol, 0)]
     total = 0.0
+    evals = 5  # the three above and the first panel's two
     converged = True
-    # a couple of forced levels guard against the error estimate aliasing
-    # to zero on structured integrands
-    min_depth = min(2, cfg.max_depth)
 
     while stack:
         a, b, fa, fm, fb, s_whole, tol, depth = stack.pop()
@@ -86,18 +86,28 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
         s_right = _simpson(fm, frm, fb, b - m)
         s2 = s_left + s_right
         err = (s2 - s_whole) / 15.0
-        if abs(err) <= tol and depth >= min_depth:
+        # two forced levels guard against the error estimate aliasing to zero
+        # on structured integrands
+        if abs(err) <= tol and depth >= 2:
             total += s2 + err
-        elif depth >= cfg.max_depth:
+        elif depth >= _MAX_DEPTH:
             total += s2 + err
             converged = False
         else:
+            # a split commits two evaluations in each half
+            evals += 4
+            if evals > _MAX_EVALS:
+                raise NonConvergenceError(
+                    f"quadrature on [{lo}, {hi}] ran out of its budget of {_MAX_EVALS} "
+                    f"integrand evaluations before reaching abs_tol={cfg.abs_tol}",
+                    partial=total + s2 + err + sum(entry[5] for entry in stack),
+                )
             stack.append((a, m, fa, flm, fm, s_left, tol / 2.0, depth + 1))
             stack.append((m, b, fm, frm, fb, s_right, tol / 2.0, depth + 1))
 
     if not converged:
         raise NonConvergenceError(
-            f"quadrature on [{lo}, {hi}] hit max_depth={cfg.max_depth} "
+            f"quadrature on [{lo}, {hi}] hit depth {_MAX_DEPTH} "
             f"before reaching abs_tol={cfg.abs_tol}",
             partial=total,
         )
@@ -120,8 +130,8 @@ def scaled_convolution(
 
     Evaluates (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt over the
     intersection of the two induced t-ranges. Supports must be finite;
-    callers truncate infinite tails so the discarded mass stays below
-    cfg.tail_mass_cutoff.
+    callers pass the seeds' effective supports, which drop at most
+    seeds.TAIL_MASS of each seed's mass.
 
     Interior kink locations of either density (breakpoints0/1, in the
     densities' own coordinates) are mapped into t and the integral is split
@@ -147,11 +157,7 @@ def scaled_convolution(
     cuts = [x - c0 * b for b in breakpoints0]
     cuts.extend(c1 * b for b in breakpoints1)
     cuts = sorted(c for c in cuts if t_lo < c < t_hi)
-    piece_cfg = cfg if not cuts else QuadratureConfig(
-        abs_tol=cfg.abs_tol / (len(cuts) + 1),
-        max_depth=cfg.max_depth,
-        tail_mass_cutoff=cfg.tail_mass_cutoff,
-    )
+    piece_cfg = cfg if not cuts else QuadratureConfig(cfg.abs_tol / (len(cuts) + 1))
     total = 0.0
     lo = t_lo
     for cut in cuts:

@@ -18,6 +18,10 @@ from .errors import DomainError
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
 
+#: Probability mass an effective support may leave out of an infinite
+#: support; the truncation error of every quadrature over seed densities.
+TAIL_MASS = 1e-12
+
 
 class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
@@ -38,9 +42,9 @@ class SeedDistribution:
         """Mathematical support; endpoints may be infinite."""
         raise NotImplementedError
 
-    def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
-        """Finite window outside of which less than tail_mass_cutoff of the
-        mass lies; equal to support() when that is already finite."""
+    def effective_support(self) -> tuple[float, float]:
+        """Finite window outside of which less than TAIL_MASS of the mass
+        lies; equal to support() when that is already finite."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -88,8 +92,8 @@ class Exponential(SeedDistribution):
     def support(self) -> tuple[float, float]:
         return 0.0, math.inf
 
-    def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
-        return 0.0, -math.log(tail_mass_cutoff / 2.0) / self.rate
+    def effective_support(self) -> tuple[float, float]:
+        return 0.0, -math.log(TAIL_MASS / 2.0) / self.rate
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u[:, 0]) / self.rate
@@ -114,7 +118,7 @@ class UniformUnit(SeedDistribution):
     def support(self) -> tuple[float, float]:
         return 0.0, 1.0
 
-    def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
+    def effective_support(self) -> tuple[float, float]:
         return 0.0, 1.0
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
@@ -140,8 +144,8 @@ class StandardNormal(SeedDistribution):
     def support(self) -> tuple[float, float]:
         return -math.inf, math.inf
 
-    def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
-        z = math.sqrt(2.0 * math.log(2.0 / tail_mass_cutoff))
+    def effective_support(self) -> tuple[float, float]:
+        z = math.sqrt(2.0 * math.log(2.0 / TAIL_MASS))
         return -z, z
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
@@ -245,7 +249,7 @@ class Tabulated(SeedDistribution):
     def support(self) -> tuple[float, float]:
         return self.grid.lo, self.grid.hi
 
-    def effective_support(self, tail_mass_cutoff: float = 1e-12) -> tuple[float, float]:
+    def effective_support(self) -> tuple[float, float]:
         return self.grid.lo, self.grid.hi
 
     def breakpoints(self) -> tuple[float, ...]:

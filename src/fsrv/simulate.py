@@ -146,10 +146,18 @@ class SimulationRun:
         is fixed by path index, so the result is chunking-invariant."""
         if self._summary is None:
             means, variances = [], []
+            # np.var(vals, ddof=1) step by step, reusing the mean and one buffer
+            scratch = np.empty(self.config.n_paths)
             for n in range(self.config.horizon + 1):
                 vals = self._member(n)
-                means.append(float(np.mean(vals)))
-                variances.append(float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0)
+                mean = np.mean(vals)
+                means.append(float(mean))
+                if vals.size > 1:
+                    np.subtract(vals, mean, out=scratch)
+                    np.multiply(scratch, scratch, out=scratch)
+                    variances.append(float(np.sum(scratch) / (vals.size - 1)))
+                else:
+                    variances.append(0.0)
             self._summary = {
                 "rng_seed": self.config.rng_seed,
                 "n_paths": self.config.n_paths,

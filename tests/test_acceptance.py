@@ -121,7 +121,7 @@ def test_criterion_04_joint_law_normalization_and_marginal():
     cfg = QuadratureConfig(abs_tol=1e-9)
     sup = 0.0
     for x in np.linspace(0.01, 60.0, 120):
-        bounds = _effective_slice(law, EXP, float(x), 1e-12)
+        bounds = _effective_slice(law, EXP, float(x))
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, EXP, float(x), y), bounds[0], bounds[1], cfg)
         sup = max(sup, abs(got - (math.exp(-x / 3.0) - math.exp(-x / 2.0))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -193,6 +194,12 @@ def test_grid_validation_names_flag(capsys):
             main(argv)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+    simulate = ["simulate", "--seeds", "exp:1", "--paths", "10", "--horizon", "5",
+                "--rng-seed", "1"]
+    for flag, bad in (("--workers", "0"), ("--paths", "0"), ("--horizon", "1")):
+        code, _, err = run_cli(capsys, *simulate, flag, bad)
+        assert code == 2
+        assert err.startswith("error: ") and flag in err
 
 
 def test_unknown_seed_family(capsys):
@@ -215,6 +222,12 @@ def test_quad_tol_env_validation(capsys, monkeypatch):
                                "--grid", "0:1:3", "--method", "numeric")
         assert code == 2
         assert "FSRV_QUAD_TOL" in err
+    # a tolerance finer than doubles resolve runs out of evaluation budget
+    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
+    code, out, err = run_cli(capsys, "pdf", "--seeds", "normal01", "--n", "4",
+                             "--grid", "0:1:5", "--method", "numeric")
+    assert code == 3
+    assert out == "" and "integrand evaluations" in err
     monkeypatch.setenv("FSRV_QUAD_TOL", "1e-8")
     code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:10:10")
@@ -238,3 +251,56 @@ def test_console_entry_point_runs():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "144"
+
+
+# sha256 of analytic CLI stdout, recorded before the linear-form support and
+# moments moved into one pair of helpers; "TABLE" stands for the 17-node
+# triangle table seed on [0, 2].
+_ANALYTIC_DIGESTS = [
+    ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
+                        "--method", "closed"],
+     "856d86dbc934be3f822984eac4e53ea67db18fbf0e383e8ab8269c02ae07837e"),
+    ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
+                         "--method", "numeric", "--output", "json"],
+     "c267ec7a4506a34a0bd649b3596865c244b1f2784fd29057bf65e34c31f5ddb2"),
+    ("pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7",
+                            "--method", "numeric"],
+     "0c968731d7c30f7ee4ba1dfd83f137d27e910ec8909f5a5dcf188564b5ad7551"),
+    ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
+     "c256703da3c757175d5c014f331a95b3bf6457341296761093a1412b6f65458d"),
+    ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
+     "9c6d7cde6d11efabc54783ef3b4157ce84e27063e3ca1ee8d5d4dad02534bfcf"),
+    ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
+     "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
+    ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
+     "65136bb1d315aff8f42b2b7654a3ba4b6a780263008fb6267381282902df641a"),
+    ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
+     "819a3139b89a8b33c79ef24b85dbe8d58b32a5cc7588bf829e64f37f82118045"),
+    ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
+     "0a228edc2047d4f8b73f3a7f55aa5036e5f24f2157918e2b533b2ea66826b359"),
+    ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
+                     "--output", "json"],
+     "e9ed1923a9bf936c49c36fda3c239293ce5f4f594d7a89855badebb46d2b81eb"),
+    ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
+     "1e2640a536d1d2b2e2888a4a634b761a5488c15a53efce1b920eee4765a76826"),
+    ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
+                    "--grid0", "0:5:4", "--grid1", "0:21:4"],
+     "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),
+    ("predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                     "--grid", "0.5:10:5", "--output", "json"],
+     "9c490e4e3c1970e5f1be7d49e6dab2d69554a16e2ff07bc093cab5a5500374bd"),
+    ("moments_normal", ["moments", "--seeds", "normal01", "--n", "30", "--output", "json"],
+     "a9258a0c8fc5628b73e468472954262847fd0946485d78cd794848c8bd094817"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout_sha", [case[1:] for case in _ANALYTIC_DIGESTS],
+                         ids=[case[0] for case in _ANALYTIC_DIGESTS])
+def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
+    table = tmp_path / "tri.csv"
+    xs = np.linspace(0.0, 2.0, 17)
+    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
+    argv = [f"table:{table}" if arg == "TABLE" else arg for arg in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha

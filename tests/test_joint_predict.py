@@ -100,7 +100,7 @@ def test_marginalizing_joint_recovers_member_density(law43, exp_model):
     from fsrv.joint_predict import _effective_slice
 
     for x in (0.5, 2.0, 6.0, 15.0):
-        bounds = _effective_slice(law43, exp_model, x, 1e-12)
+        bounds = _effective_slice(law43, exp_model, x)
         got = integrate(lambda y: joint_pdf(law43, exp_model, x, y), bounds[0], bounds[1],
                         QuadratureConfig(abs_tol=1e-10))
         expected = math.exp(-x / 3.0) - math.exp(-x / 2.0)
@@ -113,7 +113,7 @@ def test_marginalizing_uniform_joint(unif_model):
 
     law = joint_law(5, 1)
     for x in (0.5, 2.5, 6.0):
-        bounds = _effective_slice(law, unif_model, x, 1e-12)
+        bounds = _effective_slice(law, unif_model, x)
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, unif_model, x, y), bounds[0], bounds[1])
         assert abs(got - pdf_uniform_closed(5, x)) <= 1e-6
@@ -130,7 +130,7 @@ def test_marginalization_over_all_benchmark_pairs(n, k, family, exp_model, unif_
     law = joint_law(n, k)
     hi = 4.0 * float(fib(n + 1)) if family == "exponential" else float(fib(n - 1) + fib(n))
     for x in np.linspace(0.05, hi, 12):
-        bounds = _effective_slice(law, model, float(x), 1e-12)
+        bounds = _effective_slice(law, model, float(x))
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, model, float(x), y), bounds[0], bounds[1],
             QuadratureConfig(abs_tol=1e-9))

@@ -8,6 +8,8 @@ from fsrv.fib_core import PHI, fib
 from fsrv.marginal import (
     FsrvModel,
     exponential_model,
+    linear_form_moments,
+    linear_form_support,
     member_law,
     mode_exponential,
     moments_xn,
@@ -57,7 +59,7 @@ def test_pdf_numeric_rejects_seed_indices(exp_model):
 
 def test_pdf_numeric_joint_matches_independent_product(exp_model):
     e = Exponential(1.0)
-    box = (e.effective_support(1e-12), e.effective_support(1e-12))
+    box = (e.effective_support(), e.effective_support())
     joint = lambda u, v: e.pdf(u) * e.pdf(v)
     got = pdf_numeric_joint(joint, 4, 5.0, box)
     assert abs(got - pdf_numeric(exp_model, 4, 5.0)) < 1e-8
@@ -207,7 +209,7 @@ def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
     limit, constants = limit_density_law(exp_model, cfg), limit_law(exp_model)
     assert limit.label == "limit_law"
     assert limit.fields == {"a_scale": constants.a_scale, "b_shift": constants.b_shift}
-    hi = exp_model.seed0.effective_support(cfg.tail_mass_cutoff)[1]
+    hi = exp_model.seed0.effective_support()[1]
     assert limit.support == (-constants.b_shift / constants.a_scale,
                              ((1.0 + PHI) * hi - constants.b_shift) / constants.a_scale)
     for x in (-1.0, 0.5, 3.0):
@@ -241,6 +243,18 @@ def test_support_xn(exp_model, unif_model):
     assert lo == 0.0 and math.isinf(hi)
     lo, hi = support_xn(exp_model, 4, effective=True)
     assert lo == 0.0 and math.isfinite(hi)
+
+
+def test_linear_form_support_and_moments(triangle_seed):
+    # one skewed pair so a swapped seed or coefficient would show
+    model = FsrvModel(triangle_seed, Exponential(2.0))
+    hi = Exponential(2.0).effective_support()[1]
+    assert linear_form_support(model, 3, 5) == (0.0, 6.0 + 5 * hi)
+    lo, top = linear_form_support(model, 3, 5, effective=False)
+    assert lo == 0.0 and math.isinf(top)
+    mean, variance = linear_form_moments(model, 3, 5)
+    assert mean == pytest.approx(3.0 + 2.5, rel=1e-12)
+    assert variance == pytest.approx(9.0 / 6.0 + 25.0 / 4.0, rel=1e-12)
 
 
 # --- closed forms against the generic convolution --------------------------

@@ -38,17 +38,31 @@ def test_integrate_linearity():
 
 
 def test_integrate_nonconvergence_carries_partial():
-    step = lambda x: 0.0 if x < 1.0 / math.e else 1.0
-    cfg = QuadratureConfig(abs_tol=1e-16, max_depth=4)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        integrate(step, 0.0, 1.0, cfg)
-    exact = 1.0 - 1.0 / math.e
-    assert abs(excinfo.value.partial - exact) < 0.01
+    # the panels around the jump shrink to the fixed depth cap of 60 long
+    # before the evaluation budget runs out
+    jump = 1e-10 * math.e
+    calls = []
+    step = lambda x: calls.append(x) or (0.0 if x < jump else 1.0)
+    with pytest.raises(NonConvergenceError, match="depth 60") as excinfo:
+        integrate(step, 0.0, 1.0, QuadratureConfig(abs_tol=1e-16))
+    assert len(calls) == 249
+    assert abs(excinfo.value.partial - (1.0 - jump)) < 1e-9
+
+
+def test_integrate_evaluation_budget():
+    # a tolerance finer than doubles resolve used to bisect every panel to
+    # the depth cap, about 2^60 evaluations; the budget stops it at 2^20
+    calls = []
+    smooth = lambda x: calls.append(x) or math.exp(-x * x)
+    with pytest.raises(NonConvergenceError, match="integrand evaluations") as excinfo:
+        integrate(smooth, 0.0, 3.0, QuadratureConfig(abs_tol=1e-300))
+    assert len(calls) <= 1 << 20
+    assert abs(excinfo.value.partial - math.sqrt(math.pi) / 2.0 * math.erf(3.0)) < 0.05
 
 
 def test_scaled_convolution_exponential_pair():
     e = Exponential(1.0)
-    sup = e.effective_support(1e-12)
+    sup = e.effective_support()
     got = scaled_convolution(e.pdf, e.pdf, 1.0, 1.0, 1.0, support0=sup, support1=sup)
     assert abs(got - math.exp(-1.0)) < 1e-9  # density of V0+V1 at 1 is e^-1
 
@@ -79,7 +93,7 @@ def test_scaled_convolution_validation():
 def test_scaled_convolution_swap_symmetry():
     e = Exponential(1.0)
     u = UniformUnit()
-    se, su = e.effective_support(1e-12), (0.0, 1.0)
+    se, su = e.effective_support(), (0.0, 1.0)
     for x in np.linspace(-1.0, 12.0, 25):
         a = scaled_convolution(e.pdf, u.pdf, 2.0, 5.0, float(x), support0=se, support1=su)
         b = scaled_convolution(u.pdf, e.pdf, 5.0, 2.0, float(x), support0=su, support1=se)
@@ -88,7 +102,7 @@ def test_scaled_convolution_swap_symmetry():
 
 def test_scaled_convolution_normalized_output():
     e = Exponential(1.0)
-    sup = e.effective_support(1e-12)
+    sup = e.effective_support()
     density = lambda x: scaled_convolution(e.pdf, e.pdf, 2.0, 3.0, x,
                                            support0=sup, support1=sup)
     mass = integrate(density, 0.0, 5.0 * sup[1], QuadratureConfig(abs_tol=1e-8))
@@ -138,13 +152,9 @@ def test_argmax_validation():
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tail_mass_cutoff=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=bad)
-        with pytest.raises(DomainError):
-            QuadratureConfig(tail_mass_cutoff=bad)
 
 
 def test_density_curve_validation():
@@ -164,7 +174,7 @@ def test_density_curve_validation():
 
 def test_density_curve_from_function_certificate():
     e = Exponential(1.0)
-    lo, hi = e.effective_support(1e-12)
+    lo, hi = e.effective_support()
     curve = DensityCurve.from_function(e.pdf, 0.0, 5.0, 64, (lo, hi))
     assert curve.norm_defect < 1e-9
     assert curve.xs.size == 64

@@ -37,7 +37,7 @@ def test_moments():
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec_string())
 def test_pdf_nonnegative_and_normalized(dist):
-    lo, hi = dist.effective_support(1e-12)
+    lo, hi = dist.effective_support()
     xs = np.linspace(lo, hi, 400)
     assert all(dist.pdf(float(x)) >= 0.0 for x in xs)
     assert abs(integrate(dist.pdf, lo, hi) - 1.0) < 1e-9
@@ -45,7 +45,7 @@ def test_pdf_nonnegative_and_normalized(dist):
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec_string())
 def test_cdf_monotone_and_endpoint_anchored(dist):
-    lo, hi = dist.effective_support(1e-12)
+    lo, hi = dist.effective_support()
     xs = np.linspace(lo, hi, 300)
     vals = [dist.cdf(float(x)) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
