@@ -54,7 +54,6 @@ from .marginal import (
     pdf_exponential_closed,
     pdf_normal_closed,
     pdf_numeric,
-    pdf_numeric_joint,
     pdf_uniform_closed,
     ratio_diagnostics,
     support_xn,
@@ -63,7 +62,6 @@ from .marginal import (
 from .numerics import (
     DensityCurve,
     QuadratureConfig,
-    argmax_scalar,
     integrate,
     scaled_convolution,
 )
@@ -72,7 +70,6 @@ from .seeds import (
     SeedDistribution,
     StandardNormal,
     Tabulated,
-    TabulatedPdf,
     UniformUnit,
     parse_seed_spec,
     tabulated_from_csv,

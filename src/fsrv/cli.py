@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fib_core, joint_predict, limits, marginal, simulate
 from .errors import FsrvError, NonConvergenceError
-from .numerics import DensityCurve, QuadratureConfig
+from .numerics import DEFAULT_CONFIG, DensityCurve, QuadratureConfig
 from .seeds import parse_seed_spec
 
 NORM_DEFECT_LIMIT = 1e-6
@@ -74,10 +74,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, points
 
 
-def _quad_config() -> QuadratureConfig:
+def _quad_config(default: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureConfig:
+    """The command's default config, or FSRV_QUAD_TOL as its tolerance."""
     raw = os.environ.get("FSRV_QUAD_TOL")
     if raw is None:
-        return QuadratureConfig()
+        return default
     try:
         tol = float(raw)
     except ValueError:
@@ -177,7 +178,7 @@ def _cmd_joint(args) -> int:
     lo1, hi1, p1 = args.grid1
     xs0 = np.linspace(lo0, hi0, p0)
     xs1 = np.linspace(lo1, hi1, p1)
-    mass = joint_predict.joint_normalization_check(law, model)
+    mass = joint_predict.joint_normalization_check(law, model, _quad_config())
     defect = abs(mass - 1.0)
     if defect > NORM_DEFECT_LIMIT:
         print(f"error: joint density norm_defect {defect:.3e} exceeds "
@@ -208,7 +209,8 @@ def _cmd_predict(args) -> int:
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
     lo, hi, points = args.grid
     xs = np.linspace(lo, hi, points)
-    curve = joint_predict.prediction_curve(law, model, xs, method=args.method)
+    curve = joint_predict.prediction_curve(law, model, xs, method=args.method,
+                                           cfg=_quad_config(joint_predict.PREDICT_CONFIG))
     if args.output == "csv":
         text = _csv_table(["x", "predicted"], zip(curve.xs, curve.g_values))
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fib_core
 from .errors import DomainError
-from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, scaled_convolution, integrate
+from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, scaled_convolution
 from .seeds import Exponential, SeedDistribution, StandardNormal, UniformUnit
 
 
@@ -122,29 +122,6 @@ def pdf_numeric(model: FsrvModel, n: int, x: float,
     """Density of member n at x by scaled convolution of the seed densities."""
     _require_member_index(n)
     return linear_form_pdf(model, float(fib_core.fib(n - 1)), float(fib_core.fib(n)), x, cfg)
-
-
-def pdf_numeric_joint(joint_pdf, n: int, x: float,
-                      bounding_box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Density of member n at x for seeds with joint density joint_pdf(v0, v1).
-
-    The caller must declare a finite bounding box ((v0_lo, v0_hi),
-    (v1_lo, v1_hi)) containing the joint support; the density is the
-    single integral of joint((x - t)/a_{n-1}, t/a_n) / (a_{n-1} a_n) dt.
-    """
-    _require_member_index(n)
-    if bounding_box is None:
-        raise DomainError("pdf_numeric_joint requires a finite bounding box for the joint support")
-    (b0_lo, b0_hi), (b1_lo, b1_hi) = bounding_box
-    if not all(map(math.isfinite, (b0_lo, b0_hi, b1_lo, b1_hi))):
-        raise DomainError("bounding box must be finite")
-    c0, c1 = float(fib_core.fib(n - 1)), float(fib_core.fib(n))
-    t_lo = max(c1 * b1_lo, x - c0 * b0_hi)
-    t_hi = min(c1 * b1_hi, x - c0 * b0_lo)
-    if t_lo >= t_hi:
-        return 0.0
-    return integrate(lambda t: joint_pdf((x - t) / c0, t / c1), t_lo, t_hi, cfg) / (c0 * c1)
 
 
 def pdf_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:

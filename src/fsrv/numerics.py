@@ -1,11 +1,11 @@
-"""Quadrature, scaled density convolution, grid curves, and 1-D maximization.
+"""Quadrature, scaled density convolution, and certified grid curves.
 
 All analytic modules funnel their integrals through `integrate`, an adaptive
 Simpson scheme with an absolute error target, a recursion-depth cap and an
-evaluation budget.
-`scaled_convolution` evaluates the density of c0*V0 + c1*V1 for independent
-V0, V1; `argmax_scalar` is a golden-section search with an explicit tie-break
-for plateau-topped densities.
+evaluation budget. `scaled_convolution` evaluates the density of
+c0*V0 + c1*V1 for independent V0, V1, split at the seeds' kinks, and
+`DensityCurve` samples a density on a grid next to its normalization
+certificate.
 """
 
 import math
@@ -166,92 +166,6 @@ def scaled_convolution(
             lo = cut
     total += integrate(integrand, lo, t_hi, piece_cfg)
     return total / (c0 * c1)
-
-
-_INV_PHI = (5.0**0.5 - 1.0) / 2.0
-
-
-def argmax_scalar(f: Func, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Locate the maximizer of a unimodal f on [lo, hi] by golden-section search.
-
-    Returns (x_star, f(x_star)) with x_star within tol of the maximizer.
-    Flat-topped functions are handled by a tie-break: when the converged
-    point sits on a plateau (equal values at x_star +/- tol), the plateau
-    edges are located by bisection and the midpoint is returned.
-    """
-    if lo >= hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc == fd:
-            # both probes on a flat stretch: the max is bracketed between them
-            a, b = c, d
-            c = b - _INV_PHI * (b - a)
-            d = a + _INV_PHI * (b - a)
-            fc, fd = f(c), f(d)
-        elif fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-
-    x0 = (a + b) / 2.0
-    f0 = f(x0)
-
-    left_probe = max(lo, x0 - tol)
-    right_probe = min(hi, x0 + tol)
-    if f(left_probe) == f0 == f(right_probe):
-        left = _plateau_edge(f, f0, x0, lo, tol)
-        right = _plateau_edge(f, f0, x0, hi, tol)
-        x_star = (left + right) / 2.0
-        return x_star, f(x_star)
-    x1 = _parabolic_polish(f, x0, lo, hi)
-    return x1, f(x1)
-
-
-def _parabolic_polish(f: Func, x0: float, lo: float, hi: float) -> float:
-    """One quadratic-fit vertex step around x0.
-
-    Function values only locate a smooth maximum to about sqrt(eps) of the
-    curvature scale; fitting a parabola through three points a cube-root-eps
-    step apart recovers the vertex to near machine precision.
-    """
-    h = 6e-6 * max(abs(x0), 1.0)
-    xl, xr = x0 - h, x0 + h
-    if xl <= lo or xr >= hi:
-        return x0
-    fl, fc, fr = f(xl), f(x0), f(xr)
-    curvature = fr - 2.0 * fc + fl
-    if not curvature < 0.0:
-        return x0
-    step = 0.5 * h * (fl - fr) / curvature
-    if abs(step) > h:
-        return x0
-    return x0 + step
-
-
-def _plateau_edge(f: Func, level: float, inside: float, outside: float, tol: float) -> float:
-    """Bisect for the boundary of {x: f(x) == level} between a point on the
-    plateau and one end of the search interval."""
-    if f(outside) == level:
-        return outside
-    good, bad = inside, outside
-    while abs(good - bad) > tol:
-        mid = (good + bad) / 2.0
-        if f(mid) == level:
-            good = mid
-        else:
-            bad = mid
-    return (good + bad) / 2.0
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Seed distributions: the laws of the two starting variables.
 
 Four families are supported: exponential with arbitrary positive rate,
-uniform on the unit interval, standard normal, and tabulated piecewise-linear
-densities on a uniform grid (loadable from two-column CSV). Every family
-exposes pdf, cdf, moments, support truncation for quadrature, and a map from
-blocks of uniforms to variates that the simulation's block sampler uses.
+uniform on the unit interval, standard normal, and `Tabulated`, a
+piecewise-linear density on a uniform grid that holds its own nodes and
+loads from two-column CSV. Every family exposes pdf, cdf, moments, support
+truncation for quadrature, its kinks, and a map from blocks of uniforms to
+variates that the simulation's block sampler uses.
 """
 
 import csv
@@ -25,8 +26,6 @@ TAIL_MASS = 1e-12
 
 class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
-
-    kind: str = "abstract"
 
     def pdf(self, x: float) -> float:
         raise NotImplementedError
@@ -63,14 +62,15 @@ class SeedDistribution:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        """Parseable family descriptor, e.g. 'exp:1' or 'unif01'."""
+        """Family descriptor, e.g. 'exp:1' or 'unif01'. parse_seed_spec reads
+        it back to the same law, except for a table seed, whose
+        'table:[lo,hi]xN' names no file."""
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class Exponential(SeedDistribution):
     rate: float = 1.0
-    kind = "exponential"
 
     def __post_init__(self):
         if not self.rate > 0:
@@ -99,13 +99,13 @@ class Exponential(SeedDistribution):
         return -np.log1p(-u[:, 0]) / self.rate
 
     def spec_string(self) -> str:
-        return f"exp:{self.rate:g}"
+        # the short form only when it reads back to the same rate
+        short = f"{self.rate:g}"
+        return f"exp:{short if float(short) == self.rate else repr(self.rate)}"
 
 
 @dataclass(frozen=True)
 class UniformUnit(SeedDistribution):
-    kind = "uniform_unit"
-
     def pdf(self, x: float) -> float:
         return 1.0 if 0.0 <= x <= 1.0 else 0.0
 
@@ -130,8 +130,6 @@ class UniformUnit(SeedDistribution):
 
 @dataclass(frozen=True)
 class StandardNormal(SeedDistribution):
-    kind = "standard_normal"
-
     def pdf(self, x: float) -> float:
         return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
@@ -158,12 +156,14 @@ class StandardNormal(SeedDistribution):
         return "normal01"
 
 
-class TabulatedPdf:
+class Tabulated(SeedDistribution):
     """Piecewise-linear density on a uniform grid.
 
     Nodes are nonnegative density samples at evenly spaced points from lo to
     hi (at least 16 of them). The linear interpolant is renormalized at
-    construction so it integrates to exactly one in trapezoid arithmetic.
+    construction so it integrates to exactly one in trapezoid arithmetic;
+    the cdf is its exact piecewise-quadratic integral, and the density kinks
+    at every interior node.
     """
 
     def __init__(self, lo: float, hi: float, nodes):
@@ -218,10 +218,18 @@ class TabulatedPdf:
         second = float(np.sum(x0 * x0 * m0 + 2.0 * x0 * t1 + t2))
         return mean, second - mean * mean
 
-    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0, 1) to variates by inverting the piecewise-
-        quadratic cdf panel by panel."""
-        u = np.asarray(u, dtype=np.float64)
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
+
+    def effective_support(self) -> tuple[float, float]:
+        return self.lo, self.hi
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(self.lo + self.step * i for i in range(1, self.nodes.size - 1))
+
+    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        # invert the piecewise-quadratic cdf panel by panel, from column 0
+        u = u[:, 0]
         i = np.clip(np.searchsorted(self.node_cdf, u, side="right") - 1, 0, self.nodes.size - 2)
         rem = np.maximum(u - self.node_cdf[i], 0.0)
         y0 = self.nodes[i]
@@ -231,37 +239,8 @@ class TabulatedPdf:
         t = np.divide(2.0 * rem, denom, out=np.zeros_like(rem), where=denom > 0)
         return self.lo + i * self.step + np.clip(t, 0.0, self.step)
 
-
-@dataclass(frozen=True)
-class Tabulated(SeedDistribution):
-    grid: TabulatedPdf
-    kind = "tabulated"
-
-    def pdf(self, x: float) -> float:
-        return self.grid.pdf(x)
-
-    def cdf(self, x: float) -> float:
-        return self.grid.cdf(x)
-
-    def moments(self) -> tuple[float, float]:
-        return self.grid.moments()
-
-    def support(self) -> tuple[float, float]:
-        return self.grid.lo, self.grid.hi
-
-    def effective_support(self) -> tuple[float, float]:
-        return self.grid.lo, self.grid.hi
-
-    def breakpoints(self) -> tuple[float, ...]:
-        # the interpolant kinks at every interior node
-        nodes = self.grid.nodes.size
-        return tuple(self.grid.lo + self.grid.step * i for i in range(1, nodes - 1))
-
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return self.grid.inverse_cdf(u[:, 0])
-
     def spec_string(self) -> str:
-        return f"table:[{self.grid.lo},{self.grid.hi}]x{self.grid.nodes.size}"
+        return f"table:[{self.lo},{self.hi}]x{self.nodes.size}"
 
 
 def tabulated_from_csv(path) -> Tabulated:
@@ -295,7 +274,7 @@ def tabulated_from_csv(path) -> Tabulated:
     h = float(steps[0])
     if np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1.0)):
         raise DomainError(f"{path}: x column must be evenly spaced")
-    return Tabulated(TabulatedPdf(float(grid[0]), float(grid[-1]), np.asarray(ys)))
+    return Tabulated(float(grid[0]), float(grid[-1]), np.asarray(ys))
 
 
 def parse_seed_spec(spec: str) -> SeedDistribution:

@@ -5,10 +5,11 @@ counter block i of a Philox generator keyed by the run seed, a fixed block
 of four uniforms per path. Results are therefore bit-identical no matter how
 the draws are chunked, and any path can be regenerated on its own.
 
-A run walks the recursion forward with a cursor over the index: reading
-members in ascending n costs one array addition per index, and reading a
-smaller n restarts the walk from the seed pairs. The cursor makes a run
-stateful, so a run must not be shared across threads.
+A run walks the recursion forward with one cursor over the index, which
+member reads, partial sums, ratio statistics and the summary all share:
+reading members in ascending n costs one array addition per index, and
+reading a smaller n restarts the walk from the seed pairs. The cursor makes
+a run stateful, so a run must not be shared across threads.
 """
 
 import json
@@ -82,10 +83,9 @@ class SimulationRun:
     not depend on the order of reads. Not safe to share across threads.
     """
 
-    def __init__(self, config: SimulationConfig, seed_pairs: np.ndarray, n_workers: int):
+    def __init__(self, config: SimulationConfig, seed_pairs: np.ndarray):
         self.config = config
         self.seed_pairs = seed_pairs
-        self.n_workers = n_workers
         self._summary = None
         self._k = None
         self._prev = self._cur = None
@@ -117,14 +117,12 @@ class SimulationRun:
         return self._member(n).copy()
 
     def sums_at(self, n: int) -> np.ndarray:
-        """Running sum of members 0..n per path, accumulated term by term."""
+        """Running sum of members 0..n per path, accumulated term by term in
+        index order while the cursor walks from the seeds."""
         self._check_index(n)
-        prev, cur = self.seed_pairs[:, 0].copy(), self.seed_pairs[:, 1].copy()
-        total = prev.copy()
-        for _ in range(n):
-            total += cur
-            prev += cur
-            prev, cur = cur, prev
+        total = self._member(0).copy()
+        for k in range(1, n + 1):
+            total += self._member(k)
         return total
 
     def y_normalized(self, n: int) -> np.ndarray:
@@ -178,8 +176,8 @@ class SimulationRun:
 def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRun:
     """Draw every path's seed pair, in chunks of at most _CHUNK_PATHS paths.
 
-    n_workers is validated and kept for callers that pass it; it changes
-    neither the results nor the speed.
+    n_workers is validated for callers that pass it, and then unused: it
+    changes neither the results nor the speed.
     """
     if n_workers < 1:
         raise DomainError(f"n_workers must be >= 1, got {n_workers}")
@@ -187,7 +185,7 @@ def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRu
     for start in range(0, config.n_paths, _CHUNK_PATHS):
         count = min(_CHUNK_PATHS, config.n_paths - start)
         pairs[start:start + count] = _draw_seed_pairs(config, start, count)
-    return SimulationRun(config, pairs, n_workers)
+    return SimulationRun(config, pairs)
 
 
 def sample_path(config: SimulationConfig, path_index: int) -> list[float]:

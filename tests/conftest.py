@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsrv.marginal import exponential_model, normal_model, uniform_model
-from fsrv.seeds import Tabulated, TabulatedPdf
+from fsrv.seeds import Tabulated
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +26,4 @@ def triangle_seed():
     interpolant reproduces the triangle exactly (mean 1, variance 1/6)."""
     xs = np.linspace(0.0, 2.0, 17)
     nodes = np.where(xs <= 1.0, xs, 2.0 - xs)
-    return Tabulated(TabulatedPdf(0.0, 2.0, nodes))
+    return Tabulated(0.0, 2.0, nodes)

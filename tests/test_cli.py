@@ -228,6 +228,20 @@ def test_quad_tol_env_validation(capsys, monkeypatch):
                              "--grid", "0:1:5", "--method", "numeric")
     assert code == 3
     assert out == "" and "integrand evaluations" in err
+    # joint and predict read the same variable
+    joint = ("joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
+             "--grid0", "0:10:3", "--grid1", "0:30:3")
+    predict = ("predict", "--seeds", "exp:1", "--n", "4", "--k", "3", "--grid", "0.5:5:3")
+    for argv in (joint, predict):
+        for raw in ("nan", "abc"):
+            monkeypatch.setenv("FSRV_QUAD_TOL", raw)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "FSRV_QUAD_TOL" in err
+        monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == "" and "integrand evaluations" in err
     monkeypatch.setenv("FSRV_QUAD_TOL", "1e-8")
     code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:10:10")

@@ -16,7 +16,6 @@ from fsrv.marginal import (
     pdf_exponential_closed,
     pdf_normal_closed,
     pdf_numeric,
-    pdf_numeric_joint,
     pdf_uniform_closed,
     ratio_diagnostics,
     support_xn,
@@ -31,8 +30,8 @@ from fsrv.limits import (
     sum_density_law,
     sum_law,
 )
-from fsrv.numerics import QuadratureConfig, argmax_scalar, integrate
-from fsrv.seeds import Exponential, UniformUnit
+from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.seeds import Exponential
 
 
 def grid_sup_distance(model, n, closed, xs, cfg=QuadratureConfig()):
@@ -55,35 +54,6 @@ def test_pdf_numeric_rejects_seed_indices(exp_model):
         pdf_numeric(exp_model, 1, 0.5)
     with pytest.raises(DomainError):
         pdf_numeric(exp_model, 0, 0.5)
-
-
-def test_pdf_numeric_joint_matches_independent_product(exp_model):
-    e = Exponential(1.0)
-    box = (e.effective_support(), e.effective_support())
-    joint = lambda u, v: e.pdf(u) * e.pdf(v)
-    got = pdf_numeric_joint(joint, 4, 5.0, box)
-    assert abs(got - pdf_numeric(exp_model, 4, 5.0)) < 1e-8
-
-
-def test_pdf_numeric_joint_uniform_plateau():
-    u = UniformUnit()
-    joint = lambda a, b: u.pdf(a) * u.pdf(b)
-    got = pdf_numeric_joint(joint, 6, 6.0, ((0.0, 1.0), (0.0, 1.0)))
-    assert abs(got - 1.0 / 8.0) < 1e-10
-
-
-def test_pdf_numeric_joint_support_exclusion():
-    # joint mass entirely on negative coordinates cannot reach positive x
-    e = Exponential(1.0)
-    joint = lambda a, b: e.pdf(-a) * e.pdf(-b)
-    assert pdf_numeric_joint(joint, 3, 1.0, ((-40.0, 0.0), (-40.0, 0.0))) == 0.0
-
-
-def test_pdf_numeric_joint_requires_box():
-    with pytest.raises(DomainError):
-        pdf_numeric_joint(lambda a, b: 1.0, 3, 1.0)
-    with pytest.raises(DomainError):
-        pdf_numeric_joint(lambda a, b: 1.0, 3, 1.0, ((0.0, math.inf), (0.0, 1.0)))
 
 
 def test_exponential_closed_point_values():
@@ -149,10 +119,18 @@ def test_mode_exponential_rate_scaling():
 
 
 def test_mode_matches_argmax_of_closed_density():
+    # scipy's root finder locates the zero of the closed density's derivative,
+    # (exp(-x/a_{n-1})/a_{n-1} - exp(-x/a_n)/a_n) / a_{n-2}, which changes
+    # sign once on [0, 3*a_{n+1}]
+    optimize = pytest.importorskip("scipy.optimize")
     for n in range(3, 13):
-        f = lambda x: pdf_exponential_closed(n, x)
-        hi = 3.0 * float(fib(n + 1))
-        x_star, f_star = argmax_scalar(f, 0.0, hi, 1e-9)
+        a_pp, a_prev, a_n = fib(n - 2), fib(n - 1), fib(n)
+
+        def slope(x):
+            return (math.exp(-x / a_prev) / a_prev - math.exp(-x / a_n) / a_n) / a_pp
+
+        x_star = optimize.brentq(slope, 0.0, 3.0 * float(fib(n + 1)), xtol=1e-12)
+        f_star = pdf_exponential_closed(n, x_star)
         x_exp, f_exp = mode_exponential(n)
         assert abs(x_star - x_exp) < 1e-7
         assert abs(f_star - f_exp) < 1e-7
@@ -316,14 +294,9 @@ def test_uniform_plateau_is_flat_at_inverse_an():
 
 def test_uniform_global_max_is_inverse_an():
     # The ramp peaks exactly at the plateau height, so the observed global
-    # maximum is 1/a_n (not 1/a_{n-1}); the plateau midpoint is the argmax
-    # reported under the tie-break rule.
+    # maximum is 1/a_n (not 1/a_{n-1}).
     n = 6
     a_prev, a_n = fib(n - 1), fib(n)
     xs = np.linspace(-1.0, float(a_prev + a_n) + 1.0, 4001)
     observed = max(pdf_uniform_closed(n, float(x)) for x in xs)
     assert observed == 1.0 / a_n
-    x_star, f_star = argmax_scalar(lambda x: pdf_uniform_closed(n, x),
-                                   0.0, float(a_prev + a_n), 1e-9)
-    assert x_star == pytest.approx((a_prev + a_n) / 2.0, abs=1e-6)
-    assert f_star == 1.0 / a_n

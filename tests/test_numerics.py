@@ -7,7 +7,6 @@ from fsrv.errors import DomainError, NonConvergenceError
 from fsrv.numerics import (
     DensityCurve,
     QuadratureConfig,
-    argmax_scalar,
     integrate,
     scaled_convolution,
 )
@@ -107,46 +106,6 @@ def test_scaled_convolution_normalized_output():
                                            support0=sup, support1=sup)
     mass = integrate(density, 0.0, 5.0 * sup[1], QuadratureConfig(abs_tol=1e-8))
     assert abs(mass - 1.0) <= 1e-6
-
-
-def test_argmax_smooth():
-    x_star, f_star = argmax_scalar(lambda x: x * math.exp(-x), 0.0, 20.0, 1e-10)
-    assert abs(x_star - 1.0) < 1e-8
-    assert abs(f_star - math.exp(-1.0)) < 1e-12
-
-
-def test_argmax_constant_returns_midpoint():
-    x_star, f_star = argmax_scalar(lambda x: 1.0, 0.0, 1.0, 1e-10)
-    assert x_star == pytest.approx(0.5, abs=1e-9)
-    assert f_star == 1.0
-
-
-def test_argmax_concave_quadratic_vertex():
-    for vertex in (-1.25, 0.3, 4.0):
-        x_star, f_star = argmax_scalar(lambda x: -((x - vertex) ** 2) + 2.0,
-                                       vertex - 5.0, vertex + 7.0, 1e-8)
-        assert abs(x_star - vertex) < 1e-8
-        assert abs(f_star - 2.0) < 1e-12
-
-
-def test_argmax_plateau_midpoint():
-    def flat_top(x):
-        if x < 3.0:
-            return x / 3.0
-        if x <= 5.0:
-            return 1.0
-        return max(0.0, (8.0 - x) / 3.0)
-
-    x_star, f_star = argmax_scalar(flat_top, 0.0, 8.0, 1e-9)
-    assert abs(x_star - 4.0) < 1e-6
-    assert f_star == 1.0
-
-
-def test_argmax_validation():
-    with pytest.raises(DomainError):
-        argmax_scalar(lambda x: x, 1.0, 1.0, 1e-8)
-    with pytest.raises(DomainError):
-        argmax_scalar(lambda x: x, 0.0, 1.0, -1e-8)
 
 
 def test_quadrature_config_validation():

@@ -9,7 +9,7 @@ from fsrv.numerics import integrate
 from fsrv.seeds import (
     Exponential,
     StandardNormal,
-    TabulatedPdf,
+    Tabulated,
     UniformUnit,
     parse_seed_spec,
     tabulated_from_csv,
@@ -82,9 +82,9 @@ def test_sampler_matches_moments(dist):
     n = 10**5
     mean, var = dist.moments()
     # standard-error bounds; fourth central moments by family
-    m4 = {"exponential": 9.0 * var * var,
-          "uniform_unit": 1.0 / 80.0,
-          "standard_normal": 3.0}[dist.kind]
+    m4 = {Exponential: 9.0 * var * var,
+          UniformUnit: 1.0 / 80.0,
+          StandardNormal: 3.0}[type(dist)]
     for draws in seed_pairs(dist, 314, n).T:
         assert abs(float(np.mean(draws)) - mean) <= 4.0 * math.sqrt(var / n)
         assert abs(float(np.var(draws)) - var) <= 4.0 * math.sqrt((m4 - var * var) / n)
@@ -117,13 +117,13 @@ def test_tabulated_pdf_cdf_consistency(triangle_seed):
 
 def test_tabulated_validation():
     with pytest.raises(DomainError):
-        TabulatedPdf(0.0, 1.0, np.ones(8))  # too few nodes
+        Tabulated(0.0, 1.0, np.ones(8))  # too few nodes
     with pytest.raises(DomainError):
-        TabulatedPdf(1.0, 0.0, np.ones(20))  # inverted support
+        Tabulated(1.0, 0.0, np.ones(20))  # inverted support
     with pytest.raises(DomainError):
-        TabulatedPdf(0.0, 1.0, -np.ones(20))  # negative density
+        Tabulated(0.0, 1.0, -np.ones(20))  # negative density
     with pytest.raises(DomainError):
-        TabulatedPdf(0.0, 1.0, np.zeros(20))  # zero mass
+        Tabulated(0.0, 1.0, np.zeros(20))  # zero mass
 
 
 def test_tabulated_from_csv_roundtrip(tmp_path, triangle_seed):
@@ -172,6 +172,15 @@ def test_parse_seed_spec():
         parse_seed_spec("cauchy")
     with pytest.raises(DomainError):
         parse_seed_spec("exp:-1")
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.5, 1.23456789, 1e-7])
+def test_exponential_spec_string_round_trips(rate):
+    # simulate reports spec_string() as the law that ran, so it must read back
+    spec = Exponential(rate).spec_string()
+    assert parse_seed_spec(spec).rate == rate
+    if rate in (1.0, 2.5):
+        assert spec == f"exp:{rate:g}"
 
 
 def test_exponential_rate_validation():

@@ -61,10 +61,10 @@ def test_sample_path_matches_linear_form(exp_model):
 
 def test_forced_unit_seeds_reproduce_fibonacci(exp_model):
     config = SimulationConfig(rng_seed=0, n_paths=3, horizon=30, model=exp_model)
-    run = SimulationRun(config, np.ones((3, 2)), n_workers=1)
+    run = SimulationRun(config, np.ones((3, 2)))
     for n in range(0, 31):
         assert np.all(run.values_at(n) == float(fib(n + 1)))
-    zeros = SimulationRun(config, np.zeros((3, 2)), n_workers=1)
+    zeros = SimulationRun(config, np.zeros((3, 2)))
     assert np.all(zeros.values_at(30) == 0.0)
 
 
@@ -145,7 +145,7 @@ def test_ratio_stats_bounds_and_degenerate(exp_model):
     run = run_simulation(config)
     with pytest.raises(DomainError):
         ratio_stats(run, 10)  # needs n+1 <= horizon
-    degenerate = SimulationRun(config, np.zeros((4, 2)), n_workers=1)
+    degenerate = SimulationRun(config, np.zeros((4, 2)))
     with pytest.raises(DegenerateSampleError):
         ratio_stats(degenerate, 5)
 
