@@ -17,7 +17,7 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import FsrvModel, closed_form_tag, linear_form_support, pdf_numeric
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .numerics import DEFAULT_CONFIG, QuadratureConfig, integrate, share_config
 
 #: Quadrature settings for conditional expectations: the division by the
 #: marginal density amplifies absolute error, so the default target is
@@ -114,7 +114,7 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
     """Total mass of the joint density by iterated 1-D quadrature over the
     exact support slices. A correct implementation returns 1 within 1e-6."""
     y0_lo, y0_hi = linear_form_support(model, law.coeff_matrix[0], law.coeff_matrix[1])
-    inner_cfg = QuadratureConfig(cfg.abs_tol * 1e-2)
+    inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
 
     def slice_mass(y0: float) -> float:
         bounds = _effective_slice(law, model, y0)

@@ -18,7 +18,8 @@ from . import fib_core
 from .errors import DomainError
 from .fib_core import PHI
 from .marginal import (DensityLaw, FsrvModel, closed_form_tag, linear_form_moments,
-                       linear_form_pdf, linear_form_support)
+                       linear_form_pdf, linear_form_pdf_exponential, linear_form_pdf_uniform,
+                       linear_form_support)
 from .numerics import DEFAULT_CONFIG, QuadratureConfig
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
@@ -50,16 +51,10 @@ def pdf_limit_numeric(law: LimitLaw, x: float,
 
 
 def pdf_limit_exponential_closed(x: float) -> float:
-    """Closed-form density of Y for iid exponential seeds.
-
-    Standardization makes the result rate-free. With
-    c(x) = x*sqrt(1+phi^2) + (1+phi), the density is
-    sqrt(1+phi^2) * exp(-c) * (exp(c*(1-1/phi)) - 1) / (phi-1) for c >= 0.
-    """
-    c = x * _SQRT_1_PHI2 + (1.0 + PHI)
-    if c <= 0.0:
-        return 0.0
-    return _SQRT_1_PHI2 * (math.exp(-c / PHI) - math.exp(-c)) / (PHI - 1.0)
+    """Closed-form density of Y for iid exponential seeds: the density of
+    V0 + phi*V1 at c = x*sqrt(1+phi^2) + (1+phi), rescaled by sqrt(1+phi^2).
+    Standardization makes the result rate-free."""
+    return linear_form_pdf_exponential(1.0, PHI, x * _SQRT_1_PHI2 + (1.0 + PHI), _SQRT_1_PHI2)
 
 
 def cdf_limit_exponential_closed(x):
@@ -80,14 +75,7 @@ _UNIFORM_B = (1.0 + PHI) / 2.0
 def pdf_limit_uniform_closed(x: float) -> float:
     """Closed-form density of Y for iid unit-uniform seeds: the trapezoidal
     density of V0 + phi*V1 pushed through the standardization."""
-    u = _UNIFORM_A * x + _UNIFORM_B
-    if u <= 0.0 or u >= 1.0 + PHI:
-        return 0.0
-    if u < 1.0:
-        return _UNIFORM_A * u / PHI
-    if u <= PHI:
-        return _UNIFORM_A / PHI
-    return _UNIFORM_A * (1.0 + PHI - u) / PHI
+    return linear_form_pdf_uniform(1.0, PHI, _UNIFORM_A * x + _UNIFORM_B, _UNIFORM_A)
 
 
 def cdf_limit_uniform_closed(x):
@@ -157,15 +145,10 @@ def pdf_sum(n: int, model: FsrvModel, x: float,
 def pdf_sum_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     """Closed-form density of S_n for iid exponential seeds:
     (exp(-x/B) - exp(-x/A)) / (B - A) with A = a_{n+1}, B = a_{n+2}-1
-    at unit rate, scaled to other rates."""
+    at unit rate, scaled to other rates; A = B = 2 at n = 2 gives the
+    Gamma(2) density x*exp(-x/2)/4."""
     c0, c1 = _sum_coefficients(n)
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    if x < 0:
-        return 0.0
-    a, b = float(c0), float(c1)
-    y = rate * x
-    return rate * (math.exp(-y / b) - math.exp(-y / a)) / (b - a)
+    return linear_form_pdf_exponential(float(c0), float(c1), rate * x, rate)
 
 
 def sum_density_law(n: int, model: FsrvModel,

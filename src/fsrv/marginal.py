@@ -3,11 +3,13 @@
 With seeds V0, V1 and Fibonacci coefficients, the n-th member is
 a_{n-1}*V0 + a_n*V1. This module holds the algebra of any such linear form
 of the seeds, which members, partial sums and the limit law share: its
-support, its mean and variance, and its density by scaled convolution. It
-also gives the member density in closed form for exponential, unit-uniform,
-and standard-normal seeds, modes, maxima, and the golden-ratio diagnostics
-of consecutive-index ratios. `DensityLaw` is the common shape of every density
-the CLI samples: members here, the limit law and partial sums in `limits`.
+support, its mean and variance, its density by scaled convolution, and,
+once per family, its closed density for iid exponential and unit-uniform
+seeds, which the closed member, partial-sum and limit densities specialize.
+It also gives the member density for standard-normal seeds, modes, maxima,
+and the golden-ratio diagnostics of consecutive-index ratios. `DensityLaw`
+is the common shape of every density the CLI samples: members here, the
+limit law and partial sums in `limits`.
 """
 
 import math
@@ -124,6 +126,33 @@ def pdf_numeric(model: FsrvModel, n: int, x: float,
     return linear_form_pdf(model, float(fib_core.fib(n - 1)), float(fib_core.fib(n)), x, cfg)
 
 
+def linear_form_pdf_exponential(c0, c1, y: float, scale: float = 1.0) -> float:
+    """scale times the density of c0*V0 + c1*V1 at y for iid unit-rate
+    exponential seeds and 0 < c0 <= c1: (exp(-y/c1) - exp(-y/c0)) / (c1 - c0),
+    or the Gamma(2) density y*exp(-y/c0)/c0^2 when c0 == c1. Members and
+    sums pass their seed rate as scale, with y = rate*x."""
+    if not scale > 0:
+        raise DomainError(f"rate must be positive, got {scale}")
+    if y <= 0.0:
+        return 0.0
+    if c0 == c1:
+        return scale * y / (c0 * c0) * math.exp(-y / c0)
+    return scale * (math.exp(-y / c1) - math.exp(-y / c0)) / (c1 - c0)
+
+
+def linear_form_pdf_uniform(c0, c1, y: float, scale: float = 1.0) -> float:
+    """scale times the density of c0*V0 + c1*V1 at y for iid unit-uniform
+    seeds and 0 < c0 <= c1: a trapezoid that ramps up to c0, stays at 1/c1
+    until c1 and ramps down to c0 + c1; a triangle when c0 == c1."""
+    if y <= 0.0 or y >= c0 + c1:
+        return 0.0
+    if y < c0:
+        return scale * y / (c0 * c1)
+    if y <= c1:
+        return scale / c1
+    return scale * (c0 + c1 - y) / (c0 * c1)
+
+
 def pdf_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     """Closed-form density of member n for iid exponential seeds.
 
@@ -132,32 +161,14 @@ def pdf_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     rule f_rate(x) = rate * f_1(rate * x).
     """
     _require_member_index(n)
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    if x < 0:
-        return 0.0
-    y = rate * x
-    if n == 2:
-        return rate * y * math.exp(-y)
-    a_prev = fib_core.fib(n - 1)
-    a_n = fib_core.fib(n)
-    a_pp = fib_core.fib(n - 2)
-    return rate * (math.exp(-y / a_n) - math.exp(-y / a_prev)) / a_pp
+    return linear_form_pdf_exponential(fib_core.fib(n - 1), fib_core.fib(n), rate * x, rate)
 
 
 def pdf_uniform_closed(n: int, x: float) -> float:
     """Closed-form density of member n for iid unit-uniform seeds: a ramp up
     to a_{n-1}, a plateau at height 1/a_n until a_n, then a ramp down."""
     _require_member_index(n)
-    a_prev = fib_core.fib(n - 1)
-    a_n = fib_core.fib(n)
-    if x < 0.0 or x > a_prev + a_n:
-        return 0.0
-    if x < a_prev:
-        return x / (a_n * a_prev)
-    if x <= a_n:
-        return 1.0 / a_n
-    return (1.0 - (x - a_n) / a_prev) / a_n
+    return linear_form_pdf_uniform(fib_core.fib(n - 1), fib_core.fib(n), x)
 
 
 def pdf_normal_closed(n: int, x: float) -> float:

@@ -46,6 +46,15 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def share_config(cfg: QuadratureConfig, abs_tol: float) -> QuadratureConfig:
+    """Config for abs_tol, a share of cfg's error target. A share that
+    underflows to 0 cannot be met, so it fails as an exhausted budget does."""
+    if abs_tol == 0.0:
+        raise NonConvergenceError(f"abs_tol={cfg.abs_tol} is too fine to share out: "
+                                  "its share underflows to 0", partial=math.nan)
+    return QuadratureConfig(abs_tol)
+
+
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -157,7 +166,7 @@ def scaled_convolution(
     cuts = [x - c0 * b for b in breakpoints0]
     cuts.extend(c1 * b for b in breakpoints1)
     cuts = sorted(c for c in cuts if t_lo < c < t_hi)
-    piece_cfg = cfg if not cuts else QuadratureConfig(cfg.abs_tol / (len(cuts) + 1))
+    piece_cfg = cfg if not cuts else share_config(cfg, cfg.abs_tol / (len(cuts) + 1))
     total = 0.0
     lo = t_lo
     for cut in cuts:

@@ -1,9 +1,9 @@
 """Seed distributions: the laws of the two starting variables.
 
-Four families are supported: exponential with arbitrary positive rate,
-uniform on the unit interval, standard normal, and `Tabulated`, a
+Four families are supported: exponential with a positive rate of finite
+variance, uniform on the unit interval, standard normal, and `Tabulated`, a
 piecewise-linear density on a uniform grid that holds its own nodes and
-loads from two-column CSV. Every family exposes pdf, cdf, moments, support
+loads from two-column CSV. Every family exposes pdf, moments, support
 truncation for quadrature, its kinks, and a map from blocks of uniforms to
 variates that the simulation's block sampler uses.
 """
@@ -28,9 +28,6 @@ class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
 
     def pdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def cdf(self, x: float) -> float:
         raise NotImplementedError
 
     def moments(self) -> tuple[float, float]:
@@ -73,18 +70,17 @@ class Exponential(SeedDistribution):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise DomainError(f"exponential rate must be positive, got {self.rate}")
+        try:  # moments() divides by rate**2, which must neither overflow nor underflow
+            ok = self.rate > 0 and 0.0 < 1.0 / self.rate**2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise DomainError(f"exponential rate needs finite positive 1/rate^2, got {self.rate}")
 
     def pdf(self, x: float) -> float:
         if x < 0:
             return 0.0
         return self.rate * math.exp(-self.rate * x)
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
 
     def moments(self) -> tuple[float, float]:
         return 1.0 / self.rate, 1.0 / self.rate**2
@@ -109,9 +105,6 @@ class UniformUnit(SeedDistribution):
     def pdf(self, x: float) -> float:
         return 1.0 if 0.0 <= x <= 1.0 else 0.0
 
-    def cdf(self, x: float) -> float:
-        return min(1.0, max(0.0, x))
-
     def moments(self) -> tuple[float, float]:
         return 0.5, 1.0 / 12.0
 
@@ -132,9 +125,6 @@ class UniformUnit(SeedDistribution):
 class StandardNormal(SeedDistribution):
     def pdf(self, x: float) -> float:
         return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-
-    def cdf(self, x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
     def moments(self) -> tuple[float, float]:
         return 0.0, 1.0
@@ -162,8 +152,8 @@ class Tabulated(SeedDistribution):
     Nodes are nonnegative density samples at evenly spaced points from lo to
     hi (at least 16 of them). The linear interpolant is renormalized at
     construction so it integrates to exactly one in trapezoid arithmetic;
-    the cdf is its exact piecewise-quadratic integral, and the density kinks
-    at every interior node.
+    node_cdf holds that integral at the nodes, which the sampler inverts
+    panel by panel, and the density kinks at every interior node.
     """
 
     def __init__(self, lo: float, hi: float, nodes):
@@ -192,18 +182,6 @@ class Tabulated(SeedDistribution):
         i = min(int(pos), self.nodes.size - 2)
         frac = pos - i
         return float(self.nodes[i] + (self.nodes[i + 1] - self.nodes[i]) * frac)
-
-    def cdf(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        pos = (x - self.lo) / self.step
-        i = min(int(pos), self.nodes.size - 2)
-        t = (pos - i) * self.step
-        y0 = self.nodes[i]
-        slope = (self.nodes[i + 1] - y0) / self.step
-        return float(self.node_cdf[i] + y0 * t + 0.5 * slope * t * t)
 
     def moments(self) -> tuple[float, float]:
         # exact per-panel integrals of x*f and x^2*f for the linear interpolant

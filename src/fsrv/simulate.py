@@ -22,7 +22,7 @@ import numpy as np
 from . import marginal
 from .errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from .fib_core import PHI
-from .limits import sum_law
+from .limits import normalized_sum_law
 from .marginal import FsrvModel
 
 _MASK64 = (1 << 64) - 1
@@ -134,10 +134,8 @@ class SimulationRun:
 
     def sums_normalized(self, n: int) -> np.ndarray:
         """Standardized partial sum through member n."""
-        law = sum_law(n, self.config.model)
-        if law.variance <= 0:
-            raise DomainError("zero variance: standardized sum undefined")
-        return (self.sums_at(n) - law.mean) / math.sqrt(law.variance)
+        mean, sd = normalized_sum_law(n, self.config.model)
+        return (self.sums_at(n) - mean) / sd
 
     def summary(self) -> dict:
         """Per-index empirical mean and variance, cached; the reduction order

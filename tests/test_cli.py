@@ -122,6 +122,19 @@ def test_sums_curve(capsys):
     assert doc["norm_defect"] <= 1e-6
 
 
+def test_sums_equal_coefficients(capsys):
+    # S_2 = 2*V0 + 2*V1, a Gamma(2) law with scale 2
+    code, out, _ = run_cli(capsys, "sums", "--seeds", "exp:1", "--n", "2",
+                           "--grid", "0:10:5")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+    assert len(rows) == 5
+    for x_text, density_text in rows:
+        x = float(x_text)
+        assert float(density_text) == pytest.approx(x * math.exp(-x / 2.0) / 4.0,
+                                                    rel=1e-15, abs=0.0)
+
+
 def test_joint_grid_with_certificate(capsys):
     code, out, _ = run_cli(capsys, "joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                            "--grid0", "0:5:8", "--grid1", "0:21:8", "--output", "csv")
@@ -209,7 +222,16 @@ def test_unknown_seed_family(capsys):
     assert "--seeds" in err
 
 
-def test_quad_tol_env_validation(capsys, monkeypatch):
+@pytest.mark.parametrize("rate", ["inf", "1e-200", "1e200"])
+def test_exponential_rate_out_of_range(capsys, rate):
+    # each used to print 0,0 or crash with an uncaught arithmetic error
+    for argv in (("moments", "--n", "4"), ("limit", "--grid=-1:1:3")):
+        code, out, err = run_cli(capsys, argv[0], "--seeds", f"exp:{rate}", *argv[1:])
+        assert code == 2 and out == ""
+        assert "--seeds" in err
+
+
+def test_quad_tol_env_validation(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("FSRV_QUAD_TOL", "not-a-number")
     code, _, err = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:10:10")
@@ -242,6 +264,16 @@ def test_quad_tol_env_validation(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == "" and "integrand evaluations" in err
+    # a tolerance whose per-piece or inner share underflows to 0 cannot be
+    # met either; it used to be refused as an invalid setting
+    table = tmp_path / "tri.csv"
+    xs = np.linspace(0.0, 2.0, 17)
+    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
+    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-323")
+    for argv in (joint, ("pdf", "--seeds", f"table:{table}", "--n", "4", "--grid", "0:5:5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == "" and "underflows to 0" in err
     monkeypatch.setenv("FSRV_QUAD_TOL", "1e-8")
     code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:10:10")

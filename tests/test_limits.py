@@ -156,7 +156,7 @@ def test_sum_closed_form_example_coefficients(exp_model):
         assert pdf_sum_exponential_closed(4, x) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_sum_closed_matches_convolution(exp_model, n):
     law = sum_law(n, exp_model)
     hi = law.mean + 10.0 * math.sqrt(law.variance)
@@ -166,7 +166,7 @@ def test_sum_closed_matches_convolution(exp_model, n):
         assert abs(got - pdf_sum_exponential_closed(n, float(x))) <= 1e-8
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_sum_density_normalized(exp_model, n):
     law = sum_law(n, exp_model)
     hi = 30.0 * law.coeff1
