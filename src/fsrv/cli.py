@@ -142,7 +142,7 @@ def _cmd_density(args) -> int:
     numeric = method == "numeric" or law.closed is None
     lo, hi, points = args.grid
     curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
-                                       law.support, cfg, label=law.label)
+                                       law.support, cfg, label=law.label, knots=law.knots)
     extra = law.fields
     if method is not None:
         extra = {"method": "numeric" if numeric else "closed", **extra}

@@ -6,7 +6,8 @@ a signed Fibonacci number by d'Ocagne's identity, which keeps the inversion
 exact. Conditional expectation of the later member given the earlier one is
 the least-squares predictor; it is evaluated by quadrature over the exact
 conditional support, with a closed form for the benchmark case of iid
-unit-rate exponential seeds and (n, k) = (4, 3).
+unit-rate exponential seeds and (n, k) = (4, 3). On piecewise-linear seeds
+every slice integral is split where the joint density kinks and is exact.
 """
 
 import math
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import FsrvModel, closed_form_tag, linear_form_support, pdf_numeric
+from .marginal import (FsrvModel, closed_form_tag, linear_form_knots, linear_form_support,
+                       pdf_numeric, seed_nodes)
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, integrate, share_config
 
 #: Quadrature settings for conditional expectations: the division by the
@@ -77,6 +79,40 @@ def joint_pdf(law: JointLaw, model: FsrvModel, y0: float, y1: float) -> float:
     return model.seed0.pdf(v0) * model.seed1.pdf(v1) / law.jacobian_abs
 
 
+def _closed_slice_pdf(law: JointLaw, model: FsrvModel, y0: float, y1):
+    """joint_pdf for y1 inside the closed slice member n = y0. The recovered
+    coordinates are clipped to the seed supports: inside the slice that only
+    undoes rounding, and it keeps the edge value of a seed density that jumps
+    at its support end, which exact per-piece quadrature needs."""
+    v0, v1 = seed_coordinates(law, y0, y1)
+    s0, s1 = model.seed0.support(), model.seed1.support()
+    return (model.seed0.pdf(np.clip(v0, s0[0], s0[1]))
+            * model.seed1.pdf(np.clip(v1, s1[0], s1[1])) / law.jacobian_abs)
+
+
+def _slice_integral(law: JointLaw, model: FsrvModel, nodes, y0: float,
+                    bounds: tuple[float, float], cfg: QuadratureConfig,
+                    weighted: bool = False) -> float:
+    """Integral over y1 in bounds of the joint density at (y0, y1), times y1
+    when weighted. With the seed nodes of piecewise-linear seeds, it is split
+    at the y1-images of the lines v0 = b and v1 = b, where the integrand is
+    a polynomial of degree at most 3 between, and is exact; without them
+    (nodes None) it is adaptive."""
+    if nodes is None:
+        density, knots = joint_pdf, None
+    else:
+        c_nm1, c_n, c_nkm1, c_nk = law.coeff_matrix
+        jac = float(law.jacobian)
+        density = _closed_slice_pdf
+        knots = np.concatenate(((c_nk * y0 - jac * nodes[0]) / c_n,
+                                (jac * nodes[1] + c_nkm1 * y0) / c_nm1))
+    if weighted:
+        f = lambda y1: y1 * density(law, model, y0, y1)
+    else:
+        f = lambda y1: density(law, model, y0, y1)
+    return integrate(f, bounds[0], bounds[1], cfg, knots=knots)
+
+
 def _y1_interval(law: JointLaw, s0: tuple[float, float], s1: tuple[float, float],
                  y0: float) -> tuple[float, float] | None:
     """y1-interval where both recovered seed coordinates stay inside the
@@ -112,18 +148,25 @@ def _effective_slice(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float,
 def joint_normalization_check(law: JointLaw, model: FsrvModel,
                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total mass of the joint density by iterated 1-D quadrature over the
-    exact support slices. A correct implementation returns 1 within 1e-6."""
-    y0_lo, y0_hi = linear_form_support(model, law.coeff_matrix[0], law.coeff_matrix[1])
+    exact support slices. A correct implementation returns 1 within 1e-6.
+    On piecewise-linear seeds the outer integral is split at the knots of
+    member n's density, which the slice mass equals, and both levels are
+    exact."""
+    c0, c1 = law.coeff_matrix[0], law.coeff_matrix[1]
+    y0_lo, y0_hi = linear_form_support(model, c0, c1)
     inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
+    nodes = seed_nodes(model)
 
     def slice_mass(y0: float) -> float:
         bounds = _effective_slice(law, model, y0)
         if bounds is None:
             return 0.0
-        return integrate(lambda y1: joint_pdf(law, model, y0, y1),
-                         bounds[0], bounds[1], inner_cfg)
+        return _slice_integral(law, model, nodes, y0, bounds, inner_cfg)
 
-    return integrate(slice_mass, y0_lo, y0_hi, cfg)
+    if nodes is None:
+        return integrate(slice_mass, y0_lo, y0_hi, cfg)
+    return integrate(lambda y0s: np.array([slice_mass(float(y0)) for y0 in y0s]),
+                     y0_lo, y0_hi, cfg, knots=linear_form_knots(model, c0, c1))
 
 
 def predict(law: JointLaw, model: FsrvModel, x: float,
@@ -140,8 +183,7 @@ def predict(law: JointLaw, model: FsrvModel, x: float,
     bounds = _effective_slice(law, model, x)
     if bounds is None:
         raise OutsideSupportError(f"empty conditional support at x={x}")
-    weighted = integrate(lambda y1: y1 * joint_pdf(law, model, x, y1),
-                         bounds[0], bounds[1], cfg)
+    weighted = _slice_integral(law, model, seed_nodes(model), x, bounds, cfg, weighted=True)
     return weighted / marginal
 
 

@@ -17,9 +17,9 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError
 from .fib_core import PHI
-from .marginal import (DensityLaw, FsrvModel, closed_form_tag, linear_form_moments,
-                       linear_form_pdf, linear_form_pdf_exponential, linear_form_pdf_uniform,
-                       linear_form_support)
+from .marginal import (DensityLaw, FsrvModel, closed_form_tag, linear_form_knots,
+                       linear_form_moments, linear_form_pdf, linear_form_pdf_exponential,
+                       linear_form_pdf_uniform, linear_form_support)
 from .numerics import DEFAULT_CONFIG, QuadratureConfig
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
@@ -46,7 +46,8 @@ def pdf_limit_numeric(law: LimitLaw, x: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Density of Y at x: the density of V0 + phi*V1 evaluated at
     a_scale*x + b_shift and rescaled by a_scale, with the inner density
-    obtained by scaled convolution."""
+    obtained by scaled convolution (x may be an array when both seeds are
+    piecewise linear)."""
     return law.a_scale * linear_form_pdf(law.model, 1.0, PHI, law.a_scale * x + law.b_shift, cfg)
 
 
@@ -105,8 +106,11 @@ def limit_density_law(model: FsrvModel, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     support = ((lo - law.b_shift) / law.a_scale, (hi - law.b_shift) / law.a_scale)
     closed = {"exponential": pdf_limit_exponential_closed,
               "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
+    knots = linear_form_knots(model, 1.0, PHI)
+    if knots is not None:
+        knots = (knots - law.b_shift) / law.a_scale
     return DensityLaw("limit_law", support, closed, lambda x: pdf_limit_numeric(law, x, cfg),
-                      {"a_scale": law.a_scale, "b_shift": law.b_shift})
+                      {"a_scale": law.a_scale, "b_shift": law.b_shift}, knots)
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,8 @@ def sum_density_law(n: int, model: FsrvModel,
         rate = model.seed0.rate
         closed = lambda x: pdf_sum_exponential_closed(n, x, rate)
     return DensityLaw(f"sum_through_{n}", support, closed, lambda x: pdf_sum(n, model, x, cfg),
-                      {"n": n, "mean": law.mean, "variance": law.variance})
+                      {"n": n, "mean": law.mean, "variance": law.variance},
+                      linear_form_knots(model, law.coeff0, law.coeff1))
 
 
 def normalized_sum_law(n: int, model: FsrvModel) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 With seeds V0, V1 and Fibonacci coefficients, the n-th member is
 a_{n-1}*V0 + a_n*V1. This module holds the algebra of any such linear form
 of the seeds, which members, partial sums and the limit law share: its
-support, its mean and variance, its density by scaled convolution, and,
+support, its mean and variance, its density by scaled convolution, the
+knots of that density when both seeds are piecewise linear, and,
 once per family, its closed density for iid exponential and unit-uniform
 seeds, which the closed member, partial-sum and limit densities specialize.
 It also gives the member density for standard-normal seeds, modes, maxima,
@@ -14,6 +15,8 @@ limit law and partial sums in `limits`.
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fib_core
 from .errors import DomainError
@@ -57,14 +60,16 @@ def closed_form_tag(model: FsrvModel) -> str | None:
 class DensityLaw:
     """One density as a subcommand samples it: the curve label, the effective
     support that bounds its normalization certificate, the closed form (None
-    when the seed pair has none), the numeric fallback, and the fields the
-    command reports next to the curve."""
+    when the seed pair has none), the numeric fallback, the fields the
+    command reports next to the curve, and, for piecewise-linear seeds, the
+    knots between which the numeric density is a cubic (None otherwise)."""
 
     label: str
     support: tuple[float, float]
     closed: Func | None
     numeric: Func
     fields: dict
+    knots: np.ndarray | None = None
 
 
 def _require_member_index(n: int) -> None:
@@ -88,10 +93,40 @@ def linear_form_support(model: FsrvModel, c0, c1,
 
 def linear_form_moments(model: FsrvModel, c0, c1) -> tuple[float, float]:
     """(mean, variance) of c0*V0 + c1*V1; the variances add because the
-    seeds are independent, and integer coefficients are squared exactly."""
+    seeds are independent, and integer coefficients are squared exactly.
+    Raises DomainError when either overflows a double."""
     m0, v0 = model.seed0.moments()
     m1, v1 = model.seed1.moments()
-    return float(c0) * m0 + float(c1) * m1, float(c0 * c0) * v0 + float(c1 * c1) * v1
+    mean = float(c0) * m0 + float(c1) * m1
+    variance = float(c0 * c0) * v0 + float(c1 * c1) * v1
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise DomainError(f"moments of {c0}*V0 + {c1}*V1 overflow a double: "
+                          f"mean {mean}, variance {variance}")
+    return mean, variance
+
+
+def seed_nodes(model: FsrvModel) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nodes of both seeds, support ends included, when both densities
+    are piecewise linear with kinks only there; None otherwise."""
+    seeds = (model.seed0, model.seed1)
+    if not all(seed.piecewise_linear for seed in seeds):
+        return None
+    return tuple(np.array((seed.support()[0], *seed.breakpoints(), seed.support()[1]))
+                 for seed in seeds)
+
+
+def linear_form_knots(model: FsrvModel, c0, c1) -> np.ndarray | None:
+    """Sorted knots c0*b0 + c1*b1 over all seed nodes b0, b1, between which
+    the density of c0*V0 + c1*V1 is a cubic when both seeds are piecewise
+    linear (the B-spline convolution rule); None for other seeds. Knots that
+    coincide up to rounding, as integer coefficients on a uniform grid make
+    them, are kept once."""
+    nodes = seed_nodes(model)
+    if nodes is None:
+        return None
+    knots = np.sort((float(c0) * nodes[0][:, None] + float(c1) * nodes[1][None, :]).ravel())
+    keep = np.diff(knots, prepend=-np.inf) > 1e-12 * (knots[-1] - knots[0])
+    return knots[keep]
 
 
 def support_xn(model: FsrvModel, n: int, effective: bool = False) -> tuple[float, float]:
@@ -104,7 +139,9 @@ def support_xn(model: FsrvModel, n: int, effective: bool = False) -> tuple[float
 def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Density of c0*V0 + c1*V1 at x by scaled convolution of the seed
-    densities, split at their kinks, over their effective supports."""
+    densities, split at their kinks, over their effective supports. When
+    both seeds are piecewise linear the convolution is exact per piece, and
+    x may also be an array."""
     return scaled_convolution(
         model.seed0.pdf,
         model.seed1.pdf,
@@ -116,6 +153,7 @@ def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
         support1=model.seed1.effective_support(),
         breakpoints0=model.seed0.breakpoints(),
         breakpoints1=model.seed1.breakpoints(),
+        piecewise_linear=model.seed0.piecewise_linear and model.seed1.piecewise_linear,
     )
 
 
@@ -183,6 +221,7 @@ def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG)
     """Density law of member n: closed for exponential seeds of one rate,
     unit-uniform and standard-normal seeds, by convolution otherwise."""
     support = support_xn(model, n, True)
+    knots = linear_form_knots(model, fib_core.fib(n - 1), fib_core.fib(n))
     tag = closed_form_tag(model)
     if tag == "exponential":
         rate = model.seed0.rate
@@ -194,7 +233,7 @@ def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG)
     else:
         closed = None
     return DensityLaw(f"member_{n}", support, closed,
-                      lambda x: pdf_numeric(model, n, x, cfg), {"n": n})
+                      lambda x: pdf_numeric(model, n, x, cfg), {"n": n}, knots)
 
 
 def moments_xn(model: FsrvModel, n: int) -> tuple[float, float]:

@@ -1,11 +1,12 @@
 """Quadrature, scaled density convolution, and certified grid curves.
 
-All analytic modules funnel their integrals through `integrate`, an adaptive
+All analytic modules funnel their integrals through `integrate`: an adaptive
 Simpson scheme with an absolute error target, a recursion-depth cap and an
-evaluation budget. `scaled_convolution` evaluates the density of
-c0*V0 + c1*V1 for independent V0, V1, split at the seeds' kinks, and
-`DensityCurve` samples a density on a grid next to its normalization
-certificate.
+evaluation budget, or, given the knots of a piecewise cubic, one Simpson
+panel per piece, which is exact. `scaled_convolution` evaluates the density
+of c0*V0 + c1*V1 for independent V0, V1, split at the seeds' kinks, exactly
+per piece when both seeds are piecewise linear, and `DensityCurve` samples
+a density on a grid next to its normalization certificate.
 """
 
 import math
@@ -27,6 +28,12 @@ _MAX_DEPTH = 60
 #: NonConvergenceError; real work stays below 10^4, but a tolerance finer
 #: than doubles resolve would otherwise bisect every panel to _MAX_DEPTH.
 _MAX_EVALS = 1 << 20
+
+#: Array elements one vectorized step may hold: knot-mode `integrate` passes
+#: at most this many nodes to its integrand at once, and the exact
+#: convolution takes as many x values per step as keep its x-by-cut arrays
+#: within it, so memory stays flat however many points are asked for.
+_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,20 +66,29 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Adaptive Simpson estimate of the integral of f over [lo, hi].
+def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+              knots=None) -> float:
+    """Integral of f over [lo, hi].
 
-    Absolute error is controlled to cfg.abs_tol on smooth integrands; panels
-    whose midpoint is no longer representable between the endpoints are
-    accepted as converged (the float grid cannot be refined further). If any
-    panel still misses its tolerance share at depth _MAX_DEPTH, or the call
-    would spend more than _MAX_EVALS integrand evaluations, NonConvergenceError
-    carries the estimate reached so far.
+    Without knots, an adaptive Simpson estimate: absolute error is controlled
+    to cfg.abs_tol on smooth integrands; panels whose midpoint is no longer
+    representable between the endpoints are accepted as converged (the float
+    grid cannot be refined further). If any panel still misses its tolerance
+    share at depth _MAX_DEPTH, or the call would spend more than _MAX_EVALS
+    integrand evaluations, NonConvergenceError carries the estimate reached
+    so far.
+
+    With knots, f must be a polynomial of degree at most 3 on each closed
+    piece between consecutive knots (those outside [lo, hi] are ignored), and
+    must take an array of nodes; one Simpson panel per piece is then exact,
+    and cfg is not consulted.
     """
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
+    if knots is not None:
+        return _integrate_pieces(f, lo, hi, np.asarray(knots, dtype=np.float64))
 
     fa, fm, fb = f(lo), f((lo + hi) / 2.0), f(hi)
     whole = _simpson(fa, fm, fb, hi - lo)
@@ -123,6 +139,20 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
     return total
 
 
+def _integrate_pieces(f, lo: float, hi: float, knots: np.ndarray) -> float:
+    """Simpson's rule once per piece of [lo, hi] cut at the knots, with f
+    called on chunks of at most _CHUNK_ELEMENTS nodes."""
+    edges = np.sort(np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi])))
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0]
+    nodes = np.empty(2 * edges.size - 1)
+    nodes[0::2] = edges
+    nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    values = np.concatenate([f(nodes[i:i + _CHUNK_ELEMENTS])
+                             for i in range(0, nodes.size, _CHUNK_ELEMENTS)])
+    panels = np.diff(edges) * (values[:-2:2] + 4.0 * values[1::2] + values[2::2])
+    return float(np.sum(panels)) / 6.0
+
+
 def scaled_convolution(
     f0: Func,
     f1: Func,
@@ -134,7 +164,8 @@ def scaled_convolution(
     support1: tuple[float, float] = (-np.inf, np.inf),
     breakpoints0=(),
     breakpoints1=(),
-) -> float:
+    piecewise_linear: bool = False,
+):
     """Density of c0*V0 + c1*V1 at x, for independent V0 ~ f0 and V1 ~ f1.
 
     Evaluates (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt over the
@@ -147,6 +178,12 @@ def scaled_convolution(
     there, so each adaptive pass sees a smooth piece. Without the split,
     lattice-kinked integrands such as tabulated-seed products can fool the
     Simpson error estimate.
+
+    With piecewise_linear, both densities are linear between their support
+    ends and breakpoints and take arrays. The integrand is then quadratic
+    between the images of those nodes, so one Simpson panel per piece is
+    exact: x may be a float or an array, and the result has its shape. The
+    tolerance is validated as on the adaptive route but not consumed.
     """
     if c0 <= 0 or c1 <= 0:
         raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
@@ -154,6 +191,13 @@ def scaled_convolution(
     s1_lo, s1_hi = support1
     if not all(map(np.isfinite, (s0_lo, s0_hi, s1_lo, s1_hi))):
         raise DomainError("scaled_convolution needs finite (truncated) supports")
+    if piecewise_linear:
+        share_config(cfg, cfg.abs_tol / (len(breakpoints0) + len(breakpoints1) + 1))
+        nodes0 = np.array((s0_lo, *breakpoints0, s0_hi))
+        nodes1 = np.array((s1_lo, *breakpoints1, s1_hi))
+        values = _exact_convolution(f0, f1, c0, c1, np.asarray(x, dtype=np.float64),
+                                    nodes0, nodes1)
+        return float(values) if np.ndim(x) == 0 else values
 
     t_lo = max(c1 * s1_lo, x - c0 * s0_hi)
     t_hi = min(c1 * s1_hi, x - c0 * s0_lo)
@@ -175,6 +219,38 @@ def scaled_convolution(
             lo = cut
     total += integrate(integrand, lo, t_hi, piece_cfg)
     return total / (c0 * c1)
+
+
+def _exact_convolution(f0, f1, c0: float, c1: float, x: np.ndarray,
+                       nodes0: np.ndarray, nodes1: np.ndarray) -> np.ndarray:
+    """scaled_convolution for densities linear between sorted nodes (support
+    ends included): one Simpson panel per piece of t between the images of
+    the nodes, for every x at once, in steps of at most _CHUNK_ELEMENTS."""
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    width = nodes0.size + nodes1.size
+    step = max(1, _CHUNK_ELEMENTS // width)
+    for start in range(0, flat.size, step):
+        xs = flat[start:start + step, None]
+        t_lo = np.maximum(c1 * nodes1[0], xs - c0 * nodes0[-1])
+        t_hi = np.minimum(c1 * nodes1[-1], xs - c0 * nodes0[0])
+        cuts = np.empty((xs.shape[0], width))
+        cuts[:, :nodes0.size] = xs - c0 * nodes0
+        cuts[:, nodes0.size:] = c1 * nodes1
+        # an x outside the support clips every cut to t_hi: no width, no mass
+        np.clip(cuts, t_lo, t_hi, out=cuts)
+        cuts.sort(axis=1)
+        t = np.empty((xs.shape[0], 2 * width - 1))
+        t[:, 0::2] = cuts
+        t[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        # inside [t_lo, t_hi] the seed arguments lie in the supports; the clip
+        # only undoes rounding, which could drop the edge value of a density
+        # that jumps at its support end
+        g = (f0(np.clip((xs - t) / c0, nodes0[0], nodes0[-1]))
+             * f1(np.clip(t / c1, nodes1[0], nodes1[-1])))
+        panels = np.diff(cuts, axis=1) * (g[:, :-2:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
+        out[start:start + step] = np.sum(panels, axis=1) / 6.0
+    return (out / (c0 * c1)).reshape(x.shape)
 
 
 @dataclass
@@ -210,10 +286,13 @@ class DensityCurve:
         support: tuple[float, float],
         cfg: QuadratureConfig = DEFAULT_CONFIG,
         label: str = "density",
+        knots=None,
     ) -> "DensityCurve":
         """Sample f on an even grid and certify its normalization over the
-        full (truncated) support, independently of the viewing window."""
+        full (truncated) support, independently of the viewing window. With
+        knots, f is a piecewise cubic there that takes arrays, and the
+        certificate is exact per piece."""
         xs = np.linspace(grid_lo, grid_hi, points)
         ys = np.array([f(float(x)) for x in xs])
-        mass = integrate(f, support[0], support[1], cfg)
+        mass = integrate(f, support[0], support[1], cfg, knots=knots)
         return cls(xs=xs, ys=ys, support=support, norm_defect=abs(mass - 1.0), label=label)

@@ -27,6 +27,11 @@ TAIL_MASS = 1e-12
 class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
 
+    #: True when the density is linear between its support ends and
+    #: breakpoints(); quadrature over products of such densities is then
+    #: exact with one Simpson panel per piece.
+    piecewise_linear = False
+
     def pdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -156,6 +161,8 @@ class Tabulated(SeedDistribution):
     panel by panel, and the density kinks at every interior node.
     """
 
+    piecewise_linear = True
+
     def __init__(self, lo: float, hi: float, nodes):
         nodes = np.asarray(nodes, dtype=np.float64)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -167,6 +174,8 @@ class Tabulated(SeedDistribution):
         self.lo = float(lo)
         self.hi = float(hi)
         self.step = (self.hi - self.lo) / (nodes.size - 1)
+        # node abscissae, ending exactly at hi
+        self.grid = np.linspace(self.lo, self.hi, nodes.size)
         mass = float(np.trapezoid(nodes, dx=self.step))
         if mass <= 0:
             raise DomainError("density nodes sum to zero mass")
@@ -175,7 +184,10 @@ class Tabulated(SeedDistribution):
         panel = 0.5 * self.step * (self.nodes[:-1] + self.nodes[1:])
         self.node_cdf = np.concatenate([[0.0], np.cumsum(panel)])
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x):
+        """Density at a float x, or elementwise over an array of x."""
+        if isinstance(x, np.ndarray):
+            return np.interp(x, self.grid, self.nodes, left=0.0, right=0.0)
         if x < self.lo or x > self.hi:
             return 0.0
         pos = (x - self.lo) / self.step
@@ -203,7 +215,7 @@ class Tabulated(SeedDistribution):
         return self.lo, self.hi
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(self.lo + self.step * i for i in range(1, self.nodes.size - 1))
+        return tuple(self.grid[1:-1].tolist())
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         # invert the piecewise-quadratic cdf panel by panel, from column 0

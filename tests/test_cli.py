@@ -280,6 +280,31 @@ def test_quad_tol_env_validation(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_quad_tol_is_validated_but_not_consumed_on_table_seeds(capsys, monkeypatch, tmp_path):
+    # table-seed densities and certificates are exact per piece, so a
+    # tolerance finer than doubles resolve changes nothing there
+    table = tmp_path / "tri.csv"
+    xs = np.linspace(0.0, 2.0, 17)
+    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
+    argv = ("pdf", "--seeds", f"table:{table}", "--n", "5", "--grid", "0:10:21")
+    code, unset, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == unset
+
+
+def test_moments_overflow_exits_2_naming_n(capsys):
+    # exp:1e-150 has a finite variance 1e300, but member 90's overflows
+    code, out, err = run_cli(capsys, "moments", "--seeds", "exp:1e-150", "--n", "90",
+                             "--output", "json")
+    assert code == 2 and out == ""
+    assert "--n" in err and "overflow" in err
+    code, out, _ = run_cli(capsys, "moments", "--seeds", "exp:1e-150", "--n", "20",
+                           "--output", "json")
+    assert code == 0 and math.isfinite(json.loads(out)["variance"])
+
+
 def test_failed_normalization_certificate_blocks_emission(capsys):
     from fsrv.cli import _curve_output
     from fsrv.numerics import DensityCurve
@@ -301,7 +326,9 @@ def test_console_entry_point_runs():
 
 # sha256 of analytic CLI stdout, recorded before the linear-form support and
 # moments moved into one pair of helpers; "TABLE" stands for the 17-node
-# triangle table seed on [0, 2].
+# triangle table seed on [0, 2]. The three table digests were re-recorded
+# when table-seed densities moved to exact per-piece quadrature, which moved
+# their values by rounding only.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
@@ -313,7 +340,7 @@ _ANALYTIC_DIGESTS = [
                             "--method", "numeric"],
      "0c968731d7c30f7ee4ba1dfd83f137d27e910ec8909f5a5dcf188564b5ad7551"),
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
-     "c256703da3c757175d5c014f331a95b3bf6457341296761093a1412b6f65458d"),
+     "af87e9abb2a5f79058b7049b77982bff978b128212853c54f404b1551b3adf5e"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
      "9c6d7cde6d11efabc54783ef3b4157ce84e27063e3ca1ee8d5d4dad02534bfcf"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
@@ -321,14 +348,14 @@ _ANALYTIC_DIGESTS = [
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
      "65136bb1d315aff8f42b2b7654a3ba4b6a780263008fb6267381282902df641a"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
-     "819a3139b89a8b33c79ef24b85dbe8d58b32a5cc7588bf829e64f37f82118045"),
+     "13b94ac480205307f10186bcaf966f4adc9583bbba3364be9d58e31038b525b4"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
      "0a228edc2047d4f8b73f3a7f55aa5036e5f24f2157918e2b533b2ea66826b359"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
      "e9ed1923a9bf936c49c36fda3c239293ce5f4f594d7a89855badebb46d2b81eb"),
     ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
-     "1e2640a536d1d2b2e2888a4a634b761a5488c15a53efce1b920eee4765a76826"),
+     "fa03deb946ebd0dc3cb46cad17400efe5d234e5032a959918fa9226611b25eeb"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                     "--grid0", "0:5:4", "--grid1", "0:21:4"],
      "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),

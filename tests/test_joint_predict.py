@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fsrv.cli import main
 from fsrv.errors import DomainError, OutsideSupportError
 from fsrv.fib_core import fib
 from fsrv.joint_predict import (
@@ -195,3 +196,68 @@ def test_predictor_unbiasedness_small_grid(law43, exp_model):
     integrand = lambda x: predict(law43, exp_model, x) * pdf_exponential_closed(4, x)
     total = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     assert abs(total - 21.0) / 21.0 <= 1e-4
+
+
+# --- table seeds: exact per-piece slice integrals -----------------------------
+
+def _write_table(path, xs, ys):
+    path.write_text("\n".join(f"{x},{y}" for x, y in zip(xs, ys)) + "\n")
+    return f"table:{path}"
+
+
+def _triangle_table(tmp_path):
+    xs = np.linspace(0.0, 2.0, 17)
+    return _write_table(tmp_path / "tri.csv", xs, 1.0 - np.abs(1.0 - xs))
+
+
+def _joint_defect(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    trailer = captured.out.strip().splitlines()[-1]
+    assert trailer.startswith("# norm_defect=")
+    return float(trailer.split("=")[1])
+
+
+def test_triangle_joint_certificate_is_exact(capsys, tmp_path):
+    # refused with norm_defect 8.9e-6 before the slices were split at the kinks
+    spec = _triangle_table(tmp_path)
+    defect = _joint_defect(capsys, ("joint", "--seeds", spec, "--n", "4", "--k", "3",
+                                    "--grid0", "0:10:20", "--grid1", "0:26:20"))
+    assert defect <= 1e-12
+
+
+def test_fine_table_joint_certificate_is_exact_and_quick(capsys, tmp_path):
+    # a 201-node table: the unsplit nested quadrature ran for minutes
+    xs = np.linspace(0.0, 1.0, 201)
+    spec = _write_table(tmp_path / "sin2.csv", xs, np.sin(np.pi * xs) ** 2)
+    defect = _joint_defect(capsys, ("joint", "--seeds", spec, "--n", "4", "--k", "3",
+                                    "--grid0", "0:5:3", "--grid1", "0:13:3"))
+    assert defect <= 1e-12
+
+
+def test_triangle_predictor_matches_scipy(capsys, tmp_path, triangle_seed):
+    quad = pytest.importorskip("scipy.integrate").quad
+    spec = _triangle_table(tmp_path)
+    code = main(["predict", "--seeds", spec, "--n", "4", "--k", "3", "--grid", "0.5:9:60"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = np.array([[float(cell) for cell in line.split(",")]
+                     for line in out.strip().splitlines()[1:]])
+    nodes = triangle_seed.grid
+    for x, got in rows:
+        # member 4 = 2*V0 + 3*V1 = x; integrate over V1 = t, V0 = (x - 3t)/2,
+        # split where either seed coordinate crosses a node
+        lo, hi = max(0.0, (x - 4.0) / 3.0), min(2.0, x / 3.0)
+        cuts = np.unique(np.clip(np.concatenate((nodes, (x - 2.0 * nodes) / 3.0)), lo, hi))
+
+        def weight(t):
+            return triangle_seed.pdf((x - 3.0 * t) / 2.0) * triangle_seed.pdf(t)
+
+        def moment(t):  # member 7 = 8*V0 + 13*V1
+            return (8.0 * (x - 3.0 * t) / 2.0 + 13.0 * t) * weight(t)
+
+        pieces = list(zip(cuts[:-1], cuts[1:]))
+        mass = sum(quad(weight, a, b, epsabs=1e-14, epsrel=1e-12)[0] for a, b in pieces)
+        first = sum(quad(moment, a, b, epsabs=1e-14, epsrel=1e-12)[0] for a, b in pieces)
+        assert abs(got - first / mass) <= 1e-9
