@@ -8,6 +8,7 @@ table failing its normalization certificate.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -184,13 +185,11 @@ def _cmd_joint(args) -> int:
         print(f"error: joint density norm_defect {defect:.3e} exceeds "
               f"{NORM_DEFECT_LIMIT:.0e}; refusing to emit", file=sys.stderr)
         return 3
+    density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
-        rows = [(y0, y1, joint_predict.joint_pdf(law, model, float(y0), float(y1)))
-                for y0 in xs0 for y1 in xs1]
+        rows = zip(np.repeat(xs0, p1), np.tile(xs1, p0), density.ravel())
         text = _csv_table(["y0", "y1", "density"], rows, [f"# norm_defect={_fmt(defect)}"])
     else:
-        density = [[joint_predict.joint_pdf(law, model, float(y0), float(y1)) for y1 in xs1]
-                   for y0 in xs0]
         text = _dumps({
             "kind": "joint_density",
             "n": args.n,
@@ -347,9 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: each would leave argparse's reference cycles behind
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonConvergenceError as exc:

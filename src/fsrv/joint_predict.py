@@ -19,7 +19,8 @@ from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import (FsrvModel, closed_form_tag, linear_form_knots, linear_form_support,
                        pdf_numeric, seed_nodes)
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, integrate, share_config
+from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
+                       share_config)
 
 #: Quadrature settings for conditional expectations: the division by the
 #: marginal density amplifies absolute error, so the default target is
@@ -70,16 +71,16 @@ def seed_coordinates(law: JointLaw, y0: float, y1: float) -> tuple[float, float]
     return v0, v1
 
 
-def joint_pdf(law: JointLaw, model: FsrvModel, y0: float, y1: float) -> float:
+def joint_pdf(law: JointLaw, model: FsrvModel, y0, y1):
     """Joint density of (member n, member n+k) at (y0, y1) for independent
-    seeds: the product of seed densities at the recovered coordinates,
-    divided by |Jacobian| = a_k. Zero whenever a recovered coordinate falls
-    outside its seed's support."""
+    seeds, elementwise over arrays that broadcast: the product of seed
+    densities at the recovered coordinates, divided by |Jacobian| = a_k.
+    Zero whenever a recovered coordinate falls outside its seed's support."""
     v0, v1 = seed_coordinates(law, y0, y1)
     return model.seed0.pdf(v0) * model.seed1.pdf(v1) / law.jacobian_abs
 
 
-def _closed_slice_pdf(law: JointLaw, model: FsrvModel, y0: float, y1):
+def _closed_slice_pdf(law: JointLaw, model: FsrvModel, y0, y1):
     """joint_pdf for y1 inside the closed slice member n = y0. The recovered
     coordinates are clipped to the seed supports: inside the slice that only
     undoes rounding, and it keeps the edge value of a seed density that jumps
@@ -90,45 +91,49 @@ def _closed_slice_pdf(law: JointLaw, model: FsrvModel, y0: float, y1):
             * model.seed1.pdf(np.clip(v1, s1[0], s1[1])) / law.jacobian_abs)
 
 
-def _slice_integral(law: JointLaw, model: FsrvModel, nodes, y0: float,
-                    bounds: tuple[float, float], cfg: QuadratureConfig,
-                    weighted: bool = False) -> float:
-    """Integral over y1 in bounds of the joint density at (y0, y1), times y1
-    when weighted. With the seed nodes of piecewise-linear seeds, it is split
-    at the y1-images of the lines v0 = b and v1 = b, where the integrand is
-    a polynomial of degree at most 3 between, and is exact; without them
-    (nodes None) it is adaptive."""
-    if nodes is None:
-        density, knots = joint_pdf, None
-    else:
-        c_nm1, c_n, c_nkm1, c_nk = law.coeff_matrix
-        jac = float(law.jacobian)
-        density = _closed_slice_pdf
-        knots = np.concatenate(((c_nk * y0 - jac * nodes[0]) / c_n,
-                                (jac * nodes[1] + c_nkm1 * y0) / c_nm1))
-    if weighted:
-        f = lambda y1: y1 * density(law, model, y0, y1)
-    else:
-        f = lambda y1: density(law, model, y0, y1)
-    return integrate(f, bounds[0], bounds[1], cfg, knots=knots)
+def _slice_integrals(law: JointLaw, model: FsrvModel, nodes, y0: np.ndarray,
+                     cfg: QuadratureConfig, weighted: bool = False) -> np.ndarray:
+    """For each y0[i], the integral over y1 in the effective slice member
+    n = y0[i] of the joint density at (y0[i], y1), times y1 when weighted;
+    0 for an empty slice. One engine row per y0. With the seed nodes of
+    piecewise-linear seeds, each row is cut at the y1-images of the lines
+    v0 = b and v1 = b, where the integrand is a polynomial of degree at most
+    3 between, and is exact; without them (nodes None) it is adaptive."""
+    s0, s1 = model.seed0.effective_support(), model.seed1.effective_support()
+
+    def edges(i, j):
+        lo, hi = _y1_interval(law, s0, s1, y0[i:j, None])
+        hi = np.maximum(lo, hi)  # an empty slice has no width
+        if nodes is None:
+            return np.hstack((lo, hi))
+        cuts = np.hstack((lo, *_y1_images(law, y0[i:j, None], nodes[0], nodes[1]), hi))
+        return np.sort(np.clip(cuts, lo, hi), axis=1)
+
+    density = joint_pdf if nodes is None else _closed_slice_pdf
+
+    def integrand(y1, row):
+        value = density(law, model, y0[row], y1)
+        return y1 * value if weighted else value
+
+    return _integrate_rows(integrand, y0.size, edges, cfg if nodes is None else None)
 
 
-def _y1_interval(law: JointLaw, s0: tuple[float, float], s1: tuple[float, float],
-                 y0: float) -> tuple[float, float] | None:
-    """y1-interval where both recovered seed coordinates stay inside the
-    given seed intervals; None when it is empty."""
+def _y1_images(law: JointLaw, y0, v0, v1):
+    """The y1 on the slice member n = y0 where v0 = (c_nk*y0 - c_n*y1)/jac and
+    where v1 = (c_nm1*y1 - c_nkm1*y0)/jac, elementwise over arrays."""
     c_nm1, c_n, c_nkm1, c_nk = law.coeff_matrix
     jac = float(law.jacobian)
-    # v0 constraint: s0_lo <= (c_nk*y0 - c_n*y1)/jac <= s0_hi
-    b0_a = (c_nk * y0 - jac * s0[0]) / c_n
-    b0_b = (c_nk * y0 - jac * s0[1]) / c_n
-    # v1 constraint: s1_lo <= (c_nm1*y1 - c_nkm1*y0)/jac <= s1_hi
-    b1_a = (jac * s1[0] + c_nkm1 * y0) / c_nm1
-    b1_b = (jac * s1[1] + c_nkm1 * y0) / c_nm1
-    lo = max(min(b0_a, b0_b), min(b1_a, b1_b))
-    hi = min(max(b0_a, b0_b), max(b1_a, b1_b))
-    if not lo < hi:
-        return None
+    return (c_nk * y0 - jac * v0) / c_n, (jac * v1 + c_nkm1 * y0) / c_nm1
+
+
+def _y1_interval(law: JointLaw, s0: tuple[float, float], s1: tuple[float, float], y0):
+    """(lo, hi), elementwise over an array y0: the y1-interval where both
+    recovered seed coordinates stay inside the given seed intervals, empty
+    unless lo < hi."""
+    b0_a, b1_a = _y1_images(law, y0, s0[0], s1[0])
+    b0_b, b1_b = _y1_images(law, y0, s0[1], s1[1])
+    lo = np.maximum(np.minimum(b0_a, b0_b), np.minimum(b1_a, b1_b))
+    hi = np.minimum(np.maximum(b0_a, b0_b), np.maximum(b1_a, b1_b))
     return lo, hi
 
 
@@ -138,35 +143,30 @@ def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, fl
     Uses the seeds' mathematical supports, so the endpoints may be infinite;
     returns None when the slice is empty.
     """
-    return _y1_interval(law, model.seed0.support(), model.seed1.support(), y0)
+    lo, hi = _y1_interval(law, model.seed0.support(), model.seed1.support(), y0)
+    return (float(lo), float(hi)) if lo < hi else None
 
 
 def _effective_slice(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, float] | None:
-    return _y1_interval(law, model.seed0.effective_support(), model.seed1.effective_support(), y0)
+    lo, hi = _y1_interval(law, model.seed0.effective_support(),
+                          model.seed1.effective_support(), y0)
+    return (float(lo), float(hi)) if lo < hi else None
 
 
 def joint_normalization_check(law: JointLaw, model: FsrvModel,
                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total mass of the joint density by iterated 1-D quadrature over the
-    exact support slices. A correct implementation returns 1 within 1e-6.
-    On piecewise-linear seeds the outer integral is split at the knots of
-    member n's density, which the slice mass equals, and both levels are
-    exact."""
+    exact support slices, one batch of slices per outer step. A correct
+    implementation returns 1 within 1e-6. On piecewise-linear seeds the
+    outer integral is split at the knots of member n's density, which the
+    slice mass equals, and both levels are exact."""
     c0, c1 = law.coeff_matrix[0], law.coeff_matrix[1]
     y0_lo, y0_hi = linear_form_support(model, c0, c1)
     inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
     nodes = seed_nodes(model)
-
-    def slice_mass(y0: float) -> float:
-        bounds = _effective_slice(law, model, y0)
-        if bounds is None:
-            return 0.0
-        return _slice_integral(law, model, nodes, y0, bounds, inner_cfg)
-
-    if nodes is None:
-        return integrate(slice_mass, y0_lo, y0_hi, cfg)
-    return integrate(lambda y0s: np.array([slice_mass(float(y0)) for y0 in y0s]),
-                     y0_lo, y0_hi, cfg, knots=linear_form_knots(model, c0, c1))
+    knots = None if nodes is None else linear_form_knots(model, c0, c1)
+    return integrate(lambda y0: _slice_integrals(law, model, nodes, y0, inner_cfg),
+                     y0_lo, y0_hi, cfg, knots=knots)
 
 
 def predict(law: JointLaw, model: FsrvModel, x: float,
@@ -180,11 +180,10 @@ def predict(law: JointLaw, model: FsrvModel, x: float,
             f"marginal density at x={x} is below the floor {DENSITY_FLOOR}; "
             "the conditional mean is not identifiable there"
         )
-    bounds = _effective_slice(law, model, x)
-    if bounds is None:
+    if _effective_slice(law, model, x) is None:
         raise OutsideSupportError(f"empty conditional support at x={x}")
-    weighted = _slice_integral(law, model, seed_nodes(model), x, bounds, cfg, weighted=True)
-    return weighted / marginal
+    return float(_slice_integrals(law, model, seed_nodes(model), np.array([float(x)]), cfg,
+                                  weighted=True)[0]) / marginal
 
 
 def predict_exponential_4_to_7(x: float) -> float:

@@ -42,16 +42,14 @@ def limit_law(model: FsrvModel) -> LimitLaw:
     return LimitLaw(model=model, a_scale=a_scale, b_shift=mean)
 
 
-def pdf_limit_numeric(law: LimitLaw, x: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Density of Y at x: the density of V0 + phi*V1 evaluated at
-    a_scale*x + b_shift and rescaled by a_scale, with the inner density
-    obtained by scaled convolution (x may be an array when both seeds are
-    piecewise linear)."""
+def pdf_limit_numeric(law: LimitLaw, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Density of Y at x, a float or an array: the density of V0 + phi*V1
+    evaluated at a_scale*x + b_shift and rescaled by a_scale, with the inner
+    density obtained by scaled convolution."""
     return law.a_scale * linear_form_pdf(law.model, 1.0, PHI, law.a_scale * x + law.b_shift, cfg)
 
 
-def pdf_limit_exponential_closed(x: float) -> float:
+def pdf_limit_exponential_closed(x):
     """Closed-form density of Y for iid exponential seeds: the density of
     V0 + phi*V1 at c = x*sqrt(1+phi^2) + (1+phi), rescaled by sqrt(1+phi^2).
     Standardization makes the result rate-free."""
@@ -73,7 +71,7 @@ _UNIFORM_A = math.sqrt((1.0 + PHI * PHI) / 12.0)
 _UNIFORM_B = (1.0 + PHI) / 2.0
 
 
-def pdf_limit_uniform_closed(x: float) -> float:
+def pdf_limit_uniform_closed(x):
     """Closed-form density of Y for iid unit-uniform seeds: the trapezoidal
     density of V0 + phi*V1 pushed through the standardization."""
     return linear_form_pdf_uniform(1.0, PHI, _UNIFORM_A * x + _UNIFORM_B, _UNIFORM_A)
@@ -138,15 +136,14 @@ def sum_law(n: int, model: FsrvModel) -> SumLaw:
     return SumLaw(n=n, coeff0=c0, coeff1=c1, mean=mean, variance=variance)
 
 
-def pdf_sum(n: int, model: FsrvModel, x: float,
-            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def pdf_sum(n: int, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of the partial sum S_n at x by scaled convolution with
     coefficients a_{n+1} and a_{n+2}-1."""
     c0, c1 = _sum_coefficients(n)
     return linear_form_pdf(model, float(c0), float(c1), x, cfg)
 
 
-def pdf_sum_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
+def pdf_sum_exponential_closed(n: int, x, rate: float = 1.0):
     """Closed-form density of S_n for iid exponential seeds:
     (exp(-x/B) - exp(-x/A)) / (B - A) with A = a_{n+1}, B = a_{n+2}-1
     at unit rate, scaled to other rates; A = B = 2 at n = 2 gives the

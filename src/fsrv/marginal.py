@@ -136,12 +136,12 @@ def support_xn(model: FsrvModel, n: int, effective: bool = False) -> tuple[float
     return linear_form_support(model, fib_core.fib(n - 1), fib_core.fib(n), effective)
 
 
-def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Density of c0*V0 + c1*V1 at x by scaled convolution of the seed
-    densities, split at their kinks, over their effective supports. When
-    both seeds are piecewise linear the convolution is exact per piece, and
-    x may also be an array."""
+def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x,
+                    cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Density of c0*V0 + c1*V1 at x, a float or an array, by scaled
+    convolution of the seed densities, split at their kinks, over their
+    effective supports; exact per piece when both seeds are piecewise
+    linear."""
     return scaled_convolution(
         model.seed0.pdf,
         model.seed1.pdf,
@@ -157,41 +157,40 @@ def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x: float,
     )
 
 
-def pdf_numeric(model: FsrvModel, n: int, x: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def pdf_numeric(model: FsrvModel, n: int, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of member n at x by scaled convolution of the seed densities."""
     _require_member_index(n)
     return linear_form_pdf(model, float(fib_core.fib(n - 1)), float(fib_core.fib(n)), x, cfg)
 
 
-def linear_form_pdf_exponential(c0, c1, y: float, scale: float = 1.0) -> float:
-    """scale times the density of c0*V0 + c1*V1 at y for iid unit-rate
-    exponential seeds and 0 < c0 <= c1: (exp(-y/c1) - exp(-y/c0)) / (c1 - c0),
-    or the Gamma(2) density y*exp(-y/c0)/c0^2 when c0 == c1. Members and
-    sums pass their seed rate as scale, with y = rate*x."""
+def linear_form_pdf_exponential(c0, c1, y, scale: float = 1.0):
+    """scale times the density of c0*V0 + c1*V1 at y, elementwise, for iid
+    unit-rate exponential seeds and 0 < c0 <= c1: (exp(-y/c1) - exp(-y/c0))
+    / (c1 - c0), or the Gamma(2) density y*exp(-y/c0)/c0^2 when c0 == c1.
+    Members and sums pass their seed rate as scale, with y = rate*x."""
     if not scale > 0:
         raise DomainError(f"rate must be positive, got {scale}")
-    if y <= 0.0:
-        return 0.0
+    # the exponentials overflow for y < 0, where the density is 0 anyway
+    pos = np.maximum(y, 0.0)
     if c0 == c1:
-        return scale * y / (c0 * c0) * math.exp(-y / c0)
-    return scale * (math.exp(-y / c1) - math.exp(-y / c0)) / (c1 - c0)
+        out = scale * pos / float(c0 * c0) * np.exp(-pos / float(c0))
+    else:
+        out = scale * (np.exp(-pos / float(c1)) - np.exp(-pos / float(c0))) / float(c1 - c0)
+    return np.where(y > 0.0, out, 0.0)[()]
 
 
-def linear_form_pdf_uniform(c0, c1, y: float, scale: float = 1.0) -> float:
-    """scale times the density of c0*V0 + c1*V1 at y for iid unit-uniform
-    seeds and 0 < c0 <= c1: a trapezoid that ramps up to c0, stays at 1/c1
-    until c1 and ramps down to c0 + c1; a triangle when c0 == c1."""
-    if y <= 0.0 or y >= c0 + c1:
-        return 0.0
-    if y < c0:
-        return scale * y / (c0 * c1)
-    if y <= c1:
-        return scale / c1
-    return scale * (c0 + c1 - y) / (c0 * c1)
+def linear_form_pdf_uniform(c0, c1, y, scale: float = 1.0):
+    """scale times the density of c0*V0 + c1*V1 at y, elementwise, for iid
+    unit-uniform seeds and 0 < c0 <= c1: a trapezoid that ramps up to c0,
+    stays at 1/c1 until c1 and ramps down to c0 + c1; a triangle when
+    c0 == c1."""
+    end, ramp = float(c0 + c1), float(c0 * c1)
+    return np.select([(y <= 0.0) | (y >= end), y < c0, y <= c1],
+                     [0.0, scale * y / ramp, scale / c1],
+                     default=scale * (end - y) / ramp)[()]
 
 
-def pdf_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
+def pdf_exponential_closed(n: int, x, rate: float = 1.0):
     """Closed-form density of member n for iid exponential seeds.
 
     For unit rate this is (exp(-x/a_n) - exp(-x/a_{n-1})) / a_{n-2} when
@@ -202,19 +201,20 @@ def pdf_exponential_closed(n: int, x: float, rate: float = 1.0) -> float:
     return linear_form_pdf_exponential(fib_core.fib(n - 1), fib_core.fib(n), rate * x, rate)
 
 
-def pdf_uniform_closed(n: int, x: float) -> float:
+def pdf_uniform_closed(n: int, x):
     """Closed-form density of member n for iid unit-uniform seeds: a ramp up
     to a_{n-1}, a plateau at height 1/a_n until a_n, then a ramp down."""
     _require_member_index(n)
     return linear_form_pdf_uniform(fib_core.fib(n - 1), fib_core.fib(n), x)
 
 
-def pdf_normal_closed(n: int, x: float) -> float:
+def pdf_normal_closed(n: int, x):
     """Density of member n for iid standard-normal seeds: centered normal
     with variance a_{n-1}^2 + a_n^2 (equal to a_{2n-1})."""
     _require_member_index(n)
     variance = float(fib_core.fib(n - 1) ** 2 + fib_core.fib(n) ** 2)
-    return math.exp(-0.5 * x * x / variance) / math.sqrt(2.0 * math.pi * variance)
+    with np.errstate(over="ignore"):  # x*x overflows far out, where the density is 0
+        return (np.exp(-0.5 * x * x / variance) / math.sqrt(2.0 * math.pi * variance))[()]
 
 
 def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:

@@ -1,12 +1,13 @@
 """Quadrature, scaled density convolution, and certified grid curves.
 
-All analytic modules funnel their integrals through `integrate`: an adaptive
-Simpson scheme with an absolute error target, a recursion-depth cap and an
-evaluation budget, or, given the knots of a piecewise cubic, one Simpson
-panel per piece, which is exact. `scaled_convolution` evaluates the density
-of c0*V0 + c1*V1 for independent V0, V1, split at the seeds' kinks, exactly
-per piece when both seeds are piecewise linear, and `DensityCurve` samples
-a density on a grid next to its normalization certificate.
+Every integral goes through one engine, `_integrate_rows`, which integrates
+a batch of rows, each cut at its own sorted edges, calling the integrand on
+arrays of at most _CHUNK_ELEMENTS nodes: exactly, one Simpson panel per
+piece, or adaptively, bisecting the panels that miss an absolute error
+target. `integrate` is its one-row front end, `scaled_convolution` the
+density of c0*V0 + c1*V1 for independent V0, V1 with one row per x, and
+`DensityCurve` a density sampled on a grid next to its normalization
+certificate. Densities take arrays of points.
 """
 
 import math
@@ -17,23 +18,26 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
-Func = Callable[[float], float]
+Func = Callable[[np.ndarray], np.ndarray]
 
 
 #: Bisection depth cap of one adaptive panel; a panel still short of its
 #: tolerance share there makes the integral raise NonConvergenceError.
 _MAX_DEPTH = 60
 
-#: Integrand evaluations one `integrate` call may spend before it raises
+#: Integrand evaluations one adaptive piece may spend before it raises
 #: NonConvergenceError; real work stays below 10^4, but a tolerance finer
 #: than doubles resolve would otherwise bisect every panel to _MAX_DEPTH.
 _MAX_EVALS = 1 << 20
 
-#: Array elements one vectorized step may hold: knot-mode `integrate` passes
-#: at most this many nodes to its integrand at once, and the exact
-#: convolution takes as many x values per step as keep its x-by-cut arrays
-#: within it, so memory stays flat however many points are asked for.
+#: Nodes one integrand call may receive, so memory stays flat however many
+#: points are asked for.
 _CHUNK_ELEMENTS = 1 << 12
+
+#: Panels adaptive mode bisects per step, and pieces it takes at once: they
+#: bound the memory its pending and accepted panels hold.
+_BLOCK_PANELS = 1 << 9
+_ADAPTIVE_PIECES = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -62,95 +66,141 @@ def share_config(cfg: QuadratureConfig, abs_tol: float) -> QuadratureConfig:
     return QuadratureConfig(abs_tol)
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width / 6.0 * (fa + 4.0 * fm + fb)
+def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """f(t, row) for nodes t and rows that broadcast, split flat into calls of
+    at most _CHUNK_ELEMENTS nodes when larger; never on no nodes."""
+    if t.size <= _CHUNK_ELEMENTS:
+        return f(t, row) if t.size else np.empty(0)
+    t, row = t.ravel(), np.broadcast_to(row, t.shape).ravel()
+    return np.concatenate([f(t[i:i + _CHUNK_ELEMENTS], row[i:i + _CHUNK_ELEMENTS])
+                           for i in range(0, t.size, _CHUNK_ELEMENTS)])
+
+
+def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
+    e = edges(i, j) is the 2-D array of the sorted edges of rows i to j - 1,
+    asked for a few rows at a time; f(t, row) takes nodes and the rows they
+    belong to, which broadcast. Without cfg (exact mode), one Simpson panel
+    per piece between consecutive edges. With cfg (adaptive mode), each
+    piece of positive width is adaptive Simpson with cfg.abs_tol shared
+    equally over the row's pieces and halved at each bisection; a panel is
+    accepted once its error estimate meets its share after two forced
+    levels, or once its midpoint is no longer representable. A piece still
+    short at depth _MAX_DEPTH, or that would spend more than _MAX_EVALS
+    integrand evaluations, raises NonConvergenceError carrying the estimate
+    so far. The nodes and each piece's sum are those of a depth-first
+    recursion, whatever rows share the batch.
+    """
+    width = edges(0, 0).shape[1]
+    out = np.empty(rows)
+    step = max(1, _ADAPTIVE_PIECES // (width - 1) if cfg else _CHUNK_ELEMENTS // (2 * width - 1))
+    for i in range(0, rows, step):
+        cuts = edges(i, i + step)
+        if cfg:
+            out[i:i + step] = _adaptive_rows(f, cuts, i, cfg)
+            continue
+        t = np.empty((cuts.shape[0], 2 * width - 1))
+        t[:, 0::2] = cuts
+        t[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        g = _evaluate(f, t, np.arange(i, i + len(t))[:, None]).reshape(t.shape)
+        panels = np.diff(cuts, axis=1) * (g[:, :-2:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
+        out[i:i + step] = np.sum(panels, axis=1) / 6.0
+    return out
+
+
+def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> np.ndarray:
+    """Adaptive mode of _integrate_rows for the rows start, start + 1, ..."""
+    rows = len(edges)
+    owner, col = np.nonzero(edges[:, :-1] < edges[:, 1:])  # the pieces of positive width
+    lo, hi = edges[owner, col], edges[owner, col + 1]
+    share = cfg.abs_tol / np.bincount(owner, minlength=rows)[owner]
+    share_config(cfg, share.min(initial=cfg.abs_tol))  # raises if a share underflowed
+    row, pieces = start + owner, lo.size
+    fa, fm, fb = _evaluate(f, np.concatenate((lo, (lo + hi) / 2.0, hi)),
+                           np.concatenate((row, row, row))).reshape(3, pieces)
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    # a block holds panels of one depth, one per column, in the rows a, b,
+    # f(a), f(m), f(b), estimate, tolerance and piece
+    stack = [(0, np.array((lo, hi, fa, fm, fb, whole, share, np.arange(pieces))))]
+    accepted = [np.empty((3, 0))]  # piece, -a and estimate of accepted panels
+    evals = np.full(pieces, 5)  # the three above and the first panel's two
+    capped = np.zeros(pieces, dtype=bool)
+
+    while stack:
+        depth, block = stack.pop()
+        a, b = block[0], block[1]
+        m = (a + b) / 2.0
+        lm, rm = (a + m) / 2.0, (m + b) / 2.0
+        fine = (a < lm) & (lm < m) & (m < rm) & (rm < b)
+        if not fine.all():
+            accepted.append(np.array((block[7], -a, block[5]))[:, ~fine])
+            block, m, lm, rm = block[:, fine], m[fine], lm[fine], rm[fine]
+        a, b, fa, fm, fb, whole, tol, p = block
+        p = p.astype(np.intp)
+        flm, frm = _evaluate(f, np.concatenate((lm, rm)),
+                             row[np.concatenate((p, p))]).reshape(2, -1)
+        s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        s2 = s_left + s_right
+        err = (s2 - whole) / 15.0
+        # two forced levels guard against the error estimate aliasing to zero
+        # on structured integrands
+        done = (np.abs(err) <= tol) & (depth >= 2)
+        if depth >= _MAX_DEPTH:
+            capped[p[~done]] = True
+            done[:] = True
+        accepted.append(np.array((block[7], -a, s2 + err))[:, done])
+        split = ~done
+        if not split.any():
+            continue
+        halves = np.array((a, m, fa, flm, fm, s_left, tol / 2.0, block[7],
+                           m, b, fm, frm, fb, s_right, tol / 2.0, block[7]))[:, split]
+        # each left half next to its right half keeps the panels in piece
+        # order, and the leftmost block on top runs the first pieces first
+        halves = halves.reshape(2, 8, -1).transpose(1, 2, 0).reshape(8, -1)
+        for i in reversed(range(0, halves.shape[1], _BLOCK_PANELS)):
+            stack.append((depth + 1, halves[:, i:i + _BLOCK_PANELS]))
+        # a split commits two evaluations in each half
+        evals += 4 * np.bincount(p[split], minlength=pieces)
+        if np.any(evals > _MAX_EVALS):
+            q = np.argmax(evals > _MAX_EVALS)
+            partial = (sum(float(np.sum(v[pp == q])) for pp, _, v in accepted)
+                       + sum(float(np.sum(blk[5, blk[7] == q])) for _, blk in stack))
+            raise NonConvergenceError(
+                f"quadrature on [{lo[q]}, {hi[q]}] ran out of its budget of {_MAX_EVALS} "
+                f"integrand evaluations before reaching abs_tol={share[q]}", partial=partial)
+
+    accepted = np.concatenate(accepted, axis=1)
+    p, _, value = accepted[:, np.lexsort(accepted[1::-1])]
+    # bincount adds its weights in order, as the recursion's running total did
+    totals = np.bincount(p.astype(np.intp), weights=value, minlength=pieces)
+    if capped.any():
+        q = np.argmax(capped)
+        raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
+                                  f"before reaching abs_tol={share[q]}", partial=float(totals[q]))
+    return np.bincount(owner, weights=totals, minlength=rows)
 
 
 def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
               knots=None) -> float:
-    """Integral of f over [lo, hi].
+    """Integral of f over [lo, hi]; f takes an array of nodes.
 
-    Without knots, an adaptive Simpson estimate: absolute error is controlled
-    to cfg.abs_tol on smooth integrands; panels whose midpoint is no longer
-    representable between the endpoints are accepted as converged (the float
-    grid cannot be refined further). If any panel still misses its tolerance
-    share at depth _MAX_DEPTH, or the call would spend more than _MAX_EVALS
-    integrand evaluations, NonConvergenceError carries the estimate reached
-    so far.
-
-    With knots, f must be a polynomial of degree at most 3 on each closed
-    piece between consecutive knots (those outside [lo, hi] are ignored), and
-    must take an array of nodes; one Simpson panel per piece is then exact,
-    and cfg is not consulted.
+    Without knots, adaptive to cfg.abs_tol (see _integrate_rows). With
+    knots, f must be a polynomial of degree at most 3 on each closed piece
+    between consecutive knots (those outside [lo, hi] are ignored); one
+    Simpson panel per piece is then exact, and cfg is not consulted.
     """
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    if knots is not None:
-        return _integrate_pieces(f, lo, hi, np.asarray(knots, dtype=np.float64))
-
-    fa, fm, fb = f(lo), f((lo + hi) / 2.0), f(hi)
-    whole = _simpson(fa, fm, fb, hi - lo)
-    # stack entries: (a, b, fa, fm, fb, panel_estimate, tol, depth)
-    stack = [(lo, hi, fa, fm, fb, whole, cfg.abs_tol, 0)]
-    total = 0.0
-    evals = 5  # the three above and the first panel's two
-    converged = True
-
-    while stack:
-        a, b, fa, fm, fb, s_whole, tol, depth = stack.pop()
-        m = (a + b) / 2.0
-        lm = (a + m) / 2.0
-        rm = (m + b) / 2.0
-        if not (a < lm < m < rm < b):
-            total += s_whole
-            continue
-        flm, frm = f(lm), f(rm)
-        s_left = _simpson(fa, flm, fm, m - a)
-        s_right = _simpson(fm, frm, fb, b - m)
-        s2 = s_left + s_right
-        err = (s2 - s_whole) / 15.0
-        # two forced levels guard against the error estimate aliasing to zero
-        # on structured integrands
-        if abs(err) <= tol and depth >= 2:
-            total += s2 + err
-        elif depth >= _MAX_DEPTH:
-            total += s2 + err
-            converged = False
-        else:
-            # a split commits two evaluations in each half
-            evals += 4
-            if evals > _MAX_EVALS:
-                raise NonConvergenceError(
-                    f"quadrature on [{lo}, {hi}] ran out of its budget of {_MAX_EVALS} "
-                    f"integrand evaluations before reaching abs_tol={cfg.abs_tol}",
-                    partial=total + s2 + err + sum(entry[5] for entry in stack),
-                )
-            stack.append((a, m, fa, flm, fm, s_left, tol / 2.0, depth + 1))
-            stack.append((m, b, fm, frm, fb, s_right, tol / 2.0, depth + 1))
-
-    if not converged:
-        raise NonConvergenceError(
-            f"quadrature on [{lo}, {hi}] hit depth {_MAX_DEPTH} "
-            f"before reaching abs_tol={cfg.abs_tol}",
-            partial=total,
-        )
-    return total
-
-
-def _integrate_pieces(f, lo: float, hi: float, knots: np.ndarray) -> float:
-    """Simpson's rule once per piece of [lo, hi] cut at the knots, with f
-    called on chunks of at most _CHUNK_ELEMENTS nodes."""
-    edges = np.sort(np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi])))
-    edges = edges[np.diff(edges, prepend=-np.inf) > 0]
-    nodes = np.empty(2 * edges.size - 1)
-    nodes[0::2] = edges
-    nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    values = np.concatenate([f(nodes[i:i + _CHUNK_ELEMENTS])
-                             for i in range(0, nodes.size, _CHUNK_ELEMENTS)])
-    panels = np.diff(edges) * (values[:-2:2] + 4.0 * values[1::2] + values[2::2])
-    return float(np.sum(panels)) / 6.0
+    if knots is None:
+        edges = np.array([[lo, hi]], dtype=np.float64)
+    else:
+        knots = np.asarray(knots, dtype=np.float64)
+        edges = np.sort(np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi])))
+        edges, cfg = edges[None, np.diff(edges, prepend=-np.inf) > 0], None
+    return float(_integrate_rows(lambda t, row: f(t.ravel()), 1, lambda i, j: edges[i:j], cfg)[0])
 
 
 def scaled_convolution(
@@ -158,7 +208,7 @@ def scaled_convolution(
     f1: Func,
     c0: float,
     c1: float,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     support0: tuple[float, float] = (-np.inf, np.inf),
     support1: tuple[float, float] = (-np.inf, np.inf),
@@ -166,91 +216,44 @@ def scaled_convolution(
     breakpoints1=(),
     piecewise_linear: bool = False,
 ):
-    """Density of c0*V0 + c1*V1 at x, for independent V0 ~ f0 and V1 ~ f1.
-
-    Evaluates (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt over the
-    intersection of the two induced t-ranges. Supports must be finite;
-    callers pass the seeds' effective supports, which drop at most
-    seeds.TAIL_MASS of each seed's mass.
-
-    Interior kink locations of either density (breakpoints0/1, in the
-    densities' own coordinates) are mapped into t and the integral is split
-    there, so each adaptive pass sees a smooth piece. Without the split,
-    lattice-kinked integrands such as tabulated-seed products can fool the
-    Simpson error estimate.
-
-    With piecewise_linear, both densities are linear between their support
-    ends and breakpoints and take arrays. The integrand is then quadratic
-    between the images of those nodes, so one Simpson panel per piece is
-    exact: x may be a float or an array, and the result has its shape. The
-    tolerance is validated as on the adaptive route but not consumed.
+    """Density of c0*V0 + c1*V1 at x, a float or an array, for independent
+    V0 ~ f0 and V1 ~ f1: (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt
+    over the t-range both supports allow, one engine row per x. Supports
+    must be finite: callers pass the seeds' effective supports. Each row is
+    cut at the images of the support ends and kinks (breakpoints0/1), so
+    each adaptive piece is smooth. With piecewise_linear, both densities are
+    linear between those nodes and one Simpson panel per piece is exact; the
+    tolerance is then validated but not consumed.
     """
     if c0 <= 0 or c1 <= 0:
         raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
-    s0_lo, s0_hi = support0
-    s1_lo, s1_hi = support1
-    if not all(map(np.isfinite, (s0_lo, s0_hi, s1_lo, s1_hi))):
+    if not np.all(np.isfinite((*support0, *support1))):
         raise DomainError("scaled_convolution needs finite (truncated) supports")
+    nodes0 = np.array((support0[0], *breakpoints0, support0[1]))
+    nodes1 = np.array((support1[0], *breakpoints1, support1[1]))
     if piecewise_linear:
-        share_config(cfg, cfg.abs_tol / (len(breakpoints0) + len(breakpoints1) + 1))
-        nodes0 = np.array((s0_lo, *breakpoints0, s0_hi))
-        nodes1 = np.array((s1_lo, *breakpoints1, s1_hi))
-        values = _exact_convolution(f0, f1, c0, c1, np.asarray(x, dtype=np.float64),
-                                    nodes0, nodes1)
-        return float(values) if np.ndim(x) == 0 else values
+        share_config(cfg, cfg.abs_tol / (nodes0.size + nodes1.size - 3))
+        cfg = None
+    xs = np.asarray(x, dtype=np.float64).reshape(-1)
 
-    t_lo = max(c1 * s1_lo, x - c0 * s0_hi)
-    t_hi = min(c1 * s1_hi, x - c0 * s0_lo)
-    if t_lo >= t_hi:
-        return 0.0
-
-    def integrand(t: float) -> float:
-        return f0((x - t) / c0) * f1(t / c1)
-
-    cuts = [x - c0 * b for b in breakpoints0]
-    cuts.extend(c1 * b for b in breakpoints1)
-    cuts = sorted(c for c in cuts if t_lo < c < t_hi)
-    piece_cfg = cfg if not cuts else share_config(cfg, cfg.abs_tol / (len(cuts) + 1))
-    total = 0.0
-    lo = t_lo
-    for cut in cuts:
-        if cut - lo > 1e-15 * (abs(cut) + 1.0):
-            total += integrate(integrand, lo, cut, piece_cfg)
-            lo = cut
-    total += integrate(integrand, lo, t_hi, piece_cfg)
-    return total / (c0 * c1)
-
-
-def _exact_convolution(f0, f1, c0: float, c1: float, x: np.ndarray,
-                       nodes0: np.ndarray, nodes1: np.ndarray) -> np.ndarray:
-    """scaled_convolution for densities linear between sorted nodes (support
-    ends included): one Simpson panel per piece of t between the images of
-    the nodes, for every x at once, in steps of at most _CHUNK_ELEMENTS."""
-    flat = x.reshape(-1)
-    out = np.empty(flat.size)
-    width = nodes0.size + nodes1.size
-    step = max(1, _CHUNK_ELEMENTS // width)
-    for start in range(0, flat.size, step):
-        xs = flat[start:start + step, None]
-        t_lo = np.maximum(c1 * nodes1[0], xs - c0 * nodes0[-1])
-        t_hi = np.minimum(c1 * nodes1[-1], xs - c0 * nodes0[0])
-        cuts = np.empty((xs.shape[0], width))
-        cuts[:, :nodes0.size] = xs - c0 * nodes0
-        cuts[:, nodes0.size:] = c1 * nodes1
+    def cuts(i, j):
+        t_lo = np.maximum(c1 * nodes1[0], xs[i:j] - c0 * nodes0[-1])[:, None]
+        t_hi = np.minimum(c1 * nodes1[-1], xs[i:j] - c0 * nodes0[0])[:, None]
+        edges = np.hstack((xs[i:j, None] - c0 * nodes0, np.tile(c1 * nodes1, (len(t_lo), 1))))
         # an x outside the support clips every cut to t_hi: no width, no mass
-        np.clip(cuts, t_lo, t_hi, out=cuts)
-        cuts.sort(axis=1)
-        t = np.empty((xs.shape[0], 2 * width - 1))
-        t[:, 0::2] = cuts
-        t[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        return np.sort(np.clip(edges, t_lo, t_hi), axis=1)
+
+    def exact(t, row):
         # inside [t_lo, t_hi] the seed arguments lie in the supports; the clip
         # only undoes rounding, which could drop the edge value of a density
         # that jumps at its support end
-        g = (f0(np.clip((xs - t) / c0, nodes0[0], nodes0[-1]))
-             * f1(np.clip(t / c1, nodes1[0], nodes1[-1])))
-        panels = np.diff(cuts, axis=1) * (g[:, :-2:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
-        out[start:start + step] = np.sum(panels, axis=1) / 6.0
-    return (out / (c0 * c1)).reshape(x.shape)
+        return (f0(np.clip((xs[row] - t) / c0, nodes0[0], nodes0[-1]))
+                * f1(np.clip(t / c1, nodes1[0], nodes1[-1])))
+
+    adaptive = lambda t, row: f0((xs[row] - t) / c0) * f1(t / c1)
+    out = _integrate_rows(adaptive if cfg else exact, xs.size, cuts, cfg) / (c0 * c1)
+    out = out.reshape(np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -288,11 +291,11 @@ class DensityCurve:
         label: str = "density",
         knots=None,
     ) -> "DensityCurve":
-        """Sample f on an even grid and certify its normalization over the
-        full (truncated) support, independently of the viewing window. With
-        knots, f is a piecewise cubic there that takes arrays, and the
+        """Sample f on an even grid, in one call, and certify its
+        normalization over the full (truncated) support, independently of
+        the viewing window. With knots, f is a piecewise cubic there and the
         certificate is exact per piece."""
         xs = np.linspace(grid_lo, grid_hi, points)
-        ys = np.array([f(float(x)) for x in xs])
+        ys = f(xs)
         mass = integrate(f, support[0], support[1], cfg, knots=knots)
         return cls(xs=xs, ys=ys, support=support, norm_defect=abs(mass - 1.0), label=label)

@@ -3,9 +3,9 @@
 Four families are supported: exponential with a positive rate of finite
 variance, uniform on the unit interval, standard normal, and `Tabulated`, a
 piecewise-linear density on a uniform grid that holds its own nodes and
-loads from two-column CSV. Every family exposes pdf, moments, support
-truncation for quadrature, its kinks, and a map from blocks of uniforms to
-variates that the simulation's block sampler uses.
+loads from two-column CSV. Every family exposes pdf (over arrays), moments,
+support truncation for quadrature, its kinks, and a map from blocks of
+uniforms to variates that the simulation's block sampler uses.
 """
 
 import csv
@@ -32,7 +32,8 @@ class SeedDistribution:
     #: exact with one Simpson panel per piece.
     piecewise_linear = False
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x):
+        """Density at x, elementwise over an array of x."""
         raise NotImplementedError
 
     def moments(self) -> tuple[float, float]:
@@ -82,10 +83,9 @@ class Exponential(SeedDistribution):
         if not ok:
             raise DomainError(f"exponential rate needs finite positive 1/rate^2, got {self.rate}")
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return self.rate * math.exp(-self.rate * x)
+    def pdf(self, x):
+        # the exponential overflows for x < 0, where the density is 0 anyway
+        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))[()]
 
     def moments(self) -> tuple[float, float]:
         return 1.0 / self.rate, 1.0 / self.rate**2
@@ -107,8 +107,8 @@ class Exponential(SeedDistribution):
 
 @dataclass(frozen=True)
 class UniformUnit(SeedDistribution):
-    def pdf(self, x: float) -> float:
-        return 1.0 if 0.0 <= x <= 1.0 else 0.0
+    def pdf(self, x):
+        return np.where((0.0 <= x) & (x <= 1.0), 1.0, 0.0)[()]
 
     def moments(self) -> tuple[float, float]:
         return 0.5, 1.0 / 12.0
@@ -128,8 +128,9 @@ class UniformUnit(SeedDistribution):
 
 @dataclass(frozen=True)
 class StandardNormal(SeedDistribution):
-    def pdf(self, x: float) -> float:
-        return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
+    def pdf(self, x):
+        with np.errstate(over="ignore"):  # x*x overflows far out, where the density is 0
+            return (np.exp(-0.5 * x * x) / _SQRT_TWO_PI)[()]
 
     def moments(self) -> tuple[float, float]:
         return 0.0, 1.0
@@ -185,15 +186,7 @@ class Tabulated(SeedDistribution):
         self.node_cdf = np.concatenate([[0.0], np.cumsum(panel)])
 
     def pdf(self, x):
-        """Density at a float x, or elementwise over an array of x."""
-        if isinstance(x, np.ndarray):
-            return np.interp(x, self.grid, self.nodes, left=0.0, right=0.0)
-        if x < self.lo or x > self.hi:
-            return 0.0
-        pos = (x - self.lo) / self.step
-        i = min(int(pos), self.nodes.size - 2)
-        frac = pos - i
-        return float(self.nodes[i] + (self.nodes[i + 1] - self.nodes[i]) * frac)
+        return np.interp(x, self.grid, self.nodes, left=0.0, right=0.0)
 
     def moments(self) -> tuple[float, float]:
         # exact per-panel integrals of x*f and x^2*f for the linear interpolant

@@ -18,6 +18,7 @@ from fsrv.joint_predict import (
     joint_pdf,
     predict,
     predict_exponential_4_to_7,
+    prediction_curve,
 )
 from fsrv.limits import (
     cdf_limit_exponential_closed,
@@ -134,7 +135,8 @@ def test_criterion_05_predictor():
     law = joint_law(4, 3)
     sup = max(abs(predict(law, EXP, float(x)) - predict_exponential_4_to_7(float(x)))
               for x in np.linspace(0.1, 20.0, 200))
-    integrand = lambda x: predict(law, EXP, x) * pdf_exponential_closed(4, x)
+    # integrands take arrays of nodes; prediction_curve evaluates predict at each
+    integrand = lambda xs: prediction_curve(law, EXP, xs).g_values * pdf_exponential_closed(4, xs)
     tower = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     tower_rel = abs(tower - 21.0) / 21.0
     ok = sup <= 1e-6 and tower_rel <= 1e-4

@@ -193,7 +193,9 @@ def test_prediction_curve_methods(law43, exp_model, unif_model):
 
 def test_predictor_unbiasedness_small_grid(law43, exp_model):
     # tower property: E[g(member 4)] should equal E[member 7] = a_8 = 21
-    integrand = lambda x: predict(law43, exp_model, x) * pdf_exponential_closed(4, x)
+    # integrands take arrays of nodes; prediction_curve evaluates predict at each
+    integrand = lambda xs: (prediction_curve(law43, exp_model, xs).g_values
+                            * pdf_exponential_closed(4, xs))
     total = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     assert abs(total - 21.0) / 21.0 <= 1e-4
 

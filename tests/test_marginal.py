@@ -35,7 +35,7 @@ from fsrv.seeds import Exponential
 
 
 def grid_sup_distance(model, n, closed, xs, cfg=QuadratureConfig()):
-    return max(abs(pdf_numeric(model, n, float(x), cfg) - closed(float(x))) for x in xs)
+    return float(np.max(np.abs(pdf_numeric(model, n, xs, cfg) - closed(xs))))
 
 
 def exp_grid(n, points=250):

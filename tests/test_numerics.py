@@ -15,22 +15,22 @@ from fsrv.seeds import Exponential, UniformUnit
 
 def test_integrate_known_values():
     # mean of a unit exponential; mass beyond 60 is ~1e-24
-    assert abs(integrate(lambda x: x * math.exp(-x), 0.0, 60.0) - 1.0) < 1e-9
-    assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert abs(integrate(lambda x: x * np.exp(-x), 0.0, 60.0) - 1.0) < 1e-9
+    assert integrate(np.ones_like, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     # member-2 exponential density x*exp(-x) integrates to one
-    assert abs(integrate(lambda x: x * math.exp(-x), 0.0, 80.0) - 1.0) < 1e-9
+    assert abs(integrate(lambda x: x * np.exp(-x), 0.0, 80.0) - 1.0) < 1e-9
 
 
 def test_integrate_degenerate_and_invalid_bounds():
-    assert integrate(lambda x: 5.0, 2.0, 2.0) == 0.0
+    assert integrate(lambda x: np.full_like(x, 5.0), 2.0, 2.0) == 0.0
     with pytest.raises(DomainError):
-        integrate(lambda x: 1.0, 1.0, 0.0)
+        integrate(np.ones_like, 1.0, 0.0)
 
 
 def test_integrate_linearity():
     tol = 1e-9
-    f = lambda x: math.sin(x) ** 2
-    g = lambda x: math.exp(-x)
+    f = lambda x: np.sin(x) ** 2
+    g = lambda x: np.exp(-x)
     combined = integrate(lambda x: 2.0 * f(x) + 3.0 * g(x), 0.0, 5.0)
     parts = 2.0 * integrate(f, 0.0, 5.0) + 3.0 * integrate(g, 0.0, 5.0)
     assert abs(combined - parts) <= 3.0 * tol
@@ -38,25 +38,87 @@ def test_integrate_linearity():
 
 def test_integrate_nonconvergence_carries_partial():
     # the panels around the jump shrink to the fixed depth cap of 60 long
-    # before the evaluation budget runs out
+    # before the evaluation budget runs out; the count of evaluated points is
+    # that of the depth-first scalar recursion the engine replaced
     jump = 1e-10 * math.e
-    calls = []
-    step = lambda x: calls.append(x) or (0.0 if x < jump else 1.0)
+    sizes = []
+    step = lambda x: sizes.append(x.size) or np.where(x < jump, 0.0, 1.0)
     with pytest.raises(NonConvergenceError, match="depth 60") as excinfo:
         integrate(step, 0.0, 1.0, QuadratureConfig(abs_tol=1e-16))
-    assert len(calls) == 249
+    assert sum(sizes) == 249
     assert abs(excinfo.value.partial - (1.0 - jump)) < 1e-9
 
 
 def test_integrate_evaluation_budget():
     # a tolerance finer than doubles resolve used to bisect every panel to
     # the depth cap, about 2^60 evaluations; the budget stops it at 2^20
-    calls = []
-    smooth = lambda x: calls.append(x) or math.exp(-x * x)
+    sizes = []
+    smooth = lambda x: sizes.append(x.size) or np.exp(-x * x)
     with pytest.raises(NonConvergenceError, match="integrand evaluations") as excinfo:
         integrate(smooth, 0.0, 3.0, QuadratureConfig(abs_tol=1e-300))
-    assert len(calls) <= 1 << 20
+    assert sum(sizes) <= 1 << 20
     assert abs(excinfo.value.partial - math.sqrt(math.pi) / 2.0 * math.erf(3.0)) < 0.05
+
+
+def _depth_first_simpson(f, lo, hi, tol):
+    """The scalar depth-first adaptive Simpson recursion the array engine
+    replaced, kept as its reference: (integral, sorted nodes evaluated)."""
+    nodes = []
+
+    def g(x):
+        nodes.append(x)
+        return f(x)
+
+    simpson = lambda fa, fm, fb, width: width / 6.0 * (fa + 4.0 * fm + fb)
+    fa, fm, fb = g(lo), g((lo + hi) / 2.0), g(hi)
+    stack = [(lo, hi, fa, fm, fb, simpson(fa, fm, fb, hi - lo), tol, 0)]
+    total = 0.0
+    while stack:
+        a, b, fa, fm, fb, whole, tol, depth = stack.pop()
+        m = (a + b) / 2.0
+        lm, rm = (a + m) / 2.0, (m + b) / 2.0
+        if not a < lm < m < rm < b:
+            total += whole
+            continue
+        flm, frm = g(lm), g(rm)
+        left, right = simpson(fa, flm, fm, m - a), simpson(fm, frm, fb, b - m)
+        err = (left + right - whole) / 15.0
+        if abs(err) <= tol and depth >= 2 or depth >= 60:
+            total += left + right + err
+        else:
+            stack.append((a, m, fa, flm, fm, left, tol / 2.0, depth + 1))
+            stack.append((m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
+    return total, sorted(nodes)
+
+
+@pytest.mark.parametrize("f", [lambda x: np.exp(-x * x), lambda x: np.sin(3.0 * x) ** 2,
+                               lambda x: np.sqrt(np.abs(x - 0.3)), lambda x: x * x * x],
+                         ids=["gauss", "sin2", "cusp", "cubic"])
+def test_integrate_repeats_the_depth_first_recursion(f):
+    # same nodes and the same sum, bit for bit, as the scalar recursion
+    nodes = []
+    got = integrate(lambda x: nodes.extend(x.tolist()) or f(x), -1.0, 2.0, QuadratureConfig(1e-10))
+    want, want_nodes = _depth_first_simpson(lambda x: f(np.float64(x)), -1.0, 2.0, 1e-10)
+    assert got == want
+    assert sorted(nodes) == want_nodes
+
+
+def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
+    # a table seed with an exponential one: the adaptive rows are cut at the
+    # table's kinks, and the tolerance is shared over the non-empty pieces
+    e = Exponential(1.5)
+    se = e.effective_support()
+    for x in (0.7, 3.3, 9.0):
+        got = scaled_convolution(triangle_seed.pdf, e.pdf, 2.0, 3.0, x, QuadratureConfig(1e-9),
+                                 (0.0, 2.0), se, triangle_seed.breakpoints())
+        t_lo, t_hi = max(0.0, x - 2.0 * 2.0), min(3.0 * se[1], x)
+        cuts = [t_lo] + sorted(c for c in (x - 2.0 * b for b in triangle_seed.breakpoints())
+                               if t_lo < c < t_hi) + [t_hi]
+        integrand = lambda t: triangle_seed.pdf((x - t) / 2.0) * e.pdf(t / 3.0)
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += _depth_first_simpson(integrand, a, b, 1e-9 / (len(cuts) - 1))[0]
+        assert got == total / 6.0
 
 
 def test_scaled_convolution_exponential_pair():

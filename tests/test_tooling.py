@@ -4,19 +4,59 @@ change that renames or deletes one silently empties a `--trace 1` metric."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import fsrv.cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_layer_tracer_finds_every_target():
+def _perfbench_modules():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        from layertrace import Tracer
+        import layertrace
+        import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    tracer = Tracer()
+    return layertrace, workloads
+
+
+def test_layer_tracer_finds_every_target():
+    layertrace, _ = _perfbench_modules()
+    tracer = layertrace.Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
         assert tracer._patches
     finally:
         tracer.uninstall()
+
+
+def test_layer_tracer_counts_what_the_quadrature_workloads_require(capsys, tmp_path):
+    # a numeric smooth density, a predictor and a table-seed density reach
+    # every layer whose count quad_smooth or quad_kinked require to be non-zero
+    layertrace, workloads = _perfbench_modules()
+    counts = {name for name, unit, _ in layertrace.METRICS if unit == "count"}
+    required = set()
+    for name in ("quad_smooth", "quad_kinked"):
+        required.update(counts.intersection(workloads.build(name, 1, tmp_path / name).required))
+    assert {"joint_predict.joint_pdf_calls", "seeds.breakpoints_calls"} <= required
+    table = tmp_path / "tri.csv"
+    xs = np.linspace(0.0, 2.0, 17)
+    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
+    commands = (
+        ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7", "--method", "numeric"],
+        ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3", "--grid", "0.5:10:5"],
+        ["pdf", "--seeds", f"table:{table}", "--n", "3", "--grid", "0:7:8"],
+    )
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        for argv in commands:
+            assert fsrv.cli.main(argv) == 0
+            # the benchmark driver tallies the bytes it captured the same way
+            tracer.tally["cli.bytes_out"] += len(capsys.readouterr().out)
+        metrics = tracer.pass_metrics(values=len(commands))
+    finally:
+        tracer.uninstall()
+    assert sorted(name for name in required if not metrics[name]) == []
