@@ -24,16 +24,37 @@ from .seeds import parse_seed_spec
 NORM_DEFECT_LIMIT = 1e-6
 
 
+#: The one number rule: integers and bools exactly, anything else as a
+#: double at 17 significant digits, which round-trips.
+_INT_FORMAT, _FLOAT_FORMAT = "{:d}", "{:.17g}"
+
+
+def _column(values) -> tuple[list, str]:
+    """A column's cells as Python numbers, and the one format they all take:
+    _INT_FORMAT for an integer or bool column, and _FLOAT_FORMAT for any
+    other, which is cast to float64."""
+    column = np.asarray(values)
+    if column.dtype.kind in "biu":
+        return column.tolist(), _INT_FORMAT
+    return column.astype(np.float64, copy=False).tolist(), _FLOAT_FORMAT
+
+
 def _fmt(value) -> str:
+    """One number by the rule of _column; a Python int prints exactly, also
+    beyond int64."""
     if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+        return _INT_FORMAT.format(value)
+    return _FLOAT_FORMAT.format(float(value))
 
 
 def _dumps(obj) -> str:
-    """Compact JSON with floats at 17 significant digits."""
+    """Compact JSON with numbers by _fmt. A 1-D numeric array is formatted
+    as one column, a 2-D one row by row."""
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
+        cells, fmt = _column(obj)
+        return "[" + ",".join(map(fmt.format, cells)) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     if obj is None or isinstance(obj, (bool, str)):
@@ -53,11 +74,12 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _csv_table(header: list[str], rows, trailing: list[str] = ()) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    lines.extend(trailing)
-    return "\n".join(lines) + "\n"
+def _csv_table(header: list[str], columns, trailing: list[str] = ()) -> str:
+    """CSV of equal-length columns (arrays, ranges or lists), one format per
+    column: each column is converted once and each row is one format call."""
+    cells, fmts = zip(*map(_column, columns))
+    row = ",".join(fmts).format
+    return "\n".join([",".join(header), *map(row, *cells), *trailing, ""])
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -95,14 +117,14 @@ def _curve_output(curve: DensityCurve, output: str, out_path: str | None,
         return 3
     if output == "csv":
         trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
-        text = _csv_table(["x", "density"], zip(curve.xs, curve.ys), trailing)
+        text = _csv_table(["x", "density"], (curve.xs, curve.ys), trailing)
     else:
         doc = {
             "kind": "density_curve",
             "label": curve.label,
-            "x": list(curve.xs),
-            "density": list(curve.ys),
-            "support": list(curve.support),
+            "x": curve.xs,
+            "density": curve.ys,
+            "support": curve.support,
             "norm_defect": curve.norm_defect,
         }
         if extra:
@@ -156,7 +178,7 @@ def _cmd_moments(args) -> int:
     if args.output == "json":
         _emit(_dumps({"n": args.n, "mean": mean, "variance": variance}), args.out)
     else:
-        _emit(_csv_table(["n", "mean", "variance"], [(args.n, mean, variance)]), args.out)
+        _emit(_csv_table(["n", "mean", "variance"], ([args.n], [mean], [variance])), args.out)
     return 0
 
 
@@ -166,9 +188,9 @@ def _cmd_ratios(args) -> int:
     if args.output == "json":
         _emit(_dumps([row.as_dict() for row in rows]), args.out)
     else:
-        table = [(r.n, r.max_ratio, r.mode_ratio, r.mean_ratio, r.var_ratio) for r in rows]
-        _emit(_csv_table(["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"], table),
-              args.out)
+        header = ["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"]
+        columns = [[getattr(row, name) for row in rows] for name in header]
+        _emit(_csv_table(header, columns), args.out)
     return 0
 
 
@@ -187,15 +209,15 @@ def _cmd_joint(args) -> int:
         return 3
     density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
-        rows = zip(np.repeat(xs0, p1), np.tile(xs1, p0), density.ravel())
-        text = _csv_table(["y0", "y1", "density"], rows, [f"# norm_defect={_fmt(defect)}"])
+        columns = (np.repeat(xs0, p1), np.tile(xs1, p0), density.ravel())
+        text = _csv_table(["y0", "y1", "density"], columns, [f"# norm_defect={_fmt(defect)}"])
     else:
         text = _dumps({
             "kind": "joint_density",
             "n": args.n,
             "k": args.k,
-            "y0": list(xs0),
-            "y1": list(xs1),
+            "y0": xs0,
+            "y1": xs1,
             "density": density,
             "norm_defect": defect,
         })
@@ -211,15 +233,15 @@ def _cmd_predict(args) -> int:
     curve = joint_predict.prediction_curve(law, model, xs, method=args.method,
                                            cfg=_quad_config(joint_predict.PREDICT_CONFIG))
     if args.output == "csv":
-        text = _csv_table(["x", "predicted"], zip(curve.xs, curve.g_values))
+        text = _csv_table(["x", "predicted"], (curve.xs, curve.g_values))
     else:
         text = _dumps({
             "kind": "prediction_curve",
             "n": args.n,
             "k": args.k,
             "method": curve.method,
-            "x": list(curve.xs),
-            "predicted": list(curve.g_values),
+            "x": curve.xs,
+            "predicted": curve.g_values,
         })
     _emit(text, args.out)
     return 0
@@ -231,18 +253,18 @@ def _cmd_simulate(args) -> int:
                       args.rng_seed, args.paths, args.horizon, model)
     run = _flagged("--workers", simulate.run_simulation, config, args.workers)
     if args.paths_out is not None:
-        rows = []
-        for i in range(config.n_paths):
-            for n, value in enumerate(simulate.sample_path(config, i)):
-                rows.append((i, n, value))
+        steps = config.horizon + 1
+        columns = (np.repeat(np.arange(config.n_paths), steps),
+                   np.tile(np.arange(steps), config.n_paths),
+                   np.ravel([simulate.sample_path(config, i) for i in range(config.n_paths)]))
         with open(args.paths_out, "w") as fh:
-            fh.write(_csv_table(["path_index", "n", "value"], rows))
+            fh.write(_csv_table(["path_index", "n", "value"], columns))
     if args.output == "json":
         _emit(run.summary_json(), args.out)
     else:
         summary = run.summary()
-        rows = list(zip(range(config.horizon + 1), summary["mean"], summary["variance"]))
-        _emit(_csv_table(["n", "mean", "variance"], rows), args.out)
+        columns = (range(config.horizon + 1), summary["mean"], summary["variance"])
+        _emit(_csv_table(["n", "mean", "variance"], columns), args.out)
     return 0
 
 

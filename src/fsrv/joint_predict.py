@@ -147,12 +147,6 @@ def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, fl
     return (float(lo), float(hi)) if lo < hi else None
 
 
-def _effective_slice(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, float] | None:
-    lo, hi = _y1_interval(law, model.seed0.effective_support(),
-                          model.seed1.effective_support(), y0)
-    return (float(lo), float(hi)) if lo < hi else None
-
-
 def joint_normalization_check(law: JointLaw, model: FsrvModel,
                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total mass of the joint density by iterated 1-D quadrature over the
@@ -169,21 +163,29 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
                      y0_lo, y0_hi, cfg, knots=knots)
 
 
-def predict(law: JointLaw, model: FsrvModel, x: float,
-            cfg: QuadratureConfig = PREDICT_CONFIG) -> float:
-    """Least-squares predictor of member n+k given member n = x: the
-    conditional mean, computed as the y-weighted joint mass over the
-    conditional slice divided by the marginal density at x."""
-    marginal = pdf_numeric(model, law.n, x, cfg)
-    if marginal < DENSITY_FLOOR:
-        raise OutsideSupportError(
-            f"marginal density at x={x} is below the floor {DENSITY_FLOOR}; "
-            "the conditional mean is not identifiable there"
-        )
-    if _effective_slice(law, model, x) is None:
-        raise OutsideSupportError(f"empty conditional support at x={x}")
-    return float(_slice_integrals(law, model, seed_nodes(model), np.array([float(x)]), cfg,
-                                  weighted=True)[0]) / marginal
+def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_CONFIG):
+    """Least-squares predictor of member n+k given member n = x, for a float
+    or elementwise over an array x: the conditional mean, computed as the
+    y-weighted joint mass over the conditional slice divided by the marginal
+    density at x. One batch of marginal densities and one batch of slice
+    integrals serve every x. The first x, in order, whose marginal density
+    is below DENSITY_FLOOR or whose slice is empty raises."""
+    xs = np.ravel(np.asarray(x, dtype=np.float64))
+    marginal = pdf_numeric(model, law.n, xs, cfg)
+    lo, hi = _y1_interval(law, model.seed0.effective_support(),
+                          model.seed1.effective_support(), xs)
+    thin = marginal < DENSITY_FLOOR
+    offending = np.flatnonzero(thin | ~(lo < hi))
+    if offending.size:
+        i = offending[0]
+        if thin[i]:
+            raise OutsideSupportError(
+                f"marginal density at x={float(xs[i])} is below the floor {DENSITY_FLOOR}; "
+                "the conditional mean is not identifiable there"
+            )
+        raise OutsideSupportError(f"empty conditional support at x={float(xs[i])}")
+    g = _slice_integrals(law, model, seed_nodes(model), xs, cfg, weighted=True) / marginal
+    return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 
 def predict_exponential_4_to_7(x: float) -> float:
@@ -227,7 +229,7 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
             )
         values = np.array([predict_exponential_4_to_7(float(x)) for x in xs])
     elif method == "quadrature":
-        values = np.array([predict(law, model, float(x), cfg) for x in xs])
+        values = predict(law, model, xs, cfg)
     else:
         raise DomainError(f"unknown prediction method {method!r}")
     return PredictionCurve(xs=xs, g_values=values, method=method)

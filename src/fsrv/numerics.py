@@ -171,9 +171,10 @@ def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> n
                 f"integrand evaluations before reaching abs_tol={share[q]}", partial=partial)
 
     accepted = np.concatenate(accepted, axis=1)
-    p, _, value = accepted[:, np.lexsort(accepted[1::-1])]
+    order = np.lexsort(accepted[1::-1])
     # bincount adds its weights in order, as the recursion's running total did
-    totals = np.bincount(p.astype(np.intp), weights=value, minlength=pieces)
+    totals = np.bincount(accepted[0, order].astype(np.intp), weights=accepted[2, order],
+                         minlength=pieces)
     if capped.any():
         q = np.argmax(capped)
         raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "

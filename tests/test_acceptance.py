@@ -12,10 +12,10 @@ import pytest
 
 from fsrv.fib_core import MAX_INDEX, PHI, docagne, fib, prefix_sum
 from fsrv.joint_predict import (
-    _effective_slice,
     joint_law,
     joint_normalization_check,
     joint_pdf,
+    joint_support,
     predict,
     predict_exponential_4_to_7,
     prediction_curve,
@@ -122,7 +122,7 @@ def test_criterion_04_joint_law_normalization_and_marginal():
     cfg = QuadratureConfig(abs_tol=1e-9)
     sup = 0.0
     for x in np.linspace(0.01, 60.0, 120):
-        bounds = _effective_slice(law, EXP, float(x))
+        bounds = joint_support(law, EXP, float(x))
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, EXP, float(x), y), bounds[0], bounds[1], cfg)
         sup = max(sup, abs(got - (math.exp(-x / 3.0) - math.exp(-x / 2.0))))
@@ -135,7 +135,7 @@ def test_criterion_05_predictor():
     law = joint_law(4, 3)
     sup = max(abs(predict(law, EXP, float(x)) - predict_exponential_4_to_7(float(x)))
               for x in np.linspace(0.1, 20.0, 200))
-    # integrands take arrays of nodes; prediction_curve evaluates predict at each
+    # integrands take arrays of nodes; prediction_curve predicts them in one batch
     integrand = lambda xs: prediction_curve(law, EXP, xs).g_values * pdf_exponential_closed(4, xs)
     tower = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     tower_rel = abs(tower - 21.0) / 21.0

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fsrv.cli import main
+from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
 from fsrv.marginal import pdf_exponential_closed
@@ -177,6 +179,9 @@ def test_simulate_paths_csv(capsys, tmp_path):
     lines = paths_file.read_text().strip().splitlines()
     assert lines[0] == "path_index,n,value"
     assert len(lines) == 1 + 3 * 5
+    # recorded before the writer moved from one tuple per row to columns
+    assert hashlib.sha256(paths_file.read_bytes()).hexdigest() == \
+        "345905ab5e8bdca248a6ed3c51bbb34b5f103a315b91008f3bfd22cabd86b44b"
 
 
 def test_out_file_writing_and_byte_stability(tmp_path, capsys):
@@ -386,6 +391,29 @@ _ANALYTIC_DIGESTS = [
      "1072e662d2d4831f9aa3456ea4fb3b7d334b7a243f92630af7300cdf10231667"),
     ("moments_normal", ["moments", "--seeds", "normal01", "--n", "30", "--output", "json"],
      "a9258a0c8fc5628b73e468472954262847fd0946485d78cd794848c8bd094817"),
+    # recorded before the emit layer moved from cells to columns
+    ("ratios_csv", ["ratios", "--n-max", "30"],
+     "c5688b81a09f1e4765b8135666af272c198b713b59c5c32b5e7809a8e553d7d5"),
+    ("ratios_json", ["ratios", "--n-max", "30", "--output", "json"],
+     "61759d80178d622fee326fbc08bdfa29b1380ed233e8d059436b6af9585cc829"),
+    ("moments_csv", ["moments", "--seeds", "normal01", "--n", "30"],
+     "fbcf7c6bdb59d3e3e1b34b9939da72c8a7ce8d909fbb267aaff90aba3eb054e7"),
+    ("predict_exp_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                         "--grid", "0.5:10:5"],
+     "69c1f873f7aa438ce4d46a64844fc425fb789813860e8a88dc54b42fa72a6c1b"),
+    ("predict_table_csv", ["predict", "--seeds", "TABLE", "--n", "4", "--k", "3",
+                           "--grid", "0.5:5:5"],
+     "3c22302a450eff4495fb1d238e3839b6645c44304605ab794a2b008888ce2085"),
+    ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
+                         "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
+     "8bea4ab148eedd105d32e731f940ce4d33c7be22f3dd0b587bb9a7713d5af061"),
+    ("simulate_csv", ["simulate", "--seeds", "normal01", "--paths", "50", "--horizon", "10",
+                      "--rng-seed", "7"],
+     "144868670a792994e52360f8f54df9217ae4c5e25865b69e22fdb1a5f1a09c19"),
+    ("fib_csv", ["fib", "--n", "150"],
+     "e201f47445320bff4139b815f1565ef63d0d444df73d44643bcffc8143c6e240"),
+    ("fib_json", ["fib", "--n", "150", "--output", "json"],
+     "2e297b3300310faf3ec3d5472f7aba4c11d85d6ec68d1774e594b1427ce43171"),
 ]
 
 
@@ -399,3 +427,77 @@ def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# --- the column formatter against the per-cell formatter it replaced --------
+
+def _cell_fmt(value) -> str:
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _cell_dumps(obj) -> str:
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_cell_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_cell_dumps(v) for v in obj) + "]"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    return _cell_fmt(obj)
+
+
+def _cell_csv_table(header, rows, trailing=()) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell_fmt(cell) for cell in row) for row in rows)
+    lines.extend(trailing)
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_DOUBLES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16,
+                 1e17, 123456789012345678.0]
+doubles = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+int64s = st.integers(-2**63, 2**63 - 1)
+
+
+@given(st.lists(st.tuples(int64s, doubles, st.booleans()), max_size=40))
+@example([(2**62 * (i % 3 - 1) + i, v, i % 2 == 0) for i, v in enumerate(_EDGE_DOUBLES)])
+def test_column_formatter_matches_cells_on_doubles(rows):
+    expected = _cell_csv_table(["i", "v", "b"], rows, ["# end"])
+    ints, values, flags = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    as_arrays = (np.array(ints, dtype=np.int64), np.array(values, dtype=np.float64),
+                 np.array(flags, dtype=bool))
+    assert _csv_table(["i", "v", "b"], (ints, values, flags), ["# end"]) == expected
+    assert _csv_table(["i", "v", "b"], as_arrays, ["# end"]) == expected
+    # float32 cells widen to the same doubles cell by cell and by column
+    with np.errstate(over="ignore"):
+        narrow = np.array(values, dtype=np.float32)
+    assert _csv_table(["v"], (narrow,)) == _cell_csv_table(["v"], zip(narrow))
+    for column in as_arrays + (narrow,):
+        assert _dumps(column) == _cell_dumps(column)
+    assert _dumps(values) == _cell_dumps(values)
+
+
+@given(st.lists(int64s, max_size=30), st.lists(st.booleans(), max_size=30))
+def test_column_formatter_matches_cells_on_integers_and_bools(ints, flags):
+    for column in (ints, np.array(ints, dtype=np.int64), flags, np.array(flags, dtype=bool),
+                   range(len(ints))):
+        expected = _cell_csv_table(["c"], zip(column))
+        assert _csv_table(["c"], (column,)) == expected
+        if isinstance(column, np.ndarray):
+            assert _dumps(column) == _cell_dumps(column)
+    unsigned = np.array([abs(i) for i in ints], dtype=np.uint64)
+    assert _dumps(unsigned) == _cell_dumps(unsigned)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_dumps_matches_cells_on_2d_arrays_and_documents(rows, cols, data):
+    values = data.draw(st.lists(doubles, min_size=rows * cols, max_size=rows * cols))
+    grid = np.array(values, dtype=np.float64).reshape(rows, cols)
+    big = data.draw(st.integers(-10**40, 10**40))  # Python ints beyond int64, as fib's
+    doc = {"kind": "t", "n": big, "flag": True, "none": None, "grid": grid,
+           "x": grid.ravel(), "ints": np.arange(cols), "support": (0.0, math.inf),
+           "defect": np.float64(values[0]) if values else np.float32(0.5),
+           "rows": [{"k": np.int64(rows), "v": -0.0}]}
+    assert _dumps(doc) == _cell_dumps(doc)

@@ -16,7 +16,7 @@ from fsrv.joint_predict import (
     prediction_curve,
     seed_coordinates,
 )
-from fsrv.marginal import pdf_exponential_closed, pdf_uniform_closed
+from fsrv.marginal import FsrvModel, pdf_exponential_closed, pdf_uniform_closed
 from fsrv.numerics import QuadratureConfig, integrate
 
 
@@ -98,10 +98,8 @@ def test_joint_normalization_small_cases(exp_model, unif_model):
 
 
 def test_marginalizing_joint_recovers_member_density(law43, exp_model):
-    from fsrv.joint_predict import _effective_slice
-
     for x in (0.5, 2.0, 6.0, 15.0):
-        bounds = _effective_slice(law43, exp_model, x)
+        bounds = joint_support(law43, exp_model, x)
         got = integrate(lambda y: joint_pdf(law43, exp_model, x, y), bounds[0], bounds[1],
                         QuadratureConfig(abs_tol=1e-10))
         expected = math.exp(-x / 3.0) - math.exp(-x / 2.0)
@@ -110,11 +108,9 @@ def test_marginalizing_joint_recovers_member_density(law43, exp_model):
 
 
 def test_marginalizing_uniform_joint(unif_model):
-    from fsrv.joint_predict import _effective_slice
-
     law = joint_law(5, 1)
     for x in (0.5, 2.5, 6.0):
-        bounds = _effective_slice(law, unif_model, x)
+        bounds = joint_support(law, unif_model, x)
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, unif_model, x, y), bounds[0], bounds[1])
         assert abs(got - pdf_uniform_closed(5, x)) <= 1e-6
@@ -123,15 +119,13 @@ def test_marginalizing_uniform_joint(unif_model):
 @pytest.mark.parametrize("n,k", [(4, 3), (3, 2), (5, 1)])
 @pytest.mark.parametrize("family", ["exponential", "uniform"])
 def test_marginalization_over_all_benchmark_pairs(n, k, family, exp_model, unif_model):
-    from fsrv.joint_predict import _effective_slice
-
     model = exp_model if family == "exponential" else unif_model
     closed = (lambda x: pdf_exponential_closed(n, x)) if family == "exponential" \
         else (lambda x: pdf_uniform_closed(n, x))
     law = joint_law(n, k)
     hi = 4.0 * float(fib(n + 1)) if family == "exponential" else float(fib(n - 1) + fib(n))
     for x in np.linspace(0.05, hi, 12):
-        bounds = _effective_slice(law, model, float(x))
+        bounds = joint_support(law, model, float(x))
         got = 0.0 if bounds is None else integrate(
             lambda y: joint_pdf(law, model, float(x), y), bounds[0], bounds[1],
             QuadratureConfig(abs_tol=1e-9))
@@ -158,6 +152,37 @@ def test_predict_outside_effective_support(law43, exp_model):
         predict(law43, exp_model, -1.0)
     with pytest.raises(OutsideSupportError):
         predict(law43, exp_model, 400.0)
+
+
+@pytest.mark.parametrize("family", ["exponential", "normal", "table"])
+def test_batched_predict_equals_pointwise_predict(family, exp_model, norm_model,
+                                                  triangle_seed, law43):
+    # one batch of densities and slice integrals; each value as if alone
+    model, xs = {
+        "exponential": (exp_model, np.linspace(0.1, 20.0, 23)),
+        "normal": (norm_model, np.linspace(-4.0, 4.0, 9)),
+        "table": (FsrvModel(triangle_seed, triangle_seed), np.linspace(0.3, 9.7, 17)),
+    }[family]
+    batch = predict(law43, model, xs)
+    assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+    pointwise = [predict(law43, model, float(x)) for x in xs]
+    assert all(isinstance(g, float) for g in pointwise)
+    assert batch.tobytes() == np.array(pointwise).tobytes()
+    assert predict(law43, model, xs.reshape(-1, 1)).shape == (xs.size, 1)
+
+
+def test_batched_predict_names_the_first_offending_point(law43, exp_model, norm_model,
+                                                         triangle_seed):
+    # messages as the per-point loop raised them, for the first x in grid order
+    floor = "is below the floor 1e-12; the conditional mean is not identifiable there"
+    for model, xs, bad in ((exp_model, [1.0, 2.0, 400.0, -1.0], "400.0"),
+                           (exp_model, np.linspace(-1.0, 5.0, 7), "-1.0"),
+                           (FsrvModel(triangle_seed, triangle_seed),
+                            np.linspace(0.5, 11.0, 8), "11.0"),
+                           (norm_model, np.linspace(-60.0, 0.0, 4), "-60.0")):
+        with pytest.raises(OutsideSupportError) as excinfo:
+            prediction_curve(law43, model, xs)
+        assert str(excinfo.value) == f"marginal density at x={bad} {floor}"
 
 
 def test_closed_predictor_limit_and_asymptote():
@@ -193,7 +218,7 @@ def test_prediction_curve_methods(law43, exp_model, unif_model):
 
 def test_predictor_unbiasedness_small_grid(law43, exp_model):
     # tower property: E[g(member 4)] should equal E[member 7] = a_8 = 21
-    # integrands take arrays of nodes; prediction_curve evaluates predict at each
+    # integrands take arrays of nodes; prediction_curve predicts them in one batch
     integrand = lambda xs: (prediction_curve(law43, exp_model, xs).g_values
                             * pdf_exponential_closed(4, xs))
     total = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))

@@ -60,3 +60,33 @@ def test_layer_tracer_counts_what_the_quadrature_workloads_require(capsys, tmp_p
     finally:
         tracer.uninstall()
     assert sorted(name for name in required if not metrics[name]) == []
+
+
+def test_layer_tracer_counts_what_the_emit_workload_requires(capsys, tmp_path):
+    # closed densities in both formats, a joint density and a path dump reach
+    # every layer whose count or time emit_bound requires to be non-zero
+    layertrace, workloads = _perfbench_modules()
+    required = set(workloads.build("emit_bound", 1, tmp_path / "emit").required)
+    assert {"cli.emit_s", "simulate.serialize_s", "simulate.sample_path_calls"} <= required
+    commands = (
+        ["pdf", "--seeds", "exp:1", "--n", "10", "--grid", "0:600:50"],
+        ["pdf", "--seeds", "unif01", "--n", "10", "--grid", "0:90:50", "--output", "json"],
+        ["limit", "--seeds", "unif01", "--grid=-2:2:50"],
+        ["joint", "--seeds", "unif01", "--n", "6", "--k", "4", "--grid0", "0:13:10",
+         "--grid1", "0:89:10"],
+        ["simulate", "--seeds", "normal01", "--paths", "20", "--horizon", "10",
+         "--rng-seed", "3", "--paths-out", str(tmp_path / "paths.csv")],
+    )
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        for argv in commands:
+            # the op's command, as the driver passes it: emit time under
+            # simulate also counts as serialization
+            tracer.begin_op(argv[0], argv[0])
+            assert fsrv.cli.main(argv) == 0
+            tracer.tally["cli.bytes_out"] += len(capsys.readouterr().out)
+        metrics = tracer.pass_metrics(values=len(commands))
+    finally:
+        tracer.uninstall()
+    assert sorted(name for name in required if not metrics[name]) == []
