@@ -14,7 +14,6 @@ from .errors import (
 from .fib_core import MAX_INDEX, PHI, docagne, fib, prefix_sum, ratio
 from .joint_predict import (
     JointLaw,
-    PredictionCurve,
     joint_law,
     joint_normalization_check,
     joint_pdf,

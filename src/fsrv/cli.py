@@ -2,9 +2,10 @@
 JSON suitable for plotting and scripting.
 
 Numbers are written with 17 significant digits so emitted files are
-byte-stable across runs and round-trip exactly back to doubles. Exit codes:
-0 success, 2 validation failure, 3 numeric non-convergence or a density
-table failing its normalization certificate.
+byte-stable across runs and round-trip exactly back to doubles. Each
+subcommand returns its output text; main alone writes it, reports errors and
+picks the exit code: 0 success, 2 validation failure, 3 numeric
+non-convergence or a density table failing its normalization certificate.
 """
 
 import argparse
@@ -109,29 +110,14 @@ def _quad_config(default: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureConfig
     return _flagged("FSRV_QUAD_TOL", QuadratureConfig, tol)
 
 
-def _curve_output(curve: DensityCurve, output: str, out_path: str | None,
-                  extra: dict | None = None) -> int:
-    if curve.norm_defect > NORM_DEFECT_LIMIT:
-        print(f"error: density table norm_defect {curve.norm_defect:.3e} exceeds "
-              f"{NORM_DEFECT_LIMIT:.0e}; refusing to emit", file=sys.stderr)
-        return 3
-    if output == "csv":
-        trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
-        text = _csv_table(["x", "density"], (curve.xs, curve.ys), trailing)
-    else:
-        doc = {
-            "kind": "density_curve",
-            "label": curve.label,
-            "x": curve.xs,
-            "density": curve.ys,
-            "support": curve.support,
-            "norm_defect": curve.norm_defect,
-        }
-        if extra:
-            doc.update(extra)
-        text = _dumps(doc)
-    _emit(text, out_path)
-    return 0
+class _Refusal(FsrvError):
+    """A normalization certificate refused to pass a density."""
+
+
+def _certify(what: str, defect: float) -> None:
+    if defect > NORM_DEFECT_LIMIT:
+        raise _Refusal(f"{what} norm_defect {defect:.3e} exceeds "
+                       f"{NORM_DEFECT_LIMIT:.0e}; refusing to emit")
 
 
 def _flagged(flag: str, fn, *fn_args):
@@ -142,16 +128,14 @@ def _flagged(flag: str, fn, *fn_args):
         raise FsrvError(f"{flag}: {exc}") from None
 
 
-def _cmd_fib(args) -> int:
+def _cmd_fib(args) -> str:
     value = _flagged("--n", fib_core.fib, args.n)
     if args.output == "json":
-        _emit(_dumps({"n": args.n, "value": value}), args.out)
-    else:
-        _emit(str(value), args.out)
-    return 0
+        return _dumps({"n": args.n, "value": value})
+    return str(value)
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> str:
     """pdf, limit and sums: sample the density law the subcommand builds on
     the grid. Only pdf has --method, and only pdf reports which route ran."""
     model = _model_from(args)
@@ -159,99 +143,99 @@ def _cmd_density(args) -> int:
     law = args.law(args, model, cfg)
     method = getattr(args, "method", None)
     if method == "closed" and law.closed is None:
-        print(f"error: --method closed: no closed form for seeds {args.seeds!r}",
-              file=sys.stderr)
-        return 2
+        raise FsrvError(f"--method closed: no closed form for seeds {args.seeds!r}")
     numeric = method == "numeric" or law.closed is None
     lo, hi, points = args.grid
     curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
                                        law.support, cfg, label=law.label, knots=law.knots)
-    extra = law.fields
-    if method is not None:
-        extra = {"method": "numeric" if numeric else "closed", **extra}
-    return _curve_output(curve, args.output, args.out, extra=extra)
+    _certify("density table", curve.norm_defect)
+    if args.output == "csv":
+        trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
+        return _csv_table(["x", "density"], (curve.xs, curve.ys), trailing)
+    route = {} if method is None else {"method": "numeric" if numeric else "closed"}
+    return _dumps({
+        "kind": "density_curve",
+        "label": curve.label,
+        "x": curve.xs,
+        "density": curve.ys,
+        "support": curve.support,
+        "norm_defect": curve.norm_defect,
+        **route,
+        **law.fields,
+    })
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> str:
     model = _model_from(args)
     mean, variance = _flagged("--n", marginal.moments_xn, model, args.n)
     if args.output == "json":
-        _emit(_dumps({"n": args.n, "mean": mean, "variance": variance}), args.out)
-    else:
-        _emit(_csv_table(["n", "mean", "variance"], ([args.n], [mean], [variance])), args.out)
-    return 0
+        return _dumps({"n": args.n, "mean": mean, "variance": variance})
+    return _csv_table(["n", "mean", "variance"], ([args.n], [mean], [variance]))
 
 
-def _cmd_ratios(args) -> int:
+def _cmd_ratios(args) -> str:
     rows = _flagged("--n-min/--n-max", marginal.ratio_diagnostics,
                     args.n_min, args.n_max)
     if args.output == "json":
-        _emit(_dumps([row.as_dict() for row in rows]), args.out)
-    else:
-        header = ["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"]
-        columns = [[getattr(row, name) for row in rows] for name in header]
-        _emit(_csv_table(header, columns), args.out)
-    return 0
+        return _dumps([row.as_dict() for row in rows])
+    header = ["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"]
+    return _csv_table(header, [[getattr(row, name) for row in rows] for name in header])
 
 
-def _cmd_joint(args) -> int:
+def _cmd_joint(args) -> str:
     model = _model_from(args)
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
     lo0, hi0, p0 = args.grid0
     lo1, hi1, p1 = args.grid1
     xs0 = np.linspace(lo0, hi0, p0)
     xs1 = np.linspace(lo1, hi1, p1)
-    mass = joint_predict.joint_normalization_check(law, model, _quad_config())
-    defect = abs(mass - 1.0)
-    if defect > NORM_DEFECT_LIMIT:
-        print(f"error: joint density norm_defect {defect:.3e} exceeds "
-              f"{NORM_DEFECT_LIMIT:.0e}; refusing to emit", file=sys.stderr)
-        return 3
+    defect = abs(joint_predict.joint_normalization_check(law, model, _quad_config()) - 1.0)
+    _certify("joint density", defect)
     density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
         columns = (np.repeat(xs0, p1), np.tile(xs1, p0), density.ravel())
-        text = _csv_table(["y0", "y1", "density"], columns, [f"# norm_defect={_fmt(defect)}"])
-    else:
-        text = _dumps({
-            "kind": "joint_density",
-            "n": args.n,
-            "k": args.k,
-            "y0": xs0,
-            "y1": xs1,
-            "density": density,
-            "norm_defect": defect,
-        })
-    _emit(text, args.out)
-    return 0
+        return _csv_table(["y0", "y1", "density"], columns, [f"# norm_defect={_fmt(defect)}"])
+    return _dumps({
+        "kind": "joint_density",
+        "n": args.n,
+        "k": args.k,
+        "y0": xs0,
+        "y1": xs1,
+        "density": density,
+        "norm_defect": defect,
+    })
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> str:
     model = _model_from(args)
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
     lo, hi, points = args.grid
     xs = np.linspace(lo, hi, points)
-    curve = joint_predict.prediction_curve(law, model, xs, method=args.method,
-                                           cfg=_quad_config(joint_predict.PREDICT_CONFIG))
+    predicted = joint_predict.prediction_curve(law, model, xs, method=args.method,
+                                               cfg=_quad_config(joint_predict.PREDICT_CONFIG))
     if args.output == "csv":
-        text = _csv_table(["x", "predicted"], (curve.xs, curve.g_values))
-    else:
-        text = _dumps({
-            "kind": "prediction_curve",
-            "n": args.n,
-            "k": args.k,
-            "method": curve.method,
-            "x": curve.xs,
-            "predicted": curve.g_values,
-        })
-    _emit(text, args.out)
-    return 0
+        return _csv_table(["x", "predicted"], (xs, predicted))
+    return _dumps({
+        "kind": "prediction_curve",
+        "n": args.n,
+        "k": args.k,
+        "method": args.method,
+        "x": xs,
+        "predicted": predicted,
+    })
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     model = _model_from(args)
-    config = _flagged("--paths/--horizon", simulate.SimulationConfig,
+    config = _flagged("--paths/--horizon/--rng-seed", simulate.SimulationConfig,
                       args.rng_seed, args.paths, args.horizon, model)
     run = _flagged("--workers", simulate.run_simulation, config, args.workers)
+    if args.output == "json":
+        text = _flagged("--horizon/--seeds", run.summary_json)
+    else:
+        summary = _flagged("--horizon/--seeds", run.summary)
+        columns = (range(config.horizon + 1), summary["mean"], summary["variance"])
+        text = _csv_table(["n", "mean", "variance"], columns)
     if args.paths_out is not None:
         steps = config.horizon + 1
         columns = (np.repeat(np.arange(config.n_paths), steps),
@@ -259,13 +243,7 @@ def _cmd_simulate(args) -> int:
                    np.ravel([simulate.sample_path(config, i) for i in range(config.n_paths)]))
         with open(args.paths_out, "w") as fh:
             fh.write(_csv_table(["path_index", "n", "value"], columns))
-    if args.output == "json":
-        _emit(run.summary_json(), args.out)
-    else:
-        summary = run.summary()
-        columns = (range(config.horizon + 1), summary["mean"], summary["variance"])
-        _emit(_csv_table(["n", "mean", "variance"], columns), args.out)
-    return 0
+    return text
 
 
 def _model_from(args) -> marginal.FsrvModel:
@@ -375,16 +353,14 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
     except NonConvergenceError as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return 3
-    except FsrvError as exc:
+    except (FsrvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _Refusal) else 2
+    return 0
 
 
 if __name__ == "__main__":

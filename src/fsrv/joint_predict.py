@@ -201,19 +201,10 @@ def predict_exponential_4_to_7(x: float) -> float:
     return 4.0 * x - 2.0 - x / (3.0 * math.expm1(-x / 6.0))
 
 
-@dataclass(frozen=True)
-class PredictionCurve:
-    """Predictor values over a grid of conditioning points."""
-
-    xs: np.ndarray
-    g_values: np.ndarray
-    method: str
-
-
 def prediction_curve(law: JointLaw, model: FsrvModel, xs,
                      method: str = "quadrature",
-                     cfg: QuadratureConfig = PREDICT_CONFIG) -> PredictionCurve:
-    """Evaluate the predictor on a grid.
+                     cfg: QuadratureConfig = PREDICT_CONFIG) -> np.ndarray:
+    """The predictor's values on a grid.
 
     method='quadrature' works for any seeds; method='closed_form' is only
     available for the benchmark case (n, k) = (4, 3) with iid unit-rate
@@ -227,9 +218,7 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
                 "closed_form prediction is only available for (n, k) = (4, 3) "
                 "with iid unit-rate exponential seeds"
             )
-        values = np.array([predict_exponential_4_to_7(float(x)) for x in xs])
-    elif method == "quadrature":
-        values = predict(law, model, xs, cfg)
-    else:
-        raise DomainError(f"unknown prediction method {method!r}")
-    return PredictionCurve(xs=xs, g_values=values, method=method)
+        return np.array([predict_exponential_4_to_7(float(x)) for x in xs])
+    if method == "quadrature":
+        return predict(law, model, xs, cfg)
+    raise DomainError(f"unknown prediction method {method!r}")

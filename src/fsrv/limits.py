@@ -36,10 +36,9 @@ class LimitLaw:
 
 def limit_law(model: FsrvModel) -> LimitLaw:
     mean, variance = linear_form_moments(model, 1.0, PHI)
-    a_scale = math.sqrt(variance)
-    if a_scale <= 0.0:
+    if variance <= 0.0:
         raise DomainError("limit law undefined: both seeds are degenerate (zero variance)")
-    return LimitLaw(model=model, a_scale=a_scale, b_shift=mean)
+    return LimitLaw(model=model, a_scale=math.sqrt(variance), b_shift=mean)
 
 
 def pdf_limit_numeric(law: LimitLaw, x, cfg: QuadratureConfig = DEFAULT_CONFIG):

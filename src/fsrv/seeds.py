@@ -189,17 +189,18 @@ class Tabulated(SeedDistribution):
         return np.interp(x, self.grid, self.nodes, left=0.0, right=0.0)
 
     def moments(self) -> tuple[float, float]:
-        # exact per-panel integrals of x*f and x^2*f for the linear interpolant
+        # exact per-panel integrals of x*f and x^2*f for the linear interpolant,
+        # about lo: far from 0 the variance would cancel away in E[x^2] - mean^2
         h = self.step
         y0 = self.nodes[:-1]
         y1 = self.nodes[1:]
-        x0 = self.lo + h * np.arange(self.nodes.size - 1)
+        x0 = h * np.arange(self.nodes.size - 1)
         m0 = 0.5 * h * (y0 + y1)
         t1 = 0.5 * h * h * y0 + (y1 - y0) * h * h / 3.0
         t2 = y0 * h**3 / 3.0 + (y1 - y0) * h**3 / 4.0
         mean = float(np.sum(x0 * m0 + t1))
         second = float(np.sum(x0 * x0 * m0 + 2.0 * x0 * t1 + t2))
-        return mean, second - mean * mean
+        return self.lo + mean, second - mean * mean
 
     def support(self) -> tuple[float, float]:
         return self.lo, self.hi

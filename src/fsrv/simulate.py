@@ -25,8 +25,6 @@ from .fib_core import PHI
 from .limits import normalized_sum_law
 from .marginal import FsrvModel
 
-_MASK64 = (1 << 64) - 1
-
 #: Uniform variates reserved per path: two per seed draw.
 _BLOCK = 4
 
@@ -50,6 +48,8 @@ class SimulationConfig:
     model: FsrvModel
 
     def __post_init__(self):
+        if not 0 <= self.rng_seed < 2**64:  # the Philox key is 64 bits
+            raise DomainError(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not 2 <= self.horizon <= 90:
@@ -59,7 +59,7 @@ class SimulationConfig:
 def _uniform_blocks(rng_seed: int, start_path: int, count: int) -> np.ndarray:
     """(count, 4) uniforms; row i is counter block start_path+i of the keyed
     Philox stream, independent of how calls batch the paths."""
-    gen = np.random.Generator(np.random.Philox(key=rng_seed & _MASK64, counter=start_path))
+    gen = np.random.Generator(np.random.Philox(key=rng_seed, counter=start_path))
     return gen.random(_BLOCK * count).reshape(count, _BLOCK)
 
 
@@ -139,21 +139,27 @@ class SimulationRun:
 
     def summary(self) -> dict:
         """Per-index empirical mean and variance, cached; the reduction order
-        is fixed by path index, so the result is chunking-invariant."""
+        is fixed by path index, so the result is chunking-invariant. Raises
+        DomainError when a mean or variance overflows a double."""
         if self._summary is None:
             means, variances = [], []
             # np.var(vals, ddof=1) step by step, reusing the mean and one buffer
             scratch = np.empty(self.config.n_paths)
-            for n in range(self.config.horizon + 1):
-                vals = self._member(n)
-                mean = np.mean(vals)
-                means.append(float(mean))
-                if vals.size > 1:
-                    np.subtract(vals, mean, out=scratch)
-                    np.multiply(scratch, scratch, out=scratch)
-                    variances.append(float(np.sum(scratch) / (vals.size - 1)))
-                else:
-                    variances.append(0.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for n in range(self.config.horizon + 1):
+                    vals = self._member(n)
+                    mean = np.mean(vals)
+                    means.append(float(mean))
+                    if vals.size > 1:
+                        np.subtract(vals, mean, out=scratch)
+                        np.multiply(scratch, scratch, out=scratch)
+                        variances.append(float(np.sum(scratch) / (vals.size - 1)))
+                    else:
+                        variances.append(0.0)
+            finite = np.isfinite(means) & np.isfinite(variances)
+            if not finite.all():
+                raise DomainError(f"the empirical mean or variance of member "
+                                  f"{int(np.argmin(finite))} overflows a double")
             self._summary = {
                 "rng_seed": self.config.rng_seed,
                 "n_paths": self.config.n_paths,

@@ -136,7 +136,7 @@ def test_criterion_05_predictor():
     sup = max(abs(predict(law, EXP, float(x)) - predict_exponential_4_to_7(float(x)))
               for x in np.linspace(0.1, 20.0, 200))
     # integrands take arrays of nodes; prediction_curve predicts them in one batch
-    integrand = lambda xs: prediction_curve(law, EXP, xs).g_values * pdf_exponential_closed(4, xs)
+    integrand = lambda xs: prediction_curve(law, EXP, xs) * pdf_exponential_closed(4, xs)
     tower = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     tower_rel = abs(tower - 21.0) / 21.0
     ok = sup <= 1e-6 and tower_rel <= 1e-4

@@ -4,16 +4,19 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fsrv import joint_predict
 from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
 from fsrv.marginal import pdf_exponential_closed
+from fsrv.numerics import DensityCurve
 
 
 def run_cli(capsys, *argv):
@@ -215,7 +218,8 @@ def test_grid_validation_names_flag(capsys):
         assert flag in capsys.readouterr().err
     simulate = ["simulate", "--seeds", "exp:1", "--paths", "10", "--horizon", "5",
                 "--rng-seed", "1"]
-    for flag, bad in (("--workers", "0"), ("--paths", "0"), ("--horizon", "1")):
+    for flag, bad in (("--workers", "0"), ("--paths", "0"), ("--horizon", "1"),
+                      ("--rng-seed", "-1"), ("--rng-seed", str(2**64))):
         code, _, err = run_cli(capsys, *simulate, flag, bad)
         assert code == 2
         assert err.startswith("error: ") and flag in err
@@ -311,16 +315,77 @@ def test_moments_overflow_exits_2_naming_n(capsys):
     assert code == 0 and math.isfinite(json.loads(out)["variance"])
 
 
-def test_failed_normalization_certificate_blocks_emission(capsys):
-    from fsrv.cli import _curve_output
-    from fsrv.numerics import DensityCurve
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_simulate_overflow_exits_2_naming_its_flags(capsys, output):
+    # members of exp:1e-150 paths overflow from member 21 on; the summary
+    # printed inf (Infinity in JSON) under a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", "--seeds", "exp:1e-150", "--paths", "3",
+                                 "--horizon", "90", "--rng-seed", "1", "--output", output)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --horizon/--seeds: ") and "overflows" in err
 
+
+def test_limit_on_a_table_too_narrow_for_its_offset_fails_cleanly(capsys, tmp_path):
+    # its variance cancelled to a negative number, and limit crashed in
+    # math.sqrt; the knots near 3e4 now lose too much for the certificate
+    table = tmp_path / "narrow.csv"
+    xs = np.linspace(1e4, 1e4 + 1e-7, 16)
+    table.write_text("\n".join(f"{float(x)!r},1.0" for x in xs) + "\n")
+    code, out, err = run_cli(capsys, "limit", "--seeds", f"table:{table}", "--grid=-2:2:5")
+    assert code in (2, 3) and out == ""
+    assert err.startswith("error: ")
+
+
+def _refuse_density(monkeypatch):
     bogus = DensityCurve(xs=np.array([0.0, 1.0]), ys=np.array([0.5, 0.5]),
                          support=(0.0, 1.0), norm_defect=5e-4)
-    code = _curve_output(bogus, "csv", None)
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "norm_defect" in err
+    monkeypatch.setattr(DensityCurve, "from_function", lambda *args, **kwargs: bogus)
+
+
+_EXIT_CASES = {
+    # case: (exit code, argv, setup, start of the error line)
+    "argparse": (2, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"], None,
+                 "fsrv pdf: error: argument --grid: "),
+    "domain": (2, ["joint", "--seeds", "exp:1", "--n", "1", "--k", "1", "--grid0", "0:1:3",
+                   "--grid1", "0:1:3"], None, "error: --n/--k: member index must be >= 2"),
+    "unwritable_out": (2, ["fib", "--n", "5", "--out", "{missing}"], None,
+                       "error: [Errno 2] No such file or directory: "),
+    "quad_tol": (3, ["pdf", "--seeds", "normal01", "--n", "4", "--grid", "0:1:5",
+                     "--method", "numeric"],
+                 lambda mp: mp.setenv("FSRV_QUAD_TOL", "1e-300"),
+                 "error: quadrature did not converge: "),
+    "density_certificate": (3, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "0:1:2"],
+                            _refuse_density,
+                            "error: density table norm_defect 5.000e-04 exceeds 1e-06; "
+                            "refusing to emit"),
+    "joint_certificate": (3, ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
+                              "--grid0", "0:5:4", "--grid1", "0:21:4"],
+                          lambda mp: mp.setattr(joint_predict, "joint_normalization_check",
+                                                lambda *args: 1.01),
+                          "error: joint density norm_defect 1.000e-02 exceeds 1e-06; "
+                          "refusing to emit"),
+}
+
+
+@pytest.mark.parametrize("case", _EXIT_CASES)
+def test_each_failure_class_exits_with_its_code(capsys, monkeypatch, tmp_path, case):
+    # main alone writes output and errors: a failing command prints nothing
+    # to stdout and one error line to stderr, after argparse's usage lines
+    expected, argv, setup, start = _EXIT_CASES[case]
+    if setup is not None:
+        setup(monkeypatch)
+    argv = [arg.format(missing=tmp_path / "missing" / "out.csv") for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on its own
+        code = exc.code
+    captured = capsys.readouterr()
+    *usage, line = captured.err.splitlines()
+    assert (code, captured.out) == (expected, "")
+    assert line.startswith(start)
+    assert usage == [] or case == "argparse"
 
 
 def test_main_leaves_no_cyclic_garbage(capsys, tmp_path):

@@ -206,8 +206,8 @@ def test_prediction_curve_methods(law43, exp_model, unif_model):
     xs = np.linspace(1.0, 4.0, 7)
     closed = prediction_curve(law43, exp_model, xs, method="closed_form")
     quad = prediction_curve(law43, exp_model, xs, method="quadrature")
-    assert np.max(np.abs(closed.g_values - quad.g_values)) <= 1e-6
-    assert closed.method == "closed_form"
+    assert closed.shape == quad.shape == xs.shape
+    assert np.max(np.abs(closed - quad)) <= 1e-6
     with pytest.raises(DomainError):
         prediction_curve(law43, unif_model, xs, method="closed_form")
     with pytest.raises(DomainError):
@@ -219,8 +219,7 @@ def test_prediction_curve_methods(law43, exp_model, unif_model):
 def test_predictor_unbiasedness_small_grid(law43, exp_model):
     # tower property: E[g(member 4)] should equal E[member 7] = a_8 = 21
     # integrands take arrays of nodes; prediction_curve predicts them in one batch
-    integrand = lambda xs: (prediction_curve(law43, exp_model, xs).g_values
-                            * pdf_exponential_closed(4, xs))
+    integrand = lambda xs: prediction_curve(law43, exp_model, xs) * pdf_exponential_closed(4, xs)
     total = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
     assert abs(total - 21.0) / 21.0 <= 1e-4
 

@@ -37,11 +37,16 @@ def test_limit_law_constants(exp_model, unif_model):
 
 def test_limit_law_rejects_degenerate_seeds():
     class Point(SeedDistribution):
-        def moments(self):
-            return 1.0, 0.0
+        def __init__(self, variance):
+            self.variance = variance
 
-    with pytest.raises(DomainError):
-        limit_law(FsrvModel(Point(), Point()))
+        def moments(self):
+            return 1.0, self.variance
+
+    # a variance rounded below zero used to reach math.sqrt
+    for variance in (0.0, -1e-15):
+        with pytest.raises(DomainError):
+            limit_law(FsrvModel(Point(variance), Point(variance)))
 
 
 def test_exponential_limit_pdf_support_edge_and_tail():

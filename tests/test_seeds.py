@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fsrv.errors import DomainError
-from fsrv.marginal import FsrvModel
+from fsrv.fib_core import fib
+from fsrv.marginal import FsrvModel, moments_xn
 from fsrv.numerics import integrate
 from fsrv.seeds import (
     Exponential,
@@ -94,6 +95,15 @@ def test_tabulated_triangle_moments_exact(triangle_seed):
     mean, var = triangle_seed.moments()
     assert abs(mean - 1.0) < 1e-12
     assert abs(var - 1.0 / 6.0) < 1e-12
+
+
+def test_tabulated_moments_keep_their_variance_far_from_zero():
+    # E[x^2] - mean^2 in absolute coordinates cancelled to 43% too high here
+    width = 1e-3
+    flat = Tabulated(1e4, 1e4 + width, np.ones(16))
+    _, variance = moments_xn(FsrvModel(flat, flat), 3)
+    exact = (fib(2) ** 2 + fib(3) ** 2) * width**2 / 12.0
+    assert abs(variance - exact) <= 1e-6 * exact
 
 
 def test_tabulated_triangle_sampling(triangle_seed):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
 from fsrv.limits import cdf_limit_exponential_closed, sum_law
 from fsrv.marginal import FsrvModel, moments_xn
+from fsrv.seeds import Exponential
 from fsrv.simulate import (
     _CHUNK_PATHS,
     PHI_TOLERANCE,
@@ -39,6 +41,11 @@ def test_config_validation(exp_model):
         SimulationConfig(rng_seed=1, n_paths=10, horizon=1, model=exp_model)
     with pytest.raises(DomainError):
         SimulationConfig(rng_seed=1, n_paths=10, horizon=91, model=exp_model)
+    # the Philox key is 64 bits: a seed outside them would reuse another's stream
+    for rng_seed in (-1, 2**64):
+        with pytest.raises(DomainError, match="rng_seed"):
+            SimulationConfig(rng_seed=rng_seed, n_paths=10, horizon=10, model=exp_model)
+    SimulationConfig(rng_seed=2**64 - 1, n_paths=10, horizon=10, model=exp_model)
 
 
 def test_sample_path_follows_recursion(exp_model):
@@ -188,6 +195,17 @@ def test_summary_contents(exp_model):
     assert len(summary["mean"]) == 11
     mean, var = moments_xn(exp_model, 10)
     assert abs(summary["mean"][10] - mean) <= 4.0 * math.sqrt(var / 500)
+
+
+def test_summary_overflow_is_a_domain_error():
+    # members of exp:1e-150 paths overflow from member 21 on; the summary
+    # used to hold inf and nan and warn about it
+    model = FsrvModel(Exponential(1e-150), Exponential(1e-150))
+    run = run_simulation(SimulationConfig(rng_seed=1, n_paths=3, horizon=90, model=model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="member 21 overflows"):
+            run.summary()
 
 
 def _reference_members(pairs: np.ndarray, horizon: int) -> list[np.ndarray]:
