@@ -3,11 +3,14 @@
 Every integral goes through one engine, `_integrate_rows`, which integrates
 a batch of rows, each cut at its own sorted edges, calling the integrand on
 arrays of at most _CHUNK_ELEMENTS nodes: exactly, one Simpson panel per
-piece, or adaptively, bisecting the panels that miss an absolute error
-target. `integrate` is its one-row front end, `scaled_convolution` the
-density of c0*V0 + c1*V1 for independent V0, V1 with one row per x, and
-`DensityCurve` a density sampled on a grid next to its normalization
-certificate. Densities take arrays of points.
+piece, or adaptively, with Gauss-Kronrod 7/15 panels, bisecting those whose
+error estimate |K15 - G7| misses their share of an absolute error target.
+Adaptive panels never evaluate their ends, so a piece must be continuous;
+the engine's callers cut every row at its known jumps and kinks.
+`integrate` is its one-row front end, `scaled_convolution` the density of
+c0*V0 + c1*V1 for independent V0, V1 with one row per x, and `DensityCurve`
+a density sampled on a grid next to its normalization certificate.
+Densities take arrays of points.
 """
 
 import math
@@ -25,10 +28,28 @@ Func = Callable[[np.ndarray], np.ndarray]
 #: tolerance share there makes the integral raise NonConvergenceError.
 _MAX_DEPTH = 60
 
-#: Integrand evaluations one adaptive piece may spend before it raises
-#: NonConvergenceError; real work stays below 10^4, but a tolerance finer
-#: than doubles resolve would otherwise bisect every panel to _MAX_DEPTH.
+#: Integrand evaluations one adaptive piece may spend, 15 per panel, before
+#: it raises NonConvergenceError; a smooth piece takes a few hundred, but a
+#: tolerance finer than doubles resolve would otherwise bisect every panel to
+#: _MAX_DEPTH.
 _MAX_EVALS = 1 << 20
+
+#: Gauss-Kronrod 7/15 panel on [-1, 1] (Piessens et al., QUADPACK, 1983,
+#: qk15): the 15 Kronrod nodes in increasing order and their weights, and the
+#: weights of the 7-point Gauss rule on every second node. QUADPACK lists
+#: each from the outer node in to the centre; the other half mirrors it.
+#: |K15 - G7| is the panel's error estimate.
+_XK, _WK, _WG = (np.concatenate((sign * np.array(half[:-1]), half[::-1])) for sign, half in (
+    (-1.0, (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+            0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245, 0.0)),
+    (1.0, (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+           0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+           0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+           0.204432940075298892414161999234649, 0.209482141084727828012999174891714)),
+    (1.0, (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+           0.381830050505118944950369775488975, 0.417959183673469387755102040816327))))
 
 #: Nodes one integrand call may receive, so memory stays flat however many
 #: points are asked for.
@@ -43,8 +64,12 @@ _ADAPTIVE_PIECES = 1 << 7
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Error target for adaptive integration: abs_tol is the absolute error
-    allowed in one integral. The depth cap, the evaluation budget and the
-    seeds' tail cutoff are fixed constants, not settings."""
+    allowed in one integral, as estimated by its Gauss-Kronrod panels'
+    |K15 - G7|; on smooth integrands that overstates the error of the K15
+    they contribute. The estimate sees an integrand only at the panels'
+    interior nodes, so it cannot see a jump that no cut marks. The depth
+    cap, the evaluation budget and the seeds' tail cutoff are fixed
+    constants, not settings."""
 
     abs_tol: float = 1e-9
 
@@ -82,14 +107,16 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
     asked for a few rows at a time; f(t, row) takes nodes and the rows they
     belong to, which broadcast. Without cfg (exact mode), one Simpson panel
     per piece between consecutive edges. With cfg (adaptive mode), each
-    piece of positive width is adaptive Simpson with cfg.abs_tol shared
-    equally over the row's pieces and halved at each bisection; a panel is
-    accepted once its error estimate meets its share after two forced
-    levels, or once its midpoint is no longer representable. A piece still
-    short at depth _MAX_DEPTH, or that would spend more than _MAX_EVALS
-    integrand evaluations, raises NonConvergenceError carrying the estimate
-    so far. The nodes and each piece's sum are those of a depth-first
-    recursion, whatever rows share the batch.
+    piece of positive width is bisected into Gauss-Kronrod 7/15 panels, with
+    cfg.abs_tol shared equally over the row's pieces and halved at each
+    bisection: a panel contributes its K15 and is accepted once |K15 - G7|
+    meets its share, after one forced bisection, or once its midpoint is no
+    longer representable. The 15 nodes lie inside the panel, so f must be
+    continuous within each piece. A piece still short at depth _MAX_DEPTH,
+    or that would spend more than _MAX_EVALS integrand evaluations, raises
+    NonConvergenceError carrying the estimate so far. The nodes and each
+    piece's sum are those of a depth-first recursion that adds its panels
+    from left to right, whatever rows share the batch.
     """
     width = edges(0, 0).shape[1]
     out = np.empty(rows)
@@ -116,63 +143,54 @@ def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> n
     share = cfg.abs_tol / np.bincount(owner, minlength=rows)[owner]
     share_config(cfg, share.min(initial=cfg.abs_tol))  # raises if a share underflowed
     row, pieces = start + owner, lo.size
-    fa, fm, fb = _evaluate(f, np.concatenate((lo, (lo + hi) / 2.0, hi)),
-                           np.concatenate((row, row, row))).reshape(3, pieces)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    # a block holds panels of one depth, one per column, in the rows a, b,
-    # f(a), f(m), f(b), estimate, tolerance and piece
-    stack = [(0, np.array((lo, hi, fa, fm, fb, whole, share, np.arange(pieces))))]
-    accepted = [np.empty((3, 0))]  # piece, -a and estimate of accepted panels
-    evals = np.full(pieces, 5)  # the three above and the first panel's two
+    # a block holds panels of one depth that failed their tolerance share,
+    # one per column, in the rows a, b, piece and K15 estimate; each piece
+    # starts as one such panel, never evaluated, as its first bisection is
+    # forced to guard against G7 and K15 agreeing by chance
+    stack = [(0, np.array((lo, hi, np.arange(pieces), np.zeros(pieces))))]
+    accepted = [np.empty((3, 0))]  # piece, a and K15 of accepted panels
+    evals = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)
 
     while stack:
         depth, block = stack.pop()
-        a, b = block[0], block[1]
-        m = (a + b) / 2.0
-        lm, rm = (a + m) / 2.0, (m + b) / 2.0
-        fine = (a < lm) & (lm < m) & (m < rm) & (rm < b)
-        if not fine.all():
-            accepted.append(np.array((block[7], -a, block[5]))[:, ~fine])
-            block, m, lm, rm = block[:, fine], m[fine], lm[fine], rm[fine]
-        a, b, fa, fm, fb, whole, tol, p = block
-        p = p.astype(np.intp)
-        flm, frm = _evaluate(f, np.concatenate((lm, rm)),
-                             row[np.concatenate((p, p))]).reshape(2, -1)
-        s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = s_left + s_right
-        err = (s2 - whole) / 15.0
-        # two forced levels guard against the error estimate aliasing to zero
-        # on structured integrands
-        done = (np.abs(err) <= tol) & (depth >= 2)
-        if depth >= _MAX_DEPTH:
-            capped[p[~done]] = True
-            done[:] = True
-        accepted.append(np.array((block[7], -a, s2 + err))[:, done])
-        split = ~done
-        if not split.any():
-            continue
-        halves = np.array((a, m, fa, flm, fm, s_left, tol / 2.0, block[7],
-                           m, b, fm, frm, fb, s_right, tol / 2.0, block[7]))[:, split]
-        # each left half next to its right half keeps the panels in piece
-        # order, and the leftmost block on top runs the first pieces first
-        halves = halves.reshape(2, 8, -1).transpose(1, 2, 0).reshape(8, -1)
-        for i in reversed(range(0, halves.shape[1], _BLOCK_PANELS)):
-            stack.append((depth + 1, halves[:, i:i + _BLOCK_PANELS]))
-        # a split commits two evaluations in each half
-        evals += 4 * np.bincount(p[split], minlength=pieces)
+        p = block[2].astype(np.intp)
+        evals += 2 * _XK.size * np.bincount(p, minlength=pieces)
         if np.any(evals > _MAX_EVALS):
+            # the accepted and failed panels of a piece tile it
             q = np.argmax(evals > _MAX_EVALS)
             partial = (sum(float(np.sum(v[pp == q])) for pp, _, v in accepted)
-                       + sum(float(np.sum(blk[5, blk[7] == q])) for _, blk in stack))
+                       + sum(float(np.sum(blk[3, blk[2] == q])) for _, blk in stack)
+                       + float(np.sum(block[3, p == q])))
             raise NonConvergenceError(
                 f"quadrature on [{lo[q]}, {hi[q]}] ran out of its budget of {_MAX_EVALS} "
                 f"integrand evaluations before reaching abs_tol={share[q]}", partial=partial)
+        depth += 1  # of the halves
+        a, b = block[0], block[1]
+        m = (a + b) / 2.0
+        # each left half next to its right half keeps the panels in piece
+        # order, and the leftmost block on top runs the first pieces first
+        a, b = np.stack((a, m), axis=1).ravel(), np.stack((m, b), axis=1).ravel()
+        p = np.repeat(p, 2)
+        tol = np.ldexp(share[p], -depth)  # the share, halved at each bisection
+        c, h = (a + b) / 2.0, (b - a) / 2.0
+        t = c[:, None] + h[:, None] * _XK
+        g = _evaluate(f, t, row[p][:, None]).reshape(t.shape)
+        # a sum along each panel's own nodes, in an order no batch width changes
+        kronrod = h * np.sum(g * _WK, axis=1)
+        gauss = h * np.sum(g[:, 1::2] * _WG, axis=1)
+        done = (np.abs(kronrod - gauss) <= tol) | ~((a < c) & (c < b))
+        if depth >= _MAX_DEPTH:
+            capped[p[~done]] = True
+            done[:] = True
+        accepted.append(np.array((p, a, kronrod))[:, done])
+        failed = np.array((a, b, p, kronrod))[:, ~done]
+        for i in reversed(range(0, failed.shape[1], _BLOCK_PANELS)):
+            stack.append((depth, failed[:, i:i + _BLOCK_PANELS]))
 
     accepted = np.concatenate(accepted, axis=1)
     order = np.lexsort(accepted[1::-1])
-    # bincount adds its weights in order, as the recursion's running total did
+    # bincount adds its weights in order, as a depth-first running total would
     totals = np.bincount(accepted[0, order].astype(np.intp), weights=accepted[2, order],
                          minlength=pieces)
     if capped.any():
@@ -186,10 +204,13 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
               knots=None) -> float:
     """Integral of f over [lo, hi]; f takes an array of nodes.
 
-    Without knots, adaptive to cfg.abs_tol (see _integrate_rows). With
-    knots, f must be a polynomial of degree at most 3 on each closed piece
-    between consecutive knots (those outside [lo, hi] are ignored); one
-    Simpson panel per piece is then exact, and cfg is not consulted.
+    Without knots, adaptive to cfg.abs_tol with Gauss-Kronrod panels (see
+    _integrate_rows), which never evaluate f at lo, hi or any other panel
+    end: f must be continuous on (lo, hi), since a jump between two nodes
+    goes unseen. With knots, f must be a polynomial of degree at most 3 on
+    each closed piece between consecutive knots (those outside [lo, hi] are
+    ignored); one Simpson panel per piece is then exact, and cfg is not
+    consulted.
     """
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")

@@ -1,6 +1,7 @@
 """Densities take arrays of points, and the quadrature engine integrates a
 batch of rows at once. A value must not depend on the other points of its
-batch, and smooth-seed values must match an independent quadrature."""
+batch, and smooth-seed values must match an independent quadrature and, at
+the default tolerance, their closed forms."""
 
 import math
 
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsrv.marginal import FsrvModel, linear_form_pdf, linear_form_support
-from fsrv.numerics import QuadratureConfig
+from fsrv.marginal import (
+    FsrvModel,
+    linear_form_pdf,
+    linear_form_pdf_exponential,
+    linear_form_pdf_uniform,
+    linear_form_support,
+    normal_model,
+    pdf_normal_closed,
+    pdf_numeric,
+)
+from fsrv.numerics import DEFAULT_CONFIG, QuadratureConfig
 from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 rates = st.floats(0.2, 5.0)
@@ -86,3 +96,32 @@ def test_smooth_seed_values_match_scipy(model, c0, c1, where):
     for x, value in zip(xs, values):
         want = _scipy_linear_form_pdf(model, c0, c1, float(x))
         assert math.isfinite(value) and abs(value - want) <= 1e-9
+
+
+def _closed_linear_form_pdf(model, c0, c1, xs):
+    """Closed density of c0*V0 + c1*V1 for iid smooth seeds."""
+    seed, (c0, c1) = model.seed0, sorted((c0, c1))
+    if isinstance(seed, Exponential):
+        return linear_form_pdf_exponential(c0, c1, seed.rate * xs, seed.rate)
+    if isinstance(seed, UniformUnit):
+        return linear_form_pdf_uniform(c0, c1, xs)
+    variance = c0 * c0 + c1 * c1
+    return np.exp(-0.5 * xs * xs / variance) / math.sqrt(2.0 * math.pi * variance)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=smooth_models, c0=coefficients, c1=coefficients, where=fractions)
+def test_smooth_seed_values_meet_the_default_tolerance(model, c0, c1, where):
+    # the default error target bounds the integral, which the density
+    # divides by c0*c1; the seeds' truncated tails stay far below that
+    xs = _points(model, c0, c1, where)
+    values = linear_form_pdf(model, c0, c1, xs)
+    bound = DEFAULT_CONFIG.abs_tol / (c0 * c1)
+    assert np.max(np.abs(values - _closed_linear_form_pdf(model, c0, c1, xs))) <= bound
+
+
+def test_numeric_normal_member_meets_the_default_tolerance():
+    # member 3 of standard normal seeds is N(0, 5), over +-6 sd
+    xs = np.linspace(-6.0, 6.0, 301) * math.sqrt(5.0)
+    error = np.abs(pdf_numeric(normal_model(), 3, xs) - pdf_normal_closed(3, xs))
+    assert np.max(error) <= DEFAULT_CONFIG.abs_tol

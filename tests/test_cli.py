@@ -119,6 +119,17 @@ def test_limit_curve_exponential(capsys):
     assert doc["a_scale"] == pytest.approx(math.sqrt(1.0 + PHI * PHI))
 
 
+def test_limit_curve_normal_tail_is_the_standard_normal(capsys):
+    # normal seeds have the N(0, 1) limit law; adaptive Simpson was off by
+    # 8.0e-7 at x = 3.82, 0.3% of the density, and still exited 0
+    code, out, _ = run_cli(capsys, "limit", "--seeds", "normal01", "--grid=3.8:3.84:3",
+                           "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    want = np.exp(-np.square(doc["x"]) / 2.0) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(np.array(doc["density"]) - want)) <= 1e-9
+
+
 def test_sums_curve(capsys):
     code, out, _ = run_cli(capsys, "sums", "--seeds", "exp:1", "--n", "4",
                            "--grid", "0:80:50", "--output", "json")
@@ -421,39 +432,42 @@ def test_console_entry_point_runs():
 # densities moved to arrays: numpy's exp differs from math.exp in the last
 # bit, which moved one or two values of each by at most 4.2e-16 relative,
 # and limit_normal's norm_defect |mass - 1| by 2.2e-16, one ulp of the mass.
+# Every smooth-seed digest was re-recorded when adaptive quadrature moved to
+# Gauss-Kronrod panels: the closed-form commands changed only in their
+# norm_defect, and the numeric densities moved toward their closed forms.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
-     "856d86dbc934be3f822984eac4e53ea67db18fbf0e383e8ab8269c02ae07837e"),
+     "7b5362786152d4e288c22a3141c6453076773fb72b2aa3bc3a309886674dde13"),
     ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                          "--method", "numeric", "--output", "json"],
-     "26251dae5313491f7932b9cdca03e5dc7187cb3b10f733ec8e5ce9dd7eaa84e8"),
+     "bcb00850f928e2ceb06fa471682329e4cebeace1a6d9c23f30821c28e4794d75"),
     ("pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7",
                             "--method", "numeric"],
-     "1afc18010693027b9444393d1a6653e5e73dd924e06cd70986d331896c33ba3d"),
+     "63557f728c988c591e6c632d7077c2df47b6aa7701c5c6a0a0724dd6b6b0a6ec"),
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
      "af87e9abb2a5f79058b7049b77982bff978b128212853c54f404b1551b3adf5e"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
-     "1e314c12adf9c6f4f7ea52e188b71d3ab405710bcba7d1c2effbc10f134b9dba"),
+     "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
-     "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
+     "9d6fea8e2054059e6ce07c442b8e7dab47e2142add3069b35136502ae40f850a"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
-     "ed1bf40ba9cfd9dcfea3a2d3fdaa53cfc52a34a1362661caf65c16b2e1dae1d6"),
+     "019b0ce2cffaa8e48aa3b8a2a677f2d40dc8e243e3595038fed8753f7b7409ba"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
      "13b94ac480205307f10186bcaf966f4adc9583bbba3364be9d58e31038b525b4"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
-     "0821de05073a858bc7602411d83315419290b130c84b0f2ba9cb2a384f062306"),
+     "4ff31c36454eec75c599aabeef32fb75fb77fcbdfc6171af30f4b4f876952faf"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
-     "e9ed1923a9bf936c49c36fda3c239293ce5f4f594d7a89855badebb46d2b81eb"),
+     "ad9ec8ba3306302d7ac33feba5fb2dec29675853ff58d17cf8486403a2f6af52"),
     ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
      "fa03deb946ebd0dc3cb46cad17400efe5d234e5032a959918fa9226611b25eeb"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                     "--grid0", "0:5:4", "--grid1", "0:21:4"],
-     "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),
+     "e8f23a78718d7e1397afcbe02ff5a3849e0834711917f71263b45445a868edd0"),
     ("predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                      "--grid", "0.5:10:5", "--output", "json"],
-     "1072e662d2d4831f9aa3456ea4fb3b7d334b7a243f92630af7300cdf10231667"),
+     "c80784d4985bf0e1cf0c2325e8a86a1c761ef689137ca50e26d9921c2796df03"),
     ("moments_normal", ["moments", "--seeds", "normal01", "--n", "30", "--output", "json"],
      "a9258a0c8fc5628b73e468472954262847fd0946485d78cd794848c8bd094817"),
     # recorded before the emit layer moved from cells to columns
@@ -465,13 +479,13 @@ _ANALYTIC_DIGESTS = [
      "fbcf7c6bdb59d3e3e1b34b9939da72c8a7ce8d909fbb267aaff90aba3eb054e7"),
     ("predict_exp_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                          "--grid", "0.5:10:5"],
-     "69c1f873f7aa438ce4d46a64844fc425fb789813860e8a88dc54b42fa72a6c1b"),
+     "36926831f19a894e71685eb3f49fa4c038c943fb445a0f4d6e649a04631be3ca"),
     ("predict_table_csv", ["predict", "--seeds", "TABLE", "--n", "4", "--k", "3",
                            "--grid", "0.5:5:5"],
      "3c22302a450eff4495fb1d238e3839b6645c44304605ab794a2b008888ce2085"),
     ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                          "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
-     "8bea4ab148eedd105d32e731f940ce4d33c7be22f3dd0b587bb9a7713d5af061"),
+     "da402b3cda5e062ea683fda9a2374165ecf660a6d18f77a40f85ee1286bfa5cf"),
     ("simulate_csv", ["simulate", "--seeds", "normal01", "--paths", "50", "--horizon", "10",
                       "--rng-seed", "7"],
      "144868670a792994e52360f8f54df9217ae4c5e25865b69e22fdb1a5f1a09c19"),

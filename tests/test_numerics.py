@@ -5,6 +5,9 @@ import pytest
 
 from fsrv.errors import DomainError, NonConvergenceError
 from fsrv.numerics import (
+    _WG,
+    _WK,
+    _XK,
     DensityCurve,
     QuadratureConfig,
     integrate,
@@ -37,16 +40,18 @@ def test_integrate_linearity():
 
 
 def test_integrate_nonconvergence_carries_partial():
-    # the panels around the jump shrink to the fixed depth cap of 60 long
-    # before the evaluation budget runs out; the count of evaluated points is
-    # that of the depth-first scalar recursion the engine replaced
-    jump = 1e-10 * math.e
+    # every panel at 0 sees the singularity, so the panels there shrink to
+    # the fixed depth cap of 60 long before the evaluation budget runs out;
+    # the points evaluated and the partial sum are those of the scalar
+    # recursion, and the partial misses only the mass next to 0
     sizes = []
-    step = lambda x: sizes.append(x.size) or np.where(x < jump, 0.0, 1.0)
+    singular = lambda x: sizes.append(x.size) or 1.0 / np.sqrt(x)
     with pytest.raises(NonConvergenceError, match="depth 60") as excinfo:
-        integrate(step, 0.0, 1.0, QuadratureConfig(abs_tol=1e-16))
-    assert sum(sizes) == 249
-    assert abs(excinfo.value.partial - (1.0 - jump)) < 1e-9
+        integrate(singular, 0.0, 1.0)
+    want, want_nodes = _depth_first_qk15(lambda x: 1.0 / np.sqrt(np.float64(x)), 0.0, 1.0, 1e-9)
+    assert sum(sizes) == len(want_nodes)
+    assert excinfo.value.partial == want
+    assert abs(excinfo.value.partial - 2.0) < 1e-9
 
 
 def test_integrate_evaluation_budget():
@@ -60,35 +65,42 @@ def test_integrate_evaluation_budget():
     assert abs(excinfo.value.partial - math.sqrt(math.pi) / 2.0 * math.erf(3.0)) < 0.05
 
 
-def _depth_first_simpson(f, lo, hi, tol):
-    """The scalar depth-first adaptive Simpson recursion the array engine
-    replaced, kept as its reference: (integral, sorted nodes evaluated)."""
+def _depth_first_qk15(f, lo, hi, tol):
+    """Scalar depth-first adaptive Gauss-Kronrod 7/15 recursion, the array
+    engine's reference: (integral, sorted nodes evaluated). The first
+    bisection is forced, each bisection halves the tolerance, and a panel is
+    accepted once |K15 - G7| meets it, once its midpoint is not
+    representable, or at depth 60."""
     nodes = []
-
-    def g(x):
-        nodes.append(x)
-        return f(x)
-
-    simpson = lambda fa, fm, fb, width: width / 6.0 * (fa + 4.0 * fm + fb)
-    fa, fm, fb = g(lo), g((lo + hi) / 2.0), g(hi)
-    stack = [(lo, hi, fa, fm, fb, simpson(fa, fm, fb, hi - lo), tol, 0)]
-    total = 0.0
+    stack, total = [(lo, hi, tol, 0)], 0.0
     while stack:
-        a, b, fa, fm, fb, whole, tol, depth = stack.pop()
-        m = (a + b) / 2.0
-        lm, rm = (a + m) / 2.0, (m + b) / 2.0
-        if not a < lm < m < rm < b:
-            total += whole
-            continue
-        flm, frm = g(lm), g(rm)
-        left, right = simpson(fa, flm, fm, m - a), simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol and depth >= 2 or depth >= 60:
-            total += left + right + err
-        else:
-            stack.append((a, m, fa, flm, fm, left, tol / 2.0, depth + 1))
-            stack.append((m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
+        a, b, tol, depth = stack.pop()
+        c, h = (a + b) / 2.0, (b - a) / 2.0
+        if depth > 0:
+            t = c + h * _XK
+            nodes.extend(t.tolist())
+            g = np.array([f(x) for x in t])
+            kronrod, gauss = h * np.sum(g * _WK), h * np.sum(g[1::2] * _WG)
+            if abs(kronrod - gauss) <= tol or not a < c < b or depth >= 60:
+                total += kronrod
+                continue
+        stack.append((c, b, tol / 2.0, depth + 1))
+        stack.append((a, c, tol / 2.0, depth + 1))
     return total, sorted(nodes)
+
+
+def test_kronrod_panel_rules():
+    # the 7 Gauss nodes and weights are Legendre's, and K15 integrates every
+    # polynomial of degree up to 22 over [-1, 1]
+    x, w = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(_XK[1::2], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_WG, w, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(_XK, -_XK[::-1])
+    for degree in range(23):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert abs(np.sum(_WK * _XK ** degree) - exact) < 1e-15
+        if degree < 14:
+            assert abs(np.sum(_WG * _XK[1::2] ** degree) - exact) < 1e-15
 
 
 @pytest.mark.parametrize("f", [lambda x: np.exp(-x * x), lambda x: np.sin(3.0 * x) ** 2,
@@ -98,7 +110,7 @@ def test_integrate_repeats_the_depth_first_recursion(f):
     # same nodes and the same sum, bit for bit, as the scalar recursion
     nodes = []
     got = integrate(lambda x: nodes.extend(x.tolist()) or f(x), -1.0, 2.0, QuadratureConfig(1e-10))
-    want, want_nodes = _depth_first_simpson(lambda x: f(np.float64(x)), -1.0, 2.0, 1e-10)
+    want, want_nodes = _depth_first_qk15(lambda x: f(np.float64(x)), -1.0, 2.0, 1e-10)
     assert got == want
     assert sorted(nodes) == want_nodes
 
@@ -117,7 +129,7 @@ def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
         integrand = lambda t: triangle_seed.pdf((x - t) / 2.0) * e.pdf(t / 3.0)
         total = 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
-            total += _depth_first_simpson(integrand, a, b, 1e-9 / (len(cuts) - 1))[0]
+            total += _depth_first_qk15(integrand, a, b, 1e-9 / (len(cuts) - 1))[0]
         assert got == total / 6.0
 
 
