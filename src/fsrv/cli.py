@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return 3
-    except (FsrvError, OSError) as exc:
+    except (FsrvError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, _Refusal) else 2
     return 0

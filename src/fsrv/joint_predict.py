@@ -80,17 +80,6 @@ def joint_pdf(law: JointLaw, model: FsrvModel, y0, y1):
     return model.seed0.pdf(v0) * model.seed1.pdf(v1) / law.jacobian_abs
 
 
-def _closed_slice_pdf(law: JointLaw, model: FsrvModel, y0, y1):
-    """joint_pdf for y1 inside the closed slice member n = y0. The recovered
-    coordinates are clipped to the seed supports: inside the slice that only
-    undoes rounding, and it keeps the edge value of a seed density that jumps
-    at its support end, which exact per-piece quadrature needs."""
-    v0, v1 = seed_coordinates(law, y0, y1)
-    s0, s1 = model.seed0.support(), model.seed1.support()
-    return (model.seed0.pdf(np.clip(v0, s0[0], s0[1]))
-            * model.seed1.pdf(np.clip(v1, s1[0], s1[1])) / law.jacobian_abs)
-
-
 def _slice_integrals(law: JointLaw, model: FsrvModel, nodes, y0: np.ndarray,
                      cfg: QuadratureConfig, weighted: bool = False) -> np.ndarray:
     """For each y0[i], the integral over y1 in the effective slice member
@@ -109,10 +98,8 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, nodes, y0: np.ndarray,
         cuts = np.hstack((lo, *_y1_images(law, y0[i:j, None], nodes[0], nodes[1]), hi))
         return np.sort(np.clip(cuts, lo, hi), axis=1)
 
-    density = joint_pdf if nodes is None else _closed_slice_pdf
-
     def integrand(y1, row):
-        value = density(law, model, y0[row], y1)
+        value = joint_pdf(law, model, y0[row], y1)
         return y1 * value if weighted else value
 
     return _integrate_rows(integrand, y0.size, edges, cfg if nodes is None else None)

@@ -2,11 +2,12 @@
 
 Every integral goes through one engine, `_integrate_rows`, which integrates
 a batch of rows, each cut at its own sorted edges, calling the integrand on
-arrays of at most _CHUNK_ELEMENTS nodes: exactly, one Simpson panel per
-piece, or adaptively, with Gauss-Kronrod 7/15 panels, bisecting those whose
-error estimate |K15 - G7| misses their share of an absolute error target.
-Adaptive panels never evaluate their ends, so a piece must be continuous;
-the engine's callers cut every row at its known jumps and kinks.
+arrays of at most _CHUNK_ELEMENTS nodes: exactly, one two-point
+Gauss-Legendre panel per piece, or adaptively, with Gauss-Kronrod 7/15
+panels, bisecting those whose error estimate |K15 - G7| misses their share
+of an absolute error target. Neither mode evaluates the integrand at a cut,
+so it may jump at any cut; the engine's callers cut every row at its known
+jumps and kinks.
 `integrate` is its one-row front end, `scaled_convolution` the density of
 c0*V0 + c1*V1 for independent V0, V1 with one row per x, and `DensityCurve`
 a density sampled on a grid next to its normalization certificate.
@@ -50,6 +51,11 @@ _XK, _WK, _WG = (np.concatenate((sign * np.array(half[:-1]), half[::-1])) for si
            0.204432940075298892414161999234649, 0.209482141084727828012999174891714)),
     (1.0, (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
            0.381830050505118944950369775488975, 0.417959183673469387755102040816327))))
+
+#: Two-point Gauss-Legendre panel on [-1, 1]: nodes -+1/sqrt(3), both of
+#: weight 1. It is exact on cubics and never evaluates a panel end (Davis &
+#: Rabinowitz, Methods of Numerical Integration, 1984).
+_GAUSS2 = np.array((-1.0, 1.0)) / math.sqrt(3.0)
 
 #: Nodes one integrand call may receive, so memory stays flat however many
 #: points are asked for.
@@ -105,33 +111,35 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
     """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
     e = edges(i, j) is the 2-D array of the sorted edges of rows i to j - 1,
     asked for a few rows at a time; f(t, row) takes nodes and the rows they
-    belong to, which broadcast. Without cfg (exact mode), one Simpson panel
-    per piece between consecutive edges. With cfg (adaptive mode), each
-    piece of positive width is bisected into Gauss-Kronrod 7/15 panels, with
-    cfg.abs_tol shared equally over the row's pieces and halved at each
-    bisection: a panel contributes its K15 and is accepted once |K15 - G7|
-    meets its share, after one forced bisection, or once its midpoint is no
-    longer representable. The 15 nodes lie inside the panel, so f must be
-    continuous within each piece. A piece still short at depth _MAX_DEPTH,
-    or that would spend more than _MAX_EVALS integrand evaluations, raises
-    NonConvergenceError carrying the estimate so far. The nodes and each
-    piece's sum are those of a depth-first recursion that adds its panels
-    from left to right, whatever rows share the batch.
+    belong to, which broadcast. Both modes evaluate f only inside the pieces
+    between consecutive edges, so f may jump at any edge; inside each piece
+    it must be a polynomial of degree at most 3 (exact mode) or continuous
+    (adaptive mode). Only a piece a few ulps wide can round a node onto its
+    edge, where the node's weight is as small as the piece. Without cfg
+    (exact mode), one two-point Gauss-Legendre panel per piece, exact on
+    cubics. With cfg (adaptive mode), each piece of positive width is
+    bisected into Gauss-Kronrod 7/15 panels, with cfg.abs_tol shared equally
+    over the row's pieces and halved at each bisection: a panel contributes
+    its K15 and is accepted once |K15 - G7| meets its share, after one
+    forced bisection, or once its midpoint is no longer representable. A
+    piece still short at depth _MAX_DEPTH, or that would spend more than
+    _MAX_EVALS integrand evaluations, raises NonConvergenceError carrying
+    the estimate so far. The nodes and each piece's sum are those of a
+    depth-first recursion that adds its panels from left to right, whatever
+    rows share the batch.
     """
     width = edges(0, 0).shape[1]
     out = np.empty(rows)
-    step = max(1, _ADAPTIVE_PIECES // (width - 1) if cfg else _CHUNK_ELEMENTS // (2 * width - 1))
+    step = max(1, _ADAPTIVE_PIECES // (width - 1) if cfg else _CHUNK_ELEMENTS // (2 * width - 2))
     for i in range(0, rows, step):
         cuts = edges(i, i + step)
         if cfg:
             out[i:i + step] = _adaptive_rows(f, cuts, i, cfg)
             continue
-        t = np.empty((cuts.shape[0], 2 * width - 1))
-        t[:, 0::2] = cuts
-        t[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-        g = _evaluate(f, t, np.arange(i, i + len(t))[:, None]).reshape(t.shape)
-        panels = np.diff(cuts, axis=1) * (g[:, :-2:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
-        out[i:i + step] = np.sum(panels, axis=1) / 6.0
+        c, h = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * np.diff(cuts, axis=1)
+        t = c[..., None] + h[..., None] * _GAUSS2
+        g = _evaluate(f, t, np.arange(i, i + len(t))[:, None, None]).reshape(t.shape)
+        out[i:i + step] = np.sum(h * (g[..., 0] + g[..., 1]), axis=1)
     return out
 
 
@@ -204,13 +212,13 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
               knots=None) -> float:
     """Integral of f over [lo, hi]; f takes an array of nodes.
 
-    Without knots, adaptive to cfg.abs_tol with Gauss-Kronrod panels (see
-    _integrate_rows), which never evaluate f at lo, hi or any other panel
-    end: f must be continuous on (lo, hi), since a jump between two nodes
-    goes unseen. With knots, f must be a polynomial of degree at most 3 on
-    each closed piece between consecutive knots (those outside [lo, hi] are
-    ignored); one Simpson panel per piece is then exact, and cfg is not
-    consulted.
+    The pieces are [lo, hi] cut at the knots inside it; f is never
+    evaluated at lo, hi or a knot, so it may jump there. Without knots,
+    adaptive to cfg.abs_tol with Gauss-Kronrod panels (see
+    _integrate_rows): f must be continuous on (lo, hi), since a jump
+    between two nodes goes unseen. With knots, f must be a polynomial of
+    degree at most 3 on each piece; one two-point Gauss-Legendre panel per
+    piece is then exact, and cfg is not consulted.
     """
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
@@ -242,9 +250,10 @@ def scaled_convolution(
     V0 ~ f0 and V1 ~ f1: (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt
     over the t-range both supports allow, one engine row per x. Supports
     must be finite: callers pass the seeds' effective supports. Each row is
-    cut at the images of the support ends and kinks (breakpoints0/1), so
-    each adaptive piece is smooth. With piecewise_linear, both densities are
-    linear between those nodes and one Simpson panel per piece is exact; the
+    cut at the images of the support ends and kinks (breakpoints0/1), where
+    the integrand may jump, so each adaptive piece is smooth. With
+    piecewise_linear, both densities are linear between those nodes, the
+    integrand is quadratic on each piece and exact mode integrates it; the
     tolerance is then validated but not consumed.
     """
     if c0 <= 0 or c1 <= 0:
@@ -265,15 +274,8 @@ def scaled_convolution(
         # an x outside the support clips every cut to t_hi: no width, no mass
         return np.sort(np.clip(edges, t_lo, t_hi), axis=1)
 
-    def exact(t, row):
-        # inside [t_lo, t_hi] the seed arguments lie in the supports; the clip
-        # only undoes rounding, which could drop the edge value of a density
-        # that jumps at its support end
-        return (f0(np.clip((xs[row] - t) / c0, nodes0[0], nodes0[-1]))
-                * f1(np.clip(t / c1, nodes1[0], nodes1[-1])))
-
-    adaptive = lambda t, row: f0((xs[row] - t) / c0) * f1(t / c1)
-    out = _integrate_rows(adaptive if cfg else exact, xs.size, cuts, cfg) / (c0 * c1)
+    integrand = lambda t, row: f0((xs[row] - t) / c0) * f1(t / c1)
+    out = _integrate_rows(integrand, xs.size, cuts, cfg) / (c0 * c1)
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

@@ -29,7 +29,7 @@ class SeedDistribution:
 
     #: True when the density is linear between its support ends and
     #: breakpoints(); quadrature over products of such densities is then
-    #: exact with one Simpson panel per piece.
+    #: exact with one two-point Gauss-Legendre panel per piece.
     piecewise_linear = False
 
     def pdf(self, x):

@@ -15,6 +15,7 @@ from fsrv import joint_predict
 from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
+from fsrv.limits import pdf_limit_uniform_closed
 from fsrv.marginal import pdf_exponential_closed
 from fsrv.numerics import DensityCurve
 
@@ -338,13 +339,34 @@ def test_simulate_overflow_exits_2_naming_its_flags(capsys, output):
     assert err.startswith("error: --horizon/--seeds: ") and "overflows" in err
 
 
+def _flat_table(tmp_path, lo, hi):
+    table = tmp_path / "narrow.csv"
+    xs = np.linspace(lo, hi, 16)
+    table.write_text("\n".join(f"{float(x)!r},1.0" for x in xs) + "\n")
+    return f"table:{table}"
+
+
+def test_limit_on_a_narrow_table_far_from_0_is_the_uniform_limit(capsys, tmp_path):
+    # the limit density evaluates V0 + phi*V1 at a_scale*x + b_shift, where
+    # adjacent doubles are spacing(b_shift) apart, a step of
+    # spacing(b_shift) / a_scale in x; the standardized trapezoid's slope is
+    # below 0.19, and the bound allows twice the change such a step makes
+    seeds = _flat_table(tmp_path, 1e4, 1e4 + 1e-7)
+    code, out, _ = run_cli(capsys, "limit", "--seeds", seeds, "--grid=-1.6:1.6:33",
+                           "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    bound = 2 * 0.19 * np.spacing(doc["b_shift"]) / doc["a_scale"]
+    assert bound < 1e-4 and doc["norm_defect"] <= 1e-6
+    np.testing.assert_allclose(doc["density"], pdf_limit_uniform_closed(np.array(doc["x"])),
+                               rtol=0.0, atol=bound)
+
+
 def test_limit_on_a_table_too_narrow_for_its_offset_fails_cleanly(capsys, tmp_path):
     # its variance cancelled to a negative number, and limit crashed in
     # math.sqrt; the knots near 3e4 now lose too much for the certificate
-    table = tmp_path / "narrow.csv"
-    xs = np.linspace(1e4, 1e4 + 1e-7, 16)
-    table.write_text("\n".join(f"{float(x)!r},1.0" for x in xs) + "\n")
-    code, out, err = run_cli(capsys, "limit", "--seeds", f"table:{table}", "--grid=-2:2:5")
+    seeds = _flat_table(tmp_path, 1e4, 1e4 + 1e-8)
+    code, out, err = run_cli(capsys, "limit", "--seeds", seeds, "--grid=-2:2:5")
     assert code in (2, 3) and out == ""
     assert err.startswith("error: ")
 
@@ -363,6 +385,13 @@ _EXIT_CASES = {
                    "--grid1", "0:1:3"], None, "error: --n/--k: member index must be >= 2"),
     "unwritable_out": (2, ["fib", "--n", "5", "--out", "{missing}"], None,
                        "error: [Errno 2] No such file or directory: "),
+    # 10^17 points or paths exceed any address space: numpy refuses at once
+    "pdf_too_large": (2, ["pdf", "--seeds", "exp:1", "--n", "4",
+                          "--grid", "0:1:100000000000000000"], None,
+                      "error: Unable to allocate "),
+    "simulate_too_large": (2, ["simulate", "--seeds", "exp:1", "--paths", "100000000000000000",
+                               "--horizon", "5", "--rng-seed", "1"], None,
+                           "error: Unable to allocate "),
     "quad_tol": (3, ["pdf", "--seeds", "normal01", "--n", "4", "--grid", "0:1:5",
                      "--method", "numeric"],
                  lambda mp: mp.setenv("FSRV_QUAD_TOL", "1e-300"),
@@ -446,7 +475,7 @@ _ANALYTIC_DIGESTS = [
                             "--method", "numeric"],
      "63557f728c988c591e6c632d7077c2df47b6aa7701c5c6a0a0724dd6b6b0a6ec"),
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
-     "af87e9abb2a5f79058b7049b77982bff978b128212853c54f404b1551b3adf5e"),
+     "061dddc4b42233d2e4443700ef4576d26d95237bcef2498875b4e239933da669"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
      "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
@@ -454,14 +483,14 @@ _ANALYTIC_DIGESTS = [
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
      "019b0ce2cffaa8e48aa3b8a2a677f2d40dc8e243e3595038fed8753f7b7409ba"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
-     "13b94ac480205307f10186bcaf966f4adc9583bbba3364be9d58e31038b525b4"),
+     "e8976bb27cf4fdfd06282cef833531a31677efb22c99d5bfb20213208856130f"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
      "4ff31c36454eec75c599aabeef32fb75fb77fcbdfc6171af30f4b4f876952faf"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
      "ad9ec8ba3306302d7ac33feba5fb2dec29675853ff58d17cf8486403a2f6af52"),
     ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
-     "fa03deb946ebd0dc3cb46cad17400efe5d234e5032a959918fa9226611b25eeb"),
+     "ade6bb671a3ef71ef0ad4cabd0ddc7029c4b0d0d8bdaa92a23b4c3589e926c0f"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                     "--grid0", "0:5:4", "--grid1", "0:21:4"],
      "e8f23a78718d7e1397afcbe02ff5a3849e0834711917f71263b45445a868edd0"),
@@ -482,7 +511,7 @@ _ANALYTIC_DIGESTS = [
      "36926831f19a894e71685eb3f49fa4c038c943fb445a0f4d6e649a04631be3ca"),
     ("predict_table_csv", ["predict", "--seeds", "TABLE", "--n", "4", "--k", "3",
                            "--grid", "0.5:5:5"],
-     "3c22302a450eff4495fb1d238e3839b6645c44304605ab794a2b008888ce2085"),
+     "4e9e678564de42942afc23f8ba6e380a57fc1a2931416608526a1d132b9971da"),
     ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                          "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
      "da402b3cda5e062ea683fda9a2374165ecf660a6d18f77a40f85ee1286bfa5cf"),

@@ -2,9 +2,11 @@
 
 Between the images of the seed nodes the convolution integrand of
 c0*V0 + c1*V1 is quadratic, so its density is a piecewise cubic with knots
-c0*b0 + c1*b1, and one Simpson panel per piece is exact. The properties
-below draw random piecewise-linear seeds and check the densities, their
-certificates and the joint mass against exact values and scipy quadrature.
+c0*b0 + c1*b1, and one two-point Gauss-Legendre panel per piece is exact.
+Its nodes lie inside the piece, so a seed density may jump at its support
+ends. The properties below draw random piecewise-linear seeds and check the
+densities, their certificates and the joint mass against exact values and
+scipy quadrature.
 """
 
 import math
@@ -19,7 +21,8 @@ from fsrv.fib_core import fib
 from fsrv.joint_predict import joint_law, joint_normalization_check
 from fsrv.limits import limit_density_law, sum_density_law
 from fsrv.marginal import FsrvModel, linear_form_knots, linear_form_pdf, member_law
-from fsrv.numerics import DensityCurve, QuadratureConfig, integrate, scaled_convolution
+from fsrv.numerics import (DensityCurve, QuadratureConfig, _integrate_rows, integrate,
+                           scaled_convolution)
 from fsrv.seeds import Exponential, Tabulated
 
 
@@ -88,23 +91,27 @@ def test_linear_form_pdf_matches_scipy(seed0, seed1, n, where):
 
 
 def test_knot_mode_integrate_is_exact_on_piecewise_cubics():
-    # a truncated-power cubic spline: a cubic plus sum of a_j*(x - k_j)_+^3
+    # a truncated-power cubic spline, a cubic plus sum of a_j*(x - k_j)_+^3,
+    # plus steps b_j*(x >= k_j): f may jump at every knot
     rng = np.random.default_rng(20261018)
     for _ in range(20):
         lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
         knots = np.sort(rng.uniform(lo, hi, rng.integers(1, 30)))
         amps = rng.normal(size=knots.size)
+        steps = rng.normal(size=knots.size)
         poly = rng.normal(size=4)
 
         def f(x):
             x = np.asarray(x, dtype=np.float64)
             out = np.polynomial.polynomial.polyval(x, poly)
-            return out + np.sum(amps * np.maximum(x[..., None] - knots, 0.0) ** 3, axis=-1)
+            out = out + np.sum(amps * np.maximum(x[..., None] - knots, 0.0) ** 3, axis=-1)
+            return out + np.sum(steps * (x[..., None] >= knots), axis=-1)
 
         antiderivative = np.polynomial.polynomial.polyint(poly)
         exact = (np.polynomial.polynomial.polyval(hi, antiderivative)
                  - np.polynomial.polynomial.polyval(lo, antiderivative)
-                 + float(np.sum(amps * (hi - knots) ** 4 / 4.0)))
+                 + float(np.sum(amps * (hi - knots) ** 4 / 4.0))
+                 + float(np.sum(steps * (hi - knots))))
         # knots outside [lo, hi] and repeated knots are harmless
         extra = np.concatenate((knots, knots[:3], [lo - 1.0, hi + 1.0]))
         got = integrate(f, lo, hi, knots=extra)
@@ -119,8 +126,27 @@ def test_knot_mode_integrate_calls_f_in_bounded_chunks():
         return np.ones_like(x)
 
     assert integrate(f, 0.0, 1.0, knots=np.linspace(0.0, 1.0, 10_001)) == pytest.approx(1.0)
-    assert sum(sizes) == 2 * 10_000 + 1
+    assert sum(sizes) == 2 * 10_000  # two nodes per piece, no shared ends
     assert len(sizes) > 1 and max(sizes) <= 1 << 12
+
+
+@pytest.mark.parametrize("cfg", [None, QuadratureConfig()], ids=["exact", "adaptive"])
+def test_the_engine_never_evaluates_a_cut(cfg):
+    # f counts the cuts at or left of t: constant inside each piece and one
+    # higher at every cut, so a node on a cut would change the integral
+    cuts = np.array([[0.0, 0.25, 0.5, 1.0], [-3.0, -1.0, 1.0, 4.0]])
+    seen = []
+
+    def f(t, row):
+        row = np.broadcast_to(row, t.shape)
+        seen.append((t.ravel(), row.ravel()))
+        return np.sum(t[..., None] >= cuts[row], axis=-1)
+
+    got = _integrate_rows(f, 2, lambda i, j: cuts[i:j], cfg)
+    t, row = (np.concatenate(v) for v in zip(*seen))
+    assert t.size and not np.any(t[:, None] == cuts[row])
+    np.testing.assert_allclose(got, np.sum(np.diff(cuts, axis=1) * [1, 2, 3], axis=1),
+                               rtol=1e-15)
 
 
 def test_tabulated_pdf_takes_arrays(triangle_seed):
