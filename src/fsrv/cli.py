@@ -147,7 +147,7 @@ def _cmd_density(args) -> str:
     numeric = method == "numeric" or law.closed is None
     lo, hi, points = args.grid
     curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
-                                       law.support, cfg, label=law.label, knots=law.knots)
+                                       law.support, cfg, knots=law.knots)
     _certify("density table", curve.norm_defect)
     if args.output == "csv":
         trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
@@ -155,10 +155,10 @@ def _cmd_density(args) -> str:
     route = {} if method is None else {"method": "numeric" if numeric else "closed"}
     return _dumps({
         "kind": "density_curve",
-        "label": curve.label,
+        "label": law.label,
         "x": curve.xs,
         "density": curve.ys,
-        "support": curve.support,
+        "support": law.support,
         "norm_defect": curve.norm_defect,
         **route,
         **law.fields,

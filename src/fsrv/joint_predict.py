@@ -6,8 +6,8 @@ a signed Fibonacci number by d'Ocagne's identity, which keeps the inversion
 exact. Conditional expectation of the later member given the earlier one is
 the least-squares predictor; it is evaluated by quadrature over the exact
 conditional support, with a closed form for the benchmark case of iid
-unit-rate exponential seeds and (n, k) = (4, 3). On piecewise-linear seeds
-every slice integral is split where the joint density kinks and is exact.
+unit-rate exponential seeds and (n, k) = (4, 3). Slice integrals are cut
+where a seed density ends or kinks, and exact on piecewise-linear seeds.
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import (FsrvModel, closed_form_tag, linear_form_knots, linear_form_support,
-                       pdf_numeric, seed_nodes)
+                       pdf_numeric)
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
                        share_config)
 
@@ -80,29 +80,29 @@ def joint_pdf(law: JointLaw, model: FsrvModel, y0, y1):
     return model.seed0.pdf(v0) * model.seed1.pdf(v1) / law.jacobian_abs
 
 
-def _slice_integrals(law: JointLaw, model: FsrvModel, nodes, y0: np.ndarray,
-                     cfg: QuadratureConfig, weighted: bool = False) -> np.ndarray:
+def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: QuadratureConfig,
+                     weighted: bool = False) -> np.ndarray:
     """For each y0[i], the integral over y1 in the effective slice member
     n = y0[i] of the joint density at (y0[i], y1), times y1 when weighted;
-    0 for an empty slice. One engine row per y0. With the seed nodes of
-    piecewise-linear seeds, each row is cut at the y1-images of the lines
-    v0 = b and v1 = b, where the integrand is a polynomial of degree at most
-    3 between, and is exact; without them (nodes None) it is adaptive."""
-    s0, s1 = model.seed0.effective_support(), model.seed1.effective_support()
+    0 for an empty slice. One engine row per y0, cut at the y1-images of
+    the lines v0 = b and v1 = b over each seed's cut_points() b, where the
+    integrand may end or kink. When both seeds are piecewise linear it is a
+    polynomial of degree at most 3 between the cuts and exact mode
+    integrates it; otherwise it is adaptive to cfg."""
+    nodes0, nodes1 = model.seed0.cut_points(), model.seed1.cut_points()
 
     def edges(i, j):
-        lo, hi = _y1_interval(law, s0, s1, y0[i:j, None])
+        lo, hi = _y1_interval(law, nodes0[[0, -1]], nodes1[[0, -1]], y0[i:j, None])
         hi = np.maximum(lo, hi)  # an empty slice has no width
-        if nodes is None:
-            return np.hstack((lo, hi))
-        cuts = np.hstack((lo, *_y1_images(law, y0[i:j, None], nodes[0], nodes[1]), hi))
+        cuts = np.hstack((lo, *_y1_images(law, y0[i:j, None], nodes0, nodes1), hi))
         return np.sort(np.clip(cuts, lo, hi), axis=1)
 
     def integrand(y1, row):
         value = joint_pdf(law, model, y0[row], y1)
         return y1 * value if weighted else value
 
-    return _integrate_rows(integrand, y0.size, edges, cfg if nodes is None else None)
+    exact = model.seed0.piecewise_linear and model.seed1.piecewise_linear
+    return _integrate_rows(integrand, y0.size, edges, None if exact else cfg)
 
 
 def _y1_images(law: JointLaw, y0, v0, v1):
@@ -144,10 +144,8 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
     c0, c1 = law.coeff_matrix[0], law.coeff_matrix[1]
     y0_lo, y0_hi = linear_form_support(model, c0, c1)
     inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
-    nodes = seed_nodes(model)
-    knots = None if nodes is None else linear_form_knots(model, c0, c1)
-    return integrate(lambda y0: _slice_integrals(law, model, nodes, y0, inner_cfg),
-                     y0_lo, y0_hi, cfg, knots=knots)
+    return integrate(lambda y0: _slice_integrals(law, model, y0, inner_cfg),
+                     y0_lo, y0_hi, cfg, knots=linear_form_knots(model, c0, c1))
 
 
 def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_CONFIG):
@@ -171,7 +169,7 @@ def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_
                 "the conditional mean is not identifiable there"
             )
         raise OutsideSupportError(f"empty conditional support at x={float(xs[i])}")
-    g = _slice_integrals(law, model, seed_nodes(model), xs, cfg, weighted=True) / marginal
+    g = _slice_integrals(law, model, xs, cfg, weighted=True) / marginal
     return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 

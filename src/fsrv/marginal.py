@@ -105,26 +105,17 @@ def linear_form_moments(model: FsrvModel, c0, c1) -> tuple[float, float]:
     return mean, variance
 
 
-def seed_nodes(model: FsrvModel) -> tuple[np.ndarray, np.ndarray] | None:
-    """The nodes of both seeds, support ends included, when both densities
-    are piecewise linear with kinks only there; None otherwise."""
-    seeds = (model.seed0, model.seed1)
-    if not all(seed.piecewise_linear for seed in seeds):
-        return None
-    return tuple(np.array((seed.support()[0], *seed.breakpoints(), seed.support()[1]))
-                 for seed in seeds)
-
-
 def linear_form_knots(model: FsrvModel, c0, c1) -> np.ndarray | None:
-    """Sorted knots c0*b0 + c1*b1 over all seed nodes b0, b1, between which
-    the density of c0*V0 + c1*V1 is a cubic when both seeds are piecewise
-    linear (the B-spline convolution rule); None for other seeds. Knots that
-    coincide up to rounding, as integer coefficients on a uniform grid make
-    them, are kept once."""
-    nodes = seed_nodes(model)
-    if nodes is None:
+    """Sorted knots c0*b0 + c1*b1 over the seeds' cut points b0, b1, between
+    which the density of c0*V0 + c1*V1 is a cubic when both seeds are
+    piecewise linear (the B-spline convolution rule); None for other seeds.
+    Knots that coincide up to rounding, as integer coefficients on a uniform
+    grid make them, are kept once."""
+    s0, s1 = model.seed0, model.seed1
+    if not (s0.piecewise_linear and s1.piecewise_linear):
         return None
-    knots = np.sort((float(c0) * nodes[0][:, None] + float(c1) * nodes[1][None, :]).ravel())
+    knots = np.sort((float(c0) * s0.cut_points()[:, None]
+                     + float(c1) * s1.cut_points()[None, :]).ravel())
     keep = np.diff(knots, prepend=-np.inf) > 1e-12 * (knots[-1] - knots[0])
     return knots[keep]
 
@@ -139,22 +130,9 @@ def support_xn(model: FsrvModel, n: int, effective: bool = False) -> tuple[float
 def linear_form_pdf(model: FsrvModel, c0: float, c1: float, x,
                     cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of c0*V0 + c1*V1 at x, a float or an array, by scaled
-    convolution of the seed densities, split at their kinks, over their
-    effective supports; exact per piece when both seeds are piecewise
-    linear."""
-    return scaled_convolution(
-        model.seed0.pdf,
-        model.seed1.pdf,
-        c0,
-        c1,
-        x,
-        cfg,
-        support0=model.seed0.effective_support(),
-        support1=model.seed1.effective_support(),
-        breakpoints0=model.seed0.breakpoints(),
-        breakpoints1=model.seed1.breakpoints(),
-        piecewise_linear=model.seed0.piecewise_linear and model.seed1.piecewise_linear,
-    )
+    convolution of the seed pair, which tells it where to cut and whether
+    it is exact (see numerics.scaled_convolution)."""
+    return scaled_convolution(model.seed0, model.seed1, c0, c1, x, cfg)
 
 
 def pdf_numeric(model: FsrvModel, n: int, x, cfg: QuadratureConfig = DEFAULT_CONFIG):

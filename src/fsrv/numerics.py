@@ -9,18 +9,20 @@ of an absolute error target. Neither mode evaluates the integrand at a cut,
 so it may jump at any cut; the engine's callers cut every row at its known
 jumps and kinks.
 `integrate` is its one-row front end, `scaled_convolution` the density of
-c0*V0 + c1*V1 for independent V0, V1 with one row per x, and `DensityCurve`
-a density sampled on a grid next to its normalization certificate.
+c0*V0 + c1*V1 for independent seeds V0, V1 with one row per x, cut and
+made exact as the seeds say, and `DensityCurve` a density sampled on a
+grid next to its normalization certificate.
 Densities take arrays of points.
 """
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
+from .seeds import SeedDistribution
 
 Func = Callable[[np.ndarray], np.ndarray]
 
@@ -61,8 +63,8 @@ _GAUSS2 = np.array((-1.0, 1.0)) / math.sqrt(3.0)
 #: points are asked for.
 _CHUNK_ELEMENTS = 1 << 12
 
-#: Panels adaptive mode bisects per step, and pieces it takes at once: they
-#: bound the memory its pending and accepted panels hold.
+#: Panels adaptive mode bisects per step, and pieces of positive width it
+#: takes at once: they bound the memory its pending and accepted panels hold.
 _BLOCK_PANELS = 1 << 9
 _ADAPTIVE_PIECES = 1 << 7
 
@@ -130,7 +132,7 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
     """
     width = edges(0, 0).shape[1]
     out = np.empty(rows)
-    step = max(1, _ADAPTIVE_PIECES // (width - 1) if cfg else _CHUNK_ELEMENTS // (2 * width - 2))
+    step = max(1, _CHUNK_ELEMENTS // (2 * width - 2))
     for i in range(0, rows, step):
         cuts = edges(i, i + step)
         if cfg:
@@ -144,13 +146,23 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
 
 
 def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> np.ndarray:
-    """Adaptive mode of _integrate_rows for the rows start, start + 1, ..."""
+    """Adaptive mode of _integrate_rows for the rows start, start + 1, ...,
+    _ADAPTIVE_PIECES pieces of positive width at a time: the zero-width
+    pieces that clipped cuts leave cost nothing."""
     rows = len(edges)
     owner, col = np.nonzero(edges[:, :-1] < edges[:, 1:])  # the pieces of positive width
-    lo, hi = edges[owner, col], edges[owner, col + 1]
     share = cfg.abs_tol / np.bincount(owner, minlength=rows)[owner]
     share_config(cfg, share.min(initial=cfg.abs_tol))  # raises if a share underflowed
-    row, pieces = start + owner, lo.size
+    pieces = (edges[owner, col], edges[owner, col + 1], share, start + owner)
+    totals = [_adaptive_pieces(f, *(v[k:k + _ADAPTIVE_PIECES] for v in pieces))
+              for k in range(0, owner.size, _ADAPTIVE_PIECES)]
+    return np.bincount(owner, weights=np.concatenate([np.empty(0), *totals]), minlength=rows)
+
+
+def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
+    """Integrals of f over the pieces [lo, hi] of the rows row, each to its
+    own absolute tolerance share."""
+    pieces = lo.size
     # a block holds panels of one depth that failed their tolerance share,
     # one per column, in the rows a, b, piece and K15 estimate; each piece
     # starts as one such panel, never evaluated, as its first bisection is
@@ -205,7 +217,7 @@ def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> n
         q = np.argmax(capped)
         raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
                                   f"before reaching abs_tol={share[q]}", partial=float(totals[q]))
-    return np.bincount(owner, weights=totals, minlength=rows)
+    return totals
 
 
 def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -233,36 +245,23 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
     return float(_integrate_rows(lambda t, row: f(t.ravel()), 1, lambda i, j: edges[i:j], cfg)[0])
 
 
-def scaled_convolution(
-    f0: Func,
-    f1: Func,
-    c0: float,
-    c1: float,
-    x,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    support0: tuple[float, float] = (-np.inf, np.inf),
-    support1: tuple[float, float] = (-np.inf, np.inf),
-    breakpoints0=(),
-    breakpoints1=(),
-    piecewise_linear: bool = False,
-):
+def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: float,
+                       c1: float, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of c0*V0 + c1*V1 at x, a float or an array, for independent
-    V0 ~ f0 and V1 ~ f1: (1/(c0*c1)) * integral of f0((x-t)/c0) * f1(t/c1) dt
-    over the t-range both supports allow, one engine row per x. Supports
-    must be finite: callers pass the seeds' effective supports. Each row is
-    cut at the images of the support ends and kinks (breakpoints0/1), where
-    the integrand may jump, so each adaptive piece is smooth. With
-    piecewise_linear, both densities are linear between those nodes, the
+    seeds V0 ~ seed0 and V1 ~ seed1 with densities f0, f1: (1/(c0*c1)) *
+    integral of f0((x-t)/c0) * f1(t/c1) dt over the t-range both effective
+    supports allow, one engine row per x. Each row is cut at the images of
+    both seeds' cut_points(), where the integrand may end or kink, so each
+    adaptive piece is smooth. When both seeds are piecewise_linear, the
     integrand is quadratic on each piece and exact mode integrates it; the
     tolerance is then validated but not consumed.
     """
     if c0 <= 0 or c1 <= 0:
         raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
-    if not np.all(np.isfinite((*support0, *support1))):
+    nodes0, nodes1 = seed0.cut_points(), seed1.cut_points()
+    if not (np.all(np.isfinite(nodes0)) and np.all(np.isfinite(nodes1))):
         raise DomainError("scaled_convolution needs finite (truncated) supports")
-    nodes0 = np.array((support0[0], *breakpoints0, support0[1]))
-    nodes1 = np.array((support1[0], *breakpoints1, support1[1]))
-    if piecewise_linear:
+    if seed0.piecewise_linear and seed1.piecewise_linear:
         share_config(cfg, cfg.abs_tol / (nodes0.size + nodes1.size - 3))
         cfg = None
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -274,7 +273,7 @@ def scaled_convolution(
         # an x outside the support clips every cut to t_hi: no width, no mass
         return np.sort(np.clip(edges, t_lo, t_hi), axis=1)
 
-    integrand = lambda t, row: f0((xs[row] - t) / c0) * f1(t / c1)
+    integrand = lambda t, row: seed0.pdf((xs[row] - t) / c0) * seed1.pdf(t / c1)
     out = _integrate_rows(integrand, xs.size, cuts, cfg) / (c0 * c1)
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
@@ -282,14 +281,12 @@ def scaled_convolution(
 
 @dataclass
 class DensityCurve:
-    """A univariate density sampled on a grid, with support metadata and a
-    normalization certificate (norm_defect = |integral - 1|)."""
+    """A univariate density sampled on a grid, with its normalization
+    certificate (norm_defect = |integral - 1|)."""
 
     xs: np.ndarray
     ys: np.ndarray
-    support: tuple[float, float]
     norm_defect: float
-    label: str = field(default="density")
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -312,14 +309,13 @@ class DensityCurve:
         points: int,
         support: tuple[float, float],
         cfg: QuadratureConfig = DEFAULT_CONFIG,
-        label: str = "density",
         knots=None,
     ) -> "DensityCurve":
         """Sample f on an even grid, in one call, and certify its
-        normalization over the full (truncated) support, independently of
+        normalization over support, the full (truncated) support, whatever
         the viewing window. With knots, f is a piecewise cubic there and the
         certificate is exact per piece."""
         xs = np.linspace(grid_lo, grid_hi, points)
         ys = f(xs)
         mass = integrate(f, support[0], support[1], cfg, knots=knots)
-        return cls(xs=xs, ys=ys, support=support, norm_defect=abs(mass - 1.0), label=label)
+        return cls(xs=xs, ys=ys, norm_defect=abs(mass - 1.0))

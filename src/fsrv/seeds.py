@@ -27,9 +27,9 @@ TAIL_MASS = 1e-12
 class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
 
-    #: True when the density is linear between its support ends and
-    #: breakpoints(); quadrature over products of such densities is then
-    #: exact with one two-point Gauss-Legendre panel per piece.
+    #: True when the density is linear between its cut_points(); quadrature
+    #: over products of such densities is then exact with one two-point
+    #: Gauss-Legendre panel per piece.
     piecewise_linear = False
 
     def pdf(self, x):
@@ -54,6 +54,12 @@ class SeedDistribution:
         any expression in this density should split there. Support endpoints
         are not listed (integration ranges already stop at them)."""
         return ()
+
+    def cut_points(self) -> np.ndarray:
+        """The effective support's ends with breakpoints() between them:
+        every quadrature over this density cuts there."""
+        lo, hi = self.effective_support()
+        return np.array((lo, *self.breakpoints(), hi))
 
     def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map an (n, 2) block of uniforms to n variates.
@@ -230,33 +236,34 @@ class Tabulated(SeedDistribution):
 def tabulated_from_csv(path) -> Tabulated:
     """Load a tabulated seed from a two-column CSV of (x, density) rows.
 
-    A single header row is permitted and auto-detected. The x column must be
-    an evenly spaced increasing grid.
+    A header may take the first non-blank row; blank rows are skipped. The
+    x column must be an evenly spaced increasing grid.
     """
     xs: list[float] = []
     ys: list[float] = []
     with open(path, newline="") as fh:
-        for row_index, row in enumerate(csv.reader(fh)):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise DomainError(f"{path}: row {row_index + 1} has fewer than 2 columns")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                if row_index == 0:
-                    continue  # header
-                raise DomainError(f"{path}: row {row_index + 1} is not numeric") from None
-            xs.append(x)
-            ys.append(y)
+        rows = [(i, row) for i, row in enumerate(csv.reader(fh), 1)
+                if any(cell.strip() for cell in row)]
+    for number, row in rows:
+        if len(row) < 2:
+            raise DomainError(f"{path}: row {number} has fewer than 2 columns")
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            if number == rows[0][0]:
+                continue  # header
+            raise DomainError(f"{path}: row {number} is not numeric") from None
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 16:
         raise DomainError(f"{path}: need at least 16 data rows, got {len(xs)}")
     grid = np.asarray(xs)
-    steps = np.diff(grid)
-    if np.any(steps <= 0):
+    if np.any(np.diff(grid) <= 0):
         raise DomainError(f"{path}: x column must be strictly increasing")
-    h = float(steps[0])
-    if np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1.0)):
+    even = np.linspace(grid[0], grid[-1], grid.size)  # where Tabulated puts the nodes
+    # 1e-6 of a step, plus the rounding of a decimal x near the largest |x|
+    if np.any(np.abs(grid - even) > 1e-6 * (even[1] - even[0])
+              + 4 * np.spacing(np.max(np.abs(grid)))):
         raise DomainError(f"{path}: x column must be evenly spaced")
     return Tabulated(float(grid[0]), float(grid[-1]), np.asarray(ys))
 

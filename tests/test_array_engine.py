@@ -20,7 +20,7 @@ from fsrv.marginal import (
     pdf_normal_closed,
     pdf_numeric,
 )
-from fsrv.numerics import DEFAULT_CONFIG, QuadratureConfig
+from fsrv.numerics import DEFAULT_CONFIG, QuadratureConfig, _integrate_rows
 from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 rates = st.floats(0.2, 5.0)
@@ -125,3 +125,24 @@ def test_numeric_normal_member_meets_the_default_tolerance():
     xs = np.linspace(-6.0, 6.0, 301) * math.sqrt(5.0)
     error = np.abs(pdf_numeric(normal_model(), 3, xs) - pdf_normal_closed(3, xs))
     assert np.max(error) <= DEFAULT_CONFIG.abs_tol
+
+
+def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
+    # callers clip their cuts to each row's range, which leaves zero-width
+    # pieces; adaptive batches count only pieces of positive width, so rows
+    # padded with them take the same integrand calls and give the same values
+    rows = 256  # both layouts fetch all rows at once: 4096 nodes // 14 per padded row
+    plain = np.arange(rows)[:, None] + np.array([0.0, 1.0])
+    padded = np.sort(np.hstack((plain, plain, plain[:, ::-1], plain)), axis=1)
+    results = []
+    for cuts in (plain, padded):
+        sizes = []
+
+        def f(t, row):
+            sizes.append(t.size)
+            return np.exp(-0.01 * t) * np.cos(t)
+
+        results.append((_integrate_rows(f, rows, lambda i, j: cuts[i:j], DEFAULT_CONFIG), sizes))
+    (plain_values, plain_sizes), (padded_values, padded_sizes) = results
+    assert padded_sizes == plain_sizes
+    np.testing.assert_array_equal(padded_values, plain_values)

@@ -2,9 +2,11 @@ import gc
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,8 +374,7 @@ def test_limit_on_a_table_too_narrow_for_its_offset_fails_cleanly(capsys, tmp_pa
 
 
 def _refuse_density(monkeypatch):
-    bogus = DensityCurve(xs=np.array([0.0, 1.0]), ys=np.array([0.5, 0.5]),
-                         support=(0.0, 1.0), norm_defect=5e-4)
+    bogus = DensityCurve(xs=np.array([0.0, 1.0]), ys=np.array([0.5, 0.5]), norm_defect=5e-4)
     monkeypatch.setattr(DensityCurve, "from_function", lambda *args, **kwargs: bogus)
 
 
@@ -446,8 +447,12 @@ def test_main_leaves_no_cyclic_garbage(capsys, tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the fsrv this process imported, from a checkout or installed
+    src = str(Path(joint_predict.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-m", "fsrv", "fib", "--n", "12"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout.strip() == "144"
 

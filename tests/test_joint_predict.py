@@ -18,6 +18,7 @@ from fsrv.joint_predict import (
 )
 from fsrv.marginal import FsrvModel, pdf_exponential_closed, pdf_uniform_closed
 from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.seeds import Exponential
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +288,36 @@ def test_triangle_predictor_matches_scipy(capsys, tmp_path, triangle_seed):
         mass = sum(quad(weight, a, b, epsabs=1e-14, epsrel=1e-12)[0] for a, b in pieces)
         first = sum(quad(moment, a, b, epsabs=1e-14, epsrel=1e-12)[0] for a, b in pieces)
         assert abs(got - first / mass) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def mixed_model(triangle_seed):
+    """The triangle table seed with a smooth unit exponential seed."""
+    return FsrvModel(triangle_seed, Exponential(1.0))
+
+
+def test_mixed_pair_joint_certificate_meets_the_default_tolerance(law43, mixed_model):
+    # the slices were cut only at the support ends, not at the table's kinks:
+    # the certificate read 2.0e-8
+    assert abs(joint_normalization_check(law43, mixed_model) - 1.0) <= 1e-9
+
+
+def test_mixed_pair_predictor_matches_scipy(law43, mixed_model, triangle_seed):
+    quad = pytest.importorskip("scipy.integrate").quad
+    xs = np.linspace(0.5, 9.0, 12)
+    got = predict(law43, mixed_model, xs)
+    for x, value in zip(xs, got):
+        # member 4 = 2*V0 + 3*V1 = x; integrate over V1 = t, V0 = (x - 3t)/2,
+        # with the images of the table's kinks as break points
+        lo, hi = max(0.0, (x - 4.0) / 3.0), x / 3.0
+        kinks = [c for c in (x - 2.0 * triangle_seed.grid) / 3.0 if lo < c < hi]
+
+        def weight(t):
+            return triangle_seed.pdf((x - 3.0 * t) / 2.0) * math.exp(-t)
+
+        def moment(t):  # member 7 = 8*V0 + 13*V1
+            return (4.0 * (x - 3.0 * t) + 13.0 * t) * weight(t)
+
+        mass = quad(weight, lo, hi, points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        first = quad(moment, lo, hi, points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(value - first / mass) <= 1e-12 * abs(first / mass)

@@ -121,8 +121,7 @@ def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
     e = Exponential(1.5)
     se = e.effective_support()
     for x in (0.7, 3.3, 9.0):
-        got = scaled_convolution(triangle_seed.pdf, e.pdf, 2.0, 3.0, x, QuadratureConfig(1e-9),
-                                 (0.0, 2.0), se, triangle_seed.breakpoints())
+        got = scaled_convolution(triangle_seed, e, 2.0, 3.0, x, QuadratureConfig(1e-9))
         t_lo, t_hi = max(0.0, x - 2.0 * 2.0), min(3.0 * se[1], x)
         cuts = [t_lo] + sorted(c for c in (x - 2.0 * b for b in triangle_seed.breakpoints())
                                if t_lo < c < t_hi) + [t_hi]
@@ -135,50 +134,50 @@ def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
 
 def test_scaled_convolution_exponential_pair():
     e = Exponential(1.0)
-    sup = e.effective_support()
-    got = scaled_convolution(e.pdf, e.pdf, 1.0, 1.0, 1.0, support0=sup, support1=sup)
+    got = scaled_convolution(e, e, 1.0, 1.0, 1.0)
     assert abs(got - math.exp(-1.0)) < 1e-9  # density of V0+V1 at 1 is e^-1
 
 
 def test_scaled_convolution_uniform_plateau():
     u = UniformUnit()
-    got = scaled_convolution(u.pdf, u.pdf, 3.0, 5.0, 4.0, support0=(0, 1), support1=(0, 1))
+    got = scaled_convolution(u, u, 3.0, 5.0, 4.0)
     assert got == pytest.approx(0.2, abs=1e-12)
 
 
 def test_scaled_convolution_outside_support():
     u = UniformUnit()
-    assert scaled_convolution(u.pdf, u.pdf, 3.0, 5.0, -2.0,
-                              support0=(0, 1), support1=(0, 1)) == 0.0
-    assert scaled_convolution(u.pdf, u.pdf, 3.0, 5.0, 9.5,
-                              support0=(0, 1), support1=(0, 1)) == 0.0
+    assert scaled_convolution(u, u, 3.0, 5.0, -2.0) == 0.0
+    assert scaled_convolution(u, u, 3.0, 5.0, 9.5) == 0.0
+
+
+class _UntruncatedExponential(Exponential):
+    """An exponential seed whose effective support keeps the infinite tail."""
+
+    def effective_support(self):
+        return self.support()
 
 
 def test_scaled_convolution_validation():
     u = UniformUnit()
     with pytest.raises(DomainError):
-        scaled_convolution(u.pdf, u.pdf, 0.0, 1.0, 0.5, support0=(0, 1), support1=(0, 1))
+        scaled_convolution(u, u, 0.0, 1.0, 0.5)
     with pytest.raises(DomainError):
-        scaled_convolution(u.pdf, u.pdf, 1.0, 1.0, 0.5,
-                           support0=(0, math.inf), support1=(0, 1))
+        scaled_convolution(_UntruncatedExponential(1.0), u, 1.0, 1.0, 0.5)
 
 
 def test_scaled_convolution_swap_symmetry():
     e = Exponential(1.0)
     u = UniformUnit()
-    se, su = e.effective_support(), (0.0, 1.0)
     for x in np.linspace(-1.0, 12.0, 25):
-        a = scaled_convolution(e.pdf, u.pdf, 2.0, 5.0, float(x), support0=se, support1=su)
-        b = scaled_convolution(u.pdf, e.pdf, 5.0, 2.0, float(x), support0=su, support1=se)
+        a = scaled_convolution(e, u, 2.0, 5.0, float(x))
+        b = scaled_convolution(u, e, 5.0, 2.0, float(x))
         assert abs(a - b) <= 1e-10
 
 
 def test_scaled_convolution_normalized_output():
     e = Exponential(1.0)
-    sup = e.effective_support()
-    density = lambda x: scaled_convolution(e.pdf, e.pdf, 2.0, 3.0, x,
-                                           support0=sup, support1=sup)
-    mass = integrate(density, 0.0, 5.0 * sup[1], QuadratureConfig(abs_tol=1e-8))
+    density = lambda x: scaled_convolution(e, e, 2.0, 3.0, x)
+    mass = integrate(density, 0.0, 5.0 * e.effective_support()[1], QuadratureConfig(abs_tol=1e-8))
     assert abs(mass - 1.0) <= 1e-6
 
 
@@ -192,17 +191,14 @@ def test_quadrature_config_validation():
 
 def test_density_curve_validation():
     with pytest.raises(DomainError):
-        DensityCurve(xs=np.array([0.0, 1.0]), ys=np.array([1.0, -0.5]),
-                     support=(0, 1), norm_defect=0.0)
+        DensityCurve(xs=np.array([0.0, 1.0]), ys=np.array([1.0, -0.5]), norm_defect=0.0)
     with pytest.raises(DomainError):
-        DensityCurve(xs=np.array([1.0, 0.0]), ys=np.array([1.0, 1.0]),
-                     support=(0, 1), norm_defect=0.0)
+        DensityCurve(xs=np.array([1.0, 0.0]), ys=np.array([1.0, 1.0]), norm_defect=0.0)
     with pytest.raises(DomainError):
-        DensityCurve(xs=np.array([0.0]), ys=np.array([1.0]),
-                     support=(0, 1), norm_defect=0.0)
+        DensityCurve(xs=np.array([0.0]), ys=np.array([1.0]), norm_defect=0.0)
     for xs in ([0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]):
         with pytest.raises(DomainError):
-            DensityCurve(xs=np.array(xs), ys=np.ones(len(xs)), support=(0, 1), norm_defect=0.0)
+            DensityCurve(xs=np.array(xs), ys=np.ones(len(xs)), norm_defect=0.0)
 
 
 def test_density_curve_from_function_certificate():

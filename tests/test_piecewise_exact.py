@@ -169,10 +169,7 @@ def test_exact_convolution_takes_scalars_and_arrays(triangle_seed):
 def test_exact_convolution_validates_the_tolerance(triangle_seed):
     # validated as on the adaptive route: a share that underflows fails
     with pytest.raises(NonConvergenceError, match="underflows to 0"):
-        scaled_convolution(triangle_seed.pdf, triangle_seed.pdf, 1.0, 2.0, 1.0,
-                           QuadratureConfig(1e-323), (0.0, 2.0), (0.0, 2.0),
-                           triangle_seed.breakpoints(), triangle_seed.breakpoints(),
-                           piecewise_linear=True)
+        scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, 1.0, QuadratureConfig(1e-323))
 
 
 def test_linear_form_knots(triangle_seed):

@@ -155,6 +155,34 @@ def test_tabulated_from_csv_headerless(tmp_path):
     assert abs(seed.pdf(0.5) - 1.0) < 1e-12
 
 
+def test_tabulated_from_csv_finds_the_header_after_blank_lines(tmp_path):
+    path = tmp_path / "blank_first.csv"
+    xs = np.linspace(0, 1, 21)
+    path.write_text("\n  ,\nx,density\n" + "\n".join(f"{x},1.0" for x in xs) + "\n")
+    seed = tabulated_from_csv(path)
+    np.testing.assert_array_equal(seed.grid, xs)
+    assert abs(seed.pdf(0.5) - 1.0) < 1e-12
+
+
+# even grids as files write them: shortest round-trip decimals of a
+# linspace far from 0, 10 significant digits, and x0 + k*h
+_ROUNDED_GRIDS = {
+    "narrow_1e4": [repr(float(x)) for x in np.linspace(1e4, 1e4 + 1e-8, 31)],
+    "narrow_1e6": [repr(float(x)) for x in np.linspace(1e6, 1e6 + 1e-3, 31)],
+    "ten_digits": [f"{x:.10g}" for x in np.linspace(0.0, 2.0, 31)],
+    "x0_plus_kh": [repr(1.0 + k * (0.1 / 3.0)) for k in range(40)],
+}
+
+
+@pytest.mark.parametrize("grid", _ROUNDED_GRIDS)
+def test_tabulated_from_csv_accepts_rounded_even_grids(tmp_path, grid):
+    xs = _ROUNDED_GRIDS[grid]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(f"{x},1.0" for x in xs) + "\n")
+    seed = tabulated_from_csv(path)
+    assert (seed.lo, seed.hi, seed.nodes.size) == (float(xs[0]), float(xs[-1]), len(xs))
+
+
 def test_tabulated_from_csv_rejects_bad_input(tmp_path):
     few = tmp_path / "few.csv"
     few.write_text("0,1\n1,1\n")
@@ -166,11 +194,25 @@ def test_tabulated_from_csv_rejects_bad_input(tmp_path):
     uneven.write_text("\n".join(f"{x},1.0" for x in xs) + "\n")
     with pytest.raises(DomainError, match="evenly spaced"):
         tabulated_from_csv(uneven)
+    # steps alternating 1e-10 and 5e-10: within an absolute 1e-9 of each
+    # other, but Tabulated would put node 1 at 3e-10, not at 1e-10
+    tiny = tmp_path / "tiny.csv"
+    xs = np.cumsum([0.0] + [1e-10, 5e-10] * 8)
+    tiny.write_text("\n".join(f"{float(x)!r},1.0" for x in xs) + "\n")
+    with pytest.raises(DomainError, match="evenly spaced"):
+        tabulated_from_csv(tiny)
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("x,density\n" + "\n".join(f"{x},1.0" for x in np.linspace(0, 1, 20))
                        + "\noops,1.0\n")
     with pytest.raises(DomainError, match="not numeric"):
         tabulated_from_csv(garbage)
+
+
+def test_cut_points_are_the_effective_support_ends_and_the_kinks(triangle_seed):
+    np.testing.assert_array_equal(triangle_seed.cut_points(), triangle_seed.grid)
+    e = Exponential(1.5)
+    np.testing.assert_array_equal(e.cut_points(), e.effective_support())
+    assert UniformUnit().cut_points().tolist() == [0.0, 1.0]
 
 
 def test_parse_seed_spec():
