@@ -17,7 +17,7 @@ config = SimulationConfig(rng_seed=42, n_paths=20_000, horizon=41, model=exponen
 run = run_simulation(config, n_workers=4)
 
 print("one sampled path (members 0..8):")
-print("  " + ", ".join(f"{v:.4f}" for v in sample_path(config, 0)[:9]))
+print("  " + ", ".join(f"{v:.4f}" for v in sample_path(run)[0, :9]))
 
 print("\nconsecutive-member ratio across paths:")
 print(f"{'n':>3} {'mean':>12} {'min':>12} {'max':>12} {'within 1e-6 of phi':>20}")

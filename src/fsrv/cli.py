@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> str:
         steps = config.horizon + 1
         columns = (np.repeat(np.arange(config.n_paths), steps),
                    np.tile(np.arange(steps), config.n_paths),
-                   np.ravel([simulate.sample_path(config, i) for i in range(config.n_paths)]))
+                   simulate.sample_path(run).ravel())
         with open(args.paths_out, "w") as fh:
             fh.write(_csv_table(["path_index", "n", "value"], columns))
     return text

@@ -113,6 +113,8 @@ class Exponential(SeedDistribution):
 
 @dataclass(frozen=True)
 class UniformUnit(SeedDistribution):
+    piecewise_linear = True
+
     def pdf(self, x):
         return np.where((0.0 <= x) & (x <= 1.0), 1.0, 0.0)[()]
 

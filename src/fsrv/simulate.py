@@ -3,13 +3,13 @@
 Each path draws its two seed values from a dedicated substream: path i reads
 counter block i of a Philox generator keyed by the run seed, a fixed block
 of four uniforms per path. Results are therefore bit-identical no matter how
-the draws are chunked, and any path can be regenerated on its own.
+the draws are chunked.
 
 A run walks the recursion forward with one cursor over the index, which
-member reads, partial sums, ratio statistics and the summary all share:
-reading members in ascending n costs one array addition per index, and
-reading a smaller n restarts the walk from the seed pairs. The cursor makes
-a run stateful, so a run must not be shared across threads.
+member reads, partial sums, ratio statistics, sample_path and the summary
+all share: reading members in ascending n costs one array addition per
+index, and reading a smaller n restarts the walk from the seed pairs. The
+cursor makes a run stateful, so a run must not be shared across threads.
 """
 
 import json
@@ -192,16 +192,14 @@ def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRu
     return SimulationRun(config, pairs)
 
 
-def sample_path(config: SimulationConfig, path_index: int) -> list[float]:
-    """Values of members 0..horizon for one path, each subsequent value the
-    exact sum of the previous two."""
-    if not 0 <= path_index < config.n_paths:
-        raise DomainError(f"path_index must be in [0, {config.n_paths}), got {path_index}")
-    x0, x1 = _draw_seed_pairs(config, path_index, 1)[0]
-    path = [float(x0), float(x1)]
-    for _ in range(config.horizon - 1):
-        path.append(path[-2] + path[-1])
-    return path
+def sample_path(run: SimulationRun) -> np.ndarray:
+    """Members 0..horizon of every path, row i holding path i, from one
+    ascending walk of the run's cursor over its drawn seed pairs: no seed is
+    drawn again, and each member is the exact sum of the previous two."""
+    paths = np.empty((run.config.n_paths, run.config.horizon + 1))
+    for n in range(run.config.horizon + 1):
+        paths[:, n] = run._member(n)
+    return paths
 
 
 @dataclass(frozen=True)

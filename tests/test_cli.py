@@ -18,8 +18,8 @@ from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
 from fsrv.limits import pdf_limit_uniform_closed
-from fsrv.marginal import pdf_exponential_closed
-from fsrv.numerics import DensityCurve
+from fsrv.marginal import pdf_exponential_closed, pdf_uniform_closed
+from fsrv.numerics import DEFAULT_CONFIG, DensityCurve
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +70,16 @@ def test_pdf_json_has_certificate(capsys):
     assert doc["method"] == "closed"
     assert doc["norm_defect"] <= 1e-6
     assert len(doc["x"]) == len(doc["density"]) == 64
+
+
+def test_numeric_uniform_pdf_meets_the_default_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "pdf", "--seeds", "unif01", "--n", "5", "--grid=-1:14:151",
+                           "--method", "numeric", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "numeric"
+    error = np.abs(np.array(doc["density"]) - pdf_uniform_closed(5, np.array(doc["x"])))
+    assert np.max(error) <= DEFAULT_CONFIG.abs_tol
 
 
 def test_pdf_numeric_method_for_table_seed(capsys, tmp_path):
@@ -469,6 +479,9 @@ def test_console_entry_point_runs():
 # Every smooth-seed digest was re-recorded when adaptive quadrature moved to
 # Gauss-Kronrod panels: the closed-form commands changed only in their
 # norm_defect, and the numeric densities moved toward their closed forms.
+# limit_unif, joint_unif and joint_unif_json were re-recorded when unif01
+# went to exact quadrature: only their norm_defect moved, from 2.2e-16 to 0
+# and to 8.9e-16 (rounding of the exact mass).
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
@@ -484,7 +497,7 @@ _ANALYTIC_DIGESTS = [
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
      "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
-     "9d6fea8e2054059e6ce07c442b8e7dab47e2142add3069b35136502ae40f850a"),
+     "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
      "019b0ce2cffaa8e48aa3b8a2a677f2d40dc8e243e3595038fed8753f7b7409ba"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
@@ -498,7 +511,7 @@ _ANALYTIC_DIGESTS = [
      "ade6bb671a3ef71ef0ad4cabd0ddc7029c4b0d0d8bdaa92a23b4c3589e926c0f"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                     "--grid0", "0:5:4", "--grid1", "0:21:4"],
-     "e8f23a78718d7e1397afcbe02ff5a3849e0834711917f71263b45445a868edd0"),
+     "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),
     ("predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                      "--grid", "0.5:10:5", "--output", "json"],
      "c80784d4985bf0e1cf0c2325e8a86a1c761ef689137ca50e26d9921c2796df03"),
@@ -519,7 +532,7 @@ _ANALYTIC_DIGESTS = [
      "4e9e678564de42942afc23f8ba6e380a57fc1a2931416608526a1d132b9971da"),
     ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                          "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
-     "da402b3cda5e062ea683fda9a2374165ecf660a6d18f77a40f85ee1286bfa5cf"),
+     "8bea4ab148eedd105d32e731f940ce4d33c7be22f3dd0b587bb9a7713d5af061"),
     ("simulate_csv", ["simulate", "--seeds", "normal01", "--paths", "50", "--horizon", "10",
                       "--rng-seed", "7"],
      "144868670a792994e52360f8f54df9217ae4c5e25865b69e22fdb1a5f1a09c19"),

@@ -18,7 +18,7 @@ from fsrv.joint_predict import (
 )
 from fsrv.marginal import FsrvModel, pdf_exponential_closed, pdf_uniform_closed
 from fsrv.numerics import QuadratureConfig, integrate
-from fsrv.seeds import Exponential
+from fsrv.seeds import Exponential, UniformUnit
 
 
 @pytest.fixture(scope="module")
@@ -320,4 +320,34 @@ def test_mixed_pair_predictor_matches_scipy(law43, mixed_model, triangle_seed):
 
         mass = quad(weight, lo, hi, points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)[0]
         first = quad(moment, lo, hi, points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(value - first / mass) <= 1e-12 * abs(first / mass)
+
+
+def test_uniform_joint_certificate_is_exact(monkeypatch, unif_model):
+    points = []
+    pdf = UniformUnit.pdf
+    monkeypatch.setattr(UniformUnit, "pdf", lambda self, x: points.append(np.size(x)) or pdf(self, x))
+    assert abs(joint_normalization_check(joint_law(6, 4), unif_model) - 1.0) <= 1e-14
+    # exact mode takes two points per piece at both levels; adaptive took 73,800
+    assert sum(points) <= 1000
+
+
+def test_uniform_predictor_matches_scipy(law43, unif_model):
+    quad = pytest.importorskip("scipy.integrate").quad
+    unif = unif_model.seed0
+    xs = np.linspace(0.25, 4.75, 10)
+    got = predict(law43, unif_model, xs)
+    for x, value in zip(xs, got):
+        # member 4 = 2*V0 + 3*V1 = x; integrate over V1 = t in [0, 1], with
+        # the images t = x/3 and (x - 2)/3 of V0's ends as break points
+        kinks = [c for c in (x / 3.0, (x - 2.0) / 3.0) if 0.0 < c < 1.0]
+
+        def weight(t):
+            return unif.pdf((x - 3.0 * t) / 2.0) * unif.pdf(t)
+
+        def moment(t):  # member 7 = 8*V0 + 13*V1
+            return (4.0 * (x - 3.0 * t) + 13.0 * t) * weight(t)
+
+        mass = quad(weight, 0.0, 1.0, points=kinks, epsabs=0.0, epsrel=1e-13)[0]
+        first = quad(moment, 0.0, 1.0, points=kinks, epsabs=0.0, epsrel=1e-13)[0]
         assert abs(value - first / mass) <= 1e-12 * abs(first / mass)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsrv import simulate
 from fsrv.cli import main
 from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
@@ -50,20 +51,52 @@ def test_config_validation(exp_model):
 
 def test_sample_path_follows_recursion(exp_model):
     config = SimulationConfig(rng_seed=7, n_paths=10, horizon=12, model=exp_model)
-    path = sample_path(config, 3)
-    assert len(path) == 13
+    run = run_simulation(config)
+    paths = sample_path(run)
+    assert paths.shape == (10, 13)
+    assert np.array_equal(paths[:, :2], run.seed_pairs)
     for n in range(2, 13):
-        assert path[n] == path[n - 1] + path[n - 2]
-    with pytest.raises(DomainError):
-        sample_path(config, 10)
+        assert np.array_equal(paths[:, n], paths[:, n - 1] + paths[:, n - 2])
 
 
 def test_sample_path_matches_linear_form(exp_model):
     config = SimulationConfig(rng_seed=123, n_paths=5, horizon=20, model=exp_model)
-    for i in range(5):
-        path = sample_path(config, i)
-        linear = fib(19) * path[0] + fib(20) * path[1]
-        assert abs(path[20] - linear) <= 1e-9 * (1.0 + abs(path[20]))
+    paths = sample_path(run_simulation(config))
+    linear = fib(19) * paths[:, 0] + fib(20) * paths[:, 1]
+    assert np.all(np.abs(paths[:, 20] - linear) <= 1e-9 * (1.0 + np.abs(paths[:, 20])))
+
+
+def _regenerated_path(config, i) -> list[float]:
+    """One path redrawn from its own substream and walked with scalar adds:
+    the per-path regeneration sample_path replaced, kept as its reference."""
+    x0, x1 = _draw_seed_pairs(config, i, 1)[0]
+    path = [float(x0), float(x1)]
+    for _ in range(config.horizon - 1):
+        path.append(path[-2] + path[-1])
+    return path
+
+
+@pytest.mark.parametrize("seed", ["exp", "unif", "norm", "table"])
+def test_sample_path_equals_per_path_regeneration(seed, exp_model, unif_model, norm_model,
+                                                  triangle_seed):
+    model = {"exp": exp_model, "unif": unif_model, "norm": norm_model,
+             "table": FsrvModel(triangle_seed, triangle_seed)}[seed]
+    config = SimulationConfig(rng_seed=11, n_paths=_CHUNK_PATHS + 40, horizon=12, model=model)
+    run = run_simulation(config)
+    run.summary()  # leaves the cursor at the horizon, so the walk must restart
+    paths = sample_path(run)
+    for i in (*range(5), *range(_CHUNK_PATHS - 3, _CHUNK_PATHS + 3), config.n_paths - 1):
+        assert paths[i].tolist() == _regenerated_path(config, i)
+
+
+def test_paths_out_draws_the_seeds_once(monkeypatch, tmp_path):
+    calls = []
+    blocks = simulate._uniform_blocks
+    monkeypatch.setattr(simulate, "_uniform_blocks", lambda *a: calls.append(a) or blocks(*a))
+    assert main(["simulate", "--seeds", "normal01", "--paths", "2000", "--horizon", "40",
+                 "--rng-seed", "1", "--paths-out", str(tmp_path / "paths.csv"),
+                 "--out", str(tmp_path / "summary.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_forced_unit_seeds_reproduce_fibonacci(exp_model):
