@@ -94,7 +94,7 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: Quadr
     def edges(i, j):
         lo, hi = _y1_interval(law, nodes0[[0, -1]], nodes1[[0, -1]], y0[i:j, None])
         hi = np.maximum(lo, hi)  # an empty slice has no width
-        cuts = np.hstack((lo, *_y1_images(law, y0[i:j, None], nodes0, nodes1), hi))
+        cuts = np.hstack(_y1_images(law, y0[i:j, None], nodes0, nodes1))
         return np.sort(np.clip(cuts, lo, hi), axis=1)
 
     def integrand(y1, row):

@@ -5,11 +5,12 @@ counter block i of a Philox generator keyed by the run seed, a fixed block
 of four uniforms per path. Results are therefore bit-identical no matter how
 the draws are chunked.
 
-A run walks the recursion forward with one cursor over the index, which
-member reads, partial sums, ratio statistics, sample_path and the summary
-all share: reading members in ascending n costs one array addition per
-index, and reading a smaller n restarts the walk from the seed pairs. The
-cursor makes a run stateful, so a run must not be shared across threads.
+The summary's per-index means and variances come from the seed pairs'
+sample moments, computed afresh on each call. Member reads, partial sums,
+ratio statistics and sample_path share one forward cursor over the index:
+reading members in ascending n costs one array addition per index, and
+reading a smaller n restarts the walk from the seed pairs. The cursor makes
+a run stateful, so a run must not be shared across threads.
 """
 
 import json
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import marginal
 from .errors import DegenerateSampleError, DomainError, KsUnreliableWarning
-from .fib_core import PHI
+from .fib_core import PHI, fib
 from .limits import normalized_sum_law
 from .marginal import FsrvModel
 
@@ -75,18 +76,18 @@ class SimulationRun:
     """Sampled seed pairs plus derived per-index statistics.
 
     Everything downstream of the seed pairs is deterministic, so the run
-    stores only those and derives path values by the additive recursion. A
-    forward cursor keeps members k and k+1 of every path in two run-owned
-    buffers, stepped in place: ascending reads are O(1) array additions per
-    index, and a read below the cursor restarts the walk from the seeds.
-    In-place steps give the same IEEE sums as fresh additions, so results do
-    not depend on the order of reads. Not safe to share across threads.
+    stores only those: the summary reads their moments, and path values
+    follow the additive recursion. A forward cursor keeps members k and k+1
+    of every path in two run-owned buffers, stepped in place: ascending reads
+    are O(1) array additions per index, and a read below the cursor restarts
+    the walk from the seeds. In-place steps give the same IEEE sums as fresh
+    additions, so results do not depend on the order of reads. Not safe to
+    share across threads.
     """
 
     def __init__(self, config: SimulationConfig, seed_pairs: np.ndarray):
         self.config = config
         self.seed_pairs = seed_pairs
-        self._summary = None
         self._k = None
         self._prev = self._cur = None
 
@@ -138,42 +139,40 @@ class SimulationRun:
         return (self.sums_at(n) - mean) / sd
 
     def summary(self) -> dict:
-        """Per-index empirical mean and variance, cached; the reduction order
-        is fixed by path index, so the result is chunking-invariant. Raises
-        DomainError when a mean or variance overflows a double."""
-        if self._summary is None:
-            means, variances = [], []
-            # np.var(vals, ddof=1) step by step, reusing the mean and one buffer
-            scratch = np.empty(self.config.n_paths)
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                for n in range(self.config.horizon + 1):
-                    vals = self._member(n)
-                    mean = np.mean(vals)
-                    means.append(float(mean))
-                    if vals.size > 1:
-                        np.subtract(vals, mean, out=scratch)
-                        np.multiply(scratch, scratch, out=scratch)
-                        variances.append(float(np.sum(scratch) / (vals.size - 1)))
-                    else:
-                        variances.append(0.0)
-            finite = np.isfinite(means) & np.isfinite(variances)
-            if not finite.all():
-                raise DomainError(f"the empirical mean or variance of member "
-                                  f"{int(np.argmin(finite))} overflows a double")
-            self._summary = {
-                "rng_seed": self.config.rng_seed,
-                "n_paths": self.config.n_paths,
-                "horizon": self.config.horizon,
-                "seed0": self.config.model.seed0.spec_string(),
-                "seed1": self.config.model.seed1.spec_string(),
-                "mean": means,
-                "variance": variances,
-            }
-        return self._summary
+        """Per-index empirical mean and variance from the seed pairs' moments:
+        member n is c0*V0 + c1*V1, so its mean is c0*m0 + c1*m1 and its
+        variance the quadratic form of the pairs' 2x2 sample covariance. No
+        cursor and no BLAS call, so the bytes do not depend on read order,
+        chunking or BLAS threads. Raises DomainError when a mean or variance
+        overflows a double."""
+        # (c0, c1) is (1, 0) at n = 0 and (a_{n-1}, a_n) after
+        c1 = np.array([fib(n) for n in range(self.config.horizon + 1)], dtype=np.float64)
+        c0 = np.concatenate(([1.0], c1[:-1]))
+        v0, v1 = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
+        scale = max(self.config.n_paths - 1, 1)  # one path: every deviation is 0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            m0, m1 = np.mean(v0), np.mean(v1)
+            d0, d1 = v0 - m0, v1 - m1
+            s00, s01, s11 = (np.sum(a * b) / scale for a, b in ((d0, d0), (d0, d1), (d1, d1)))
+            means = c0 * m0 + c1 * m1
+            variances = c0 * c0 * s00 + 2.0 * c0 * c1 * s01 + c1 * c1 * s11
+        finite = np.isfinite(means) & np.isfinite(variances)
+        if not finite.all():
+            raise DomainError(f"the empirical mean or variance of member "
+                              f"{int(np.argmin(finite))} overflows a double")
+        return {
+            "rng_seed": self.config.rng_seed,
+            "n_paths": self.config.n_paths,
+            "horizon": self.config.horizon,
+            "seed0": self.config.model.seed0.spec_string(),
+            "seed1": self.config.model.seed1.spec_string(),
+            "mean": means.tolist(),
+            "variance": variances.tolist(),
+        }
 
     def summary_json(self) -> str:
-        """Canonical JSON rendering of summary(); byte-identical for
-        identical configs regardless of worker count."""
+        """Canonical JSON rendering of summary(), computed afresh like it;
+        byte-identical for identical configs regardless of worker count."""
         return json.dumps(self.summary(), separators=(",", ":"))
 
 

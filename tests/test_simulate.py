@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 
@@ -83,7 +84,7 @@ def test_sample_path_equals_per_path_regeneration(seed, exp_model, unif_model, n
              "table": FsrvModel(triangle_seed, triangle_seed)}[seed]
     config = SimulationConfig(rng_seed=11, n_paths=_CHUNK_PATHS + 40, horizon=12, model=model)
     run = run_simulation(config)
-    run.summary()  # leaves the cursor at the horizon, so the walk must restart
+    run.values_at(config.horizon)  # leaves the cursor at the horizon, so the walk must restart
     paths = sample_path(run)
     for i in (*range(5), *range(_CHUNK_PATHS - 3, _CHUNK_PATHS + 3), config.n_paths - 1):
         assert paths[i].tolist() == _regenerated_path(config, i)
@@ -241,6 +242,40 @@ def test_summary_overflow_is_a_domain_error():
             run.summary()
 
 
+@pytest.mark.parametrize("seed", ["exp", "unif", "norm", "table"])
+def test_summary_matches_direct_reductions(seed, exp_model, unif_model, norm_model,
+                                           triangle_seed):
+    model = {"exp": exp_model, "unif": unif_model, "norm": norm_model,
+             "table": FsrvModel(triangle_seed, triangle_seed)}[seed]
+    config = SimulationConfig(rng_seed=5, n_paths=_CHUNK_PATHS + 40, horizon=90, model=model)
+    run = run_simulation(config)
+    summary = run.summary()
+    members = sample_path(run).T
+    means = np.array([np.mean(values) for values in members])
+    variances = np.array([np.var(values, ddof=1) for values in members])
+    assert np.all(np.abs(np.array(summary["mean"]) - means) <= 1e-12 * np.sqrt(variances))
+    assert np.all(np.abs(np.array(summary["variance"]) - variances) <= 1e-12 * variances)
+
+
+def test_one_path_summary_has_zero_variance(exp_model):
+    config = SimulationConfig(rng_seed=3, n_paths=1, horizon=90, model=exp_model)
+    run = run_simulation(config)
+    summary = run.summary()
+    assert summary["variance"] == [0.0] * 91
+    assert summary["mean"][:2] == run.seed_pairs[0].tolist()
+
+
+def test_summary_reads_the_seed_pairs_not_the_cursor(monkeypatch, exp_model):
+    run = run_simulation(SimulationConfig(rng_seed=4, n_paths=100, horizon=40, model=exp_model))
+
+    def walk(k):
+        raise AssertionError("summary() walked the recursion")
+
+    monkeypatch.setattr(run, "_members", walk)
+    assert len(run.summary()["mean"]) == 41
+    assert run.summary_json() == json.dumps(run.summary(), separators=(",", ":"))
+
+
 def _reference_members(pairs: np.ndarray, horizon: int) -> list[np.ndarray]:
     members = [pairs[:, 0].copy(), pairs[:, 1].copy()]
     for _ in range(horizon - 1):
@@ -308,12 +343,15 @@ def test_chunked_run_matches_one_draw(norm_model, n_workers):
 
 # sha256 of the CLI outputs, recorded before the forward cursor and the
 # chunked draw replaced the per-call recursion and the per-worker slices.
+# The stdout digests were re-recorded when the summary moved to the seed
+# pairs' moments, which moved means and variances by rounding only; the
+# --paths-out digests did not move.
 _SIMULATE_DIGESTS = [
     ("exp:1", 300, 40, 11, 3,
-     "cec0128c094452139099504582422cce1e357c127578bf50fefd7a46613ff542",
+     "b2f4d050bf0dcf4c7af199af34876139300eea0f981ab2e6f1a0fc2f3466100d",
      "7a009a3c7ff7ea7b63166a4c9b4e2f38e41802b10b6ecdf6f555134f6a343741"),
     ("normal01", 200, 30, 12, 2,
-     "830734db6a86476589df92225cd2b877cfbef861d6c23b00f135df7d1548cab6",
+     "9716325c2ac5c29a279921fb9b3cc923c8d7970c315dd5ce8874e67a36e618a3",
      "ab767d8112c07b9f1ecf3c54994fe94ff5ed0a9be1999d4bd42e77c3a54c5136"),
 ]
 

@@ -90,3 +90,31 @@ def test_layer_tracer_counts_what_the_emit_workload_requires(capsys, tmp_path):
     finally:
         tracer.uninstall()
     assert sorted(name for name in required if not metrics[name]) == []
+
+
+def test_layer_tracer_counts_what_the_mc_workload_requires(capsys, tmp_path):
+    # a simulate command and the library draw, ratio and KS calls reach every
+    # layer whose count or time mc_reduce requires to be non-zero
+    layertrace, workloads = _perfbench_modules()
+    required = set(workloads.build("mc_reduce", 1, tmp_path / "mc").required)
+    assert {"simulate.reduce_s", "simulate.recursion_steps", "simulate.serialize_s"} <= required
+    argv = ["simulate", "--seeds", "exp:1", "--paths", "200", "--horizon", "20",
+            "--rng-seed", "3", "--output", "json"]
+    config = fsrv.SimulationConfig(rng_seed=4, n_paths=200, horizon=20,
+                                   model=fsrv.exponential_model())
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op("simulate", "simulate")
+        assert fsrv.cli.main(argv) == 0
+        tracer.tally["cli.bytes_out"] += len(capsys.readouterr().out)
+        tracer.begin_op("library", None)
+        run = fsrv.run_simulation(config)
+        for n in range(2, 20):
+            fsrv.ratio_stats(run, n)
+        for which in ("y", "s"):
+            fsrv.ks_distance(run, 15, fsrv.cdf_limit_exponential_closed, which=which)
+        metrics = tracer.pass_metrics(values=4)
+    finally:
+        tracer.uninstall()
+    assert sorted(name for name in required if not metrics[name]) == []
