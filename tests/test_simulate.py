@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ from fsrv import simulate
 from fsrv.cli import main
 from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
-from fsrv.limits import cdf_limit_exponential_closed, sum_law
+from fsrv.limits import cdf_limit_exponential_closed, normalized_sum_law, sum_law
 from fsrv.marginal import FsrvModel, moments_xn
 from fsrv.seeds import Exponential
 from fsrv.simulate import (
@@ -293,8 +295,13 @@ def _reference_ratio_stats(members: list[np.ndarray], n: int) -> RatioStats:
 
 
 _HORIZON = 24
-_QUERIES = st.lists(st.tuples(st.sampled_from(("values", "sums", "ratio")),
+_QUERIES = st.lists(st.tuples(st.sampled_from(("values", "sums", "ratio", "y", "s", "ks")),
                               st.integers(0, _HORIZON)), min_size=1, max_size=12)
+
+
+def _reference_ks(sample: np.ndarray, target_cdf) -> float:
+    xs = np.sort(sample)
+    return float(np.max(np.abs(np.arange(1, xs.size + 1) / xs.size - target_cdf(xs))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,19 +314,70 @@ def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_mode
     config = SimulationConfig(rng_seed=rng_seed, n_paths=37, horizon=_HORIZON, model=model)
     run = run_simulation(config)
     members = _reference_members(run.seed_pairs, _HORIZON)
+    sums = list(itertools.accumulate(members))
     if order != "drawn":
         queries = sorted(queries, key=lambda q: q[1], reverse=order == "descending")
     for kind, n in queries:
         if kind == "values":
             assert np.array_equal(run.values_at(n), members[n])
         elif kind == "sums":
-            total = members[0].copy()
-            for k in range(1, n + 1):
-                total = total + members[k]
-            assert np.array_equal(run.sums_at(n), total)
-        else:
+            assert np.array_equal(run.sums_at(n), sums[n])
+        elif kind == "ratio":
             n = min(n, _HORIZON - 1)
             assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
+        else:  # the standardized reads start at member 2
+            n = max(n, 2)
+            mean, variance = moments_xn(model, n)
+            y = (members[n] - mean) / math.sqrt(variance)
+            sum_mean, sd = normalized_sum_law(n, model)
+            s = (sums[n] - sum_mean) / sd
+            if kind == "y":
+                assert np.array_equal(run.y_normalized(n), y)
+            elif kind == "s":
+                assert np.array_equal(run.sums_normalized(n), s)
+            else:
+                for which, sample in (("y", y), ("s", s)):
+                    with pytest.warns(KsUnreliableWarning):
+                        ks = ks_distance(run, n, cdf_limit_exponential_closed, which=which)
+                    assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
+            # the cursor sits at member n - 1 or n: these reads step from its
+            # buffers, so a write that landed on them shows here
+            later = min(n + 1, _HORIZON)
+            assert np.array_equal(run.values_at(n), members[n])
+            assert np.array_equal(run.values_at(later), members[later])
+
+
+def test_ratio_stats_exclusions_match_the_masked_reference(exp_model):
+    # zeros, a denominator below the floor for n <= 7, NaN, +inf and inf - inf
+    special = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, -1.0], [1e-13, 0.0], [np.nan, 1.0],
+                        [1.0, np.inf], [np.inf, -np.inf], [0.0, 0.0], [3.0, 5.0]])
+    for pairs in (special, special[[0, 5, 8]]):  # with and without excluded paths
+        config = SimulationConfig(rng_seed=1, n_paths=len(pairs), horizon=10, model=exp_model)
+        run = SimulationRun(config, pairs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            members = _reference_members(pairs, 10)
+            for n in range(10):  # repr, so that a NaN mean compares equal
+                assert repr(ratio_stats(run, n)) == repr(_reference_ratio_stats(members, n))
+    config = SimulationConfig(rng_seed=1, n_paths=3, horizon=10, model=exp_model)
+    nan_run = SimulationRun(config, np.array([[0.0, 0.0], [np.nan, 1.0], [1e-13, 0.0]]))
+    with pytest.raises(DegenerateSampleError, match=r"^all 3 paths excluded at n=0$"):
+        ratio_stats(nan_run, 0)
+
+
+def test_ratio_stats_copies_no_member(exp_model):
+    # numpy reports its buffers to tracemalloc; with no path excluded the
+    # statistics need the ratio (8 bytes a path) and one boolean mask at a time
+    config = SimulationConfig(rng_seed=3, n_paths=_CHUNK_PATHS + 40, horizon=41, model=exp_model)
+    run = run_simulation(config)
+    assert ratio_stats(run, 20).n_excluded == 0  # the cursor now sits at member 20
+    tracemalloc.start()
+    try:
+        stats = ratio_stats(run, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == _reference_ratio_stats(_reference_members(run.seed_pairs, 21), 20)
+    assert peak <= 10 * config.n_paths + 65536
 
 
 def test_values_at_returns_a_private_copy(exp_model):
