@@ -241,8 +241,9 @@ def _cmd_simulate(args) -> str:
         columns = (np.repeat(np.arange(config.n_paths), steps),
                    np.tile(np.arange(steps), config.n_paths),
                    simulate.sample_path(run).ravel())
-        with open(args.paths_out, "w") as fh:
-            fh.write(_csv_table(["path_index", "n", "value"], columns))
+        paths_text = _csv_table(["path_index", "n", "value"], columns)
+        with open(args.paths_out, "w") as fh:  # only now: a failed render keeps the old file
+            fh.write(paths_text)
     return text
 
 

@@ -3,7 +3,8 @@
 Each path draws its two seed values from a dedicated substream: path i reads
 counter block i of a Philox generator keyed by the run seed, a fixed block
 of four uniforms per path. Results are therefore bit-identical no matter how
-the draws are chunked.
+the draws are chunked, so run_simulation draws its chunks on every CPU the
+process may use, each thread into its own rows of one column-major array.
 
 The summary's per-index means and variances come from the seed pairs'
 sample moments, computed afresh on each call. Member reads, partial sums,
@@ -15,6 +16,8 @@ a run stateful, so a run must not be shared across threads.
 
 import json
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +32,8 @@ from .marginal import FsrvModel
 #: Uniform variates reserved per path: two per seed draw.
 _BLOCK = 4
 
-#: Paths drawn per Philox call by run_simulation; bounds the uniform block at
-#: 2 MB whatever the path count.
+#: Paths drawn per Philox call by run_simulation, divided among its threads:
+#: bounds the uniform blocks in flight at 2 MB whatever the path count.
 _CHUNK_PATHS = 1 << 16
 
 #: Paths whose denominator magnitude falls below this are excluded from
@@ -66,7 +69,7 @@ def _uniform_blocks(rng_seed: int, start_path: int, count: int) -> np.ndarray:
 
 def _draw_seed_pairs(config: SimulationConfig, start_path: int, count: int) -> np.ndarray:
     u = _uniform_blocks(config.rng_seed, start_path, count)
-    pairs = np.empty((count, 2))
+    pairs = np.empty((count, 2), order="F")
     pairs[:, 0] = config.model.seed0._variates_from_uniforms(u[:, 0:2])
     pairs[:, 1] = config.model.seed1._variates_from_uniforms(u[:, 2:4])
     return pairs
@@ -159,7 +162,9 @@ class SimulationRun:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             m0, m1 = np.mean(v0), np.mean(v1)
             d0, d1 = v0 - m0, v1 - m1
-            s00, s01, s11 = (np.sum(a * b) / scale for a, b in ((d0, d0), (d0, d1), (d1, d1)))
+            s01 = np.sum(d0 * d1) / scale
+            s00 = np.sum(np.multiply(d0, d0, out=d0)) / scale
+            s11 = np.sum(np.multiply(d1, d1, out=d1)) / scale
             means = c0 * m0 + c1 * m1
             variances = c0 * c0 * s00 + 2.0 * c0 * c1 * s01 + c1 * c1 * s11
         finite = np.isfinite(means) & np.isfinite(variances)
@@ -182,18 +187,53 @@ class SimulationRun:
         return json.dumps(self.summary(), separators=(",", ":"))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRun:
-    """Draw every path's seed pair, in chunks of at most _CHUNK_PATHS paths.
+    """Draw every path's seed pair into one (n_paths, 2) column-major array.
+
+    The paths are cut into chunks drawn on T = min(usable CPUs, chunks of
+    _CHUNK_PATHS) threads, the calling thread among them; each chunk holds
+    _CHUNK_PATHS // T paths and each thread writes its own chunks' rows.
+    Every path reads its own counter block, so the pairs do not depend on T.
+    A thread's exception is raised, with its own type, once all have ended.
 
     n_workers is validated for callers that pass it, and then unused: it
     changes neither the results nor the speed.
     """
     if n_workers < 1:
         raise DomainError(f"n_workers must be >= 1, got {n_workers}")
-    pairs = np.empty((config.n_paths, 2))
-    for start in range(0, config.n_paths, _CHUNK_PATHS):
-        count = min(_CHUNK_PATHS, config.n_paths - start)
-        pairs[start:start + count] = _draw_seed_pairs(config, start, count)
+    n_paths = config.n_paths
+    pairs = np.empty((n_paths, 2), order="F")
+    n_threads = min(_usable_cpus(), -(-n_paths // _CHUNK_PATHS))
+    starts = range(0, n_paths, _CHUNK_PATHS // n_threads)
+    errors = []
+
+    def draw(share: range) -> None:
+        try:
+            for start in share:
+                if errors:  # another thread failed: the run is lost
+                    return
+                stop = min(start + starts.step, n_paths)
+                pairs[start:stop] = _draw_seed_pairs(config, start, stop - start)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=draw, args=(starts[t::n_threads],))
+               for t in range(1, n_threads)]
+    for helper in helpers:
+        helper.start()
+    draw(starts[::n_threads])
+    for helper in helpers:
+        helper.join()
+    if errors:  # the exception, not this list, holds the frames: no cycle keeps pairs
+        del errors[1:]
+        raise errors.pop()
     return SimulationRun(config, pairs)
 
 
@@ -227,14 +267,19 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     NaN, are excluded and counted, never silently dropped; if every path is
     excluded a DegenerateSampleError is raised. The two members are read from
     the cursor without copying; kept paths are copied out only when some path
-    is excluded.
+    is excluded. The exclusions and the near-phi count are read off the
+    extremes when these settle them, since fl(z - PHI) is monotone in z; a
+    NaN extreme settles nothing.
     """
     if n + 1 > run.config.horizon:
         raise DomainError(f"need n+1 <= horizon={run.config.horizon}, got n={n}")
     run._check_index(n)
     denom, numer = run._members(n)
     n_paths = denom.size
-    n_used = int(np.count_nonzero(np.abs(denom) >= RATIO_EXCLUSION_FLOOR))
+    if np.min(denom) >= RATIO_EXCLUSION_FLOOR or np.max(denom) <= -RATIO_EXCLUSION_FLOOR:
+        n_used = n_paths
+    else:
+        n_used = int(np.count_nonzero(np.abs(denom) >= RATIO_EXCLUSION_FLOOR))
     if n_used == 0:
         raise DegenerateSampleError(f"all {n_paths} paths excluded at n={n}")
     if n_used < n_paths:
@@ -242,8 +287,13 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
         numer, denom = numer[keep], denom[keep]
     z = numer / denom  # a new array, never a cursor buffer: overwritten below
     mean, lo, hi = float(np.mean(z)), float(np.min(z)), float(np.max(z))
-    np.subtract(z, PHI, out=z)
-    n_near = int(np.count_nonzero(np.abs(z, out=z) <= PHI_TOLERANCE))
+    if -PHI_TOLERANCE <= lo - PHI and hi - PHI <= PHI_TOLERANCE:
+        n_near = n_used
+    elif hi - PHI < -PHI_TOLERANCE or lo - PHI > PHI_TOLERANCE:
+        n_near = 0
+    else:
+        np.subtract(z, PHI, out=z)
+        n_near = int(np.count_nonzero(np.abs(z, out=z) <= PHI_TOLERANCE))
     return RatioStats(n=n, mean=mean, min=lo, max=hi, frac_near_phi=n_near / n_used,
                       n_used=n_used, n_excluded=n_paths - n_used)
 

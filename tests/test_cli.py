@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fsrv import joint_predict
+from fsrv import cli, joint_predict, simulate
 from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
@@ -211,6 +212,24 @@ def test_simulate_paths_csv(capsys, tmp_path):
         "345905ab5e8bdca248a6ed3c51bbb34b5f103a315b91008f3bfd22cabd86b44b"
 
 
+def test_paths_out_keeps_the_old_file_when_rendering_fails(capsys, monkeypatch, tmp_path):
+    paths_file = tmp_path / "paths.csv"
+    paths_file.write_bytes(b"path_index,n,value\n0,0,1\n")
+    render = cli._csv_table
+
+    def failing_render(header, columns, *rest):
+        if header[0] == "path_index":
+            raise MemoryError("Unable to allocate the paths table")
+        return render(header, columns, *rest)
+
+    monkeypatch.setattr(cli, "_csv_table", failing_render)
+    code, out, err = run_cli(capsys, "simulate", "--seeds", "unif01", "--paths", "3",
+                             "--horizon", "4", "--rng-seed", "5",
+                             "--paths-out", str(paths_file))
+    assert (code, out, err) == (2, "", "error: Unable to allocate the paths table\n")
+    assert paths_file.read_bytes() == b"path_index,n,value\n0,0,1\n"
+
+
 def test_out_file_writing_and_byte_stability(tmp_path, capsys):
     target1 = tmp_path / "a.csv"
     target2 = tmp_path / "b.csv"
@@ -388,6 +407,19 @@ def _refuse_density(monkeypatch):
     monkeypatch.setattr(DensityCurve, "from_function", lambda *args, **kwargs: bogus)
 
 
+def _fail_in_a_draw_helper(monkeypatch):
+    # two CPUs, so a run of two chunks or more starts one helper thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    draw = simulate._draw_seed_pairs
+
+    def failing_draw(config, start_path, count):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError(f"Unable to allocate the pairs of path {start_path}")
+        return draw(config, start_path, count)
+
+    monkeypatch.setattr(simulate, "_draw_seed_pairs", failing_draw)
+
+
 _EXIT_CASES = {
     # case: (exit code, argv, setup, start of the error line)
     "argparse": (2, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"], None,
@@ -403,6 +435,9 @@ _EXIT_CASES = {
     "simulate_too_large": (2, ["simulate", "--seeds", "exp:1", "--paths", "100000000000000000",
                                "--horizon", "5", "--rng-seed", "1"], None,
                            "error: Unable to allocate "),
+    "simulate_helper_fails": (2, ["simulate", "--seeds", "exp:1", "--paths", "70000",
+                                  "--horizon", "5", "--rng-seed", "1"],
+                              _fail_in_a_draw_helper, "error: Unable to allocate the pairs "),
     "quad_tol": (3, ["pdf", "--seeds", "normal01", "--n", "4", "--grid", "0:1:5",
                      "--method", "numeric"],
                  lambda mp: mp.setenv("FSRV_QUAD_TOL", "1e-300"),

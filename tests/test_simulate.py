@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -347,11 +351,42 @@ def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_mode
             assert np.array_equal(run.values_at(later), members[later])
 
 
+def _phi_band_edges() -> list[tuple[float, float]]:
+    """Below and above PHI: the outermost ratio z with |fl(z - PHI)| <= PHI_TOLERANCE,
+    and the next double out."""
+    edges = []
+    for out in (-np.inf, np.inf):
+        z = PHI + math.copysign(PHI_TOLERANCE, out)
+        while abs(z - PHI) > PHI_TOLERANCE:
+            z = float(np.nextafter(z, PHI))
+        while abs(np.nextafter(z, out) - PHI) <= PHI_TOLERANCE:
+            z = float(np.nextafter(z, out))
+        edges.append((z, float(np.nextafter(z, out))))
+    return edges
+
+
+def _ratio_edge_cases() -> list[np.ndarray]:
+    """Runs whose member-1/member-0 ratios sit on the near-phi band's edges, all
+    inside, all outside or both, and runs whose denominators sit on the floor."""
+    (lo_in, lo_out), (hi_in, hi_out) = _phi_band_edges()
+    ratio_sets = [(lo_in, hi_in), (lo_in, PHI, hi_out), (lo_out, hi_in), (hi_out, 2.0),
+                  (hi_in, 2.0), (lo_out, 1.0), (lo_in, 1.0)]
+    runs = [np.column_stack((np.ones(len(z)), z)) for z in ratio_sets]
+    below_floor = float(np.nextafter(RATIO_EXCLUSION_FLOOR, 0.0))
+    for sign in (1.0, -1.0):
+        for v0 in (RATIO_EXCLUSION_FLOOR, below_floor):
+            runs.append(sign * np.array([[v0, 1.0], [1.0, 1.0]]))
+    runs += [np.array(p) for p in ([[np.inf, np.inf], [1.0, 2.0]], [[1.0, np.nan], [1.0, 2.0]],
+                                   [[-np.inf, 1.0], [-1.0, -2.0]])]
+    return runs
+
+
 def test_ratio_stats_exclusions_match_the_masked_reference(exp_model):
     # zeros, a denominator below the floor for n <= 7, NaN, +inf and inf - inf
     special = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, -1.0], [1e-13, 0.0], [np.nan, 1.0],
                         [1.0, np.inf], [np.inf, -np.inf], [0.0, 0.0], [3.0, 5.0]])
-    for pairs in (special, special[[0, 5, 8]]):  # with and without excluded paths
+    # with and without excluded paths, and on the edges of both shortcuts
+    for pairs in (special, special[[0, 5, 8]], *_ratio_edge_cases()):
         config = SimulationConfig(rng_seed=1, n_paths=len(pairs), horizon=10, model=exp_model)
         run = SimulationRun(config, pairs)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -391,12 +426,76 @@ def test_values_at_returns_a_private_copy(exp_model):
     assert ratio_stats(run, 12) == _reference_ratio_stats(members, 12)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 7])
-def test_chunked_run_matches_one_draw(norm_model, n_workers):
-    n_paths = _CHUNK_PATHS + 3
+def _pretend_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_chunked_run_matches_one_draw(monkeypatch, norm_model, cpus):
+    # four chunks and a partial one at any thread count
+    n_paths = 3 * _CHUNK_PATHS + 12345
     config = SimulationConfig(rng_seed=31, n_paths=n_paths, horizon=5, model=norm_model)
-    run = run_simulation(config, n_workers=n_workers)
-    assert np.array_equal(run.seed_pairs, _draw_seed_pairs(config, 0, n_paths))
+    _pretend_cpus(monkeypatch, cpus)
+
+    def late_helper_draw(*args):  # rows a helper writes late show unless it is joined
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.02)
+        return _draw_seed_pairs(*args)
+
+    monkeypatch.setattr(simulate, "_draw_seed_pairs", late_helper_draw)
+    threads_before = threading.active_count()
+    run = run_simulation(config)
+    assert threading.active_count() == threads_before
+    one_draw = _draw_seed_pairs(config, 0, n_paths)
+    assert np.array_equal(run.seed_pairs, one_draw)
+    assert run.seed_pairs.tobytes() == one_draw.tobytes()
+
+
+def test_cpu_count_without_affinity_masks(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulate._usable_cpus() == 3
+
+
+def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_model):
+    _pretend_cpus(monkeypatch, 2)
+    draw = simulate._draw_seed_pairs
+    calls = {"helper": [], "main": []}
+    may_fail, failed, helper = threading.Event(), threading.Event(), []
+
+    def failing_draw(config, start_path, count):
+        if threading.current_thread() is not threading.main_thread():
+            assert may_fail.wait(timeout=30)
+            calls["helper"].append(start_path)
+            helper.append(threading.current_thread())
+            failed.set()
+            raise MemoryError("no room for a chunk")
+        calls["main"].append(start_path)
+        if len(calls["main"]) == 2:  # past its check: let the helper fail, and wait for it
+            may_fail.set()
+            assert failed.wait(timeout=30)
+            helper[0].join(timeout=30)
+            assert not helper[0].is_alive()
+        return draw(config, start_path, count)
+
+    monkeypatch.setattr(simulate, "_draw_seed_pairs", failing_draw)
+    config = SimulationConfig(rng_seed=4, n_paths=4 * _CHUNK_PATHS, horizon=5, model=exp_model)
+    threads_before = threading.active_count()
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(MemoryError, match="^no room for a chunk$"):
+            run_simulation(config)
+        assert gc.collect() == 0  # no cycle through the threads' frames keeps the pairs
+    finally:
+        gc.enable()
+    # each thread stops at the first chunk it finds the run lost
+    chunk = _CHUNK_PATHS // 2
+    assert calls == {"helper": [chunk], "main": [0, 2 * chunk]}
+    assert threading.active_count() == threads_before
 
 
 # sha256 of the CLI outputs, recorded before the forward cursor and the
