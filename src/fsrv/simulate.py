@@ -267,19 +267,19 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     NaN, are excluded and counted, never silently dropped; if every path is
     excluded a DegenerateSampleError is raised. The two members are read from
     the cursor without copying; kept paths are copied out only when some path
-    is excluded. The exclusions and the near-phi count are read off the
-    extremes when these settle them, since fl(z - PHI) is monotone in z; a
-    NaN extreme settles nothing.
+    is excluded. Kept paths are counted by sign, the negative side only when
+    some denominator falls short of the floor, with no |denom| temporary. The
+    near-phi count is read off the extremes of z when these settle it, since
+    fl(z - PHI) is monotone in z; a NaN extreme settles nothing.
     """
     if n + 1 > run.config.horizon:
         raise DomainError(f"need n+1 <= horizon={run.config.horizon}, got n={n}")
     run._check_index(n)
     denom, numer = run._members(n)
     n_paths = denom.size
-    if np.min(denom) >= RATIO_EXCLUSION_FLOOR or np.max(denom) <= -RATIO_EXCLUSION_FLOOR:
-        n_used = n_paths
-    else:
-        n_used = int(np.count_nonzero(np.abs(denom) >= RATIO_EXCLUSION_FLOOR))
+    n_used = int(np.count_nonzero(denom >= RATIO_EXCLUSION_FLOOR))
+    if n_used < n_paths:
+        n_used += int(np.count_nonzero(denom <= -RATIO_EXCLUSION_FLOOR))
     if n_used == 0:
         raise DegenerateSampleError(f"all {n_paths} paths excluded at n={n}")
     if n_used < n_paths:
