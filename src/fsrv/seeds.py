@@ -4,8 +4,8 @@ Four families are supported: exponential with a positive rate of finite
 variance, uniform on the unit interval, standard normal, and `Tabulated`, a
 piecewise-linear density on a uniform grid that holds its own nodes and
 loads from two-column CSV. Every family exposes pdf (over arrays), moments,
-support truncation for quadrature, its kinks, and a map from blocks of
-uniforms to variates that the simulation's block sampler uses.
+support truncation for quadrature, its kinks, and a map from blocks of raw
+Philox words to variates that the simulation's block sampler uses.
 """
 
 import csv
@@ -22,6 +22,14 @@ _SQRT_TWO_PI = math.sqrt(_TWO_PI)
 #: Probability mass an effective support may leave out of an infinite
 #: support; the truncation error of every quadrature over seed densities.
 TAIL_MASS = 1e-12
+
+
+def _uniforms_from_words(words: np.ndarray, out: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """out = factor * u for the uniforms u = (words >> 11) * 2**-53, numpy's
+    own map from raw words to [0, 1); shifts words in place and returns out.
+    The factor joins the exact 2**-53, so factor * u keeps its bits."""
+    np.right_shift(words, 11, out=words)
+    return np.multiply(words, factor * 2.0**-53, out=out)
 
 
 class SeedDistribution:
@@ -61,12 +69,13 @@ class SeedDistribution:
         lo, hi = self.effective_support()
         return np.array((lo, *self.breakpoints(), hi))
 
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Map an (n, 2) block of uniforms to n variates.
+    def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
+        """Write n variates into out from an (n, 2) block of raw Philox words,
+        which it overwrites.
 
         Inverse-cdf families consume column 0 only; the normal family uses
-        both. Fixed consumption keeps bulk simulation reproducible under any
-        chunking of paths.
+        both. Only the words a family uses become uniforms. Fixed consumption
+        keeps bulk simulation reproducible under any chunking of paths.
         """
         raise NotImplementedError
 
@@ -102,8 +111,10 @@ class Exponential(SeedDistribution):
     def effective_support(self) -> tuple[float, float]:
         return 0.0, -math.log(TAIL_MASS / 2.0) / self.rate
 
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return -np.log1p(-u[:, 0]) / self.rate
+    def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
+        # -log1p(-u) / rate, with -u from the word map and the sign on rate
+        np.log1p(_uniforms_from_words(words[:, 0], out, -1.0), out=out)
+        np.divide(out, -self.rate, out=out)
 
     def spec_string(self) -> str:
         # the short form only when it reads back to the same rate
@@ -127,8 +138,8 @@ class UniformUnit(SeedDistribution):
     def effective_support(self) -> tuple[float, float]:
         return 0.0, 1.0
 
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return u[:, 0].copy()
+    def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
+        _uniforms_from_words(words[:, 0], out)
 
     def spec_string(self) -> str:
         return "unif01"
@@ -150,11 +161,13 @@ class StandardNormal(SeedDistribution):
         z = math.sqrt(2.0 * math.log(2.0 / TAIL_MASS))
         return -z, z
 
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        # Box-Muller pair method, cosine branch; the sine branch is discarded
-        # so each draw consumes exactly two uniforms.
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        return radius * np.cos(_TWO_PI * u[:, 1])
+    def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
+        # Box-Muller pair method, cosine branch: sqrt(-2 log1p(-u0)) * cos(2 pi u1).
+        # The sine branch is discarded so each draw consumes exactly two uniforms.
+        radius = np.log1p(_uniforms_from_words(words[:, 0], out, -1.0), out=out)
+        np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+        angle = _uniforms_from_words(words[:, 1], np.empty_like(out), _TWO_PI)
+        np.multiply(radius, np.cos(angle, out=angle), out=out)
 
     def spec_string(self) -> str:
         return "normal01"
@@ -219,9 +232,9 @@ class Tabulated(SeedDistribution):
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.grid[1:-1].tolist())
 
-    def _variates_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+    def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
         # invert the piecewise-quadratic cdf panel by panel, from column 0
-        u = u[:, 0]
+        u = _uniforms_from_words(words[:, 0], out)
         i = np.clip(np.searchsorted(self.node_cdf, u, side="right") - 1, 0, self.nodes.size - 2)
         rem = np.maximum(u - self.node_cdf[i], 0.0)
         y0 = self.nodes[i]
@@ -229,7 +242,7 @@ class Tabulated(SeedDistribution):
         # root of 0.5*slope*t^2 + y0*t = rem, written in the cancellation-free form
         denom = y0 + np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * rem, 0.0))
         t = np.divide(2.0 * rem, denom, out=np.zeros_like(rem), where=denom > 0)
-        return self.lo + i * self.step + np.clip(t, 0.0, self.step)
+        np.add(self.lo + i * self.step, np.clip(t, 0.0, self.step), out=out)
 
     def spec_string(self) -> str:
         return f"table:[{self.lo},{self.hi}]x{self.nodes.size}"

@@ -2,18 +2,25 @@
 
 Each path draws its two seed values from a dedicated substream: path i reads
 counter block i of a Philox generator keyed by the run seed, a fixed block
-of four uniforms per path. Results are therefore bit-identical no matter how
-the draws are chunked, so run_simulation draws its chunks on every CPU the
-process may use, each thread into its own rows of one column-major array.
+of four raw words per path, of which each seed family turns into uniforms
+only those it uses. Results are therefore bit-identical no matter how the
+draws are split, so every whole-array pass runs through one helper,
+_in_parts, that spreads parts of the paths over every CPU the process may
+use: the draws, each thread into its own rows of one column-major array;
+cursor walks of two or more steps and restarts from the seeds, each thread
+walking its own rows through every step; partial sums, fused into that
+walk; and the summary's deviations. Every row sees the same operations in
+the same order whatever the thread count, so no result depends on it.
 
 The summary's per-index means and variances come from the seed pairs'
 sample moments, computed afresh on each call. Member reads, partial sums,
 ratio statistics and sample_path share one forward cursor over the index:
-reading members in ascending n costs one array addition per index, and
-reading a smaller n restarts the walk from the seed pairs. The cursor makes
-a run stateful, so a run must not be shared across threads.
-"""
+reading members in ascending n costs one array addition per index, on the
+calling thread, and reading a smaller n restarts the walk from the seed
+pairs. The cursor makes a run stateful, so a run must not be shared across
+threads."""
 
+import contextvars
 import json
 import math
 import os
@@ -29,11 +36,11 @@ from .fib_core import PHI, fib
 from .limits import normalized_sum_law
 from .marginal import FsrvModel
 
-#: Uniform variates reserved per path: two per seed draw.
+#: Raw Philox words reserved per path: two per seed draw.
 _BLOCK = 4
 
-#: Paths drawn per Philox call by run_simulation, divided among its threads:
-#: bounds the uniform blocks in flight at 2 MB whatever the path count.
+#: Paths per part of a whole-array pass, divided among its threads: bounds
+#: the raw words of a draw in flight at 2 MB whatever the path count.
 _CHUNK_PATHS = 1 << 16
 
 #: Paths whose denominator magnitude falls below this are excluded from
@@ -60,19 +67,14 @@ class SimulationConfig:
             raise DomainError(f"horizon must be in [2, 90], got {self.horizon}")
 
 
-def _uniform_blocks(rng_seed: int, start_path: int, count: int) -> np.ndarray:
-    """(count, 4) uniforms; row i is counter block start_path+i of the keyed
-    Philox stream, independent of how calls batch the paths."""
-    gen = np.random.Generator(np.random.Philox(key=rng_seed, counter=start_path))
-    return gen.random(_BLOCK * count).reshape(count, _BLOCK)
-
-
-def _draw_seed_pairs(config: SimulationConfig, start_path: int, count: int) -> np.ndarray:
-    u = _uniform_blocks(config.rng_seed, start_path, count)
-    pairs = np.empty((count, 2), order="F")
-    pairs[:, 0] = config.model.seed0._variates_from_uniforms(u[:, 0:2])
-    pairs[:, 1] = config.model.seed1._variates_from_uniforms(u[:, 2:4])
-    return pairs
+def _draw_rows(config: SimulationConfig, start: int, rows: np.ndarray) -> None:
+    """Fill rows, an (n, 2) array, with the seed pairs of paths start to
+    start + n - 1. Path i reads counter block i of the keyed Philox stream,
+    so the rows do not depend on how calls batch the paths."""
+    bits = np.random.Philox(key=config.rng_seed, counter=start)
+    words = bits.random_raw(_BLOCK * len(rows)).reshape(-1, _BLOCK)
+    config.model.seed0._variates_from_words(words[:, 0:2], rows[:, 0])
+    config.model.seed1._variates_from_words(words[:, 2:4], rows[:, 1])
 
 
 class SimulationRun:
@@ -98,15 +100,37 @@ class SimulationRun:
         if not 0 <= n <= self.config.horizon:
             raise DomainError(f"n must be in [0, {self.config.horizon}], got {n}")
 
-    def _members(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _members(self, k: int, total: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Members k and k+1 of every path as views of the cursor buffers,
-        which the next cursor move overwrites."""
-        if self._k is None or k < self._k:
-            self._k = 0
-            self._prev, self._cur = self.seed_pairs[:, 0].copy(), self.seed_pairs[:, 1].copy()
-        prev, cur = self._prev, self._cur
-        for _ in range(k - self._k):
-            prev += cur
+        which the next cursor move overwrites. With total given, the walk
+        restarts from the seeds and adds members 0..k+1 into total, one by
+        one in index order. A restart or a walk of two or more steps runs
+        on every CPU, each thread walking its own rows through every step."""
+        restart = total is not None or self._k is None or k < self._k
+        steps = k - (0 if restart else self._k)
+        if self._prev is None:
+            n_paths, dtype = self.config.n_paths, self.seed_pairs.dtype
+            self._prev, self._cur = np.empty(n_paths, dtype), np.empty(n_paths, dtype)
+        prev, cur, seeds = self._prev, self._cur, self.seed_pairs
+
+        def walk(start: int, stop: int) -> None:
+            p, c = prev[start:stop], cur[start:stop]
+            if restart:
+                p[:], c[:] = seeds[start:stop, 0], seeds[start:stop, 1]
+            if total is not None:
+                t = np.add(p, c, out=total[start:stop])
+            for _ in range(steps):
+                p += c
+                p, c = c, p
+                if total is not None:
+                    t += c
+
+        self._k = None  # half-stepped buffers until every row has walked
+        if restart or steps >= 2:
+            _in_parts(self.config.n_paths, walk)
+        else:
+            walk(0, self.config.n_paths)
+        if steps % 2:
             prev, cur = cur, prev
         self._prev, self._cur, self._k = prev, cur, k
         return prev, cur
@@ -122,11 +146,12 @@ class SimulationRun:
 
     def sums_at(self, n: int) -> np.ndarray:
         """Running sum of members 0..n per path, accumulated term by term in
-        index order while the cursor walks from the seeds."""
+        index order in the same pass as the cursor walk from the seeds."""
         self._check_index(n)
-        total = self._member(0).copy()
-        for k in range(1, n + 1):
-            total += self._member(k)
+        if n == 0:
+            return self._member(0).copy()
+        total = np.empty(self.config.n_paths, self.seed_pairs.dtype)
+        self._members(n - 1, total)
         return total
 
     def y_normalized(self, n: int) -> np.ndarray:
@@ -150,21 +175,32 @@ class SimulationRun:
     def summary(self) -> dict:
         """Per-index empirical mean and variance from the seed pairs' moments:
         member n is c0*V0 + c1*V1, so its mean is c0*m0 + c1*m1 and its
-        variance the quadratic form of the pairs' 2x2 sample covariance. No
-        cursor and no BLAS call, so the bytes do not depend on read order,
-        chunking or BLAS threads. Raises DomainError when a mean or variance
-        overflows a double."""
+        variance the quadratic form of the pairs' 2x2 sample covariance. The
+        deviations, their cross product and their squares are computed on
+        every CPU, each thread over its own rows; the means and the sums are
+        whole-array calls on the calling thread. No cursor and no BLAS call,
+        so the bytes do not depend on read order, thread count or BLAS
+        threads. Raises DomainError when a mean or variance overflows a
+        double."""
         # (c0, c1) is (1, 0) at n = 0 and (a_{n-1}, a_n) after
         c1 = np.array([fib(n) for n in range(self.config.horizon + 1)], dtype=np.float64)
         c0 = np.concatenate(([1.0], c1[:-1]))
+        n_paths = self.config.n_paths
         v0, v1 = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
-        scale = max(self.config.n_paths - 1, 1)  # one path: every deviation is 0
+        d0, d1, d01 = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+        scale = max(n_paths - 1, 1)  # one path: every deviation is 0
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             m0, m1 = np.mean(v0), np.mean(v1)
-            d0, d1 = v0 - m0, v1 - m1
-            s01 = np.sum(d0 * d1) / scale
-            s00 = np.sum(np.multiply(d0, d0, out=d0)) / scale
-            s11 = np.sum(np.multiply(d1, d1, out=d1)) / scale
+
+            def deviations(start: int, stop: int) -> None:
+                x = np.subtract(v0[start:stop], m0, out=d0[start:stop])
+                y = np.subtract(v1[start:stop], m1, out=d1[start:stop])
+                np.multiply(x, y, out=d01[start:stop])
+                np.multiply(x, x, out=x)
+                np.multiply(y, y, out=y)
+
+            _in_parts(n_paths, deviations)
+            s01, s00, s11 = np.sum(d01) / scale, np.sum(d0) / scale, np.sum(d1) / scale
             means = c0 * m0 + c1 * m1
             variances = c0 * c0 * s00 + 2.0 * c0 * c1 * s01 + c1 * c1 * s11
         finite = np.isfinite(means) & np.isfinite(variances)
@@ -183,7 +219,7 @@ class SimulationRun:
 
     def summary_json(self) -> str:
         """Canonical JSON rendering of summary(), computed afresh like it;
-        byte-identical for identical configs regardless of worker count."""
+        byte-identical for identical configs regardless of thread count."""
         return json.dumps(self.summary(), separators=(",", ":"))
 
 
@@ -194,46 +230,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_parts(n_paths: int, body) -> None:
+    """Call body(start, stop) on every part [start, stop) of range(n_paths).
+
+    The parts hold _CHUNK_PATHS // T paths each and run on T = min(usable
+    CPUs, ceil(n_paths / _CHUNK_PATHS)) threads: thread t takes parts t,
+    t + T, ..., and the calling thread is thread 0. Each helper thread runs
+    in its own copy of the caller's context, so the caller's np.errstate
+    holds there too. A thread stops at its next part once another has
+    failed, and the first exception is raised, with its own type, after
+    every thread has ended.
+    """
+    n_threads = min(_usable_cpus(), -(-n_paths // _CHUNK_PATHS))
+    starts = range(0, n_paths, _CHUNK_PATHS // n_threads)
+    errors = []
+
+    def work(share: range) -> None:
+        try:
+            for start in share:
+                if errors:  # another thread failed: the pass is lost
+                    return
+                body(start, min(start + starts.step, n_paths))
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work, starts[t::n_threads]))
+               for t in range(1, n_threads)]
+    for helper in helpers:
+        helper.start()
+    work(starts[::n_threads])
+    for helper in helpers:
+        helper.join()
+    if errors:  # the exception, not this list, holds the frames: no cycle keeps the arrays
+        del errors[1:]
+        raise errors.pop()
+
+
 def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRun:
     """Draw every path's seed pair into one (n_paths, 2) column-major array.
 
-    The paths are cut into chunks drawn on T = min(usable CPUs, chunks of
-    _CHUNK_PATHS) threads, the calling thread among them; each chunk holds
-    _CHUNK_PATHS // T paths and each thread writes its own chunks' rows.
-    Every path reads its own counter block, so the pairs do not depend on T.
-    A thread's exception is raised, with its own type, once all have ended.
+    The parts of _in_parts are drawn on every usable CPU, each thread into
+    its own rows. Every path reads its own counter block, so the pairs do
+    not depend on the thread count.
 
     n_workers is validated for callers that pass it, and then unused: it
     changes neither the results nor the speed.
     """
     if n_workers < 1:
         raise DomainError(f"n_workers must be >= 1, got {n_workers}")
-    n_paths = config.n_paths
-    pairs = np.empty((n_paths, 2), order="F")
-    n_threads = min(_usable_cpus(), -(-n_paths // _CHUNK_PATHS))
-    starts = range(0, n_paths, _CHUNK_PATHS // n_threads)
-    errors = []
-
-    def draw(share: range) -> None:
-        try:
-            for start in share:
-                if errors:  # another thread failed: the run is lost
-                    return
-                stop = min(start + starts.step, n_paths)
-                pairs[start:stop] = _draw_seed_pairs(config, start, stop - start)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=draw, args=(starts[t::n_threads],))
-               for t in range(1, n_threads)]
-    for helper in helpers:
-        helper.start()
-    draw(starts[::n_threads])
-    for helper in helpers:
-        helper.join()
-    if errors:  # the exception, not this list, holds the frames: no cycle keeps pairs
-        del errors[1:]
-        raise errors.pop()
+    pairs = np.empty((config.n_paths, 2), order="F")
+    _in_parts(config.n_paths, lambda start, stop: _draw_rows(config, start, pairs[start:stop]))
     return SimulationRun(config, pairs)
 
 

@@ -410,14 +410,14 @@ def _refuse_density(monkeypatch):
 def _fail_in_a_draw_helper(monkeypatch):
     # two CPUs, so a run of two chunks or more starts one helper thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    draw = simulate._draw_seed_pairs
+    draw = simulate._draw_rows
 
-    def failing_draw(config, start_path, count):
+    def failing_draw(config, start_path, rows):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError(f"Unable to allocate the pairs of path {start_path}")
-        return draw(config, start_path, count)
+        draw(config, start_path, rows)
 
-    monkeypatch.setattr(simulate, "_draw_seed_pairs", failing_draw)
+    monkeypatch.setattr(simulate, "_draw_rows", failing_draw)
 
 
 _EXIT_CASES = {

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -20,7 +21,7 @@ from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
 from fsrv.limits import cdf_limit_exponential_closed, normalized_sum_law, sum_law
 from fsrv.marginal import FsrvModel, moments_xn
-from fsrv.seeds import Exponential
+from fsrv.seeds import Exponential, StandardNormal, UniformUnit
 from fsrv.simulate import (
     _CHUNK_PATHS,
     PHI_TOLERANCE,
@@ -28,7 +29,7 @@ from fsrv.simulate import (
     RatioStats,
     SimulationConfig,
     SimulationRun,
-    _draw_seed_pairs,
+    _draw_rows,
     ks_distance,
     ratio_stats,
     run_simulation,
@@ -73,10 +74,17 @@ def test_sample_path_matches_linear_form(exp_model):
     assert np.all(np.abs(paths[:, 20] - linear) <= 1e-9 * (1.0 + np.abs(paths[:, 20])))
 
 
+def _drawn(config, start: int, count: int) -> np.ndarray:
+    """The seed pairs of paths start..start+count-1, from one _draw_rows call."""
+    rows = np.empty((count, 2), order="F")
+    _draw_rows(config, start, rows)
+    return rows
+
+
 def _regenerated_path(config, i) -> list[float]:
     """One path redrawn from its own substream and walked with scalar adds:
     the per-path regeneration sample_path replaced, kept as its reference."""
-    x0, x1 = _draw_seed_pairs(config, i, 1)[0]
+    x0, x1 = _drawn(config, i, 1)[0]
     path = [float(x0), float(x1)]
     for _ in range(config.horizon - 1):
         path.append(path[-2] + path[-1])
@@ -98,12 +106,17 @@ def test_sample_path_equals_per_path_regeneration(seed, exp_model, unif_model, n
 
 def test_paths_out_draws_the_seeds_once(monkeypatch, tmp_path):
     calls = []
-    blocks = simulate._uniform_blocks
-    monkeypatch.setattr(simulate, "_uniform_blocks", lambda *a: calls.append(a) or blocks(*a))
+    draw = simulate._draw_rows
+
+    def counted_draw(config, start, rows):
+        calls.append((start, len(rows)))
+        draw(config, start, rows)
+
+    monkeypatch.setattr(simulate, "_draw_rows", counted_draw)
     assert main(["simulate", "--seeds", "normal01", "--paths", "2000", "--horizon", "40",
                  "--rng-seed", "1", "--paths-out", str(tmp_path / "paths.csv"),
                  "--out", str(tmp_path / "summary.csv")]) == 0
-    assert len(calls) == 1
+    assert calls == [(0, 2000)]
 
 
 def test_forced_unit_seeds_reproduce_fibonacci(exp_model):
@@ -117,8 +130,8 @@ def test_forced_unit_seeds_reproduce_fibonacci(exp_model):
 
 def test_chunked_draws_align_with_per_path_draws(exp_model):
     config = SimulationConfig(rng_seed=55, n_paths=16, horizon=5, model=exp_model)
-    bulk = _draw_seed_pairs(config, 0, 16)
-    singles = np.vstack([_draw_seed_pairs(config, i, 1) for i in range(16)])
+    bulk = _drawn(config, 0, 16)
+    singles = np.vstack([_drawn(config, i, 1) for i in range(16)])
     assert np.array_equal(bulk, singles)
 
 
@@ -441,13 +454,13 @@ def test_chunked_run_matches_one_draw(monkeypatch, norm_model, cpus):
     def late_helper_draw(*args):  # rows a helper writes late show unless it is joined
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.02)
-        return _draw_seed_pairs(*args)
+        _draw_rows(*args)
 
-    monkeypatch.setattr(simulate, "_draw_seed_pairs", late_helper_draw)
+    monkeypatch.setattr(simulate, "_draw_rows", late_helper_draw)
     threads_before = threading.active_count()
     run = run_simulation(config)
     assert threading.active_count() == threads_before
-    one_draw = _draw_seed_pairs(config, 0, n_paths)
+    one_draw = _drawn(config, 0, n_paths)
     assert np.array_equal(run.seed_pairs, one_draw)
     assert run.seed_pairs.tobytes() == one_draw.tobytes()
 
@@ -462,11 +475,11 @@ def test_cpu_count_without_affinity_masks(monkeypatch):
 
 def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_model):
     _pretend_cpus(monkeypatch, 2)
-    draw = simulate._draw_seed_pairs
+    draw = simulate._draw_rows
     calls = {"helper": [], "main": []}
     may_fail, failed, helper = threading.Event(), threading.Event(), []
 
-    def failing_draw(config, start_path, count):
+    def failing_draw(config, start_path, rows):
         if threading.current_thread() is not threading.main_thread():
             assert may_fail.wait(timeout=30)
             calls["helper"].append(start_path)
@@ -479,9 +492,9 @@ def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_mod
             assert failed.wait(timeout=30)
             helper[0].join(timeout=30)
             assert not helper[0].is_alive()
-        return draw(config, start_path, count)
+        draw(config, start_path, rows)
 
-    monkeypatch.setattr(simulate, "_draw_seed_pairs", failing_draw)
+    monkeypatch.setattr(simulate, "_draw_rows", failing_draw)
     config = SimulationConfig(rng_seed=4, n_paths=4 * _CHUNK_PATHS, horizon=5, model=exp_model)
     threads_before = threading.active_count()
     gc.collect()
@@ -524,3 +537,154 @@ def test_simulate_outputs_are_pinned(capsys, tmp_path, seeds, paths, horizon, rn
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(paths_out.read_bytes()).hexdigest() == paths_sha
+
+
+def _oracle_variates(dist, u: np.ndarray) -> np.ndarray:
+    """The maps from (n, 2) uniform blocks that the raw-word maps replaced."""
+    if isinstance(dist, Exponential):
+        return -np.log1p(-u[:, 0]) / dist.rate
+    if isinstance(dist, UniformUnit):
+        return u[:, 0].copy()
+    if isinstance(dist, StandardNormal):
+        return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+    u = u[:, 0]  # a table: its piecewise-quadratic cdf inverted panel by panel
+    i = np.clip(np.searchsorted(dist.node_cdf, u, side="right") - 1, 0, dist.nodes.size - 2)
+    rem = np.maximum(u - dist.node_cdf[i], 0.0)
+    y0 = dist.nodes[i]
+    slope = (dist.nodes[i + 1] - y0) / dist.step
+    denom = y0 + np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * rem, 0.0))
+    t = np.divide(2.0 * rem, denom, out=np.zeros_like(rem), where=denom > 0)
+    return dist.lo + i * dist.step + np.clip(t, 0.0, dist.step)
+
+
+def _oracle_pairs(config, start: int, count: int) -> np.ndarray:
+    """Seed pairs from four uniform doubles per path, drawn by a Generator."""
+    gen = np.random.Generator(np.random.Philox(key=config.rng_seed, counter=start))
+    u = gen.random(4 * count).reshape(count, 4)
+    return np.column_stack((_oracle_variates(config.model.seed0, u[:, 0:2]),
+                            _oracle_variates(config.model.seed1, u[:, 2:4])))
+
+
+@pytest.mark.parametrize("families", [("exp", "unif"), ("unif", "norm"), ("norm", "table"),
+                                      ("table", "exp")])
+def test_raw_word_draws_match_the_uniform_oracle(monkeypatch, triangle_seed, families):
+    laws = {"exp": Exponential(2.5), "unif": UniformUnit(), "norm": StandardNormal(),
+            "table": triangle_seed}
+    model = FsrvModel(*(laws[f] for f in families))
+    _pretend_cpus(monkeypatch, 2)
+    # two parts at T = 2 and three at T = 1, the last partial
+    config = SimulationConfig(rng_seed=2**64 - 5, n_paths=_CHUNK_PATHS + 1234, horizon=5,
+                              model=model)
+    assert (run_simulation(config).seed_pairs.tobytes()
+            == _oracle_pairs(config, 0, config.n_paths).tobytes())
+    assert _drawn(config, 123_457, 1001).tobytes() == _oracle_pairs(config, 123_457, 1001).tobytes()
+
+
+_THREADED_READS = [("values", 5), ("sums", 7), ("ratio", 2), ("values", 0), ("ks", 6),
+                   ("ratio", 3), ("s", 8), ("y", 4), ("values", 8), ("sums", 1), ("sums", 0),
+                   ("ratio", 7), ("values", 1), ("sums", 2)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_threaded_reads_match_the_references(monkeypatch, exp_model, cpus):
+    # four parts and a partial one at any thread count
+    horizon = 8
+    config = SimulationConfig(rng_seed=77, n_paths=3 * _CHUNK_PATHS + 12345, horizon=horizon,
+                              model=exp_model)
+    _pretend_cpus(monkeypatch, 1)
+    pairs = run_simulation(config).seed_pairs
+    one_thread_summary = SimulationRun(config, pairs).summary_json()
+    members = _reference_members(pairs, horizon)
+    sums = list(itertools.accumulate(members))
+    _pretend_cpus(monkeypatch, cpus)
+    threads_before = threading.active_count()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
+    try:
+        _check_reads(config, pairs, members, sums)
+        assert SimulationRun(config, pairs).summary_json() == one_thread_summary
+    finally:
+        sys.setswitchinterval(switch)
+    assert threading.active_count() == threads_before
+
+
+def _check_reads(config, pairs, members, sums) -> None:
+    model = config.model
+    for order in ("drawn", "ascending", "descending"):
+        reads = _THREADED_READS
+        if order != "drawn":
+            reads = sorted(reads, key=lambda q: q[1], reverse=order == "descending")
+        run = SimulationRun(config, pairs)
+        for kind, n in reads:
+            if kind == "values":
+                assert run.values_at(n).tobytes() == members[n].tobytes()
+            elif kind == "sums":
+                assert run.sums_at(n).tobytes() == sums[n].tobytes()
+            elif kind == "ratio":
+                assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
+            else:
+                mean, variance = moments_xn(model, n)
+                y = (members[n] - mean) / math.sqrt(variance)
+                sum_mean, sd = normalized_sum_law(n, model)
+                s = (sums[n] - sum_mean) / sd
+                if kind == "y":
+                    assert run.y_normalized(n).tobytes() == y.tobytes()
+                elif kind == "s":
+                    assert run.sums_normalized(n).tobytes() == s.tobytes()
+                else:
+                    for which, sample in (("y", y), ("s", s)):
+                        ks = ks_distance(run, n, cdf_limit_exponential_closed, which=which)
+                        assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
+
+
+def test_helpers_keep_the_callers_errstate(monkeypatch, exp_model):
+    # inf - inf is invalid and 1e308 + 1e308 overflows, in every part
+    pairs = np.asfortranarray(np.tile([[np.inf, -np.inf], [1e308, 1e308], [1.0, 2.0]],
+                                      (_CHUNK_PATHS, 1)))
+    config = SimulationConfig(rng_seed=1, n_paths=len(pairs), horizon=10, model=exp_model)
+    reads = {}
+    for cpus in (1, 2):  # three parts at T = 1, six at T = 2
+        _pretend_cpus(monkeypatch, cpus)
+        run = SimulationRun(config, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore", over="ignore"):
+                reads[cpus] = [run.values_at(9).tobytes(), run.sums_at(10).tobytes(),
+                               run.values_at(3).tobytes()]
+            # the summary's own errstate holds in its helpers
+            with pytest.raises(DomainError, match="member 0 overflows"):
+                run.summary()
+    assert reads[1] == reads[2]
+
+
+def test_a_failed_walk_restarts_from_the_seeds(monkeypatch, exp_model):
+    _pretend_cpus(monkeypatch, 2)
+    config = SimulationConfig(rng_seed=6, n_paths=2 * _CHUNK_PATHS + 99, horizon=20,
+                              model=exp_model)
+    run = run_simulation(config)
+    members = _reference_members(run.seed_pairs, 20)
+    sums = list(itertools.accumulate(members))
+    in_parts = simulate._in_parts
+
+    def failing_in_parts(n_paths, body):
+        walked = threading.Event()
+
+        def part(start, stop):
+            if threading.current_thread() is not threading.main_thread():
+                assert walked.wait(timeout=30)
+                raise MemoryError("no room for a step")
+            body(start, stop)
+            walked.set()
+
+        in_parts(n_paths, part)
+
+    for read in (run.values_at, run.sums_at):
+        run.values_at(4)  # the cursor sits at member 3
+        monkeypatch.setattr(simulate, "_in_parts", failing_in_parts)
+        with pytest.raises(MemoryError, match="^no room for a step$"):
+            read(12)  # the calling thread's first rows walk on, the helper's do not
+        monkeypatch.setattr(simulate, "_in_parts", in_parts)
+        # a read that stepped on from the half-stepped buffers would mix members
+        assert run.values_at(13).tobytes() == members[13].tobytes()
+        assert run.sums_at(15).tobytes() == sums[15].tobytes()
+        assert run.values_at(17).tobytes() == members[17].tobytes()

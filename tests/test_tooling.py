@@ -1,12 +1,14 @@
 """The benchmark's layer tracer must find every function it wraps: a program
 change that renames or deletes one silently empties a `--trace 1` metric."""
 
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import fsrv.cli
+from fsrv.simulate import _CHUNK_PATHS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -118,3 +120,33 @@ def test_layer_tracer_counts_what_the_mc_workload_requires(capsys, tmp_path):
     finally:
         tracer.uninstall()
     assert sorted(name for name in required if not metrics[name]) == []
+
+
+def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
+    # the helper threads of a pass call no name the tracer wraps: a wrapped
+    # call per part would count three parts at one CPU and five at two
+    layertrace, _ = _perfbench_modules()
+    units = {name: unit for name, unit, _ in layertrace.METRICS}
+    config = fsrv.SimulationConfig(rng_seed=5, n_paths=2 * _CHUNK_PATHS + 7, horizon=30,
+                                   model=fsrv.exponential_model())
+    counts = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        tracer = layertrace.Tracer()
+        try:
+            tracer.install()
+            run = fsrv.run_simulation(config)
+            run.values_at(20)  # a walk from the seeds
+            run.values_at(25)  # a walk of five steps from the cursor
+            run.sums_at(28)
+            run.summary()
+            metrics = tracer.pass_metrics(values=1)
+        finally:
+            tracer.uninstall()
+        counts[cpus] = ({name: value for name, value in metrics.items()
+                         if units[name] == "count"},
+                        dict(tracer.calls), dict(tracer.tally),
+                        {name: cell[0] for name, cell in tracer.leaf_cells.items()})
+    assert counts[1][0]["simulate.recursion_steps"] > 0
+    assert counts[1] == counts[2]
