@@ -60,20 +60,10 @@ def cdf_limit_exponential_closed(x):
 
     Accepts a float or an array; obtained by integrating the closed density,
     F = (phi*(1 - exp(-c/phi)) - (1 - exp(-c))) / (phi - 1) for c >= 0.
-    Computed in two buffers, as PHI * -expm1(-c / PHI) + expm1(-c) over
-    c = max(x * sqrt(1 + phi^2) + (1 + phi), 0), operation for operation.
     """
-    scalar, x = np.isscalar(x), np.asarray(x, dtype=np.float64)
-    c = np.multiply(x, _SQRT_1_PHI2, out=np.empty_like(x))
-    c += 1.0 + PHI
-    np.negative(np.maximum(c, 0.0, out=c), out=c)  # -c from here on
-    out = np.divide(c, PHI, out=np.empty_like(c))
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    out *= PHI
-    out += np.expm1(c, out=c)
-    out /= PHI - 1.0
-    return float(out) if scalar else out[()]
+    c = np.maximum(np.asarray(x, dtype=np.float64) * _SQRT_1_PHI2 + (1.0 + PHI), 0.0)
+    out = (PHI * -np.expm1(-c / PHI) + np.expm1(-c)) / (PHI - 1.0)
+    return float(out) if np.isscalar(x) else out
 
 
 _UNIFORM_A = math.sqrt((1.0 + PHI * PHI) / 12.0)

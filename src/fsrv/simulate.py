@@ -7,10 +7,10 @@ only those it uses. Results are therefore bit-identical no matter how the
 draws are split, so every whole-array pass runs through one helper,
 _in_parts, that spreads parts of the paths over every CPU the process may
 use: the draws, each thread into its own rows of one column-major array;
-cursor walks of two or more steps and restarts from the seeds, each thread
-walking its own rows through every step; partial sums, fused into that
-walk; and the summary's deviations. Every row sees the same operations in
-the same order whatever the thread count, so no result depends on it.
+cursor walks of four or more steps, from the cursor or from the seeds, each
+thread walking its own rows through every step; partial sums, fused into
+that walk; and the summary's deviations. Every row sees the same operations
+in the same order whatever the thread count, so no result depends on it.
 
 The summary's per-index means and variances come from the seed pairs'
 sample moments, computed afresh on each call. Member reads, partial sums,
@@ -42,6 +42,13 @@ _BLOCK = 4
 #: Paths per part of a whole-array pass, divided among its threads: bounds
 #: the raw words of a draw in flight at 2 MB whatever the path count.
 _CHUNK_PATHS = 1 << 16
+
+#: Steps, counted from where a cursor walk begins, from which the walk runs
+#: on every CPU. Below it a thread start costs more than it saves: at 2.5e5
+#: paths on 2 CPUs, threaded 2-step walks ran 12-36% slower and 3-step ones
+#: from 14% faster to 22% slower, while 4-step ones ran about 28% faster and
+#: 35-step ones 2.3 to 2.8 times faster.
+_THREADED_STEPS = 4
 
 #: Paths whose denominator magnitude falls below this are excluded from
 #: ratio statistics.
@@ -104,14 +111,14 @@ class SimulationRun:
         """Members k and k+1 of every path as views of the cursor buffers,
         which the next cursor move overwrites. With total given, the walk
         restarts from the seeds and adds members 0..k+1 into total, one by
-        one in index order. A restart or a walk of two or more steps runs
-        on every CPU, each thread walking its own rows through every step."""
+        one in index order. A walk of _THREADED_STEPS or more steps runs on
+        every CPU, each thread walking its own rows through every step."""
         restart = total is not None or self._k is None or k < self._k
         steps = k - (0 if restart else self._k)
-        if self._prev is None:
-            n_paths, dtype = self.config.n_paths, self.seed_pairs.dtype
-            self._prev, self._cur = np.empty(n_paths, dtype), np.empty(n_paths, dtype)
         prev, cur, seeds = self._prev, self._cur, self.seed_pairs
+        if prev is None:
+            n_paths, dtype = self.config.n_paths, seeds.dtype
+            prev, cur = np.empty(n_paths, dtype), np.empty(n_paths, dtype)
 
         def walk(start: int, stop: int) -> None:
             p, c = prev[start:stop], cur[start:stop]
@@ -125,8 +132,11 @@ class SimulationRun:
                 if total is not None:
                     t += c
 
-        self._k = None  # half-stepped buffers until every row has walked
-        if restart or steps >= 2:
+        # No cursor until every row has walked: a failed walk leaves its
+        # buffers to any helper thread still stepping them, and the next read
+        # restarts in fresh ones.
+        self._k = self._prev = self._cur = None
+        if steps >= _THREADED_STEPS:
             _in_parts(self.config.n_paths, walk)
         else:
             walk(0, self.config.n_paths)

@@ -688,3 +688,40 @@ def test_a_failed_walk_restarts_from_the_seeds(monkeypatch, exp_model):
         assert run.values_at(13).tobytes() == members[13].tobytes()
         assert run.sums_at(15).tobytes() == sums[15].tobytes()
         assert run.values_at(17).tobytes() == members[17].tobytes()
+
+
+def test_a_helper_left_running_steps_no_buffer_of_the_run(monkeypatch, exp_model):
+    _pretend_cpus(monkeypatch, 2)
+    config = SimulationConfig(rng_seed=8, n_paths=2 * _CHUNK_PATHS + 99, horizon=20,
+                              model=exp_model)
+    run = run_simulation(config)
+    members = _reference_members(run.seed_pairs, 20)
+    in_parts, join = simulate._in_parts, threading.Thread.join
+    release, stranded = threading.Event(), []
+
+    def stalled_in_parts(n_paths, body):
+        def part(start, stop):
+            if threading.current_thread() is not threading.main_thread():
+                assert release.wait(timeout=30)
+            body(start, stop)
+
+        in_parts(n_paths, part)
+
+    def interrupted_join(thread, timeout=None):  # Ctrl-C while the caller waits
+        stranded.append(thread)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(simulate, "_in_parts", stalled_in_parts)
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    with pytest.raises(KeyboardInterrupt):
+        run.values_at(12)  # the helper has not started its rows
+    monkeypatch.undo()
+    try:
+        assert run.values_at(2).tobytes() == members[2].tobytes()  # a restart
+    finally:
+        release.set()  # the stranded helper now walks its rows through 11 steps
+        join(stranded[0], timeout=30)
+    assert not stranded[0].is_alive()
+    # one step on from the cursor: rows the helper stepped would hold member 13
+    assert run.values_at(3).tobytes() == members[3].tobytes()
+    assert run.sums_at(6).tobytes() == list(itertools.accumulate(members))[6].tobytes()
