@@ -45,9 +45,9 @@ _CHUNK_PATHS = 1 << 16
 
 #: Steps, counted from where a cursor walk begins, from which the walk runs
 #: on every CPU. Below it a thread start costs more than it saves: at 2.5e5
-#: paths on 2 CPUs, threaded 2-step walks ran 12-36% slower and 3-step ones
-#: from 14% faster to 22% slower, while 4-step ones ran about 28% faster and
-#: 35-step ones 2.3 to 2.8 times faster.
+#: paths on 2 CPUs, threaded 2-step walks ran 12% to 88% slower and 3-step
+#: ones from 14% faster to 22% slower, while 4-step ones ran about 28%
+#: faster and 35-step ones 2.3 to 2.8 times faster.
 _THREADED_STEPS = 4
 
 #: Paths whose denominator magnitude falls below this are excluded from
