@@ -2,10 +2,13 @@
 JSON suitable for plotting and scripting.
 
 Numbers are written with 17 significant digits so emitted files are
-byte-stable across runs and round-trip exactly back to doubles. Each
-subcommand returns its output text; main alone writes it, reports errors and
-picks the exit code: 0 success, 2 validation failure, 3 numeric
-non-convergence or a density table failing its normalization certificate.
+byte-stable across runs and round-trip exactly back to doubles. The one
+exception is `simulate --output json`, which json.dumps writes with the
+shortest repr that round-trips (0.9793128121255513 and 0.0, where the CSV
+has 0.97931281212555132 and 0). Each subcommand returns its output text;
+main alone writes it, reports errors and picks the exit code: 0 success,
+2 validation failure, 3 numeric non-convergence or a density table failing
+its normalization certificate.
 """
 
 import argparse
@@ -27,13 +30,23 @@ NORM_DEFECT_LIMIT = 1e-6
 
 #: The one number rule: integers and bools exactly, anything else as a
 #: double at 17 significant digits, which round-trips.
-_INT_FORMAT, _FLOAT_FORMAT = "{:d}", "{:.17g}"
+_INT_FORMAT, _FLOAT_FORMAT = "%d", "%.17g"
+
+#: Rows per `%` call in _csv_table, which bounds the flat cell list, its
+#: tuple and the block's format string. Timed on the 82,000-row, 3-column
+#: table of `simulate --paths 2000 --horizon 40 --paths-out` (fastest of 25
+#: interleaved runs, 2 CPUs, Python 3.11): 60.1-61.4 ms from 512 to 8192
+#: rows per block, 66.4 ms at 64, and 67.6 ms in one block of every row,
+#: which also raised the traced peak from 10.6 to 13.5 MB.
+_BLOCK_ROWS = 2048
 
 
 def _column(values) -> tuple[list, str]:
-    """A column's cells as Python numbers, and the one format they all take:
-    _INT_FORMAT for an integer or bool column, and _FLOAT_FORMAT for any
-    other, which is cast to float64."""
+    """A column's cells, and the one format they all take: "%s" for a list
+    of already formatted str cells, _INT_FORMAT for an integer or bool
+    column, and _FLOAT_FORMAT for any other, which is cast to float64."""
+    if isinstance(values, list) and values and isinstance(values[0], str):
+        return values, "%s"
     column = np.asarray(values)
     if column.dtype.kind in "biu":
         return column.tolist(), _INT_FORMAT
@@ -44,18 +57,18 @@ def _fmt(value) -> str:
     """One number by the rule of _column; a Python int prints exactly, also
     beyond int64."""
     if isinstance(value, (bool, int, np.integer)):
-        return _INT_FORMAT.format(value)
-    return _FLOAT_FORMAT.format(float(value))
+        return _INT_FORMAT % value
+    return _FLOAT_FORMAT % float(value)
 
 
 def _dumps(obj) -> str:
     """Compact JSON with numbers by _fmt. A 1-D numeric array is formatted
-    as one column, a 2-D one row by row."""
+    as one column in one `%` call, a 2-D one row by row."""
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
         cells, fmt = _column(obj)
-        return "[" + ",".join(map(fmt.format, cells)) + "]"
+        return "[" + ",".join([fmt] * len(cells)) % tuple(cells) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     if obj is None or isinstance(obj, (bool, str)):
@@ -77,10 +90,28 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _csv_table(header: list[str], columns, trailing: list[str] = ()) -> str:
     """CSV of equal-length columns (arrays, ranges or lists), one format per
-    column: each column is converted once and each row is one format call."""
+    column. Each column is converted once. Each block of up to _BLOCK_ROWS
+    rows takes its cells, interleaved row by row into one flat list, in one
+    `%` call on the block's repeated row format."""
     cells, fmts = zip(*map(_column, columns))
-    row = ",".join(fmts).format
-    return "\n".join([",".join(header), *map(row, *cells), *trailing, ""])
+    row = ",".join(fmts) + "\n"
+    width, n_rows = len(cells), len(cells[0])
+    text = [",".join(header) + "\n"]
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n_rows - start)
+        flat = [None] * (width * rows)
+        for j, column in enumerate(cells):
+            flat[j::width] = column[start:start + rows]
+        text.append(row * rows % tuple(flat))
+    text.extend(line + "\n" for line in trailing)
+    return "".join(text)
+
+
+def _grid_axes(first: list[str], second: list[str]) -> tuple[list[str], list[str]]:
+    """The two axis columns of a table over every (first, second) pair,
+    second varying fastest, from each axis's cells formatted once: every
+    cell of first repeated len(second) times, and second tiled."""
+    return [cell for cell in first for _ in second], second * len(first)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -193,7 +224,8 @@ def _cmd_joint(args) -> str:
     _certify("joint density", defect)
     density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
-        columns = (np.repeat(xs0, p1), np.tile(xs1, p0), density.ravel())
+        axes = ([_FLOAT_FORMAT % x for x in xs.tolist()] for xs in (xs0, xs1))
+        columns = (*_grid_axes(*axes), density.ravel())
         return _csv_table(["y0", "y1", "density"], columns, [f"# norm_defect={_fmt(defect)}"])
     return _dumps({
         "kind": "joint_density",
@@ -238,9 +270,8 @@ def _cmd_simulate(args) -> str:
         text = _csv_table(["n", "mean", "variance"], columns)
     if args.paths_out is not None:
         steps = config.horizon + 1
-        columns = (np.repeat(np.arange(config.n_paths), steps),
-                   np.tile(np.arange(steps), config.n_paths),
-                   simulate.sample_path(run).ravel())
+        axes = (list(map(str, range(k))) for k in (config.n_paths, steps))
+        columns = (*_grid_axes(*axes), simulate.sample_path(run).ravel())
         paths_text = _csv_table(["path_index", "n", "value"], columns)
         with open(args.paths_out, "w") as fh:  # only now: a failed render keeps the old file
             fh.write(paths_text)

@@ -212,6 +212,19 @@ def test_simulate_paths_csv(capsys, tmp_path):
         "345905ab5e8bdca248a6ed3c51bbb34b5f103a315b91008f3bfd22cabd86b44b"
 
 
+def test_paths_out_over_two_blocks_is_pinned(capsys, tmp_path):
+    paths_file = tmp_path / "paths.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--seeds", "normal01", "--paths", "900",
+                         "--horizon", "40", "--rng-seed", "11", "--paths-out", str(paths_file))
+    assert code == 0
+    data = paths_file.read_bytes()
+    assert data.count(b"\n") == 1 + 900 * 41 > 1 + 2 * cli._BLOCK_ROWS
+    # recorded before the CSV writer moved from one format call per row to
+    # one per block of rows
+    assert hashlib.sha256(data).hexdigest() == \
+        "24eafef4f577a46d3a878905a8ed5f58f29cc50c93585591a04363d59a5756ac"
+
+
 def test_paths_out_keeps_the_old_file_when_rendering_fails(capsys, monkeypatch, tmp_path):
     paths_file = tmp_path / "paths.csv"
     paths_file.write_bytes(b"path_index,n,value\n0,0,1\n")
@@ -578,6 +591,15 @@ _ANALYTIC_DIGESTS = [
      "e201f47445320bff4139b815f1565ef63d0d444df73d44643bcffc8143c6e240"),
     ("fib_json", ["fib", "--n", "150", "--output", "json"],
      "2e297b3300310faf3ec3d5472f7aba4c11d85d6ec68d1774e594b1427ce43171"),
+    # recorded before the CSV writer moved to one format call per block of
+    # rows and joint to axes formatted once: a non-square grid tells an axis
+    # repeated by p0 from one repeated by p1
+    ("joint_nonsquare_csv", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
+                             "--grid0", "0:5:3", "--grid1", "0:21:5"],
+     "d5c8429d6afa4e544a36833a77c66aedda774f9cef0ceb6fcadd84545a9056fd"),
+    ("joint_nonsquare_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
+                              "--grid0", "0:5:3", "--grid1", "0:21:5", "--output", "json"],
+     "5a3e5b8feaed1182bfa4c9ba6179c0a8fe474884a79bcf3ac74a7614ac7bc794"),
 ]
 
 
@@ -665,3 +687,29 @@ def test_dumps_matches_cells_on_2d_arrays_and_documents(rows, cols, data):
            "defect": np.float64(values[0]) if values else np.float32(0.5),
            "rows": [{"k": np.int64(rows), "v": -0.0}]}
     assert _dumps(doc) == _cell_dumps(doc)
+
+
+@pytest.mark.parametrize("rows", [cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                  2 * cli._BLOCK_ROWS + 1])
+def test_column_formatter_matches_cells_across_blocks(rows):
+    ints = (np.arange(rows, dtype=np.int64) - rows // 2) * (2**62 // rows)
+    flags = np.arange(rows) % 3 == 0
+    values = np.array([_EDGE_DOUBLES[i % len(_EDGE_DOUBLES)] for i in range(rows)])
+    # a column of str cells, already formatted, prints as it is
+    formatted = [_cell_fmt(v) for v in values[::-1]]
+    expected = _cell_csv_table(["i", "b", "v", "s"], zip(ints, flags, values, values[::-1]),
+                               ["# end"])
+    assert _csv_table(["i", "b", "v", "s"], (ints, flags, values, formatted),
+                      ["# end"]) == expected
+    assert _csv_table(["i", "b", "v", "s"], (ints.tolist(), flags.tolist(), values.tolist(),
+                                             formatted), ["# end"]) == expected
+    for column in (ints, flags, values):
+        assert _dumps(column) == _cell_dumps(column)
+
+
+def test_column_formatter_with_no_rows_keeps_its_trailing_lines():
+    expected = _cell_csv_table(["i", "v"], [], ["# end"])
+    assert expected == "i,v\n# end\n"
+    assert _csv_table(["i", "v"], ([], np.array([])), ["# end"]) == expected
+    assert _csv_table(["i", "v"], (range(0), np.array([], dtype=np.int64)), ["# end"]) == expected
+    assert _dumps(np.array([])) == _dumps(np.array([], dtype=bool)) == "[]"

@@ -1,5 +1,7 @@
 """The benchmark's layer tracer must find every function it wraps: a program
-change that renames or deletes one silently empties a `--trace 1` metric."""
+change that renames or deletes one silently empties a `--trace 1` metric.
+The benchmark's oracles must accept the program's output, so a change that
+alters what the output means fails here and not only in the benchmark."""
 
 import os
 import sys
@@ -150,3 +152,20 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
                         {name: cell[0] for name, cell in tracer.leaf_cells.items()})
     assert counts[1][0]["simulate.recursion_steps"] > 0
     assert counts[1] == counts[2]
+
+
+def test_emit_workload_passes_its_oracles(tmp_path):
+    # every emit_bound op once, untimed, as the benchmark runs and checks it
+    saved = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+        import workloads
+    finally:
+        sys.path[:] = saved
+    workload = workloads.build("emit_bound", 1, tmp_path / "emit")
+    assert workload.ops
+    for op in workload.ops:
+        out = run.run_op(op)
+        assert out.rc == 0, (op.key, out.error)
+        assert run.oracle_failure(op, out) is None, op.key
