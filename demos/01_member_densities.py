@@ -13,7 +13,7 @@ import numpy as np
 
 from fsrv.marginal import (
     exponential_model,
-    moments_xn,
+    member_form,
     normal_model,
     pdf_exponential_closed,
     pdf_normal_closed,
@@ -31,7 +31,7 @@ cases = [
 ]
 
 for name, model, closed in cases:
-    mean, var = moments_xn(model, N)
+    mean, var = member_form(model, N).moments()
     sd = math.sqrt(var)
     lo = 0.0 if name != "normal" else -4.0 * sd
     hi = mean + 4.0 * sd

@@ -15,20 +15,20 @@ from fsrv.fib_core import PHI
 from fsrv.limits import (
     cdf_limit_exponential_closed,
     cdf_limit_uniform_closed,
-    limit_law,
     pdf_limit_exponential_closed,
     pdf_limit_numeric,
     pdf_limit_uniform_closed,
 )
-from fsrv.marginal import exponential_model, moments_xn, pdf_exponential_closed
+from fsrv.marginal import exponential_model, limit_form, member_form, pdf_exponential_closed
 from fsrv.numerics import integrate
 
-law = limit_law(exponential_model())
-print(f"exponential seeds: Y = (V0 + phi*V1 - {law.b_shift:.6f}) / {law.a_scale:.6f}")
+model = exponential_model()
+form = limit_form(model)
+print(f"exponential seeds: Y = (V0 + phi*V1 - {form.shift:.6f}) / {form.scale:.6f}")
 print(f"{'y':>7} {'closed pdf':>12} {'convolution':>12}")
 for y in np.linspace(-1.3, 4.0, 9):
     print(f"{y:7.2f} {pdf_limit_exponential_closed(float(y)):12.8f} "
-          f"{pdf_limit_numeric(law, float(y)):12.8f}")
+          f"{pdf_limit_numeric(model, float(y)):12.8f}")
 
 print("\nuniform seeds: trapezoidal limit density")
 for y in np.linspace(-2.2, 2.2, 9):
@@ -37,7 +37,7 @@ for y in np.linspace(-2.2, 2.2, 9):
 # convergence: distribution of the standardized member n vs the limit
 print("\nsup |F_Yn - F_Y| by cumulative quadrature of the member density:")
 for n in (5, 10, 20, 30):
-    mean, var = moments_xn(exponential_model(), n)
+    mean, var = member_form(model, n).moments()
     sd = math.sqrt(var)
     cum, prev, sup = 0.0, 0.0, 0.0
     for y in np.linspace(-3.0, 7.0, 160):

@@ -11,30 +11,28 @@ import numpy as np
 
 from fsrv.limits import (
     cdf_limit_exponential_closed,
-    normalized_sum_law,
     pdf_sum,
     pdf_sum_exponential_closed,
-    sum_law,
 )
-from fsrv.marginal import exponential_model, uniform_model
+from fsrv.marginal import exponential_model, sum_form, uniform_model
 from fsrv.simulate import SimulationConfig, ks_distance, run_simulation
 
 model = exponential_model()
 
 for n in (4, 8):
-    law = sum_law(n, model)
-    print(f"S_{n} = {law.coeff0}*V0 + {law.coeff1}*V1, "
-          f"mean {law.mean:g}, variance {law.variance:g}")
+    form = sum_form(model, n)
+    mean, variance = form.moments()
+    print(f"S_{n} = {form.c0}*V0 + {form.c1}*V1, mean {mean:g}, variance {variance:g}")
 
 print("\ndensity of S_4 (closed two-exponential form vs convolution):")
-law4 = sum_law(4, model)
-for x in np.linspace(1.0, law4.mean + 2 * math.sqrt(law4.variance), 8):
+mean, variance = sum_form(model, 4).moments()
+for x in np.linspace(1.0, mean + 2 * math.sqrt(variance), 8):
     print(f"  x={x:7.2f}  closed {pdf_sum_exponential_closed(4, float(x)):.8f}  "
           f"numeric {pdf_sum(4, model, float(x)):.8f}")
 
 print("\nuniform seeds: standardization constants of S_5:")
-mean, sd = normalized_sum_law(5, uniform_model())
-print(f"  mean {mean:g}, sd {sd:.6f}")
+standard = sum_form(uniform_model(), 5).standardized()
+print(f"  mean {standard.shift:g}, sd {standard.scale:.6f}")
 
 # the standardized sum converges to the same limit law Y as single members
 config = SimulationConfig(rng_seed=1, n_paths=50_000, horizon=31, model=model)

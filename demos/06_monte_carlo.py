@@ -10,7 +10,7 @@ import numpy as np
 
 from fsrv.fib_core import PHI
 from fsrv.limits import cdf_limit_exponential_closed
-from fsrv.marginal import exponential_model, moments_xn, normal_model
+from fsrv.marginal import exponential_model, member_form, normal_model
 from fsrv.simulate import SimulationConfig, ks_distance, ratio_stats, run_simulation, sample_path
 
 config = SimulationConfig(rng_seed=42, n_paths=20_000, horizon=41, model=exponential_model())
@@ -32,7 +32,7 @@ norm_stats = ratio_stats(norm_run, 40)
 print(f" normal seeds at n=40 keep {norm_stats.n_used} of 20000 paths here)")
 
 print("\nempirical moments vs analytic, member 20:")
-mean, var = moments_xn(config.model, 20)
+mean, var = member_form(config.model, 20).moments()
 values = run.values_at(20)
 print(f"  mean {float(np.mean(values)):12.4f} vs {mean:.4f}")
 print(f"  var  {float(np.var(values, ddof=1)):12.1f} vs {var:.1f}")

@@ -23,39 +23,33 @@ from .joint_predict import (
     prediction_curve,
 )
 from .limits import (
-    LimitLaw,
-    SumLaw,
     cdf_limit_exponential_closed,
     cdf_limit_uniform_closed,
     limit_density_law,
-    limit_law,
-    normalized_sum_law,
     pdf_limit_exponential_closed,
     pdf_limit_numeric,
     pdf_limit_uniform_closed,
     pdf_sum,
     pdf_sum_exponential_closed,
     sum_density_law,
-    sum_law,
 )
 from .marginal import (
     DensityLaw,
     FsrvModel,
+    LinearForm,
     RatioDiagnostics,
     exponential_model,
-    linear_form_moments,
-    linear_form_pdf,
-    linear_form_support,
+    limit_form,
+    member_form,
     member_law,
     mode_exponential,
-    moments_xn,
     normal_model,
     pdf_exponential_closed,
     pdf_normal_closed,
     pdf_numeric,
     pdf_uniform_closed,
     ratio_diagnostics,
-    support_xn,
+    sum_form,
     uniform_model,
 )
 from .numerics import (

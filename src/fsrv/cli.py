@@ -177,8 +177,9 @@ def _cmd_density(args) -> str:
         raise FsrvError(f"--method closed: no closed form for seeds {args.seeds!r}")
     numeric = method == "numeric" or law.closed is None
     lo, hi, points = args.grid
+    support = law.form.support()
     curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
-                                       law.support, cfg, knots=law.knots)
+                                       support, cfg, knots=law.form.knots())
     _certify("density table", curve.norm_defect)
     if args.output == "csv":
         trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
@@ -189,7 +190,7 @@ def _cmd_density(args) -> str:
         "label": law.label,
         "x": curve.xs,
         "density": curve.ys,
-        "support": law.support,
+        "support": support,
         "norm_defect": curve.norm_defect,
         **route,
         **law.fields,
@@ -198,7 +199,7 @@ def _cmd_density(args) -> str:
 
 def _cmd_moments(args) -> str:
     model = _model_from(args)
-    mean, variance = _flagged("--n", marginal.moments_xn, model, args.n)
+    mean, variance = _flagged("--n", lambda: marginal.member_form(model, args.n).moments())
     if args.output == "json":
         return _dumps({"n": args.n, "mean": mean, "variance": variance})
     return _csv_table(["n", "mean", "variance"], ([args.n], [mean], [variance]))

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import (FsrvModel, closed_form_tag, linear_form_knots, linear_form_support,
-                       pdf_numeric)
+from .marginal import FsrvModel, closed_form_tag, member_form, pdf_numeric
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
                        share_config)
 
@@ -141,11 +140,11 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
     implementation returns 1 within 1e-6. On piecewise-linear seeds the
     outer integral is split at the knots of member n's density, which the
     slice mass equals, and both levels are exact."""
-    c0, c1 = law.coeff_matrix[0], law.coeff_matrix[1]
-    y0_lo, y0_hi = linear_form_support(model, c0, c1)
+    member = member_form(model, law.n)
+    y0_lo, y0_hi = member.support()
     inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
     return integrate(lambda y0: _slice_integrals(law, model, y0, inner_cfg),
-                     y0_lo, y0_hi, cfg, knots=linear_form_knots(model, c0, c1))
+                     y0_lo, y0_hi, cfg, knots=member.knots())
 
 
 def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_CONFIG):

@@ -25,15 +25,15 @@ from fsrv.limits import (
     cdf_limit_uniform_closed,
     pdf_sum,
     pdf_sum_exponential_closed,
-    sum_law,
 )
 from fsrv.marginal import (
     exponential_model,
-    moments_xn,
+    member_form,
     pdf_exponential_closed,
     pdf_numeric,
     pdf_uniform_closed,
     ratio_diagnostics,
+    sum_form,
     uniform_model,
 )
 from fsrv.numerics import QuadratureConfig, integrate
@@ -79,7 +79,7 @@ def test_criterion_02_closed_forms_match_convolution():
     worst_mass = 0.0
     cfg = QuadratureConfig(abs_tol=1e-10)
     for n in range(2, 13):
-        mean, var = moments_xn(EXP, n)
+        mean, var = member_form(EXP, n).moments()
         xs = np.linspace(0.0, mean + 12.0 * math.sqrt(var), 400)
         sup_e = max(abs(pdf_numeric(EXP, n, float(x)) - pdf_exponential_closed(n, float(x)))
                     for x in xs)
@@ -103,7 +103,7 @@ def test_criterion_03_moment_identities():
             (EXP, lambda x, n=n: pdf_exponential_closed(n, x), 40.0 * fib(n)),
             (UNIF, lambda x, n=n: pdf_uniform_closed(n, x), float(fib(n - 1) + fib(n))),
         ):
-            mean, var = moments_xn(model, n)
+            mean, var = member_form(model, n).moments()
             cfg = QuadratureConfig(abs_tol=1e-10 * max(1.0, mean * mean))
             m1 = integrate(lambda x: x * closed(x), 0.0, hi, cfg)
             m2 = integrate(lambda x: x * x * closed(x), 0.0, hi, cfg)
@@ -149,7 +149,7 @@ def test_criterion_06_limit_laws(exp_run_100k, unif_run_100k):
     ks_u = ks_distance(unif_run_100k, 30, cdf_limit_uniform_closed, which="y")
 
     def analytic_sup(model, pdf, target):
-        mean, var = moments_xn(model, 30)
+        mean, var = member_form(model, 30).moments()
         sd = math.sqrt(var)
         cum, prev_x, sup = 0.0, 0.0, 0.0
         for y in np.linspace(-3.5, 8.0, 240):
@@ -175,19 +175,20 @@ def test_criterion_07_sums(exp_run_100k, unif_run_100k):
     for run in (exp_run_100k, unif_run_100k):
         pairs = run.seed_pairs
         for n in range(2, 31):
-            law = sum_law(n, run.config.model)
+            law = sum_form(run.config.model, n)
             sums = run.sums_at(n)
-            closed = law.coeff0 * pairs[:, 0] + law.coeff1 * pairs[:, 1]
+            closed = law.c0 * pairs[:, 0] + law.c1 * pairs[:, 1]
             worst_rel = max(worst_rel, float(np.max(np.abs(sums - closed)
                                                     / (1.0 + np.abs(sums)))))
     worst_mass = 0.0
     worst_sup = 0.0
     cfg = QuadratureConfig(abs_tol=1e-10)
     for n in range(3, 11):
-        law = sum_law(n, EXP)
-        mass = integrate(lambda x: pdf_sum(n, EXP, x, cfg), 0.0, 30.0 * law.coeff1, cfg)
+        law = sum_form(EXP, n)
+        mass = integrate(lambda x: pdf_sum(n, EXP, x, cfg), 0.0, 30.0 * law.c1, cfg)
         worst_mass = max(worst_mass, abs(mass - 1.0))
-        hi = law.mean + 10.0 * math.sqrt(law.variance)
+        mean, variance = law.moments()
+        hi = mean + 10.0 * math.sqrt(variance)
         sup = max(abs(pdf_sum(n, EXP, float(x), cfg)
                       - pdf_sum_exponential_closed(n, float(x)))
                   for x in np.linspace(0.0, hi, 80))

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from fsrv.marginal import (
     FsrvModel,
-    linear_form_pdf,
+    LinearForm,
     linear_form_pdf_exponential,
     linear_form_pdf_uniform,
-    linear_form_support,
     normal_model,
     pdf_normal_closed,
     pdf_numeric,
@@ -52,7 +51,7 @@ fractions = st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6)
 
 
 def _points(model, c0, c1, where):
-    lo, hi = linear_form_support(model, c0, c1)
+    lo, hi = LinearForm(model, c0, c1).support()
     return lo + np.array(where) * (hi - lo)
 
 
@@ -62,11 +61,11 @@ def test_batch_values_do_not_depend_on_the_batch(model, c0, c1, where):
     # the drawn points lead a batch long enough to fill several engine
     # blocks and row groups; reversed, every value sits elsewhere in it
     xs = _points(model, c0, c1, where + list(np.linspace(-0.1, 1.1, 300)))
-    batch = linear_form_pdf(model, c0, c1, xs)
+    batch = LinearForm(model, c0, c1).pdf(xs)
     assert batch.shape == xs.shape
     for x, value in zip(xs[:len(where)], batch):
-        assert value == linear_form_pdf(model, c0, c1, float(x))  # bit for bit
-    np.testing.assert_array_equal(linear_form_pdf(model, c0, c1, xs[::-1]), batch[::-1])
+        assert value == LinearForm(model, c0, c1).pdf(float(x))  # bit for bit
+    np.testing.assert_array_equal(LinearForm(model, c0, c1).pdf(xs[::-1]), batch[::-1])
 
 
 def _scipy_linear_form_pdf(model, c0, c1, x):
@@ -92,7 +91,7 @@ def test_smooth_seed_values_match_scipy(model, c0, c1, where):
     # the error target bounds the integral, and the density divides it by
     # c0*c1 >= 1/16; 1e-12 keeps the density within 1e-9 on every draw
     xs = _points(model, c0, c1, where)
-    values = linear_form_pdf(model, c0, c1, xs, QuadratureConfig(abs_tol=1e-12))
+    values = LinearForm(model, c0, c1).pdf(xs, QuadratureConfig(abs_tol=1e-12))
     for x, value in zip(xs, values):
         want = _scipy_linear_form_pdf(model, c0, c1, float(x))
         assert math.isfinite(value) and abs(value - want) <= 1e-9
@@ -115,7 +114,7 @@ def test_smooth_seed_values_meet_the_default_tolerance(model, c0, c1, where):
     # the default error target bounds the integral, which the density
     # divides by c0*c1; the seeds' truncated tails stay far below that
     xs = _points(model, c0, c1, where)
-    values = linear_form_pdf(model, c0, c1, xs)
+    values = LinearForm(model, c0, c1).pdf(xs)
     bound = DEFAULT_CONFIG.abs_tol / (c0 * c1)
     assert np.max(np.abs(values - _closed_linear_form_pdf(model, c0, c1, xs))) <= bound
 

@@ -600,16 +600,36 @@ _ANALYTIC_DIGESTS = [
     ("joint_nonsquare_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                               "--grid0", "0:5:3", "--grid1", "0:21:5", "--output", "json"],
      "5a3e5b8feaed1182bfa4c9ba6179c0a8fe474884a79bcf3ac74a7614ac7bc794"),
+    # recorded before members, partial sums and the limit law became one
+    # linear form of the seeds, to pin the routes no digest above covers:
+    # the rate-free closed limit at another rate (hence limit_exp's digest),
+    # the closed sum at another rate, the exact numeric sum, the support of
+    # a seed with infinite tails, and a form whose support starts far from 0
+    # ("SHIFTED_TABLE" is the triangle table moved to [5, 7])
+    ("limit_exp_rate", ["limit", "--seeds", "exp:2.5", "--grid=-2:4:9"],
+     "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
+    ("sums_exp_rate", ["sums", "--seeds", "exp:2.5", "--n", "4", "--grid", "0:12:7"],
+     "95713e771cc777a1b7399b8de5d479f064b9b0d4d54fd8b68e689f9e400d197a"),
+    ("sums_unif", ["sums", "--seeds", "unif01", "--n", "3", "--grid", "0:7:8"],
+     "5b29f22dcf7c90aa3f2295444967b6027c1e16e000071e463e08980befd2276d"),
+    ("pdf_normal_closed_json", ["pdf", "--seeds", "normal01", "--n", "5", "--grid=-20:20:9",
+                                "--method", "closed", "--output", "json"],
+     "4f4f538de2cb2e513c2e0153867259ecfa3cdf521ebe938414bc1dbccb862430"),
+    ("limit_table_shifted", ["limit", "--seeds", "SHIFTED_TABLE", "--grid=-3:3:7",
+                             "--output", "json"],
+     "106a66fc83168760a348eb6aa33a439c46666b152267f0c8d775bae95f4ceb39"),
 ]
 
 
 @pytest.mark.parametrize("argv,stdout_sha", [case[1:] for case in _ANALYTIC_DIGESTS],
                          ids=[case[0] for case in _ANALYTIC_DIGESTS])
 def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
-    table = tmp_path / "tri.csv"
-    xs = np.linspace(0.0, 2.0, 17)
-    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
-    argv = [f"table:{table}" if arg == "TABLE" else arg for arg in argv]
+    tables = {}
+    for name, lo in (("TABLE", 0.0), ("SHIFTED_TABLE", 5.0)):
+        tables[name] = tmp_path / f"{name}.csv"
+        xs = np.linspace(lo, lo + 2.0, 17)
+        tables[name].write_text("\n".join(f"{x},{1.0 - abs(1.0 - (x - lo))}" for x in xs) + "\n")
+    argv = [f"table:{tables[arg]}" if arg in tables else arg for arg in argv]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha

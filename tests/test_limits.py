@@ -8,16 +8,13 @@ from fsrv.fib_core import PHI, fib
 from fsrv.limits import (
     cdf_limit_exponential_closed,
     cdf_limit_uniform_closed,
-    limit_law,
-    normalized_sum_law,
     pdf_limit_exponential_closed,
     pdf_limit_numeric,
     pdf_limit_uniform_closed,
     pdf_sum,
     pdf_sum_exponential_closed,
-    sum_law,
 )
-from fsrv.marginal import FsrvModel
+from fsrv.marginal import FsrvModel, limit_form, member_form, sum_form
 from fsrv.numerics import QuadratureConfig, integrate
 from fsrv.seeds import SeedDistribution
 
@@ -27,12 +24,12 @@ UNIF_B = (1.0 + PHI) / 2.0
 
 
 def test_limit_law_constants(exp_model, unif_model):
-    law = limit_law(exp_model)
-    assert law.a_scale == pytest.approx(math.sqrt(1.0 + PHI * PHI))
-    assert law.b_shift == pytest.approx(1.0 + PHI)
-    ulaw = limit_law(unif_model)
-    assert ulaw.a_scale == pytest.approx(UNIF_A)
-    assert ulaw.b_shift == pytest.approx(UNIF_B)
+    law = limit_form(exp_model)
+    assert law.scale == pytest.approx(math.sqrt(1.0 + PHI * PHI))
+    assert law.shift == pytest.approx(1.0 + PHI)
+    ulaw = limit_form(unif_model)
+    assert ulaw.scale == pytest.approx(UNIF_A)
+    assert ulaw.shift == pytest.approx(UNIF_B)
 
 
 def test_limit_law_rejects_degenerate_seeds():
@@ -46,7 +43,7 @@ def test_limit_law_rejects_degenerate_seeds():
     # a variance rounded below zero used to reach math.sqrt
     for variance in (0.0, -1e-15):
         with pytest.raises(DomainError):
-            limit_law(FsrvModel(Point(variance), Point(variance)))
+            limit_form(FsrvModel(Point(variance), Point(variance)))
 
 
 def test_exponential_limit_pdf_support_edge_and_tail():
@@ -56,15 +53,14 @@ def test_exponential_limit_pdf_support_edge_and_tail():
 
 
 def test_exponential_limit_pdf_matches_quadrature(exp_model):
-    law = limit_law(exp_model)
     got = pdf_limit_exponential_closed(0.0)
-    assert abs(got - pdf_limit_numeric(law, 0.0)) < 1e-8
+    assert abs(got - pdf_limit_numeric(exp_model, 0.0)) < 1e-8
 
 
 def test_exponential_limit_closed_vs_numeric_grid(exp_model):
-    law = limit_law(exp_model)
     xs = np.linspace(EDGE, 13.0, 500)
-    sup = max(abs(pdf_limit_exponential_closed(float(x)) - pdf_limit_numeric(law, float(x)))
+    sup = max(abs(pdf_limit_exponential_closed(float(x))
+                  - pdf_limit_numeric(exp_model, float(x)))
               for x in xs)
     assert sup <= 1e-8
 
@@ -73,9 +69,9 @@ def test_exponential_limit_pdf_is_rate_free():
     # standardization cancels a common seed rate
     from fsrv.seeds import Exponential
 
-    law = limit_law(FsrvModel(Exponential(3.0), Exponential(3.0)))
+    model = FsrvModel(Exponential(3.0), Exponential(3.0))
     for x in (-1.0, 0.0, 1.5, 4.0):
-        assert abs(pdf_limit_numeric(law, x) - pdf_limit_exponential_closed(x)) < 1e-8
+        assert abs(pdf_limit_numeric(model, x) - pdf_limit_exponential_closed(x)) < 1e-8
 
 
 def test_exponential_limit_cdf_anchors_and_derivative():
@@ -89,10 +85,9 @@ def test_exponential_limit_cdf_anchors_and_derivative():
 
 
 def test_uniform_limit_pdf_plateau(unif_model):
-    law = limit_law(unif_model)
     x_mid = (1.3 - UNIF_B) / UNIF_A  # maps into the flat stretch of the trapezoid
     assert pdf_limit_uniform_closed(x_mid) == pytest.approx(UNIF_A / PHI)
-    assert abs(pdf_limit_numeric(law, x_mid) - UNIF_A / PHI) < 1e-9
+    assert abs(pdf_limit_numeric(unif_model, x_mid) - UNIF_A / PHI) < 1e-9
 
 
 def test_uniform_limit_cdf_support_edges():
@@ -135,21 +130,21 @@ def test_uniform_limit_cdf_nondecreasing_and_matches_pdf():
 
 
 def test_sum_law_coefficients_and_moments(exp_model, unif_model, norm_model):
-    law = sum_law(10, exp_model)
-    assert (law.coeff0, law.coeff1) == (fib(11), fib(12) - 1)
-    mean, _ = normalized_sum_law(10, exp_model)
+    law = sum_form(exp_model, 10)
+    assert (law.c0, law.c1) == (fib(11), fib(12) - 1)
+    mean = law.standardized().shift
     assert mean == 89.0 + 144.0 - 1.0 == 232.0
-    mean_u, _ = normalized_sum_law(5, unif_model)
+    mean_u = sum_form(unif_model, 5).standardized().shift
     assert mean_u == pytest.approx((8.0 + 13.0 - 1.0) / 2.0) == 10.0
-    mean_n, sd_n = normalized_sum_law(7, norm_model)
+    law_n = sum_form(norm_model, 7)
+    mean_n, sd_n = law_n.standardized().shift, law_n.standardized().scale
     assert mean_n == 0.0
-    law_n = sum_law(7, norm_model)
-    assert sd_n == pytest.approx(math.sqrt(float(law_n.coeff0**2 + law_n.coeff1**2)))
+    assert sd_n == pytest.approx(math.sqrt(float(law_n.c0**2 + law_n.c1**2)))
 
 
 def test_sum_index_bounds(exp_model):
     with pytest.raises(DomainError):
-        sum_law(1, exp_model)
+        sum_form(exp_model, 1)
     with pytest.raises(DomainError):
         pdf_sum(1, exp_model, 1.0)
 
@@ -163,8 +158,8 @@ def test_sum_closed_form_example_coefficients(exp_model):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_sum_closed_matches_convolution(exp_model, n):
-    law = sum_law(n, exp_model)
-    hi = law.mean + 10.0 * math.sqrt(law.variance)
+    mean, variance = sum_form(exp_model, n).moments()
+    hi = mean + 10.0 * math.sqrt(variance)
     cfg = QuadratureConfig(abs_tol=1e-10)
     for x in np.linspace(0.0, hi, 80):
         got = pdf_sum(n, exp_model, float(x), cfg)
@@ -173,17 +168,16 @@ def test_sum_closed_matches_convolution(exp_model, n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_sum_density_normalized(exp_model, n):
-    law = sum_law(n, exp_model)
-    hi = 30.0 * law.coeff1
+    hi = 30.0 * sum_form(exp_model, n).c1
     mass = integrate(lambda x: pdf_sum_exponential_closed(n, x), 0.0, hi,
                      QuadratureConfig(abs_tol=1e-10))
     assert abs(mass - 1.0) <= 1e-8
 
 
 def test_sum_uniform_mean_by_quadrature(unif_model):
-    law = sum_law(3, unif_model)
+    law = sum_form(unif_model, 3)
     cfg = QuadratureConfig(abs_tol=1e-8)
-    hi = float(law.coeff0 + law.coeff1)
+    hi = float(law.c0 + law.c1)
     mean = integrate(lambda x: x * pdf_sum(3, unif_model, x), 0.0, hi, cfg)
     assert abs(mean - 3.5) < 1e-6
 
@@ -191,9 +185,7 @@ def test_sum_uniform_mean_by_quadrature(unif_model):
 # --- convergence of the standardized member to the limit law ---------------
 
 def standardized_member_cdf_sup(model, n, member_pdf, target_cdf, lo_clip):
-    from fsrv.marginal import moments_xn
-
-    mean, var = moments_xn(model, n)
+    mean, var = member_form(model, n).moments()
     sd = math.sqrt(var)
     ys = np.linspace(-3.5, 8.0, 240)
     cum, prev_x, sup = 0.0, lo_clip, 0.0

@@ -7,28 +7,26 @@ from fsrv.errors import DomainError
 from fsrv.fib_core import PHI, fib
 from fsrv.marginal import (
     FsrvModel,
+    LinearForm,
     exponential_model,
-    linear_form_moments,
-    linear_form_support,
+    limit_form,
+    member_form,
     member_law,
     mode_exponential,
-    moments_xn,
     pdf_exponential_closed,
     pdf_normal_closed,
     pdf_numeric,
     pdf_uniform_closed,
     ratio_diagnostics,
-    support_xn,
+    sum_form,
 )
 from fsrv.limits import (
     limit_density_law,
-    limit_law,
     pdf_limit_exponential_closed,
     pdf_limit_numeric,
     pdf_sum,
     pdf_sum_exponential_closed,
     sum_density_law,
-    sum_law,
 )
 from fsrv.numerics import QuadratureConfig, integrate
 from fsrv.seeds import Exponential
@@ -39,7 +37,7 @@ def grid_sup_distance(model, n, closed, xs, cfg=QuadratureConfig()):
 
 
 def exp_grid(n, points=250):
-    mean, var = moments_xn(exponential_model(), n)
+    mean, var = member_form(exponential_model(), n).moments()
     return np.linspace(0.0, mean + 12.0 * math.sqrt(var), points)
 
 
@@ -87,16 +85,16 @@ def test_normal_closed_point_values():
 
 
 def test_moments_examples(exp_model, unif_model, norm_model):
-    assert moments_xn(exp_model, 4) == (5.0, 13.0)
-    mean, var = moments_xn(unif_model, 6)
+    assert member_form(exp_model, 4).moments() == (5.0, 13.0)
+    mean, var = member_form(unif_model, 6).moments()
     assert mean == pytest.approx(6.5)
     assert var == pytest.approx(89.0 / 12.0)
-    assert moments_xn(norm_model, 3) == (0.0, 5.0)
+    assert member_form(norm_model, 3).moments() == (0.0, 5.0)
 
 
 def test_moments_match_fibonacci_identities(exp_model):
     for n in range(2, 25):
-        mean, var = moments_xn(exp_model, n)
+        mean, var = member_form(exp_model, n).moments()
         assert mean == float(fib(n + 1))
         assert var == float(fib(2 * n - 1))
 
@@ -116,6 +114,14 @@ def test_mode_exponential_rate_scaling():
     x2, m2 = mode_exponential(5, rate=2.0)
     assert x2 == pytest.approx(x1 / 2.0)
     assert m2 == pytest.approx(2.0 * m1)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+def test_mode_exponential_rejects_rates_exponential_rejects(rate):
+    with pytest.raises(DomainError):
+        Exponential(rate)
+    with pytest.raises(DomainError):
+        mode_exponential(3, rate)
 
 
 def test_mode_matches_argmax_of_closed_density():
@@ -179,25 +185,26 @@ def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
     xs = (0.3, 4.0, 17.0)
     member = member_law(exp_model, 6, cfg)
     assert member.label == "member_6" and member.fields == {"n": 6}
-    assert member.support == support_xn(exp_model, 6, effective=True)
+    hi = exp_model.seed0.effective_support()[1]
+    assert member.form.support() == (0.0, (fib(5) + fib(6)) * hi)
     for x in xs:
         assert member.closed(x) == pdf_exponential_closed(6, x)
         assert member.numeric(x) == pdf_numeric(exp_model, 6, x, cfg)
 
-    limit, constants = limit_density_law(exp_model, cfg), limit_law(exp_model)
+    limit, constants = limit_density_law(exp_model, cfg), limit_form(exp_model)
     assert limit.label == "limit_law"
-    assert limit.fields == {"a_scale": constants.a_scale, "b_shift": constants.b_shift}
-    hi = exp_model.seed0.effective_support()[1]
-    assert limit.support == (-constants.b_shift / constants.a_scale,
-                             ((1.0 + PHI) * hi - constants.b_shift) / constants.a_scale)
+    assert limit.fields == {"a_scale": constants.scale, "b_shift": constants.shift}
+    assert limit.form.support() == (-constants.shift / constants.scale,
+                                    ((1.0 + PHI) * hi - constants.shift) / constants.scale)
     for x in (-1.0, 0.5, 3.0):
         assert limit.closed(x) == pdf_limit_exponential_closed(x)
-        assert limit.numeric(x) == pdf_limit_numeric(constants, x, cfg)
+        assert limit.numeric(x) == pdf_limit_numeric(exp_model, x, cfg)
 
-    sums, reduction = sum_density_law(5, exp_model, cfg), sum_law(5, exp_model)
+    sums, reduction = sum_density_law(5, exp_model, cfg), sum_form(exp_model, 5)
+    mean, variance = reduction.moments()
     assert sums.label == "sum_through_5"
-    assert sums.fields == {"n": 5, "mean": reduction.mean, "variance": reduction.variance}
-    assert sums.support == (0.0, (fib(6) + fib(7) - 1) * hi)
+    assert sums.fields == {"n": 5, "mean": mean, "variance": variance}
+    assert sums.form.support() == (0.0, (fib(6) + fib(7) - 1) * hi)
     for x in xs:
         assert sums.closed(x) == pdf_sum_exponential_closed(5, x)
         assert sums.numeric(x) == pdf_sum(5, exp_model, x, cfg)
@@ -215,11 +222,9 @@ def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
 
 
 def test_support_xn(exp_model, unif_model):
-    lo, hi = support_xn(unif_model, 5)
+    lo, hi = member_form(unif_model, 5).support()
     assert (lo, hi) == (0.0, 8.0)
-    lo, hi = support_xn(exp_model, 4)
-    assert lo == 0.0 and math.isinf(hi)
-    lo, hi = support_xn(exp_model, 4, effective=True)
+    lo, hi = member_form(exp_model, 4).support()
     assert lo == 0.0 and math.isfinite(hi)
 
 
@@ -227,10 +232,8 @@ def test_linear_form_support_and_moments(triangle_seed):
     # one skewed pair so a swapped seed or coefficient would show
     model = FsrvModel(triangle_seed, Exponential(2.0))
     hi = Exponential(2.0).effective_support()[1]
-    assert linear_form_support(model, 3, 5) == (0.0, 6.0 + 5 * hi)
-    lo, top = linear_form_support(model, 3, 5, effective=False)
-    assert lo == 0.0 and math.isinf(top)
-    mean, variance = linear_form_moments(model, 3, 5)
+    assert LinearForm(model, 3, 5).support() == (0.0, 6.0 + 5 * hi)
+    mean, variance = LinearForm(model, 3, 5).moments()
     assert mean == pytest.approx(3.0 + 2.5, rel=1e-12)
     assert variance == pytest.approx(9.0 / 6.0 + 25.0 / 4.0, rel=1e-12)
 
@@ -275,7 +278,7 @@ def test_quadrature_moments_match_formulas(exp_model, unif_model, n):
         (exp_model, lambda x: pdf_exponential_closed(n, x), 40.0 * fib(n)),
         (unif_model, lambda x: pdf_uniform_closed(n, x), float(fib(n - 1) + fib(n))),
     ):
-        mean, var = moments_xn(model, n)
+        mean, var = member_form(model, n).moments()
         cfg = QuadratureConfig(abs_tol=1e-10 * max(1.0, mean * mean))
         m1 = integrate(lambda x: x * closed(x), 0.0, hi, cfg)
         m2 = integrate(lambda x: x * x * closed(x), 0.0, hi, cfg)

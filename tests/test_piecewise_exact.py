@@ -20,7 +20,7 @@ from fsrv.errors import NonConvergenceError
 from fsrv.fib_core import fib
 from fsrv.joint_predict import joint_law, joint_normalization_check
 from fsrv.limits import limit_density_law, sum_density_law
-from fsrv.marginal import FsrvModel, linear_form_knots, linear_form_pdf, member_law
+from fsrv.marginal import FsrvModel, LinearForm, member_law
 from fsrv.numerics import (DensityCurve, QuadratureConfig, _integrate_rows, integrate,
                            scaled_convolution)
 from fsrv.seeds import Exponential, Tabulated
@@ -68,9 +68,10 @@ def test_certificates_and_joint_mass_are_exact(seed0, seed1, n, k):
     model = FsrvModel(seed0, seed1)
     laws = (member_law(model, n), sum_density_law(n, model), limit_density_law(model))
     for law in laws:
-        assert law.knots is not None
-        curve = DensityCurve.from_function(law.numeric, law.support[0], law.support[1], 3,
-                                           law.support, knots=law.knots)
+        support, knots = law.form.support(), law.form.knots()
+        assert knots is not None
+        curve = DensityCurve.from_function(law.numeric, support[0], support[1], 3, support,
+                                           knots=knots)
         assert curve.norm_defect <= 1e-12, law.label
     assert abs(joint_normalization_check(joint_law(n, k), model) - 1.0) <= 1e-12
 
@@ -83,10 +84,10 @@ def test_linear_form_pdf_matches_scipy(seed0, seed1, n, where):
     c0, c1 = float(fib(n - 1)), float(fib(n))
     lo, hi = c0 * seed0.lo + c1 * seed1.lo, c0 * seed0.hi + c1 * seed1.hi
     xs = np.array([lo + u * (hi - lo) for u in where])
-    batch = linear_form_pdf(model, c0, c1, xs)
+    batch = LinearForm(model, c0, c1).pdf(xs)
     for x, value in zip(xs, batch):
         want = _scipy_linear_form_pdf(model, c0, c1, float(x))
-        assert abs(linear_form_pdf(model, c0, c1, float(x)) - want) <= 1e-12
+        assert abs(LinearForm(model, c0, c1).pdf(float(x)) - want) <= 1e-12
         assert abs(value - want) <= 1e-12
 
 
@@ -158,12 +159,12 @@ def test_tabulated_pdf_takes_arrays(triangle_seed):
 def test_exact_convolution_takes_scalars_and_arrays(triangle_seed):
     model = FsrvModel(triangle_seed, triangle_seed)
     xs = np.linspace(-1.0, 12.0, 50).reshape(5, 10)
-    batch = linear_form_pdf(model, 2.0, 3.0, xs)
+    batch = LinearForm(model, 2.0, 3.0).pdf(xs)
     assert batch.shape == xs.shape
-    assert isinstance(linear_form_pdf(model, 2.0, 3.0, 4.5), float)
+    assert isinstance(LinearForm(model, 2.0, 3.0).pdf(4.5), float)
     for x, value in zip(xs.ravel(), batch.ravel()):
-        assert value == pytest.approx(linear_form_pdf(model, 2.0, 3.0, float(x)), abs=1e-15)
-    assert linear_form_pdf(model, 2.0, 3.0, -1.0) == 0.0 and batch[0, 0] == 0.0
+        assert value == pytest.approx(LinearForm(model, 2.0, 3.0).pdf(float(x)), abs=1e-15)
+    assert LinearForm(model, 2.0, 3.0).pdf(-1.0) == 0.0 and batch[0, 0] == 0.0
 
 
 def test_exact_convolution_validates_the_tolerance(triangle_seed):
@@ -174,11 +175,11 @@ def test_exact_convolution_validates_the_tolerance(triangle_seed):
 
 def test_linear_form_knots(triangle_seed):
     model = FsrvModel(triangle_seed, triangle_seed)
-    knots = linear_form_knots(model, 2, 3)
+    knots = LinearForm(model, 2, 3).knots()
     # nodes i/8, i = 0..16: knots (2*i + 3*j)/8, each value kept once
     want = sorted({2 * i + 3 * j for i in range(17) for j in range(17)})
     np.testing.assert_allclose(knots, np.array(want) / 8.0, rtol=0.0, atol=1e-14)
     # a seed that is not piecewise linear keeps the adaptive route
-    assert linear_form_knots(FsrvModel(triangle_seed, Exponential(1.0)), 2, 3) is None
+    assert LinearForm(FsrvModel(triangle_seed, Exponential(1.0)), 2, 3).knots() is None
     mixed = member_law(FsrvModel(triangle_seed, Exponential(1.0)), 4)
-    assert mixed.knots is None and math.isfinite(mixed.numeric(2.0))
+    assert mixed.form.knots() is None and math.isfinite(mixed.numeric(2.0))

@@ -5,7 +5,7 @@ import pytest
 
 from fsrv.errors import DomainError
 from fsrv.fib_core import fib
-from fsrv.marginal import FsrvModel, moments_xn
+from fsrv.marginal import FsrvModel, member_form
 from fsrv.numerics import integrate
 from fsrv.seeds import (
     Exponential,
@@ -101,7 +101,7 @@ def test_tabulated_moments_keep_their_variance_far_from_zero():
     # E[x^2] - mean^2 in absolute coordinates cancelled to 43% too high here
     width = 1e-3
     flat = Tabulated(1e4, 1e4 + width, np.ones(16))
-    _, variance = moments_xn(FsrvModel(flat, flat), 3)
+    _, variance = member_form(FsrvModel(flat, flat), 3).moments()
     exact = (fib(2) ** 2 + fib(3) ** 2) * width**2 / 12.0
     assert abs(variance - exact) <= 1e-6 * exact
 

@@ -19,8 +19,8 @@ from fsrv import simulate
 from fsrv.cli import main
 from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
-from fsrv.limits import cdf_limit_exponential_closed, normalized_sum_law, sum_law
-from fsrv.marginal import FsrvModel, moments_xn
+from fsrv.limits import cdf_limit_exponential_closed
+from fsrv.marginal import FsrvModel, member_form, sum_form
 from fsrv.seeds import Exponential, StandardNormal, UniformUnit
 from fsrv.simulate import (
     _CHUNK_PATHS,
@@ -157,16 +157,15 @@ def test_linear_form_identity_across_paths(exp_run):
 def test_sum_identity_across_paths(exp_run, exp_model):
     for n in (2, 11, 30):
         sums = exp_run.sums_at(n)
-        law = sum_law(n, exp_model)
-        closed = (law.coeff0 * exp_run.seed_pairs[:, 0]
-                  + law.coeff1 * exp_run.seed_pairs[:, 1])
+        law = sum_form(exp_model, n)
+        closed = law.c0 * exp_run.seed_pairs[:, 0] + law.c1 * exp_run.seed_pairs[:, 1]
         assert np.max(np.abs(sums - closed) / (1.0 + np.abs(sums))) <= 1e-9
 
 
 def test_empirical_moments_match_analytic(exp_run, exp_model):
     n_paths = exp_run.config.n_paths
     for n in (5, 12):
-        mean, var = moments_xn(exp_model, n)
+        mean, var = member_form(exp_model, n).moments()
         values = exp_run.values_at(n)
         assert abs(float(np.mean(values)) - mean) <= 4.0 * math.sqrt(var / n_paths)
         # fourth central moment of a two-exponential sum is at most 9*var^2
@@ -177,7 +176,7 @@ def test_moment_agreement_at_full_scale(exp_model):
     config = SimulationConfig(rng_seed=4096, n_paths=10**5, horizon=12, model=exp_model)
     run = run_simulation(config)
     for n in (3, 8, 12):
-        mean, var = moments_xn(exp_model, n)
+        mean, var = member_form(exp_model, n).moments()
         values = run.values_at(n)
         assert abs(float(np.mean(values)) - mean) <= 4.0 * math.sqrt(var / 10**5)
         assert abs(float(np.var(values, ddof=1)) - var) <= 4.0 * math.sqrt(9.0 * var * var / 10**5)
@@ -246,7 +245,7 @@ def test_summary_contents(exp_model):
     assert summary["rng_seed"] == 9
     assert summary["seed0"] == "exp:1"
     assert len(summary["mean"]) == 11
-    mean, var = moments_xn(exp_model, 10)
+    mean, var = member_form(exp_model, 10).moments()
     assert abs(summary["mean"][10] - mean) <= 4.0 * math.sqrt(var / 500)
 
 
@@ -344,10 +343,10 @@ def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_mode
             assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
         else:  # the standardized reads start at member 2
             n = max(n, 2)
-            mean, variance = moments_xn(model, n)
+            mean, variance = member_form(model, n).moments()
             y = (members[n] - mean) / math.sqrt(variance)
-            sum_mean, sd = normalized_sum_law(n, model)
-            s = (sums[n] - sum_mean) / sd
+            standard = sum_form(model, n).standardized()
+            s = (sums[n] - standard.shift) / standard.scale
             if kind == "y":
                 assert np.array_equal(run.y_normalized(n), y)
             elif kind == "s":
@@ -623,10 +622,10 @@ def _check_reads(config, pairs, members, sums) -> None:
             elif kind == "ratio":
                 assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
             else:
-                mean, variance = moments_xn(model, n)
+                mean, variance = member_form(model, n).moments()
                 y = (members[n] - mean) / math.sqrt(variance)
-                sum_mean, sd = normalized_sum_law(n, model)
-                s = (sums[n] - sum_mean) / sd
+                standard = sum_form(model, n).standardized()
+                s = (sums[n] - standard.shift) / standard.scale
                 if kind == "y":
                     assert run.y_normalized(n).tobytes() == y.tobytes()
                 elif kind == "s":

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fsrv.cli
 from fsrv.simulate import _CHUNK_PATHS
@@ -154,8 +155,15 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
     assert counts[1] == counts[2]
 
 
-def test_emit_workload_passes_its_oracles(tmp_path):
-    # every emit_bound op once, untimed, as the benchmark runs and checks it
+def _workload_names():
+    _, workloads = _perfbench_modules()
+    return workloads.NAMES
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_passes_its_oracles(tmp_path, name):
+    # every op of the workload once, in order, untimed, as the benchmark
+    # runs and checks it
     saved = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -163,7 +171,7 @@ def test_emit_workload_passes_its_oracles(tmp_path):
         import workloads
     finally:
         sys.path[:] = saved
-    workload = workloads.build("emit_bound", 1, tmp_path / "emit")
+    workload = workloads.build(name, 1, tmp_path / name)
     assert workload.ops
     for op in workload.ops:
         out = run.run_op(op)
