@@ -101,7 +101,8 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: Quadr
         return y1 * value if weighted else value
 
     exact = model.seed0.piecewise_linear and model.seed1.piecewise_linear
-    return _integrate_rows(integrand, y0.size, edges, None if exact else cfg)
+    return _integrate_rows(integrand, y0.size, nodes0.size + nodes1.size, edges,
+                           None if exact else cfg)
 
 
 def _y1_images(law: JointLaw, y0, v0, v1):

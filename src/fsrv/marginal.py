@@ -276,8 +276,10 @@ def ratio_diagnostics(n_lo: int, n_hi: int) -> list[RatioDiagnostics]:
     if not 3 <= n_lo <= n_hi <= 90:
         raise DomainError(f"need 3 <= n_lo <= n_hi <= 90, got [{n_lo}, {n_hi}]")
     rows = []
+    mode_next, max_next = mode_exponential(n_lo)
     for n in range(n_lo, n_hi + 1):
-        mode_n, max_n = mode_exponential(n)
+        # each mode serves two rows: as member n + 1 here and as member n next
+        mode_n, max_n = mode_next, max_next
         mode_next, max_next = mode_exponential(n + 1)
         rows.append(
             RatioDiagnostics(

@@ -7,7 +7,10 @@ Gauss-Legendre panel per piece, or adaptively, with Gauss-Kronrod 7/15
 panels, bisecting those whose error estimate |K15 - G7| misses their share
 of an absolute error target. Neither mode evaluates the integrand at a cut,
 so it may jump at any cut; the engine's callers cut every row at its known
-jumps and kinks.
+jumps and kinks. Adaptive mode keeps its panels as columns, one array per
+field with one entry per panel: a block of panels still to bisect is the
+columns a, b, piece and K15, and the accepted panels are the columns piece,
+a and K15, from which each piece's sum is taken at the end.
 `integrate` is its one-row front end, `scaled_convolution` the density of
 c0*V0 + c1*V1 for independent seeds V0, V1 with one row per x, cut and
 made exact as the seeds say, and `DensityCurve` a density sampled on a
@@ -109,11 +112,12 @@ def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
                            for i in range(0, t.size, _CHUNK_ELEMENTS)])
 
 
-def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) -> np.ndarray:
+def _integrate_rows(f, rows: int, width: int, edges,
+                    cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
-    e = edges(i, j) is the 2-D array of the sorted edges of rows i to j - 1,
-    asked for a few rows at a time; f(t, row) takes nodes and the rows they
-    belong to, which broadcast. Both modes evaluate f only inside the pieces
+    e = edges(i, j) is the 2-D array of the width sorted edges of rows i to
+    j - 1, asked for as many rows at a time as the batch takes; f(t, row)
+    takes nodes and the rows they belong to, which broadcast. Both modes evaluate f only inside the pieces
     between consecutive edges, so f may jump at any edge; inside each piece
     it must be a polynomial of degree at most 3 (exact mode) or continuous
     (adaptive mode). Only a piece a few ulps wide can round a node onto its
@@ -130,7 +134,6 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
     depth-first recursion that adds its panels from left to right, whatever
     rows share the batch.
     """
-    width = edges(0, 0).shape[1]
     out = np.empty(rows)
     step = max(1, _CHUNK_ELEMENTS // (2 * width - 2))
     for i in range(0, rows, step):
@@ -138,10 +141,11 @@ def _integrate_rows(f, rows: int, edges, cfg: QuadratureConfig | None = None) ->
         if cfg:
             out[i:i + step] = _adaptive_rows(f, cuts, i, cfg)
             continue
-        c, h = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * np.diff(cuts, axis=1)
-        t = c[..., None] + h[..., None] * _GAUSS2
+        c, h = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+        t = np.multiply.outer(h, _GAUSS2)
+        t += c[..., None]
         g = _evaluate(f, t, np.arange(i, i + len(t))[:, None, None]).reshape(t.shape)
-        out[i:i + step] = np.sum(h * (g[..., 0] + g[..., 1]), axis=1)
+        out[i:i + step] = np.add.reduce(h * (g[..., 0] + g[..., 1]), axis=1)
     return out
 
 
@@ -152,7 +156,8 @@ def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> n
     rows = len(edges)
     owner, col = np.nonzero(edges[:, :-1] < edges[:, 1:])  # the pieces of positive width
     share = cfg.abs_tol / np.bincount(owner, minlength=rows)[owner]
-    share_config(cfg, share.min(initial=cfg.abs_tol))  # raises if a share underflowed
+    if not share.all():
+        share_config(cfg, 0.0)  # raises: a share underflowed
     pieces = (edges[owner, col], edges[owner, col + 1], share, start + owner)
     totals = [_adaptive_pieces(f, *(v[k:k + _ADAPTIVE_PIECES] for v in pieces))
               for k in range(0, owner.size, _ADAPTIVE_PIECES)]
@@ -163,56 +168,58 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     """Integrals of f over the pieces [lo, hi] of the rows row, each to its
     own absolute tolerance share."""
     pieces = lo.size
-    # a block holds panels of one depth that failed their tolerance share,
-    # one per column, in the rows a, b, piece and K15 estimate; each piece
-    # starts as one such panel, never evaluated, as its first bisection is
-    # forced to guard against G7 and K15 agreeing by chance
-    stack = [(0, np.array((lo, hi, np.arange(pieces), np.zeros(pieces))))]
-    accepted = [np.empty((3, 0))]  # piece, a and K15 of accepted panels
+    # a block holds panels of one depth that failed their tolerance share as
+    # the columns a, b, piece and K15 estimate, one panel per entry; each
+    # piece starts as one such panel, never evaluated, as its first
+    # bisection is forced to guard against G7 and K15 agreeing by chance
+    stack = [(0, lo, hi, np.arange(pieces), np.zeros(pieces))]
+    accepted = [], [], []  # piece, a and K15 of accepted panels, a column each
     evals = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)
 
     while stack:
-        depth, block = stack.pop()
-        p = block[2].astype(np.intp)
+        depth, a, b, p, k15 = stack.pop()
         evals += 2 * _XK.size * np.bincount(p, minlength=pieces)
-        if np.any(evals > _MAX_EVALS):
+        if evals.max() > _MAX_EVALS:
             # the accepted and failed panels of a piece tile it
             q = np.argmax(evals > _MAX_EVALS)
-            partial = (sum(float(np.sum(v[pp == q])) for pp, _, v in accepted)
-                       + sum(float(np.sum(blk[3, blk[2] == q])) for _, blk in stack)
-                       + float(np.sum(block[3, p == q])))
+            partial = (sum(float(np.sum(v[pp == q])) for pp, _, v in zip(*accepted))
+                       + sum(float(np.sum(v[pp == q])) for *_, pp, v in stack)
+                       + float(np.sum(k15[p == q])))
             raise NonConvergenceError(
                 f"quadrature on [{lo[q]}, {hi[q]}] ran out of its budget of {_MAX_EVALS} "
                 f"integrand evaluations before reaching abs_tol={share[q]}", partial=partial)
         depth += 1  # of the halves
-        a, b = block[0], block[1]
         m = (a + b) / 2.0
         # each left half next to its right half keeps the panels in piece
         # order, and the leftmost block on top runs the first pieces first
-        a, b = np.stack((a, m), axis=1).ravel(), np.stack((m, b), axis=1).ravel()
+        a2, b2 = np.empty(2 * a.size), np.empty(2 * a.size)  # the halves' ends
+        a2[::2], a2[1::2], b2[::2], b2[1::2] = a, m, m, b
+        a, b = a2, b2
         p = np.repeat(p, 2)
         tol = np.ldexp(share[p], -depth)  # the share, halved at each bisection
         c, h = (a + b) / 2.0, (b - a) / 2.0
         t = c[:, None] + h[:, None] * _XK
         g = _evaluate(f, t, row[p][:, None]).reshape(t.shape)
         # a sum along each panel's own nodes, in an order no batch width changes
-        kronrod = h * np.sum(g * _WK, axis=1)
-        gauss = h * np.sum(g[:, 1::2] * _WG, axis=1)
+        kronrod = h * np.add.reduce(g * _WK, axis=1)
+        gauss = h * np.add.reduce(g[:, 1::2] * _WG, axis=1)
         done = (np.abs(kronrod - gauss) <= tol) | ~((a < c) & (c < b))
         if depth >= _MAX_DEPTH:
             capped[p[~done]] = True
             done[:] = True
-        accepted.append(np.array((p, a, kronrod))[:, done])
-        failed = np.array((a, b, p, kronrod))[:, ~done]
-        for i in reversed(range(0, failed.shape[1], _BLOCK_PANELS)):
-            stack.append((depth, failed[:, i:i + _BLOCK_PANELS]))
+        for column, v in zip(accepted, (p, a, kronrod)):
+            column.append(v[done])
+        failed = ~done
+        a, b, p, k15 = a[failed], b[failed], p[failed], kronrod[failed]
+        for i in reversed(range(0, a.size, _BLOCK_PANELS)):
+            j = i + _BLOCK_PANELS
+            stack.append((depth, a[i:j], b[i:j], p[i:j], k15[i:j]))
 
-    accepted = np.concatenate(accepted, axis=1)
-    order = np.lexsort(accepted[1::-1])
+    p, a, kronrod = (np.concatenate(column) for column in accepted)
+    order = np.lexsort((a, p))
     # bincount adds its weights in order, as a depth-first running total would
-    totals = np.bincount(accepted[0, order].astype(np.intp), weights=accepted[2, order],
-                         minlength=pieces)
+    totals = np.bincount(p[order], weights=kronrod[order], minlength=pieces)
     if capped.any():
         q = np.argmax(capped)
         raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
@@ -242,7 +249,8 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
         knots = np.asarray(knots, dtype=np.float64)
         edges = np.sort(np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi])))
         edges, cfg = edges[None, np.diff(edges, prepend=-np.inf) > 0], None
-    return float(_integrate_rows(lambda t, row: f(t.ravel()), 1, lambda i, j: edges[i:j], cfg)[0])
+    return float(_integrate_rows(lambda t, row: f(t.ravel()), 1, edges.shape[1],
+                                 lambda i, j: edges[i:j], cfg)[0])
 
 
 def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: float,
@@ -265,16 +273,21 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
         share_config(cfg, cfg.abs_tol / (nodes0.size + nodes1.size - 3))
         cfg = None
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
+    cut0, cut1 = c0 * nodes0, c1 * nodes1
 
     def cuts(i, j):
-        t_lo = np.maximum(c1 * nodes1[0], xs[i:j] - c0 * nodes0[-1])[:, None]
-        t_hi = np.minimum(c1 * nodes1[-1], xs[i:j] - c0 * nodes0[0])[:, None]
-        edges = np.hstack((xs[i:j, None] - c0 * nodes0, np.tile(c1 * nodes1, (len(t_lo), 1))))
+        x = xs[i:j, None]
+        t_lo, t_hi = np.maximum(cut1[0], x - cut0[-1]), np.minimum(cut1[-1], x - cut0[0])
+        edges = np.empty((x.size, cut0.size + cut1.size))
+        np.subtract(x, cut0, out=edges[:, :cut0.size])
+        edges[:, cut0.size:] = cut1
         # an x outside the support clips every cut to t_hi: no width, no mass
-        return np.sort(np.clip(edges, t_lo, t_hi), axis=1)
+        np.clip(edges, t_lo, t_hi, out=edges)
+        edges.sort(axis=1)
+        return edges
 
     integrand = lambda t, row: seed0.pdf((xs[row] - t) / c0) * seed1.pdf(t / c1)
-    out = _integrate_rows(integrand, xs.size, cuts, cfg) / (c0 * c1)
+    out = _integrate_rows(integrand, xs.size, cut0.size + cut1.size, cuts, cfg) / (c0 * c1)
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

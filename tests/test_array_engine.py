@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsrv import numerics
+from fsrv.joint_predict import joint_law, predict
+from fsrv.limits import limit_density_law
 from fsrv.marginal import (
     FsrvModel,
     LinearForm,
+    exponential_model,
     linear_form_pdf_exponential,
     linear_form_pdf_uniform,
     normal_model,
@@ -141,7 +145,47 @@ def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
             sizes.append(t.size)
             return np.exp(-0.01 * t) * np.cos(t)
 
-        results.append((_integrate_rows(f, rows, lambda i, j: cuts[i:j], DEFAULT_CONFIG), sizes))
+        results.append((_integrate_rows(f, rows, cuts.shape[1], lambda i, j: cuts[i:j],
+                                       DEFAULT_CONFIG), sizes))
     (plain_values, plain_sizes), (padded_values, padded_sizes) = results
     assert padded_sizes == plain_sizes
     np.testing.assert_array_equal(padded_values, plain_values)
+
+
+def test_batch_constants_change_no_value(monkeypatch):
+    # the engine's batch sizes bound its memory, not its results: with tiny
+    # ones every integrand call, bisection block and piece batch splits, yet
+    # each row keeps its nodes and its order of summation
+    table = Tabulated(0.0, 2.0, [1.0 - abs(1.0 - x) for x in np.linspace(0.0, 2.0, 17)])
+    limit = limit_density_law(normal_model())
+    cases = {
+        "normal member": lambda: pdf_numeric(normal_model(), 4, np.linspace(-15.0, 15.0, 60)),
+        "exp member": lambda: pdf_numeric(exponential_model(), 10, np.linspace(0.0, 600.0, 40)),
+        "normal limit certificate": lambda: numerics.DensityCurve.from_function(
+            limit.numeric, -4.0, 4.0, 5, limit.form.support()).norm_defect,
+        "table with exp": lambda: LinearForm(FsrvModel(table, Exponential(1.0)), 3.0, 5.0).pdf(
+            np.linspace(0.0, 40.0, 30)),
+        "normal predictor": lambda: predict(joint_law(5, 2), normal_model(),
+                                            np.linspace(-10.0, 10.0, 20)),
+    }
+    calls = []
+    for cls in (Exponential, StandardNormal, Tabulated):
+        def counted(self, x, pdf=cls.pdf):
+            calls.append(np.size(x))
+            return pdf(self, x)
+        monkeypatch.setattr(cls, "pdf", counted)
+
+    def run_all():
+        del calls[:]
+        values = {name: case() for name, case in cases.items()}
+        return values, len(calls), sum(calls)
+
+    wide = run_all()
+    monkeypatch.setattr(numerics, "_CHUNK_ELEMENTS", 128)
+    monkeypatch.setattr(numerics, "_BLOCK_PANELS", 4)
+    monkeypatch.setattr(numerics, "_ADAPTIVE_PIECES", 3)
+    narrow = run_all()
+    assert narrow[1] > wide[1]  # the small batches split the integrand calls
+    assert narrow[2] == wide[2]  # but evaluate the same nodes
+    for name in cases:
+        np.testing.assert_array_equal(narrow[0][name], wide[0][name], err_msg=name)

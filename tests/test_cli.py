@@ -21,6 +21,7 @@ from fsrv.joint_predict import predict_exponential_4_to_7
 from fsrv.limits import pdf_limit_uniform_closed
 from fsrv.marginal import pdf_exponential_closed, pdf_uniform_closed
 from fsrv.numerics import DEFAULT_CONFIG, DensityCurve
+from fsrv.seeds import Exponential, StandardNormal
 
 
 def run_cli(capsys, *argv):
@@ -618,6 +619,25 @@ _ANALYTIC_DIGESTS = [
     ("limit_table_shifted", ["limit", "--seeds", "SHIFTED_TABLE", "--grid=-3:3:7",
                              "--output", "json"],
      "106a66fc83168760a348eb6aa33a439c46666b152267f0c8d775bae95f4ceb39"),
+    # recorded before the quadrature engine's bisection loop moved to column
+    # arrays: the six numeric commands of the quad_smooth benchmark at their
+    # nominal grids, among them the adaptive predictor on normal seeds
+    ("quad_pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-15:15:60",
+                                 "--method", "numeric"],
+     "5ca5f1a51e0017b8e191f7135e8ca40bf3c8f2c91bd4068f43c93d572ee17e30"),
+    ("quad_limit_normal", ["limit", "--seeds", "normal01", "--grid=-4:4:60"],
+     "41ced8e6bbb9597c9932a9e8265bba68f6437662889c643c7ef6812c794288bb"),
+    ("quad_sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-30:30:60"],
+     "4015bbb6135a6f733b2081050f6bf69159e027ade746ab59acf7bc02b82ca136"),
+    ("quad_pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "10", "--grid=0:600:300",
+                              "--method", "numeric"],
+     "e0bf5422135cf8eb4b2349184a8ff1bb02ed8bdcde1864b31437cf30244958bb"),
+    ("quad_predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                          "--grid=0.1:20:50"],
+     "32ac0aec1a2e718676b4e50191c53c5daee17a5b5eaef3111ce16735f8368c00"),
+    ("quad_predict_normal", ["predict", "--seeds", "normal01", "--n", "5", "--k", "2",
+                             "--grid=-10:10:20"],
+     "4616d3df8b13137090acfbb93a5397c23c6c853d199c99da0e2f320ce2fe2aef"),
 ]
 
 
@@ -633,6 +653,27 @@ def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# Seed-density points (the sum of np.size(x) over every seed pdf call) of the
+# quad_smooth commands above, recorded with their digests: the engine's nodes
+# are its work, so a change that keeps the bytes but adds nodes shows here.
+_QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 72_240, "quad_limit_normal": 66_840,
+                       "quad_sums_normal": 85_200, "quad_pdf_exp_numeric": 26_940,
+                       "quad_predict_exp": 6_000, "quad_predict_normal": 28_440}
+
+
+@pytest.mark.parametrize("name,points", _QUAD_SMOOTH_POINTS.items())
+def test_quad_smooth_commands_evaluate_pinned_seed_points(capsys, monkeypatch, name, points):
+    argv = next(case[1] for case in _ANALYTIC_DIGESTS if case[0] == name)
+    evaluated = []
+    for cls in (Exponential, StandardNormal):
+        def counted(self, x, pdf=cls.pdf):
+            evaluated.append(np.size(x))
+            return pdf(self, x)
+        monkeypatch.setattr(cls, "pdf", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert sum(evaluated) == points
 
 
 # --- the column formatter against the per-cell formatter it replaced --------

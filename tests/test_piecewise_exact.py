@@ -143,7 +143,7 @@ def test_the_engine_never_evaluates_a_cut(cfg):
         seen.append((t.ravel(), row.ravel()))
         return np.sum(t[..., None] >= cuts[row], axis=-1)
 
-    got = _integrate_rows(f, 2, lambda i, j: cuts[i:j], cfg)
+    got = _integrate_rows(f, 2, cuts.shape[1], lambda i, j: cuts[i:j], cfg)
     t, row = (np.concatenate(v) for v in zip(*seen))
     assert t.size and not np.any(t[:, None] == cuts[row])
     np.testing.assert_allclose(got, np.sum(np.diff(cuts, axis=1) * [1, 2, 3], axis=1),

@@ -155,6 +155,59 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
     assert counts[1] == counts[2]
 
 
+# Every count metric of one pass over each quadrature workload at seed 1, as
+# recorded before the engine's bisection loop moved to column arrays: a speed
+# change to the engine must leave the calls the benchmark counts as they were.
+_QUAD_PASS_COUNTS = {
+    "quad_smooth": {
+        "numerics.integrand_evals": 17, "numerics.integrate_calls": 4,
+        "numerics.evals_per_value": 17 / 550, "numerics.convolution_calls": 23,
+        "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 17,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 154,
+        "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 5,
+        "joint_predict.predict_calls": 2, "cli.bytes_out": 22667,
+        "simulate.recursion_steps": 0, "simulate.sample_path_calls": 0,
+        "trace.wrapped_calls": 241},
+    "quad_kinked": {
+        "numerics.integrand_evals": 4, "numerics.integrate_calls": 4,
+        "numerics.evals_per_value": 4 / 260, "numerics.convolution_calls": 8,
+        "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 4,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 60,
+        "seeds.breakpoints_calls": 24, "joint_predict.joint_pdf_calls": 0,
+        "joint_predict.predict_calls": 0, "cli.bytes_out": 10475,
+        "simulate.recursion_steps": 0, "simulate.sample_path_calls": 0,
+        "trace.wrapped_calls": 124},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUAD_PASS_COUNTS))
+def test_layer_tracer_counts_of_a_quadrature_pass_are_pinned(tmp_path, name):
+    # one traced pass over the workload's ops, as the benchmark's --trace 1
+    # runs and tallies it
+    layertrace, workloads = _perfbench_modules()
+    saved = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+    finally:
+        sys.path[:] = saved
+    units = {metric: unit for metric, unit, _ in layertrace.METRICS}
+    workload = workloads.build(name, 1, tmp_path / name)
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        for op in workload.ops:
+            tracer.begin_op(op.key, op.argv[0])
+            out = run.run_op(op)
+            assert out.rc == 0, (op.key, out.error)
+            tracer.tally["cli.bytes_out"] += len(out.text)
+        metrics = tracer.pass_metrics(values=sum(op.values for op in workload.ops))
+    finally:
+        tracer.uninstall()
+    assert {metric: value for metric, value in metrics.items()
+            if units[metric] == "count"} == _QUAD_PASS_COUNTS[name]
+
+
 def _workload_names():
     _, workloads = _perfbench_modules()
     return workloads.NAMES
