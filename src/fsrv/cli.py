@@ -15,14 +15,13 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import fib_core, joint_predict, limits, marginal, simulate
 from .errors import FsrvError, NonConvergenceError
-from .numerics import DEFAULT_CONFIG, DensityCurve, QuadratureConfig
+from .numerics import DensityCurve
 from .seeds import parse_seed_spec
 
 NORM_DEFECT_LIMIT = 1e-6
@@ -129,18 +128,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, points
 
 
-def _quad_config(default: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureConfig:
-    """The command's default config, or FSRV_QUAD_TOL as its tolerance."""
-    raw = os.environ.get("FSRV_QUAD_TOL")
-    if raw is None:
-        return default
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise FsrvError(f"FSRV_QUAD_TOL: not a number: {raw!r}") from None
-    return _flagged("FSRV_QUAD_TOL", QuadratureConfig, tol)
-
-
 class _Refusal(FsrvError):
     """A normalization certificate refused to pass a density."""
 
@@ -170,8 +157,7 @@ def _cmd_density(args) -> str:
     """pdf, limit and sums: sample the density law the subcommand builds on
     the grid. Only pdf has --method, and only pdf reports which route ran."""
     model = _model_from(args)
-    cfg = _quad_config()
-    law = args.law(args, model, cfg)
+    law = args.law(args, model)
     method = getattr(args, "method", None)
     if method == "closed" and law.closed is None:
         raise FsrvError(f"--method closed: no closed form for seeds {args.seeds!r}")
@@ -179,7 +165,7 @@ def _cmd_density(args) -> str:
     lo, hi, points = args.grid
     support = law.form.support()
     curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
-                                       support, cfg, knots=law.form.knots())
+                                       support, knots=law.form.knots())
     _certify("density table", curve.norm_defect)
     if args.output == "csv":
         trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
@@ -221,7 +207,7 @@ def _cmd_joint(args) -> str:
     lo1, hi1, p1 = args.grid1
     xs0 = np.linspace(lo0, hi0, p0)
     xs1 = np.linspace(lo1, hi1, p1)
-    defect = abs(joint_predict.joint_normalization_check(law, model, _quad_config()) - 1.0)
+    defect = abs(joint_predict.joint_normalization_check(law, model) - 1.0)
     _certify("joint density", defect)
     density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
@@ -244,8 +230,7 @@ def _cmd_predict(args) -> str:
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
     lo, hi, points = args.grid
     xs = np.linspace(lo, hi, points)
-    predicted = joint_predict.prediction_curve(law, model, xs, method=args.method,
-                                               cfg=_quad_config(joint_predict.PREDICT_CONFIG))
+    predicted = joint_predict.prediction_curve(law, model, xs, method=args.method)
     if args.output == "csv":
         return _csv_table(["x", "predicted"], (xs, predicted))
     return _dumps({
@@ -317,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     p.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto")
     common(p)
-    p.set_defaults(func=_cmd_density, law=lambda a, model, cfg:
-                   _flagged("--n", marginal.member_law, model, a.n, cfg))
+    p.set_defaults(func=_cmd_density,
+                   law=lambda a, model: _flagged("--n", marginal.member_law, model, a.n))
 
     p = subparsers.add_parser("moments", help="mean and variance of member n")
     _add_seeds_argument(p)
@@ -337,15 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     common(p)
     p.set_defaults(func=_cmd_density,
-                   law=lambda a, model, cfg: limits.limit_density_law(model, cfg))
+                   law=lambda a, model: limits.limit_density_law(model))
 
     p = subparsers.add_parser("sums", help="density of the partial sum through member n")
     _add_seeds_argument(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:POINTS")
     common(p)
-    p.set_defaults(func=_cmd_density, law=lambda a, model, cfg:
-                   _flagged("--n", limits.sum_density_law, a.n, model, cfg))
+    p.set_defaults(func=_cmd_density,
+                   law=lambda a, model: _flagged("--n", limits.sum_density_law, a.n, model))
 
     p = subparsers.add_parser("joint", help="joint density of members n and n+k on a grid")
     _add_seeds_argument(p)

@@ -15,14 +15,8 @@ class FibOverflowError(FsrvError, OverflowError):
 
 class NonConvergenceError(FsrvError, RuntimeError):
     """Adaptive quadrature hit its depth cap or ran out of its evaluation
-    budget before reaching tolerance.
-
-    The best available estimate is carried in ``partial``.
-    """
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
+    budget before reaching tolerance, or a tolerance was too fine to share
+    out. No estimate is returned."""
 
 
 class OutsideSupportError(FsrvError, ValueError):

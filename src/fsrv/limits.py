@@ -75,13 +75,13 @@ def cdf_limit_uniform_closed(x):
     return float(out) if np.isscalar(x) else out
 
 
-def limit_density_law(model: FsrvModel, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+def limit_density_law(model: FsrvModel) -> DensityLaw:
     """Density law of Y: closed for exponential and unit-uniform seeds, by
     convolution otherwise (normal seeds included, though Y is then N(0, 1))."""
     form = limit_form(model)
     closed = {"exponential": pdf_limit_exponential_closed,
               "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
-    return DensityLaw("limit_law", form, closed, lambda x: pdf_limit_numeric(model, x, cfg),
+    return DensityLaw("limit_law", form, closed, lambda x: pdf_limit_numeric(model, x),
                       {"a_scale": form.scale, "b_shift": form.shift})
 
 
@@ -100,8 +100,7 @@ def pdf_sum_exponential_closed(n: int, x, rate: float = 1.0):
     return linear_form_pdf_exponential(float(form.c0), float(form.c1), rate * x, rate)
 
 
-def sum_density_law(n: int, model: FsrvModel,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+def sum_density_law(n: int, model: FsrvModel) -> DensityLaw:
     """Density law of S_n: closed for exponential seeds of one rate, by
     convolution for every other seed pair."""
     form = sum_form(model, n)
@@ -109,5 +108,5 @@ def sum_density_law(n: int, model: FsrvModel,
     closed = None
     if closed_form_tag(model) == "exponential":
         closed = lambda x: pdf_sum_exponential_closed(n, x, model.seed0.rate)
-    return DensityLaw(f"sum_through_{n}", form, closed, lambda x: pdf_sum(n, model, x, cfg),
+    return DensityLaw(f"sum_through_{n}", form, closed, lambda x: pdf_sum(n, model, x),
                       {"n": n, "mean": mean, "variance": variance})

@@ -217,14 +217,14 @@ def pdf_normal_closed(n: int, x):
         return (np.exp(-0.5 * x * x / variance) / math.sqrt(2.0 * math.pi * variance))[()]
 
 
-def member_law(model: FsrvModel, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> DensityLaw:
+def member_law(model: FsrvModel, n: int) -> DensityLaw:
     """Density law of member n: closed for exponential seeds of one rate,
     unit-uniform and standard-normal seeds, by convolution otherwise."""
     closed = {"exponential": lambda x: pdf_exponential_closed(n, x, model.seed0.rate),
               "uniform": lambda x: pdf_uniform_closed(n, x),
               "normal": lambda x: pdf_normal_closed(n, x)}.get(closed_form_tag(model))
     return DensityLaw(f"member_{n}", member_form(model, n), closed,
-                      lambda x: pdf_numeric(model, n, x, cfg), {"n": n})
+                      lambda x: pdf_numeric(model, n, x), {"n": n})
 
 
 def mode_exponential(n: int, rate: float = 1.0) -> tuple[float, float]:

@@ -9,8 +9,8 @@ of an absolute error target. Neither mode evaluates the integrand at a cut,
 so it may jump at any cut; the engine's callers cut every row at its known
 jumps and kinks. Adaptive mode keeps its panels as columns, one array per
 field with one entry per panel: a block of panels still to bisect is the
-columns a, b, piece and K15, and the accepted panels are the columns piece,
-a and K15, from which each piece's sum is taken at the end.
+columns a, b and piece, and the accepted panels are the columns piece, a
+and K15, from which each piece's sum is taken at the end.
 `integrate` is its one-row front end, `scaled_convolution` the density of
 c0*V0 + c1*V1 for independent seeds V0, V1 with one row per x, cut and
 made exact as the seeds say, and `DensityCurve` a density sampled on a
@@ -78,9 +78,10 @@ class QuadratureConfig:
     allowed in one integral, as estimated by its Gauss-Kronrod panels'
     |K15 - G7|; on smooth integrands that overstates the error of the K15
     they contribute. The estimate sees an integrand only at the panels'
-    interior nodes, so it cannot see a jump that no cut marks. The depth
-    cap, the evaluation budget and the seeds' tail cutoff are fixed
-    constants, not settings."""
+    interior nodes, so it cannot see a jump that no cut marks. The CLI
+    computes at DEFAULT_CONFIG (1e-9), and `predict` at 1e-12; a library
+    caller passes its own config. The depth cap, the evaluation budget and
+    the seeds' tail cutoff are fixed constants, not settings."""
 
     abs_tol: float = 1e-9
 
@@ -98,7 +99,7 @@ def share_config(cfg: QuadratureConfig, abs_tol: float) -> QuadratureConfig:
     underflows to 0 cannot be met, so it fails as an exhausted budget does."""
     if abs_tol == 0.0:
         raise NonConvergenceError(f"abs_tol={cfg.abs_tol} is too fine to share out: "
-                                  "its share underflows to 0", partial=math.nan)
+                                  "its share underflows to 0")
     return QuadratureConfig(abs_tol)
 
 
@@ -117,22 +118,22 @@ def _integrate_rows(f, rows: int, width: int, edges,
     """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
     e = edges(i, j) is the 2-D array of the width sorted edges of rows i to
     j - 1, asked for as many rows at a time as the batch takes; f(t, row)
-    takes nodes and the rows they belong to, which broadcast. Both modes evaluate f only inside the pieces
-    between consecutive edges, so f may jump at any edge; inside each piece
-    it must be a polynomial of degree at most 3 (exact mode) or continuous
-    (adaptive mode). Only a piece a few ulps wide can round a node onto its
-    edge, where the node's weight is as small as the piece. Without cfg
-    (exact mode), one two-point Gauss-Legendre panel per piece, exact on
-    cubics. With cfg (adaptive mode), each piece of positive width is
-    bisected into Gauss-Kronrod 7/15 panels, with cfg.abs_tol shared equally
-    over the row's pieces and halved at each bisection: a panel contributes
-    its K15 and is accepted once |K15 - G7| meets its share, after one
-    forced bisection, or once its midpoint is no longer representable. A
-    piece still short at depth _MAX_DEPTH, or that would spend more than
-    _MAX_EVALS integrand evaluations, raises NonConvergenceError carrying
-    the estimate so far. The nodes and each piece's sum are those of a
-    depth-first recursion that adds its panels from left to right, whatever
-    rows share the batch.
+    takes nodes and the rows they belong to, which broadcast. Both modes
+    evaluate f only inside the pieces between consecutive edges, so f may
+    jump at any edge; inside each piece it must be a polynomial of degree at
+    most 3 (exact mode) or continuous (adaptive mode). Only a piece a few
+    ulps wide can round a node onto its edge, where the node's weight is as
+    small as the piece. Without cfg (exact mode), one two-point
+    Gauss-Legendre panel per piece, exact on cubics. With cfg (adaptive
+    mode), each piece of positive width is bisected into Gauss-Kronrod 7/15
+    panels, with cfg.abs_tol shared equally over the row's pieces and halved
+    at each bisection: a panel contributes its K15 and is accepted once
+    |K15 - G7| meets its share, after one forced bisection, or once its
+    midpoint is no longer representable. A piece still short at depth
+    _MAX_DEPTH, or that would spend more than _MAX_EVALS integrand
+    evaluations, raises NonConvergenceError. The nodes and each piece's sum
+    are those of a depth-first recursion that adds its panels from left to
+    right, whatever rows share the batch.
     """
     out = np.empty(rows)
     step = max(1, _CHUNK_ELEMENTS // (2 * width - 2))
@@ -169,26 +170,22 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     own absolute tolerance share."""
     pieces = lo.size
     # a block holds panels of one depth that failed their tolerance share as
-    # the columns a, b, piece and K15 estimate, one panel per entry; each
-    # piece starts as one such panel, never evaluated, as its first
-    # bisection is forced to guard against G7 and K15 agreeing by chance
-    stack = [(0, lo, hi, np.arange(pieces), np.zeros(pieces))]
+    # the columns a, b and piece, one panel per entry; each piece starts as
+    # one such panel, never evaluated, as its first bisection is forced to
+    # guard against G7 and K15 agreeing by chance
+    stack = [(0, lo, hi, np.arange(pieces))]
     accepted = [], [], []  # piece, a and K15 of accepted panels, a column each
     evals = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)
 
     while stack:
-        depth, a, b, p, k15 = stack.pop()
+        depth, a, b, p = stack.pop()
         evals += 2 * _XK.size * np.bincount(p, minlength=pieces)
         if evals.max() > _MAX_EVALS:
-            # the accepted and failed panels of a piece tile it
             q = np.argmax(evals > _MAX_EVALS)
-            partial = (sum(float(np.sum(v[pp == q])) for pp, _, v in zip(*accepted))
-                       + sum(float(np.sum(v[pp == q])) for *_, pp, v in stack)
-                       + float(np.sum(k15[p == q])))
             raise NonConvergenceError(
                 f"quadrature on [{lo[q]}, {hi[q]}] ran out of its budget of {_MAX_EVALS} "
-                f"integrand evaluations before reaching abs_tol={share[q]}", partial=partial)
+                f"integrand evaluations before reaching abs_tol={share[q]}")
         depth += 1  # of the halves
         m = (a + b) / 2.0
         # each left half next to its right half keeps the panels in piece
@@ -211,10 +208,10 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
         for column, v in zip(accepted, (p, a, kronrod)):
             column.append(v[done])
         failed = ~done
-        a, b, p, k15 = a[failed], b[failed], p[failed], kronrod[failed]
+        a, b, p = a[failed], b[failed], p[failed]
         for i in reversed(range(0, a.size, _BLOCK_PANELS)):
             j = i + _BLOCK_PANELS
-            stack.append((depth, a[i:j], b[i:j], p[i:j], k15[i:j]))
+            stack.append((depth, a[i:j], b[i:j], p[i:j]))
 
     p, a, kronrod = (np.concatenate(column) for column in accepted)
     order = np.lexsort((a, p))
@@ -223,7 +220,7 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     if capped.any():
         q = np.argmax(capped)
         raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
-                                  f"before reaching abs_tol={share[q]}", partial=float(totals[q]))
+                                  f"before reaching abs_tol={share[q]}")
     return totals
 
 
@@ -261,8 +258,8 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     supports allow, one engine row per x. Each row is cut at the images of
     both seeds' cut_points(), where the integrand may end or kink, so each
     adaptive piece is smooth. When both seeds are piecewise_linear, the
-    integrand is quadratic on each piece and exact mode integrates it; the
-    tolerance is then validated but not consumed.
+    integrand is quadratic on each piece and exact mode integrates it
+    without consulting cfg.
     """
     if c0 <= 0 or c1 <= 0:
         raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
@@ -270,7 +267,6 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     if not (np.all(np.isfinite(nodes0)) and np.all(np.isfinite(nodes1))):
         raise DomainError("scaled_convolution needs finite (truncated) supports")
     if seed0.piecewise_linear and seed1.piecewise_linear:
-        share_config(cfg, cfg.abs_tol / (nodes0.size + nodes1.size - 3))
         cfg = None
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
     cut0, cut1 = c0 * nodes0, c1 * nodes1

@@ -298,69 +298,6 @@ def test_exponential_rate_out_of_range(capsys, rate):
         assert "--seeds" in err
 
 
-def test_quad_tol_env_validation(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("FSRV_QUAD_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
-                           "--grid", "0:10:10")
-    assert code == 2
-    assert "FSRV_QUAD_TOL" in err
-    # a nan tolerance used to hang the numeric route and inf to exit 3
-    for raw in ("nan", "inf", "-inf"):
-        monkeypatch.setenv("FSRV_QUAD_TOL", raw)
-        code, _, err = run_cli(capsys, "pdf", "--seeds", "normal01", "--n", "4",
-                               "--grid", "0:1:3", "--method", "numeric")
-        assert code == 2
-        assert "FSRV_QUAD_TOL" in err
-    # a tolerance finer than doubles resolve runs out of evaluation budget
-    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
-    code, out, err = run_cli(capsys, "pdf", "--seeds", "normal01", "--n", "4",
-                             "--grid", "0:1:5", "--method", "numeric")
-    assert code == 3
-    assert out == "" and "integrand evaluations" in err
-    # joint and predict read the same variable
-    joint = ("joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
-             "--grid0", "0:10:3", "--grid1", "0:30:3")
-    predict = ("predict", "--seeds", "exp:1", "--n", "4", "--k", "3", "--grid", "0.5:5:3")
-    for argv in (joint, predict):
-        for raw in ("nan", "abc"):
-            monkeypatch.setenv("FSRV_QUAD_TOL", raw)
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 2 and out == ""
-            assert "FSRV_QUAD_TOL" in err
-        monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert out == "" and "integrand evaluations" in err
-    # a tolerance whose per-piece or inner share underflows to 0 cannot be
-    # met either; it used to be refused as an invalid setting
-    table = tmp_path / "tri.csv"
-    xs = np.linspace(0.0, 2.0, 17)
-    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
-    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-323")
-    for argv in (joint, ("pdf", "--seeds", f"table:{table}", "--n", "4", "--grid", "0:5:5")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert out == "" and "underflows to 0" in err
-    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-8")
-    code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4",
-                           "--grid", "0:10:10")
-    assert code == 0
-
-
-def test_quad_tol_is_validated_but_not_consumed_on_table_seeds(capsys, monkeypatch, tmp_path):
-    # table-seed densities and certificates are exact per piece, so a
-    # tolerance finer than doubles resolve changes nothing there
-    table = tmp_path / "tri.csv"
-    xs = np.linspace(0.0, 2.0, 17)
-    table.write_text("\n".join(f"{x},{1.0 - abs(1.0 - x)}" for x in xs) + "\n")
-    argv = ("pdf", "--seeds", f"table:{table}", "--n", "5", "--grid", "0:10:21")
-    code, unset, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("FSRV_QUAD_TOL", "1e-300")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == unset
-
-
 def test_moments_overflow_exits_2_naming_n(capsys):
     # exp:1e-150 has a finite variance 1e300, but member 90's overflows
     code, out, err = run_cli(capsys, "moments", "--seeds", "exp:1e-150", "--n", "90",
@@ -370,6 +307,38 @@ def test_moments_overflow_exits_2_naming_n(capsys):
     code, out, _ = run_cli(capsys, "moments", "--seeds", "exp:1e-150", "--n", "20",
                            "--output", "json")
     assert code == 0 and math.isfinite(json.loads(out)["variance"])
+
+
+def test_only_the_commands_that_need_the_moments_refuse_their_overflow(capsys):
+    # member 90 and partial sum 88 of exp:1e-150 have an infinite variance:
+    # moments and sums (which reports the sum's mean and variance) exit 2,
+    # while pdf and limit need no moments and print certified tables
+    for argv, want in ((("moments", "--n", "90"), 2),
+                       (("sums", "--n", "88", "--grid", "0:1:3"), 2),
+                       (("pdf", "--n", "90", "--grid", "0:1:3"), 0),
+                       (("limit", "--grid=-1:1:3"), 0)):
+        code, out, err = run_cli(capsys, argv[0], "--seeds", "exp:1e-150", *argv[1:])
+        assert code == want, argv
+        if want:
+            assert out == "" and "--n" in err and "overflow" in err
+        else:
+            assert out.endswith("\n") and err == ""
+
+
+@pytest.mark.parametrize("argv, passes_at", [
+    (("sums", "--seeds", "normal01", "--grid=-1:1:3"), 32),
+    (("pdf", "--seeds", "normal01", "--method", "numeric", "--grid=-1:1:3"), 34),
+    (("pdf", "--seeds", "exp:1", "--method", "numeric", "--grid=1:2:3"), 37),
+])
+def test_numeric_routes_reach_the_large_n_limit_readme_documents(capsys, argv, passes_at):
+    # the integral over t = c1*V1 grows like the smaller coefficient until
+    # rounding alone misses the absolute 1e-9 target; a fix that lifts this
+    # limit updates README's "Numerical guarantees" too
+    code, out, _ = run_cli(capsys, *argv, "--n", str(passes_at))
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, "--n", str(passes_at + 1))
+    assert (code, out) == (3, "")
+    assert "integrand evaluations" in err
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])
@@ -452,9 +421,8 @@ _EXIT_CASES = {
     "simulate_helper_fails": (2, ["simulate", "--seeds", "exp:1", "--paths", "70000",
                                   "--horizon", "5", "--rng-seed", "1"],
                               _fail_in_a_draw_helper, "error: Unable to allocate the pairs "),
-    "quad_tol": (3, ["pdf", "--seeds", "normal01", "--n", "4", "--grid", "0:1:5",
-                     "--method", "numeric"],
-                 lambda mp: mp.setenv("FSRV_QUAD_TOL", "1e-300"),
+    # the large-n limit README documents: the budget runs out at 1e-9
+    "quad_tol": (3, ["sums", "--seeds", "normal01", "--n", "33", "--grid=-1:1:3"], None,
                  "error: quadrature did not converge: "),
     "density_certificate": (3, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "0:1:2"],
                             _refuse_density,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsrv.cli import main
-from fsrv.errors import DomainError, OutsideSupportError
+from fsrv.errors import DomainError, NonConvergenceError, OutsideSupportError
 from fsrv.fib_core import fib
 from fsrv.joint_predict import (
     joint_law,
@@ -96,6 +96,12 @@ def test_joint_support_normal_is_unbounded(law43, norm_model):
 def test_joint_normalization_small_cases(exp_model, unif_model):
     assert abs(joint_normalization_check(joint_law(2, 1), exp_model) - 1.0) <= 1e-6
     assert abs(joint_normalization_check(joint_law(4, 3), unif_model) - 1.0) <= 1e-6
+
+
+def test_joint_check_fails_when_its_inner_share_underflows(law43, exp_model):
+    # the slices get 1e-2 of the outer tolerance, and 1e-325 is below doubles
+    with pytest.raises(NonConvergenceError, match="underflows to 0"):
+        joint_normalization_check(law43, exp_model, QuadratureConfig(1e-323))
 
 
 def test_marginalizing_joint_recovers_member_density(law43, exp_model):

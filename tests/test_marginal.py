@@ -181,44 +181,43 @@ def test_ratio_diagnostics_bounds():
 
 
 def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
-    cfg = QuadratureConfig()
     xs = (0.3, 4.0, 17.0)
-    member = member_law(exp_model, 6, cfg)
+    member = member_law(exp_model, 6)
     assert member.label == "member_6" and member.fields == {"n": 6}
     hi = exp_model.seed0.effective_support()[1]
     assert member.form.support() == (0.0, (fib(5) + fib(6)) * hi)
     for x in xs:
         assert member.closed(x) == pdf_exponential_closed(6, x)
-        assert member.numeric(x) == pdf_numeric(exp_model, 6, x, cfg)
+        assert member.numeric(x) == pdf_numeric(exp_model, 6, x)
 
-    limit, constants = limit_density_law(exp_model, cfg), limit_form(exp_model)
+    limit, constants = limit_density_law(exp_model), limit_form(exp_model)
     assert limit.label == "limit_law"
     assert limit.fields == {"a_scale": constants.scale, "b_shift": constants.shift}
     assert limit.form.support() == (-constants.shift / constants.scale,
                                     ((1.0 + PHI) * hi - constants.shift) / constants.scale)
     for x in (-1.0, 0.5, 3.0):
         assert limit.closed(x) == pdf_limit_exponential_closed(x)
-        assert limit.numeric(x) == pdf_limit_numeric(exp_model, x, cfg)
+        assert limit.numeric(x) == pdf_limit_numeric(exp_model, x)
 
-    sums, reduction = sum_density_law(5, exp_model, cfg), sum_form(exp_model, 5)
+    sums, reduction = sum_density_law(5, exp_model), sum_form(exp_model, 5)
     mean, variance = reduction.moments()
     assert sums.label == "sum_through_5"
     assert sums.fields == {"n": 5, "mean": mean, "variance": variance}
     assert sums.form.support() == (0.0, (fib(6) + fib(7) - 1) * hi)
     for x in xs:
         assert sums.closed(x) == pdf_sum_exponential_closed(5, x)
-        assert sums.numeric(x) == pdf_sum(5, exp_model, x, cfg)
+        assert sums.numeric(x) == pdf_sum(5, exp_model, x)
 
-    assert member_law(unif_model, 5, cfg).closed(4.0) == pdf_uniform_closed(5, 4.0)
-    assert member_law(norm_model, 5, cfg).closed(4.0) == pdf_normal_closed(5, 4.0)
+    assert member_law(unif_model, 5).closed(4.0) == pdf_uniform_closed(5, 4.0)
+    assert member_law(norm_model, 5).closed(4.0) == pdf_normal_closed(5, 4.0)
     # normal seeds: the limit and the sums stay on the numeric route
-    assert limit_density_law(norm_model, cfg).closed is None
-    assert sum_density_law(5, norm_model, cfg).closed is None
+    assert limit_density_law(norm_model).closed is None
+    assert sum_density_law(5, norm_model).closed is None
     for model in (FsrvModel(Exponential(1.0), Exponential(2.0)),
                   FsrvModel(triangle_seed, triangle_seed)):
-        assert member_law(model, 6, cfg).closed is None
-        assert limit_density_law(model, cfg).closed is None
-        assert sum_density_law(5, model, cfg).closed is None
+        assert member_law(model, 6).closed is None
+        assert limit_density_law(model).closed is None
+        assert sum_density_law(5, model).closed is None
 
 
 def test_support_xn(exp_model, unif_model):

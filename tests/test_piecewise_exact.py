@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsrv.errors import NonConvergenceError
 from fsrv.fib_core import fib
 from fsrv.joint_predict import joint_law, joint_normalization_check
 from fsrv.limits import limit_density_law, sum_density_law
@@ -167,10 +166,12 @@ def test_exact_convolution_takes_scalars_and_arrays(triangle_seed):
     assert LinearForm(model, 2.0, 3.0).pdf(-1.0) == 0.0 and batch[0, 0] == 0.0
 
 
-def test_exact_convolution_validates_the_tolerance(triangle_seed):
-    # validated as on the adaptive route: a share that underflows fails
-    with pytest.raises(NonConvergenceError, match="underflows to 0"):
-        scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, 1.0, QuadratureConfig(1e-323))
+def test_exact_convolution_ignores_the_tolerance(triangle_seed):
+    # exact mode does not consult cfg, not even one whose share per piece
+    # would underflow to 0 on the adaptive route
+    xs = np.linspace(-1.0, 8.0, 37)
+    fine = scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, xs, QuadratureConfig(1e-323))
+    assert fine.tobytes() == scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, xs).tobytes()
 
 
 def test_linear_form_knots(triangle_seed):
