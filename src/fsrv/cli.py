@@ -41,11 +41,9 @@ _BLOCK_ROWS = 2048
 
 
 def _column(values) -> tuple[list, str]:
-    """A column's cells, and the one format they all take: "%s" for a list
-    of already formatted str cells, _INT_FORMAT for an integer or bool
-    column, and _FLOAT_FORMAT for any other, which is cast to float64."""
-    if isinstance(values, list) and values and isinstance(values[0], str):
-        return values, "%s"
+    """A column's cells, and the one format they all take: _INT_FORMAT for
+    an integer or bool column, and _FLOAT_FORMAT for any other, which is
+    cast to float64."""
     column = np.asarray(values)
     if column.dtype.kind in "biu":
         return column.tolist(), _INT_FORMAT
@@ -91,26 +89,31 @@ def _csv_table(header: list[str], columns, trailing: list[str] = ()) -> str:
     """CSV of equal-length columns (arrays, ranges or lists), one format per
     column. Each column is converted once. Each block of up to _BLOCK_ROWS
     rows takes its cells, interleaved row by row into one flat list, in one
-    `%` call on the block's repeated row format."""
-    cells, fmts = zip(*map(_column, columns))
-    row = ",".join(fmts) + "\n"
-    width, n_rows = len(cells), len(cells[0])
+    `%` call on the block's repeated row format.
+
+    Columns (first, second, values) with 2-D values, doubles, are a grid: a
+    row per (first, second) pair, second fastest. Each first cell goes by
+    str.replace into one template of the second cells, and its values, made
+    Python floats one row at a time to bound the peak, by one `%` call."""
     text = [",".join(header) + "\n"]
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n_rows - start)
-        flat = [None] * (width * rows)
-        for j, column in enumerate(cells):
-            flat[j::width] = column[start:start + rows]
-        text.append(row * rows % tuple(flat))
+    if np.ndim(columns[-1]) == 2:
+        (first, fmt0), (second, fmt1) = map(_column, columns[:2])
+        template = "".join(f"\0,{fmt1 % cell},{_FLOAT_FORMAT}\n" for cell in second)
+        values = np.asarray(columns[2], dtype=np.float64)
+        text += (template.replace("\0", fmt0 % cell) % tuple(row.tolist())
+                 for cell, row in zip(first, values))
+    else:
+        cells, fmts = zip(*map(_column, columns))
+        row = ",".join(fmts) + "\n"
+        width, n_rows = len(cells), len(cells[0])
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n_rows - start)
+            flat = [None] * (width * rows)
+            for j, column in enumerate(cells):
+                flat[j::width] = column[start:start + rows]
+            text.append(row * rows % tuple(flat))
     text.extend(line + "\n" for line in trailing)
     return "".join(text)
-
-
-def _grid_axes(first: list[str], second: list[str]) -> tuple[list[str], list[str]]:
-    """The two axis columns of a table over every (first, second) pair,
-    second varying fastest, from each axis's cells formatted once: every
-    cell of first repeated len(second) times, and second tiled."""
-    return [cell for cell in first for _ in second], second * len(first)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -171,6 +174,7 @@ def _cmd_density(args) -> str:
         trailing = [f"# norm_defect={_fmt(curve.norm_defect)}"]
         return _csv_table(["x", "density"], (curve.xs, curve.ys), trailing)
     route = {} if method is None else {"method": "numeric" if numeric else "closed"}
+    fields = _flagged("--n", law.fields)  # built here: a partial sum's moments may overflow
     return _dumps({
         "kind": "density_curve",
         "label": law.label,
@@ -179,7 +183,7 @@ def _cmd_density(args) -> str:
         "support": support,
         "norm_defect": curve.norm_defect,
         **route,
-        **law.fields,
+        **fields,
     })
 
 
@@ -211,9 +215,8 @@ def _cmd_joint(args) -> str:
     _certify("joint density", defect)
     density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
     if args.output == "csv":
-        axes = ([_FLOAT_FORMAT % x for x in xs.tolist()] for xs in (xs0, xs1))
-        columns = (*_grid_axes(*axes), density.ravel())
-        return _csv_table(["y0", "y1", "density"], columns, [f"# norm_defect={_fmt(defect)}"])
+        return _csv_table(["y0", "y1", "density"], (xs0, xs1, density),
+                          [f"# norm_defect={_fmt(defect)}"])
     return _dumps({
         "kind": "joint_density",
         "n": args.n,
@@ -255,9 +258,7 @@ def _cmd_simulate(args) -> str:
         columns = (range(config.horizon + 1), summary["mean"], summary["variance"])
         text = _csv_table(["n", "mean", "variance"], columns)
     if args.paths_out is not None:
-        steps = config.horizon + 1
-        axes = (list(map(str, range(k))) for k in (config.n_paths, steps))
-        columns = (*_grid_axes(*axes), simulate.sample_path(run).ravel())
+        columns = (range(config.n_paths), range(config.horizon + 1), simulate.sample_path(run))
         paths_text = _csv_table(["path_index", "n", "value"], columns)
         with open(args.paths_out, "w") as fh:  # only now: a failed render keeps the old file
             fh.write(paths_text)

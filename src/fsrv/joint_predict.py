@@ -173,17 +173,21 @@ def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_
     return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 
-def predict_exponential_4_to_7(x: float) -> float:
+def predict_exponential_4_to_7(x):
     """Closed form of the conditional mean of member 7 given member 4 = x,
-    for iid unit-rate exponential seeds: 4x - 2 - x / (3*(exp(-x/6) - 1)).
+    for iid unit-rate exponential seeds: 4x - 2 - x / (3*(exp(-x/6) - 1)),
+    for a float or elementwise over an array. expm1 is math's, per element:
+    numpy's differs from it in the last bit on some inputs.
 
-    The singularity at x = 0 is removable; the limit is 0.
+    The singularity at x = 0 is removable; the limit is 0. A negative x raises.
     """
-    if x < 0:
-        raise DomainError(f"conditioning value must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    return 4.0 * x - 2.0 - x / (3.0 * math.expm1(-x / 6.0))
+    xs = np.asarray(x, dtype=np.float64)
+    if (xs < 0).any():
+        raise DomainError(f"conditioning value must be nonnegative, got {xs[xs < 0][0]}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 at x = 0
+        g = 4.0 * xs - 2.0 - xs / (3.0 * np.vectorize(math.expm1, otypes=[float])(-xs / 6.0))
+    g = np.where(xs == 0.0, 0.0, g)
+    return g if np.ndim(x) else float(g)
 
 
 def prediction_curve(law: JointLaw, model: FsrvModel, xs,
@@ -203,7 +207,7 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
                 "closed_form prediction is only available for (n, k) = (4, 3) "
                 "with iid unit-rate exponential seeds"
             )
-        return np.array([predict_exponential_4_to_7(float(x)) for x in xs])
+        return predict_exponential_4_to_7(xs)
     if method == "quadrature":
         return predict(law, model, xs, cfg)
     raise DomainError(f"unknown prediction method {method!r}")

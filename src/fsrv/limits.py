@@ -82,7 +82,7 @@ def limit_density_law(model: FsrvModel) -> DensityLaw:
     closed = {"exponential": pdf_limit_exponential_closed,
               "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
     return DensityLaw("limit_law", form, closed, lambda x: pdf_limit_numeric(model, x),
-                      {"a_scale": form.scale, "b_shift": form.shift})
+                      lambda: {"a_scale": form.scale, "b_shift": form.shift})
 
 
 def pdf_sum(n: int, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -104,9 +104,11 @@ def sum_density_law(n: int, model: FsrvModel) -> DensityLaw:
     """Density law of S_n: closed for exponential seeds of one rate, by
     convolution for every other seed pair."""
     form = sum_form(model, n)
-    mean, variance = form.moments()
     closed = None
     if closed_form_tag(model) == "exponential":
         closed = lambda x: pdf_sum_exponential_closed(n, x, model.seed0.rate)
-    return DensityLaw(f"sum_through_{n}", form, closed, lambda x: pdf_sum(n, model, x),
-                      {"n": n, "mean": mean, "variance": variance})
+
+    def fields():
+        mean, variance = form.moments()
+        return {"n": n, "mean": mean, "variance": variance}
+    return DensityLaw(f"sum_through_{n}", form, closed, lambda x: pdf_sum(n, model, x), fields)

@@ -15,6 +15,7 @@ members here, the limit law and partial sums in `limits`.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,13 +152,13 @@ class DensityLaw:
     form whose density it is (its support bounds the normalization
     certificate, and its knots, for piecewise-linear seeds, split it), the
     closed form (None when the seed pair has none), the numeric fallback,
-    and the fields the command reports next to the curve."""
+    and what builds the fields the command reports next to the curve."""
 
     label: str
     form: LinearForm
     closed: Func | None
     numeric: Func
-    fields: dict
+    fields: Callable[[], dict]
 
 
 def pdf_numeric(model: FsrvModel, n: int, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -224,7 +225,7 @@ def member_law(model: FsrvModel, n: int) -> DensityLaw:
               "uniform": lambda x: pdf_uniform_closed(n, x),
               "normal": lambda x: pdf_normal_closed(n, x)}.get(closed_form_tag(model))
     return DensityLaw(f"member_{n}", member_form(model, n), closed,
-                      lambda x: pdf_numeric(model, n, x), {"n": n})
+                      lambda x: pdf_numeric(model, n, x), lambda: {"n": n})
 
 
 def mode_exponential(n: int, rate: float = 1.0) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsrv import cli, joint_predict, simulate
@@ -311,10 +311,12 @@ def test_moments_overflow_exits_2_naming_n(capsys):
 
 def test_only_the_commands_that_need_the_moments_refuse_their_overflow(capsys):
     # member 90 and partial sum 88 of exp:1e-150 have an infinite variance:
-    # moments and sums (which reports the sum's mean and variance) exit 2,
-    # while pdf and limit need no moments and print certified tables
+    # moments and JSON sums (which reports the sum's mean and variance) exit
+    # 2, while CSV sums, pdf and limit need no moments and print certified
+    # tables
     for argv, want in ((("moments", "--n", "90"), 2),
-                       (("sums", "--n", "88", "--grid", "0:1:3"), 2),
+                       (("sums", "--n", "88", "--grid", "0:1:3", "--output", "json"), 2),
+                       (("sums", "--n", "88", "--grid", "0:1:3"), 0),
                        (("pdf", "--n", "90", "--grid", "0:1:3"), 0),
                        (("limit", "--grid=-1:1:3"), 0)):
         code, out, err = run_cli(capsys, argv[0], "--seeds", "exp:1e-150", *argv[1:])
@@ -606,6 +608,15 @@ _ANALYTIC_DIGESTS = [
     ("quad_predict_normal", ["predict", "--seeds", "normal01", "--n", "5", "--k", "2",
                              "--grid=-10:10:20"],
      "4616d3df8b13137090acfbb93a5397c23c6c853d199c99da0e2f320ce2fe2aef"),
+    # recorded before the closed-form predictor moved from one call per grid
+    # point to the array: the emit_bound benchmark's grid, and one from 0,
+    # where the removable singularity prints 0
+    ("predict_closed_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                            "--grid", "0.1:20:2000", "--method", "closed_form"],
+     "f276f579bce4a38149800920810500d003b9d75f09664ee59e0aa7f6a84259e9"),
+    ("predict_closed_from_0", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                               "--grid", "0:20:2001", "--method", "closed_form"],
+     "153844fe90626a679f4ea1ff7f402ca40bb8828cb077a1dd3c1501e24b5b11c5"),
 ]
 
 
@@ -724,14 +735,13 @@ def test_column_formatter_matches_cells_across_blocks(rows):
     ints = (np.arange(rows, dtype=np.int64) - rows // 2) * (2**62 // rows)
     flags = np.arange(rows) % 3 == 0
     values = np.array([_EDGE_DOUBLES[i % len(_EDGE_DOUBLES)] for i in range(rows)])
-    # a column of str cells, already formatted, prints as it is
-    formatted = [_cell_fmt(v) for v in values[::-1]]
-    expected = _cell_csv_table(["i", "b", "v", "s"], zip(ints, flags, values, values[::-1]),
+    reverse = values[::-1]
+    expected = _cell_csv_table(["i", "b", "v", "s"], zip(ints, flags, values, reverse),
                                ["# end"])
-    assert _csv_table(["i", "b", "v", "s"], (ints, flags, values, formatted),
+    assert _csv_table(["i", "b", "v", "s"], (ints, flags, values, reverse),
                       ["# end"]) == expected
     assert _csv_table(["i", "b", "v", "s"], (ints.tolist(), flags.tolist(), values.tolist(),
-                                             formatted), ["# end"]) == expected
+                                             reverse.tolist()), ["# end"]) == expected
     for column in (ints, flags, values):
         assert _dumps(column) == _cell_dumps(column)
 
@@ -742,3 +752,29 @@ def test_column_formatter_with_no_rows_keeps_its_trailing_lines():
     assert _csv_table(["i", "v"], ([], np.array([])), ["# end"]) == expected
     assert _csv_table(["i", "v"], (range(0), np.array([], dtype=np.int64)), ["# end"]) == expected
     assert _dumps(np.array([])) == _dumps(np.array([], dtype=bool)) == "[]"
+
+
+_GRID_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 2.0**53, 0.1,
+               math.nan, math.inf]
+grid_cells = st.one_of(doubles, st.integers(-2**53, 2**53).map(float))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.booleans(), st.booleans(),
+       st.lists(grid_cells, max_size=20), st.integers(0, 2**32 - 1))
+@example(1, 1, False, False, [], 0)
+@example(3, 5, True, False, [], 1)
+@example(4, 2, False, True, [], 2)
+def test_grid_form_matches_a_per_row_reference(p0, p1, int0, int1, drawn, seed):
+    # a grid of (first, second, 2-D values) is the table of every cell of
+    # first, each with every cell of second in order, as if each row were
+    # formatted on its own
+    rng = np.random.default_rng(seed)
+    pool = np.array(_GRID_EDGES + drawn)
+    first, second = (range(p) if as_int else rng.choice(pool, p)
+                     for p, as_int in ((p0, int0), (p1, int1)))
+    values = rng.choice(pool, (p0, p1))
+    expected = "a,b,v\n" + "".join(
+        "%s,%s,%.17g\n" % (_cell_fmt(a), _cell_fmt(b), v)
+        for a, row in zip(first, values.tolist()) for b, v in zip(second, row)) + "# end\n"
+    assert _csv_table(["a", "b", "v"], (first, second, values), ["# end"]) == expected

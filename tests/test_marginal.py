@@ -183,7 +183,7 @@ def test_ratio_diagnostics_bounds():
 def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
     xs = (0.3, 4.0, 17.0)
     member = member_law(exp_model, 6)
-    assert member.label == "member_6" and member.fields == {"n": 6}
+    assert member.label == "member_6" and member.fields() == {"n": 6}
     hi = exp_model.seed0.effective_support()[1]
     assert member.form.support() == (0.0, (fib(5) + fib(6)) * hi)
     for x in xs:
@@ -192,7 +192,7 @@ def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
 
     limit, constants = limit_density_law(exp_model), limit_form(exp_model)
     assert limit.label == "limit_law"
-    assert limit.fields == {"a_scale": constants.scale, "b_shift": constants.shift}
+    assert limit.fields() == {"a_scale": constants.scale, "b_shift": constants.shift}
     assert limit.form.support() == (-constants.shift / constants.scale,
                                     ((1.0 + PHI) * hi - constants.shift) / constants.scale)
     for x in (-1.0, 0.5, 3.0):
@@ -202,7 +202,7 @@ def test_density_laws(exp_model, unif_model, norm_model, triangle_seed):
     sums, reduction = sum_density_law(5, exp_model), sum_form(exp_model, 5)
     mean, variance = reduction.moments()
     assert sums.label == "sum_through_5"
-    assert sums.fields == {"n": 5, "mean": mean, "variance": variance}
+    assert sums.fields() == {"n": 5, "mean": mean, "variance": variance}
     assert sums.form.support() == (0.0, (fib(6) + fib(7) - 1) * hi)
     for x in xs:
         assert sums.closed(x) == pdf_sum_exponential_closed(5, x)

@@ -97,6 +97,29 @@ def test_layer_tracer_counts_what_the_emit_workload_requires(capsys, tmp_path):
     assert sorted(name for name in required if not metrics[name]) == []
 
 
+def test_grid_tables_render_through_the_traced_writer(capsys, monkeypatch, tmp_path):
+    # the tracer's cli.emit_s (and, under simulate, simulate.serialize_s)
+    # times the CSV formatting by wrapping cli._csv_table: a writer change
+    # that formats the joint grid or the path dump elsewhere would drop that
+    # time from both metrics
+    render = fsrv.cli._csv_table
+    rendered = []
+
+    def counted(header, columns, *rest):
+        rendered.append((header[0], render(header, columns, *rest)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(fsrv.cli, "_csv_table", counted)
+    assert fsrv.cli.main(["joint", "--seeds", "unif01", "--n", "6", "--k", "4",
+                          "--grid0", "0:13:10", "--grid1", "0:89:12", "--output", "csv"]) == 0
+    assert rendered == [("y0", capsys.readouterr().out)]
+    rendered.clear()
+    paths = tmp_path / "paths.csv"
+    assert fsrv.cli.main(["simulate", "--seeds", "normal01", "--paths", "20", "--horizon", "10",
+                          "--rng-seed", "3", "--output", "csv", "--paths-out", str(paths)]) == 0
+    assert rendered == [("n", capsys.readouterr().out), ("path_index", paths.read_text())]
+
+
 def test_layer_tracer_counts_what_the_mc_workload_requires(capsys, tmp_path):
     # a simulate command and the library draw, ratio and KS calls reach every
     # layer whose count or time mc_reduce requires to be non-zero
