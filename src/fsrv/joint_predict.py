@@ -179,14 +179,16 @@ def predict_exponential_4_to_7(x):
     for a float or elementwise over an array. expm1 is math's, per element:
     numpy's differs from it in the last bit on some inputs.
 
-    The singularity at x = 0 is removable; the limit is 0. A negative x raises.
+    The singularity at x = 0 is removable; the limit is 0. Below 5e-4, where
+    the form cancels, the series x*(25/6 + x/216) holds to about 2e-16 relative.
+    A negative x raises.
     """
     xs = np.asarray(x, dtype=np.float64)
     if (xs < 0).any():
         raise DomainError(f"conditioning value must be nonnegative, got {xs[xs < 0][0]}")
     with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 at x = 0
         g = 4.0 * xs - 2.0 - xs / (3.0 * np.vectorize(math.expm1, otypes=[float])(-xs / 6.0))
-    g = np.where(xs == 0.0, 0.0, g)
+    g = np.where(xs < 5e-4, xs * (25.0 / 6.0 + xs / 216.0) + 0.0, g)  # + 0.0: g(-0.0) is +0.0
     return g if np.ndim(x) else float(g)
 
 

@@ -4,21 +4,21 @@ Each path draws its two seed values from a dedicated substream: path i reads
 counter block i of a Philox generator keyed by the run seed, a fixed block
 of four raw words per path, of which each seed family turns into uniforms
 only those it uses. Results are therefore bit-identical no matter how the
-draws are split, so every whole-array pass runs through one helper,
+draws are split, so these whole-array passes run through one helper,
 _in_parts, that spreads parts of the paths over every CPU the process may
 use: the draws, each thread into its own rows of one column-major array;
 cursor walks of four or more steps, from the cursor or from the seeds, each
-thread walking its own rows through every step; partial sums, fused into
-that walk; and the summary's deviations. Every row sees the same operations
-in the same order whatever the thread count, so no result depends on it.
+thread walking its own rows through every step; and partial sums, fused into
+that walk. Every row sees the same operations in the same order whatever the
+thread count, so no result depends on it.
 
 The summary's per-index means and variances come from the seed pairs'
-sample moments, computed afresh on each call. Member reads, partial sums,
-ratio statistics and sample_path share one forward cursor over the index:
-reading members in ascending n costs one array addition per index, on the
-calling thread, and reading a smaller n restarts the walk from the seed
-pairs. The cursor makes a run stateful, so a run must not be shared across
-threads."""
+sample moments, summed afresh on each call, leaf by leaf on the calling
+thread. Member reads, partial sums, ratio statistics and sample_path share
+one forward cursor over the index: reading members in ascending n costs one
+array addition per index, on the calling thread, and reading a smaller n
+restarts the walk from the seed pairs. The cursor makes a run stateful, so
+a run must not be shared across threads."""
 
 import contextvars
 import json
@@ -46,6 +46,11 @@ _CHUNK_PATHS = 1 << 16
 #: ones from 14% faster to 22% slower, while 4-step ones ran about 28%
 #: faster and 35-step ones 2.3 to 2.8 times faster.
 _THREADED_STEPS = 4
+
+#: Most paths per leaf of the summary's sums, whose scratch (three leaves,
+#: 384 KiB) stays in cache; at least numpy's pairwise block of 128, so every
+#: leaf is a node of numpy's own summation tree.
+_LEAF = 1 << 14
 
 #: Paths whose denominator magnitude falls below this are excluded from
 #: ratio statistics.
@@ -180,33 +185,19 @@ class SimulationRun:
 
     def summary(self) -> dict:
         """Per-index empirical mean and variance from the seed pairs' moments:
-        member n is c0*V0 + c1*V1, so its mean is c0*m0 + c1*m1 and its
-        variance the quadratic form of the pairs' 2x2 sample covariance. The
-        deviations, their cross product and their squares are computed on
-        every CPU, each thread over its own rows; the means and the sums are
-        whole-array calls on the calling thread. No cursor and no BLAS call,
-        so the bytes do not depend on read order, thread count or BLAS
-        threads. Raises DomainError when a mean or variance overflows a
-        double."""
+        member n is c0*V0 + c1*V1, so its mean is c0*m0 + c1*m1 and its variance
+        the quadratic form of the pairs' 2x2 sample covariance, summed leaf by
+        leaf on the calling thread. No cursor, no BLAS call and no array of
+        n_paths, so the bytes do not depend on read order, thread count or BLAS
+        threads. Raises DomainError when a mean or variance overflows a double."""
         # (c0, c1) is (1, 0) at n = 0 and (a_{n-1}, a_n) after
         c1 = np.array([fib(n) for n in range(self.config.horizon + 1)], dtype=np.float64)
         c0 = np.concatenate(([1.0], c1[:-1]))
-        n_paths = self.config.n_paths
         v0, v1 = self.seed_pairs[:, 0], self.seed_pairs[:, 1]
-        d0, d1, d01 = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-        scale = max(n_paths - 1, 1)  # one path: every deviation is 0
+        scale = max(self.config.n_paths - 1, 1)  # one path: every deviation is 0
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             m0, m1 = np.mean(v0), np.mean(v1)
-
-            def deviations(start: int, stop: int) -> None:
-                x = np.subtract(v0[start:stop], m0, out=d0[start:stop])
-                y = np.subtract(v1[start:stop], m1, out=d1[start:stop])
-                np.multiply(x, y, out=d01[start:stop])
-                np.multiply(x, x, out=x)
-                np.multiply(y, y, out=y)
-
-            _in_parts(n_paths, deviations)
-            s01, s00, s11 = np.sum(d01) / scale, np.sum(d0) / scale, np.sum(d1) / scale
+            s00, s11, s01 = _deviation_sums(v0, v1, m0, m1) / scale
             means = c0 * m0 + c1 * m1
             variances = c0 * c0 * s00 + 2.0 * c0 * c1 * s01 + c1 * c1 * s11
         finite = np.isfinite(means) & np.isfinite(variances)
@@ -227,6 +218,28 @@ class SimulationRun:
         """Canonical JSON rendering of summary(), computed afresh like it;
         byte-identical for identical configs regardless of thread count."""
         return json.dumps(self.summary(), separators=(",", ":"))
+
+
+def _deviation_sums(v0: np.ndarray, v1: np.ndarray, m0, m1) -> np.ndarray:
+    """Sums of (v0 - m0)**2, (v1 - m1)**2 and (v0 - m0)*(v1 - m1), each the
+    IEEE sum np.add.reduce gives over the whole array: leaves of at most
+    _LEAF paths, split as numpy's pairwise summation splits the array (halve,
+    round the half down to a multiple of 8, add the left sum to the right)."""
+    scratch = np.empty((3, min(v0.size, _LEAF)))
+
+    def tree(start: int, stop: int) -> np.ndarray:
+        n = stop - start
+        if n > _LEAF:
+            half = start + n // 2 - n // 2 % 8
+            return tree(start, half) + tree(half, stop)
+        x = np.subtract(v0[start:stop], m0, out=scratch[0, :n])
+        y = np.subtract(v1[start:stop], m1, out=scratch[1, :n])
+        np.multiply(x, y, out=scratch[2, :n])
+        np.multiply(x, x, out=x)
+        np.multiply(y, y, out=y)
+        return np.add.reduce(scratch[:, :n], axis=1)
+
+    return tree(0, v0.size)
 
 
 def _usable_cpus() -> int:

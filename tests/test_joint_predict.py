@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ def test_closed_predictor_limit_and_asymptote():
     assert abs(predict_exponential_4_to_7(60.0) - 258.0) <= 1e-3
     with pytest.raises(DomainError):
         predict_exponential_4_to_7(-0.5)
+
+
+def _predictor_oracle(x: float) -> Decimal:
+    """4x - 2 - x/(3*(exp(-x/6) - 1)) at 700 digits, where exp(-x/6) - 1
+    keeps its digits down to the smallest double."""
+    with localcontext() as context:
+        context.prec = 700
+        d = Decimal(x)
+        return 4 * d - 2 - d / (3 * ((-d / 6).exp() - 1))
+
+
+def test_closed_predictor_keeps_its_digits_near_zero():
+    # the closed form cancels below 5e-4: it read 0.0 from 1e-17 down
+    xs = np.geomspace(1e-300, 5e-4, 301)[:-1]
+    values = predict_exponential_4_to_7(xs)
+    for x, value in zip(xs, values):
+        exact = _predictor_oracle(float(x))
+        assert abs((Decimal(float(value)) - exact) / exact) <= Decimal("1e-15"), x
+    for x in (5e-324, 1e-320, 3e-310, 2.2e-308):  # subnormal: one step of 5e-324 at most
+        assert abs(predict_exponential_4_to_7(x) - float(_predictor_oracle(x))) <= 5e-324, x
+    for zero in (0.0, -0.0, np.array([-0.0, 0.0])):
+        assert np.all(np.copysign(1.0, predict_exponential_4_to_7(zero)) == 1.0)
 
 
 def test_predict_agrees_with_closed_on_grid(law43, exp_model):

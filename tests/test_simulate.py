@@ -294,6 +294,69 @@ def test_summary_reads_the_seed_pairs_not_the_cursor(monkeypatch, exp_model):
     assert run.summary_json() == json.dumps(run.summary(), separators=(",", ":"))
 
 
+_EDGE_VALUES = (np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-300, 1e300, -1e16, 1.0)
+
+
+def _whole_array_sums(v0, v1, m0, m1) -> np.ndarray:
+    """The summary's sums as whole-length temporaries gave them."""
+    d0, d1 = v0 - m0, v1 - m1
+    return np.array([np.add.reduce(d0 * d0), np.add.reduce(d1 * d1), np.add.reduce(d0 * d1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.one_of(st.integers(1, 300), st.integers(1, 3 * simulate._LEAF + 17)),
+       leaf=st.sampled_from((simulate._LEAF, 128)), seed=st.integers(0, 2**32),
+       edges=st.lists(st.sampled_from(_EDGE_VALUES), max_size=6),
+       means=st.one_of(st.none(), st.tuples(st.sampled_from(_EDGE_VALUES),
+                                            st.floats(allow_nan=False))))
+def test_leaf_sums_equal_whole_array_reductions(size, leaf, seed, edges, means):
+    assert simulate._LEAF >= 128, "a leaf below numpy's pairwise block is not a node of its tree"
+    rng = np.random.default_rng(seed)
+    pairs = np.asfortranarray(rng.standard_normal((size, 2))
+                              * 10.0 ** rng.integers(-30, 30, (size, 2)))
+    pairs.flat[rng.integers(0, pairs.size, len(edges))] = edges
+    v0, v1 = pairs[:, 0], pairs[:, 1]
+    with np.errstate(all="ignore"):
+        m0, m1 = (np.mean(v0), np.mean(v1)) if means is None else means
+        expected = _whole_array_sums(v0, v1, m0, m1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_LEAF", leaf)
+            sums = simulate._deviation_sums(v0, v1, m0, m1)
+    assert sums.tobytes() == expected.tobytes(), (
+        "the leaf sums no longer match np.add.reduce: numpy's pairwise summation may have changed")
+
+
+# sha256 of two summaries of many leaves, recorded while the summary still
+# summed whole-length deviation arrays: the leaves kept every byte.
+_MULTI_LEAF_DIGESTS = [
+    (["--seeds", "exp:1", "--paths", "100003", "--horizon", "90", "--rng-seed", "3",
+      "--output", "json"],
+     "d88f9726ffe03759a1618da8e0c4d6ab283b8fda4815cee7220f3f0062af1847"),
+    (["--seeds", "normal01", "--paths", "70001", "--horizon", "60", "--rng-seed", "9",
+      "--output", "csv"],
+     "81e9c407fc6972efd7eb8a2fd95a67f84f3c8c67713da6019003e913bf4a90a1"),
+]
+
+
+@pytest.mark.parametrize("argv,sha", _MULTI_LEAF_DIGESTS, ids=["exp_json", "normal_csv"])
+def test_multi_leaf_summaries_are_pinned(capsys, argv, sha):
+    assert main(["simulate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_summary_allocates_no_array_of_the_paths(exp_model):
+    # numpy reports its buffers to tracemalloc; one array of 2e5 paths is 1.6 MB
+    run = run_simulation(SimulationConfig(rng_seed=2, n_paths=200_000, horizon=90,
+                                          model=exp_model))
+    tracemalloc.start()
+    try:
+        run.summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _reference_members(pairs: np.ndarray, horizon: int) -> list[np.ndarray]:
     members = [pairs[:, 0].copy(), pairs[:, 1].copy()]
     for _ in range(horizon - 1):
@@ -650,7 +713,7 @@ def test_helpers_keep_the_callers_errstate(monkeypatch, exp_model):
             with np.errstate(invalid="ignore", over="ignore"):
                 reads[cpus] = [run.values_at(9).tobytes(), run.sums_at(10).tobytes(),
                                run.values_at(3).tobytes()]
-            # the summary's own errstate holds in its helpers
+            # the summary's own errstate covers its leaf sums
             with pytest.raises(DomainError, match="member 0 overflows"):
                 run.summary()
     assert reads[1] == reads[2]

@@ -178,10 +178,11 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
     assert counts[1] == counts[2]
 
 
-# Every count metric of one pass over each quadrature workload at seed 1, as
-# recorded before the engine's bisection loop moved to column arrays: a speed
-# change to the engine must leave the calls the benchmark counts as they were.
-_QUAD_PASS_COUNTS = {
+# Every count metric of one pass over each workload at seed 1: the quadrature
+# workloads' as recorded before the engine's bisection loop moved to column
+# arrays, mc_reduce's and emit_bound's as recorded before the summary summed
+# leaves. A speed change must leave the calls the benchmark counts as they were.
+_PASS_COUNTS = {
     "quad_smooth": {
         "numerics.integrand_evals": 17, "numerics.integrate_calls": 4,
         "numerics.evals_per_value": 17 / 550, "numerics.convolution_calls": 23,
@@ -200,13 +201,31 @@ _QUAD_PASS_COUNTS = {
         "joint_predict.predict_calls": 0, "cli.bytes_out": 10475,
         "simulate.recursion_steps": 0, "simulate.sample_path_calls": 0,
         "trace.wrapped_calls": 124},
+    "emit_bound": {
+        "numerics.integrand_evals": 43, "numerics.integrate_calls": 13,
+        "numerics.evals_per_value": 43 / 200315, "numerics.convolution_calls": 0,
+        "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 42,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 4,
+        "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 2,
+        "joint_predict.predict_calls": 0, "cli.bytes_out": 1460995,
+        "simulate.recursion_steps": 40, "simulate.sample_path_calls": 1,
+        "trace.wrapped_calls": 160},
+    "mc_reduce": {
+        "numerics.integrand_evals": 0, "numerics.integrate_calls": 0,
+        "numerics.evals_per_value": 0.0, "numerics.convolution_calls": 0,
+        "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 0,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 0,
+        "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 0,
+        "joint_predict.predict_calls": 0, "cli.bytes_out": 9699,
+        "simulate.recursion_steps": 150, "simulate.sample_path_calls": 0,
+        "trace.wrapped_calls": 50},
 }
 
 
-@pytest.mark.parametrize("name", sorted(_QUAD_PASS_COUNTS))
+@pytest.mark.parametrize("name", sorted(_PASS_COUNTS))
 def test_layer_tracer_counts_of_a_quadrature_pass_are_pinned(tmp_path, name):
-    # one traced pass over the workload's ops, as the benchmark's --trace 1
-    # runs and tallies it
+    # one traced pass over the workload's ops, CLI and library ones, as the
+    # benchmark's --trace 1 runs and tallies it
     layertrace, workloads = _perfbench_modules()
     saved = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
@@ -220,7 +239,7 @@ def test_layer_tracer_counts_of_a_quadrature_pass_are_pinned(tmp_path, name):
     try:
         tracer.install()
         for op in workload.ops:
-            tracer.begin_op(op.key, op.argv[0])
+            tracer.begin_op(op.key, op.argv[0] if op.argv else None)
             out = run.run_op(op)
             assert out.rc == 0, (op.key, out.error)
             tracer.tally["cli.bytes_out"] += len(out.text)
@@ -228,7 +247,7 @@ def test_layer_tracer_counts_of_a_quadrature_pass_are_pinned(tmp_path, name):
     finally:
         tracer.uninstall()
     assert {metric: value for metric, value in metrics.items()
-            if units[metric] == "count"} == _QUAD_PASS_COUNTS[name]
+            if units[metric] == "count"} == _PASS_COUNTS[name]
 
 
 def _workload_names():
