@@ -199,7 +199,7 @@ def _cmd_ratios(args) -> str:
     rows = _flagged("--n-min/--n-max", marginal.ratio_diagnostics,
                     args.n_min, args.n_max)
     if args.output == "json":
-        return _dumps([row.as_dict() for row in rows])
+        return _dumps([vars(row) for row in rows])
     header = ["n", "max_ratio", "mode_ratio", "mean_ratio", "var_ratio"]
     return _csv_table(header, [[getattr(row, name) for row in rows] for name in header])
 

@@ -19,7 +19,7 @@ from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import FsrvModel, closed_form_tag, member_form, pdf_numeric
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
-                       share_config)
+                       line_cuts, share_config)
 
 #: Quadrature settings for conditional expectations: the division by the
 #: marginal density amplifies absolute error, so the default target is
@@ -83,24 +83,20 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: Quadr
                      weighted: bool = False) -> np.ndarray:
     """For each y0[i], the integral over y1 in the effective slice member
     n = y0[i] of the joint density at (y0[i], y1), times y1 when weighted;
-    0 for an empty slice. One engine row per y0, cut at the y1-images of
-    the lines v0 = b and v1 = b over each seed's cut_points() b, where the
-    integrand may end or kink. When both seeds are piecewise linear it is a
-    polynomial of degree at most 3 between the cuts and exact mode
-    integrates it; otherwise it is adaptive to cfg."""
+    0 for an empty slice. One engine row per y0, cut (line_cuts) at the
+    y1-images of the lines v0 = b and v1 = b over each seed's cut_points()
+    b, where the integrand may end or kink. When both seeds are piecewise
+    linear it is a polynomial of degree at most 3 between the cuts and exact
+    mode integrates it; otherwise it is adaptive to cfg.abs_tol, an absolute
+    target on the slice integral."""
     nodes0, nodes1 = model.seed0.cut_points(), model.seed1.cut_points()
-
-    def edges(i, j):
-        lo, hi = _y1_interval(law, nodes0[[0, -1]], nodes1[[0, -1]], y0[i:j, None])
-        hi = np.maximum(lo, hi)  # an empty slice has no width
-        cuts = np.hstack(_y1_images(law, y0[i:j, None], nodes0, nodes1))
-        return np.sort(np.clip(cuts, lo, hi), axis=1)
 
     def integrand(y1, row):
         value = joint_pdf(law, model, y0[row], y1)
         return y1 * value if weighted else value
 
     exact = model.seed0.piecewise_linear and model.seed1.piecewise_linear
+    edges = lambda i, j: line_cuts(*_y1_images(law, y0[i:j, None], nodes0, nodes1))
     return _integrate_rows(integrand, y0.size, nodes0.size + nodes1.size, edges,
                            None if exact else cfg)
 
@@ -113,25 +109,15 @@ def _y1_images(law: JointLaw, y0, v0, v1):
     return (c_nk * y0 - jac * v0) / c_n, (jac * v1 + c_nkm1 * y0) / c_nm1
 
 
-def _y1_interval(law: JointLaw, s0: tuple[float, float], s1: tuple[float, float], y0):
-    """(lo, hi), elementwise over an array y0: the y1-interval where both
-    recovered seed coordinates stay inside the given seed intervals, empty
-    unless lo < hi."""
-    b0_a, b1_a = _y1_images(law, y0, s0[0], s1[0])
-    b0_b, b1_b = _y1_images(law, y0, s0[1], s1[1])
-    lo = np.maximum(np.minimum(b0_a, b0_b), np.minimum(b1_a, b1_b))
-    hi = np.minimum(np.maximum(b0_a, b0_b), np.maximum(b1_a, b1_b))
-    return lo, hi
-
-
 def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, float] | None:
     """Conditional support: the y1-interval compatible with member n = y0.
 
     Uses the seeds' mathematical supports, so the endpoints may be infinite;
     returns None when the slice is empty.
     """
-    lo, hi = _y1_interval(law, model.seed0.support(), model.seed1.support(), y0)
-    return (float(lo), float(hi)) if lo < hi else None
+    cuts = line_cuts(*_y1_images(law, y0, np.array(model.seed0.support()),
+                                 np.array(model.seed1.support())))
+    return (float(cuts[0]), float(cuts[-1])) if cuts[0] < cuts[-1] else None
 
 
 def joint_normalization_check(law: JointLaw, model: FsrvModel,
@@ -157,10 +143,10 @@ def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_
     is below DENSITY_FLOOR or whose slice is empty raises."""
     xs = np.ravel(np.asarray(x, dtype=np.float64))
     marginal = pdf_numeric(model, law.n, xs, cfg)
-    lo, hi = _y1_interval(law, model.seed0.effective_support(),
-                          model.seed1.effective_support(), xs)
+    cuts = line_cuts(*_y1_images(law, xs[:, None], model.seed0.cut_points(),
+                                 model.seed1.cut_points()))
     thin = marginal < DENSITY_FLOOR
-    offending = np.flatnonzero(thin | ~(lo < hi))
+    offending = np.flatnonzero(thin | ~(cuts[:, 0] < cuts[:, -1]))
     if offending.size:
         i = offending[0]
         if thin[i]:

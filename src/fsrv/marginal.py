@@ -257,15 +257,6 @@ class RatioDiagnostics:
     mean_ratio: float
     var_ratio: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_ratio": self.max_ratio,
-            "mode_ratio": self.mode_ratio,
-            "mean_ratio": self.mean_ratio,
-            "var_ratio": self.var_ratio,
-        }
-
 
 def ratio_diagnostics(n_lo: int, n_hi: int) -> list[RatioDiagnostics]:
     """Closed-form diagnostics for iid exponential seeds, one row per index.

@@ -11,11 +11,13 @@ jumps and kinks. Adaptive mode keeps its panels as columns, one array per
 field with one entry per panel: a block of panels still to bisect is the
 columns a, b and piece, and the accepted panels are the columns piece, a
 and K15, from which each piece's sum is taken at the end.
-`integrate` is its one-row front end, `scaled_convolution` the density of
-c0*V0 + c1*V1 for independent seeds V0, V1 with one row per x, cut and
-made exact as the seeds say, and `DensityCurve` a density sampled on a
-grid next to its normalization certificate.
-Densities take arrays of points.
+`integrate` is its one-row front end, `line_cuts` the cuts of every line
+integral over a seed pair, `scaled_convolution` the density of
+c0*V0 + c1*V1 for independent seeds V0, V1, one row per x integrated over
+V1, cut and made exact as the seeds say, and `DensityCurve` a density
+sampled on a grid next to its normalization certificate. A density's
+target is abs_tol on sigma times its value; `integrate` and the joint
+slices take abs_tol as an absolute target. Densities take arrays of points.
 """
 
 import math
@@ -75,9 +77,12 @@ _ADAPTIVE_PIECES = 1 << 7
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Error target for adaptive integration: abs_tol is the absolute error
-    allowed in one integral, as estimated by its Gauss-Kronrod panels'
-    |K15 - G7|; on smooth integrands that overstates the error of the K15
-    they contribute. The estimate sees an integrand only at the panels'
+    allowed in one integral by `integrate` and the joint slices, as
+    estimated by its Gauss-Kronrod panels' |K15 - G7|; on smooth integrands
+    that overstates the error of the K15 they contribute. For a density
+    (`scaled_convolution`), abs_tol bounds sigma times its error, sigma the
+    standard deviation of c0*V0 + c1*V1: the error of the standardized
+    form's density. The estimate sees an integrand only at the panels'
     interior nodes, so it cannot see a jump that no cut marks. The CLI
     computes at DEFAULT_CONFIG (1e-9), and `predict` at 1e-12; a library
     caller passes its own config. The depth cap, the evaluation budget and
@@ -250,16 +255,36 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
                                  lambda i, j: edges[i:j], cfg)[0])
 
 
+def line_cuts(images0, images1) -> np.ndarray:
+    """The sorted cuts of line integrals over a seed pair, one row per line:
+    each row's images of seed 0's and seed 1's cut points (their last axes),
+    clipped to the range both seeds allow, from the larger of the two image
+    minima to the smaller of the maxima. An image of sorted cut points is
+    monotone, so its ends bound it. A row where the ranges do not overlap
+    has every cut clipped to that maximum: no width, no mass. Leading axes
+    broadcast."""
+    (a0, b0), (a1, b1) = ((v[..., :1], v[..., -1:]) for v in (images0, images1))
+    lo = np.maximum(np.minimum(a0, b0), np.minimum(a1, b1))
+    hi = np.minimum(np.maximum(a0, b0), np.maximum(a1, b1))
+    m0 = images0.shape[-1]
+    cuts = np.empty(lo.shape[:-1] + (m0 + images1.shape[-1],))
+    cuts[..., :m0], cuts[..., m0:] = images0, images1
+    np.minimum(np.maximum(cuts, lo, out=cuts), hi, out=cuts)  # np.clip, without its overhead
+    cuts.sort(axis=-1)
+    return cuts
+
+
 def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: float,
                        c1: float, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of c0*V0 + c1*V1 at x, a float or an array, for independent
-    seeds V0 ~ seed0 and V1 ~ seed1 with densities f0, f1: (1/(c0*c1)) *
-    integral of f0((x-t)/c0) * f1(t/c1) dt over the t-range both effective
-    supports allow, one engine row per x. Each row is cut at the images of
-    both seeds' cut_points(), where the integrand may end or kink, so each
-    adaptive piece is smooth. When both seeds are piecewise_linear, the
-    integrand is quadratic on each piece and exact mode integrates it
-    without consulting cfg.
+    seeds V0 ~ seed0 and V1 ~ seed1 with densities f0, f1: (1/c0) * integral
+    of f0((x - c1*u)/c0) * f1(u) du over u = V1, one engine row per x, cut
+    (line_cuts) where the integrand may end or kink: at u = (x - c0*b)/c1
+    for seed 0's cut_points() b and at seed 1's own. The adaptive target is
+    cfg.abs_tol*c0/sigma, sigma = hypot(c0*sd0, c1*sd1) the form's standard
+    deviation, so abs_tol bounds sigma times the density's error at every n
+    and seed scale. When both seeds are piecewise_linear, each piece's
+    integrand is quadratic and exact mode integrates it without cfg.
     """
     if c0 <= 0 or c1 <= 0:
         raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
@@ -268,22 +293,14 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
         raise DomainError("scaled_convolution needs finite (truncated) supports")
     if seed0.piecewise_linear and seed1.piecewise_linear:
         cfg = None
+    else:
+        sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (seed0, seed1))
+        cfg = share_config(cfg, cfg.abs_tol * c0 / math.hypot(c0 * sd0, c1 * sd1))
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
-    cut0, cut1 = c0 * nodes0, c1 * nodes1
-
-    def cuts(i, j):
-        x = xs[i:j, None]
-        t_lo, t_hi = np.maximum(cut1[0], x - cut0[-1]), np.minimum(cut1[-1], x - cut0[0])
-        edges = np.empty((x.size, cut0.size + cut1.size))
-        np.subtract(x, cut0, out=edges[:, :cut0.size])
-        edges[:, cut0.size:] = cut1
-        # an x outside the support clips every cut to t_hi: no width, no mass
-        np.clip(edges, t_lo, t_hi, out=edges)
-        edges.sort(axis=1)
-        return edges
-
-    integrand = lambda t, row: seed0.pdf((xs[row] - t) / c0) * seed1.pdf(t / c1)
-    out = _integrate_rows(integrand, xs.size, cut0.size + cut1.size, cuts, cfg) / (c0 * c1)
+    cut0 = c0 * nodes0
+    integrand = lambda u, row: seed0.pdf((xs[row] - c1 * u) / c0) * seed1.pdf(u)
+    out = _integrate_rows(integrand, xs.size, nodes0.size + nodes1.size,
+                          lambda i, j: line_cuts((xs[i:j, None] - cut0) / c1, nodes1), cfg) / c0
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

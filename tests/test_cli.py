@@ -14,14 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsrv import cli, joint_predict, simulate
+from fsrv import cli, joint_predict, limits, simulate
 from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
-from fsrv.limits import pdf_limit_uniform_closed
-from fsrv.marginal import pdf_exponential_closed, pdf_uniform_closed
+from fsrv.limits import (pdf_limit_exponential_closed, pdf_limit_uniform_closed,
+                         pdf_sum_exponential_closed)
+from fsrv.marginal import (FsrvModel, member_form, pdf_exponential_closed, pdf_uniform_closed,
+                           sum_form)
 from fsrv.numerics import DEFAULT_CONFIG, DensityCurve
-from fsrv.seeds import Exponential, StandardNormal
+from fsrv.seeds import Exponential, StandardNormal, parse_seed_spec
 
 
 def run_cli(capsys, *argv):
@@ -327,20 +329,48 @@ def test_only_the_commands_that_need_the_moments_refuse_their_overflow(capsys):
             assert out.endswith("\n") and err == ""
 
 
-@pytest.mark.parametrize("argv, passes_at", [
-    (("sums", "--seeds", "normal01", "--grid=-1:1:3"), 32),
-    (("pdf", "--seeds", "normal01", "--method", "numeric", "--grid=-1:1:3"), 34),
-    (("pdf", "--seeds", "exp:1", "--method", "numeric", "--grid=1:2:3"), 37),
-])
-def test_numeric_routes_reach_the_large_n_limit_readme_documents(capsys, argv, passes_at):
-    # the integral over t = c1*V1 grows like the smaller coefficient until
-    # rounding alone misses the absolute 1e-9 target; a fix that lifts this
-    # limit updates README's "Numerical guarantees" too
-    code, out, _ = run_cli(capsys, *argv, "--n", str(passes_at))
-    assert code == 0 and out
-    code, out, err = run_cli(capsys, *argv, "--n", str(passes_at + 1))
-    assert (code, out) == (3, "")
-    assert "integrand evaluations" in err
+def _large_n_closed(command, seed, n):
+    """The closed density the numeric route of command must match, and its
+    law's mean and standard deviation (the hypot of the coefficients times
+    the seed sd, which overflows nowhere)."""
+    std_normal = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    normal = isinstance(seed, StandardNormal)
+    if command == "limit":
+        return (std_normal if normal else pdf_limit_exponential_closed), 0.0, 1.0
+    form = (member_form if command == "pdf" else sum_form)(FsrvModel(seed, seed), n)
+    c0, c1 = float(form.c0), float(form.c1)
+    mean, variance = seed.moments()
+    sigma = math.hypot(c0 * math.sqrt(variance), c1 * math.sqrt(variance))
+    if normal:
+        closed = lambda x: std_normal(x / sigma) / sigma
+    elif command == "pdf":
+        closed = lambda x: pdf_exponential_closed(n, x, seed.rate)
+    else:
+        closed = lambda x: pdf_sum_exponential_closed(n, x, seed.rate)
+    return closed, (c0 + c1) * mean, sigma
+
+
+@pytest.mark.parametrize("command, seeds", [
+    (command, seeds) for command in ("pdf", "sums", "limit")
+    for seeds in ("normal01", "exp:1", "exp:1e150", "exp:1e-150")
+    if seeds != "exp:1e-150" or command == "pdf"])
+def test_numeric_densities_match_their_closed_forms_at_large_n(capsys, monkeypatch, command,
+                                                               seeds):
+    # the densities' target is on sigma times the density, so neither a
+    # large n nor a seed scale of 1e150 or 1e-150 exhausts the budget; sums
+    # and limit of exponential seeds take their numeric route once no closed
+    # form is found
+    monkeypatch.setattr(limits, "closed_form_tag", lambda model: None)
+    seed = parse_seed_spec(seeds)
+    for n in (35, 38, 60, 80) if command != "limit" else (None,):
+        closed, mean, sigma = _large_n_closed(command, seed, n)
+        argv = [command, "--seeds", seeds, f"--grid={mean - 3 * sigma!r}:{mean + 3 * sigma!r}:7"]
+        argv += ["--n", str(n)] * (n is not None) + ["--method", "numeric"] * (command == "pdf")
+        code, out, err = run_cli(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, ""), (n, err)
+        doc = json.loads(out)
+        error = sigma * np.max(np.abs(np.array(doc["density"]) - closed(np.array(doc["x"]))))
+        assert error <= 1e-12, (n, error)
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])
@@ -423,9 +453,10 @@ _EXIT_CASES = {
     "simulate_helper_fails": (2, ["simulate", "--seeds", "exp:1", "--paths", "70000",
                                   "--horizon", "5", "--rng-seed", "1"],
                               _fail_in_a_draw_helper, "error: Unable to allocate the pairs "),
-    # the large-n limit README documents: the budget runs out at 1e-9
-    "quad_tol": (3, ["sums", "--seeds", "normal01", "--n", "33", "--grid=-1:1:3"], None,
-                 "error: quadrature did not converge: "),
+    # a large-n limit README documents: a predict slice over y1, inside the
+    # bulk of member 13, runs out of budget at its absolute 1e-12
+    "quad_tol": (3, ["predict", "--seeds", "normal01", "--n", "13", "--k", "2",
+                     "--grid=116:233:5"], None, "error: quadrature did not converge: "),
     "density_certificate": (3, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "0:1:2"],
                             _refuse_density,
                             "error: density table norm_defect 5.000e-04 exceeds 1e-06; "
@@ -503,17 +534,21 @@ def test_console_entry_point_runs():
 # and to 8.9e-16 (rounding of the exact mass). predict_table_csv was
 # re-recorded when the slice cuts lost their duplicate end columns, which
 # moved its last value by 1.7e-16 relative; simulate_csv when the summary
-# moved to the seed pairs' moments, which moved it by rounding only.
+# moved to the seed pairs' moments, which moved it by rounding only. Every
+# digest of a numeric density or predictor (15 of them) was re-recorded when
+# densities moved to integrals over the seed coordinate V1, to a target on
+# sigma times the density: each value moved by at most 5.1e-16 of its
+# command's peak, except limit_table_shifted's, by 1.02e-15 at x = 0.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
      "7b5362786152d4e288c22a3141c6453076773fb72b2aa3bc3a309886674dde13"),
     ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                          "--method", "numeric", "--output", "json"],
-     "bcb00850f928e2ceb06fa471682329e4cebeace1a6d9c23f30821c28e4794d75"),
+     "59fa67eb82825c79117d2ad858e56b705da49b0c794a1452fd6325bb7996a2b8"),
     ("pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7",
                             "--method", "numeric"],
-     "63557f728c988c591e6c632d7077c2df47b6aa7701c5c6a0a0724dd6b6b0a6ec"),
+     "6fbbe2a8f7b051251c864dcbb5c67033d12b2a0986947457e1409650c2dbf2d7"),
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
      "061dddc4b42233d2e4443700ef4576d26d95237bcef2498875b4e239933da669"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
@@ -521,14 +556,14 @@ _ANALYTIC_DIGESTS = [
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
      "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
-     "019b0ce2cffaa8e48aa3b8a2a677f2d40dc8e243e3595038fed8753f7b7409ba"),
+     "6b947d7ea28eb9c2c70e4b6173dd953b192cd10b8ffa151d99ab188969821a29"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
-     "e8976bb27cf4fdfd06282cef833531a31677efb22c99d5bfb20213208856130f"),
+     "48e0c7a4582027013937cffe917464cbb8843de00a19138ea84ee7ad3d4c2187"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
      "4ff31c36454eec75c599aabeef32fb75fb77fcbdfc6171af30f4b4f876952faf"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
-     "ad9ec8ba3306302d7ac33feba5fb2dec29675853ff58d17cf8486403a2f6af52"),
+     "80763e3871048ae9cb94573658c68846278bbe868d543cff09ee735ac17d5f82"),
     ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
      "ade6bb671a3ef71ef0ad4cabd0ddc7029c4b0d0d8bdaa92a23b4c3589e926c0f"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
@@ -536,7 +571,7 @@ _ANALYTIC_DIGESTS = [
      "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),
     ("predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                      "--grid", "0.5:10:5", "--output", "json"],
-     "c80784d4985bf0e1cf0c2325e8a86a1c761ef689137ca50e26d9921c2796df03"),
+     "4cc30336873ae740b390541f1a29dc37789d170d5421fc572bf1abdfe1b9a00c"),
     ("moments_normal", ["moments", "--seeds", "normal01", "--n", "30", "--output", "json"],
      "a9258a0c8fc5628b73e468472954262847fd0946485d78cd794848c8bd094817"),
     # recorded before the emit layer moved from cells to columns
@@ -548,10 +583,10 @@ _ANALYTIC_DIGESTS = [
      "fbcf7c6bdb59d3e3e1b34b9939da72c8a7ce8d909fbb267aaff90aba3eb054e7"),
     ("predict_exp_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                          "--grid", "0.5:10:5"],
-     "36926831f19a894e71685eb3f49fa4c038c943fb445a0f4d6e649a04631be3ca"),
+     "ade8581124cb4ba7e3df92f1dd553b3fe3f464ff6ca9eb7bb934517c8416b16b"),
     ("predict_table_csv", ["predict", "--seeds", "TABLE", "--n", "4", "--k", "3",
                            "--grid", "0.5:5:5"],
-     "f0664f70193f21188038956f4b30adfb5176b8f9ae1d0884cebcc9b50ed08fb1"),
+     "d2c375ffb412a113fd9f5244cec8728a5f49a3202a8055d5ddabb936d460ec75"),
     ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                          "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
      "8bea4ab148eedd105d32e731f940ce4d33c7be22f3dd0b587bb9a7713d5af061"),
@@ -588,26 +623,26 @@ _ANALYTIC_DIGESTS = [
      "4f4f538de2cb2e513c2e0153867259ecfa3cdf521ebe938414bc1dbccb862430"),
     ("limit_table_shifted", ["limit", "--seeds", "SHIFTED_TABLE", "--grid=-3:3:7",
                              "--output", "json"],
-     "106a66fc83168760a348eb6aa33a439c46666b152267f0c8d775bae95f4ceb39"),
+     "0810797b227632abbbd4198ae7a483fcce34019bc377a2948700b58222abfb7d"),
     # recorded before the quadrature engine's bisection loop moved to column
     # arrays: the six numeric commands of the quad_smooth benchmark at their
     # nominal grids, among them the adaptive predictor on normal seeds
     ("quad_pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-15:15:60",
                                  "--method", "numeric"],
-     "5ca5f1a51e0017b8e191f7135e8ca40bf3c8f2c91bd4068f43c93d572ee17e30"),
+     "44ed21c6e2b626637897414a6f1fea527c419d91fa5b54ef1c52762b272322dc"),
     ("quad_limit_normal", ["limit", "--seeds", "normal01", "--grid=-4:4:60"],
-     "41ced8e6bbb9597c9932a9e8265bba68f6437662889c643c7ef6812c794288bb"),
+     "e8d2571637d1a0d4987cef3d47cbd35db1fd3e41fdd40a9e0c6903e0811a6f57"),
     ("quad_sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-30:30:60"],
-     "4015bbb6135a6f733b2081050f6bf69159e027ade746ab59acf7bc02b82ca136"),
+     "12d713c05b6591df613f56315ae3c103d5f2001ffbb1be8434fc2d4d7c0462d6"),
     ("quad_pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "10", "--grid=0:600:300",
                               "--method", "numeric"],
-     "e0bf5422135cf8eb4b2349184a8ff1bb02ed8bdcde1864b31437cf30244958bb"),
+     "f42ca70336840f2b798d89bba1807190465a3146843c63efff52e0e0eaf681ea"),
     ("quad_predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                           "--grid=0.1:20:50"],
-     "32ac0aec1a2e718676b4e50191c53c5daee17a5b5eaef3111ce16735f8368c00"),
+     "4d3032054dd18c4ee6764db663788e012ec1f69a389b24e81ccef1625a4ee853"),
     ("quad_predict_normal", ["predict", "--seeds", "normal01", "--n", "5", "--k", "2",
                              "--grid=-10:10:20"],
-     "4616d3df8b13137090acfbb93a5397c23c6c853d199c99da0e2f320ce2fe2aef"),
+     "488bfaadbab700b758b6aee75fdcd87a85497ea28c4b7532867dc37e1a05695f"),
     # recorded before the closed-form predictor moved from one call per grid
     # point to the array: the emit_bound benchmark's grid, and one from 0,
     # where the removable singularity prints 0
@@ -637,9 +672,11 @@ def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
 # Seed-density points (the sum of np.size(x) over every seed pdf call) of the
 # quad_smooth commands above, recorded with their digests: the engine's nodes
 # are its work, so a change that keeps the bytes but adds nodes shows here.
-_QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 72_240, "quad_limit_normal": 66_840,
-                       "quad_sums_normal": 85_200, "quad_pdf_exp_numeric": 26_940,
-                       "quad_predict_exp": 6_000, "quad_predict_normal": 28_440}
+# The normal01 density and predict counts were re-recorded when densities
+# moved to the seed coordinate V1.
+_QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 68_760, "quad_limit_normal": 67_200,
+                       "quad_sums_normal": 70_200, "quad_pdf_exp_numeric": 26_940,
+                       "quad_predict_exp": 6_000, "quad_predict_normal": 27_600}
 
 
 @pytest.mark.parametrize("name,points", _QUAD_SMOOTH_POINTS.items())

@@ -120,20 +120,23 @@ def test_integrate_repeats_the_depth_first_recursion(f):
 
 
 def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
-    # a table seed with an exponential one: the adaptive rows are cut at the
-    # table's kinks, and the tolerance is shared over the non-empty pieces
+    # a table seed with an exponential one: the adaptive rows run over
+    # u = V1, cut at the images of the table's kinks, and the target
+    # abs_tol*c0/sigma is shared over the non-empty pieces
     e = Exponential(1.5)
     se = e.effective_support()
+    sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (triangle_seed, e))
+    sigma = math.hypot(2.0 * sd0, 3.0 * sd1)
     for x in (0.7, 3.3, 9.0):
         got = scaled_convolution(triangle_seed, e, 2.0, 3.0, x, QuadratureConfig(1e-9))
-        t_lo, t_hi = max(0.0, x - 2.0 * 2.0), min(3.0 * se[1], x)
-        cuts = [t_lo] + sorted(c for c in (x - 2.0 * b for b in triangle_seed.breakpoints())
-                               if t_lo < c < t_hi) + [t_hi]
-        integrand = lambda t: triangle_seed.pdf((x - t) / 2.0) * e.pdf(t / 3.0)
+        u_lo, u_hi = max(0.0, (x - 2.0 * 2.0) / 3.0), min(se[1], x / 3.0)
+        images = ((x - 2.0 * b) / 3.0 for b in triangle_seed.breakpoints())
+        cuts = [u_lo] + sorted(c for c in images if u_lo < c < u_hi) + [u_hi]
+        integrand = lambda u: triangle_seed.pdf((x - 3.0 * u) / 2.0) * e.pdf(u)
         total = 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
-            total += _depth_first_qk15(integrand, a, b, 1e-9 / (len(cuts) - 1))[0]
-        assert got == total / 6.0
+            total += _depth_first_qk15(integrand, a, b, 1e-9 * 2.0 / sigma / (len(cuts) - 1))[0]
+        assert got == total / 2.0
 
 
 def test_scaled_convolution_exponential_pair():
