@@ -12,16 +12,18 @@ thread walking its own rows through every step; and partial sums, fused into
 that walk. Every row sees the same operations in the same order whatever the
 thread count, so no result depends on it.
 
-The summary's per-index means and variances come from the seed pairs'
-sample moments, summed afresh on each call, leaf by leaf on the calling
-thread. Member reads, partial sums, ratio statistics and sample_path share
-one forward cursor over the index: reading members in ascending n costs one
-array addition per index, on the calling thread, and reading a smaller n
-restarts the walk from the seed pairs. The cursor makes a run stateful, so
-a run must not be shared across threads."""
+The summary's per-index means and variances come from the seed pairs' sample
+moments, summed afresh on each call, leaf by leaf on the calling thread.
+Member reads, partial sums, ratio statistics and sample_path share one
+forward cursor over the index: reading members in ascending n costs one array
+addition per index, on the calling thread, and reading a smaller n restarts
+the walk from the seed pairs. The cursor makes a run stateful, so a run must
+not be shared across threads. A KS distance calls the target cdf on the
+sorted sample's block edges, then only on the blocks that can hold the sup."""
 
 import contextvars
 import json
+import math
 import os
 import threading
 import warnings
@@ -59,6 +61,13 @@ RATIO_EXCLUSION_FLOOR = 1e-12
 #: Absolute distance from the golden ratio within which ratio_stats
 #: counts a ratio as near it: |ratio - PHI| <= PHI_TOLERANCE.
 PHI_TOLERANCE = 1e-6
+
+#: The outermost doubles z with |fl(z - PHI)| <= PHI_TOLERANCE, where z - PHI is exact.
+_PHI_LO, _PHI_HI = (z if abs(z - PHI) <= PHI_TOLERANCE else math.nextafter(z, PHI)
+                    for z in (PHI - PHI_TOLERANCE, PHI + PHI_TOLERANCE))
+
+#: Sorted points per block of ks_distance, and a margin over ulp-level errors.
+_KS_BLOCK, _KS_SLACK = 32, 1e-9
 
 
 @dataclass(frozen=True)
@@ -335,8 +344,8 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     the cursor without copying; kept paths are copied out only when some path
     is excluded. Kept paths are counted by sign, the negative side only when
     some denominator falls short of the floor, with no |denom| temporary. The
-    near-phi count is read off the extremes of z when these settle it, since
-    fl(z - PHI) is monotone in z; a NaN extreme settles nothing.
+    near-phi count compares z, or its extremes when these settle it, with the
+    band's edges _PHI_LO and _PHI_HI; a NaN extreme settles nothing.
 
     Where member n has a positive density at 0, as on seeds of both signs,
     the ratio has no mean (on normal01 seeds it follows a Cauchy law), so
@@ -357,15 +366,14 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     if n_used < n_paths:
         keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR
         numer, denom = numer[keep], denom[keep]
-    z = numer / denom  # a new array, never a cursor buffer: overwritten below
+    z = numer / denom
     mean, lo, hi = float(np.mean(z)), float(np.min(z)), float(np.max(z))
-    if -PHI_TOLERANCE <= lo - PHI and hi - PHI <= PHI_TOLERANCE:
+    if _PHI_LO <= lo and hi <= _PHI_HI:
         n_near = n_used
-    elif hi - PHI < -PHI_TOLERANCE or lo - PHI > PHI_TOLERANCE:
+    elif hi < _PHI_LO or lo > _PHI_HI:
         n_near = 0
     else:
-        np.subtract(z, PHI, out=z)
-        n_near = int(np.count_nonzero(np.abs(z, out=z) <= PHI_TOLERANCE))
+        n_near = int(np.count_nonzero(z >= _PHI_LO)) - int(np.count_nonzero(z > _PHI_HI))
     return RatioStats(n=n, mean=mean, min=lo, max=hi, frac_near_phi=n_near / n_used,
                       n_used=n_used, n_excluded=n_paths - n_used)
 
@@ -375,10 +383,16 @@ def ks_distance(run: SimulationRun, n: int, target_cdf, which: str = "y") -> flo
     standardized member (which='y') or standardized partial sum (which='s')
     at index n and a target cdf F.
 
-    The statistic is max_i |i/N - F(x_(i))| over the sorted sample, so a
-    sample scores exactly 0 against its own empirical cdf. It can read up to
-    1/N below the two-sided D_N (0.0870 against 0.0970 at N = 100); the
-    switch to D_N waits on the benchmark, whose oracle recomputes this form.
+    F must be a non-decreasing cdf, finite on the sample. The statistic is
+    max_i |i/N - F(x_(i))| over the sorted sample (Massey, 1951): 0 against the
+    sample's own empirical cdf. _ks_sup computes it: no term of a block [s, e)
+    of _KS_BLOCK points exceeds max(e/N - F(x_s), F(x_e) - (s+1)/N), x_e the
+    next block's first point or the last point, so F is called on those edges,
+    then only on blocks whose bound passes the largest edge term by _KS_SLACK,
+    or on every point if an edge value is not finite or decreases, as from a
+    NaN sample: the full pass's double either way. It reads up to 1/N below the
+    two-sided D_N (0.0870 against 0.0970 at N = 100), whose bound only adds
+    F(x_e) - s/N and which waits on the benchmark revision, ROADMAP item 1.
     Warns when fewer than 100 paths back the empirical cdf.
     """
     if which == "y":
@@ -394,7 +408,18 @@ def ks_distance(run: SimulationRun, n: int, target_cdf, which: str = "y") -> flo
             stacklevel=2,
         )
     sample.sort()  # the sample is this call's own array
-    f = np.asarray(target_cdf(sample), dtype=np.float64)
-    steps = np.arange(1, sample.size + 1) / sample.size
-    np.subtract(steps, f, out=steps)
-    return float(np.max(np.abs(steps, out=steps)))
+    return _ks_sup(sample, target_cdf)
+
+
+def _ks_sup(xs: np.ndarray, target_cdf) -> float:
+    size = xs.size
+    starts = np.arange(0, size, _KS_BLOCK)
+    at = np.append(starts, size - 1)  # the edges' positions i - 1
+    f = np.asarray(target_cdf(xs[at]), dtype=np.float64)
+    best = np.max(np.abs((at + 1) / size - f))
+    bounds = np.maximum((starts + _KS_BLOCK) / size - f[:-1], f[1:] - (starts + 1) / size)
+    keep = (bounds + _KS_SLACK > best) | ~(np.isfinite(f).all() & (f[1:] >= f[:-1]).all())
+    at = (starts[keep, None] + np.arange(_KS_BLOCK)).ravel()
+    at = at[at < size]
+    f = np.asarray(target_cdf(xs[at]), dtype=np.float64)
+    return float(np.maximum(best, np.max(np.abs((at + 1) / size - f))))

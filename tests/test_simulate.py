@@ -19,7 +19,7 @@ from fsrv import simulate
 from fsrv.cli import main
 from fsrv.errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from fsrv.fib_core import PHI, fib
-from fsrv.limits import cdf_limit_exponential_closed
+from fsrv.limits import cdf_limit_exponential_closed, cdf_limit_uniform_closed
 from fsrv.marginal import FsrvModel, member_form, sum_form
 from fsrv.seeds import Exponential, StandardNormal, UniformUnit
 from fsrv.simulate import (
@@ -238,6 +238,86 @@ def test_ks_distance_validates_which(exp_run):
         ks_distance(exp_run, 30, cdf_limit_exponential_closed, which="bogus")
 
 
+class _CountedCdf:
+    """A target cdf that records how many points each call receives."""
+
+    def __init__(self, cdf):
+        self.cdf, self.points = cdf, []
+
+    def __call__(self, xs):
+        self.points.append(np.size(xs))
+        return self.cdf(xs)
+
+
+def _ks_targets(sample: np.ndarray) -> dict:
+    """Targets of the pruned-sup tests; the empirical one is the sample's own step cdf."""
+    xs = np.sort(sample)
+    return {"exp": cdf_limit_exponential_closed, "unif": cdf_limit_uniform_closed,
+            "norm": pytest.importorskip("scipy.stats").norm.cdf,
+            "ecdf": lambda x: np.searchsorted(xs, x, side="right") / xs.size,
+            "decreasing": lambda x: 1.0 - cdf_limit_exponential_closed(x)}
+
+
+_B = simulate._KS_BLOCK
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.one_of(st.integers(1, 8 * _B + 1),
+                      st.sampled_from([k * _B + d for k in range(1, 9) for d in (-1, 0, 1)])),
+       seed=st.integers(0, 2**32), decimals=st.sampled_from((None, 2, 1, 0)),
+       nans=st.integers(0, 2),
+       target=st.sampled_from(("exp", "unif", "norm", "ecdf", "decreasing")))
+def test_pruned_ks_sup_equals_a_full_pass(size, seed, decimals, nans, target):
+    rng = np.random.default_rng(seed)
+    sample = rng.standard_normal(size) * rng.uniform(0.1, 3.0) + rng.uniform(-1.0, 1.0)
+    if decimals is not None:  # rounding makes heavy ties
+        sample = np.round(sample, decimals)
+    sample[rng.integers(0, size, nans)] = np.nan
+    cdf = _CountedCdf(_ks_targets(sample)[target])
+    xs = np.sort(sample)
+    got = simulate._ks_sup(xs, cdf)
+    assert np.float64(got).tobytes() == np.float64(_reference_ks(sample, cdf.cdf)).tobytes()
+    edges = np.append(np.arange(0, size, _B), size - 1)
+    assert cdf.points[0] == edges.size
+    f = cdf.cdf(xs[edges])
+    if not (np.isfinite(f).all() and (np.diff(f) >= 0).all()):
+        assert cdf.points[1:] == [size]  # the fallback: one full pass
+
+
+def test_a_nan_sample_or_a_decreasing_target_takes_the_full_pass():
+    sample = np.random.default_rng(5).standard_normal(200)
+    with_nan = np.append(sample, np.nan)
+    for xs, target in ((sample, lambda x: 1.0 - cdf_limit_exponential_closed(x)),
+                       (with_nan, cdf_limit_exponential_closed)):
+        cdf = _CountedCdf(target)
+        got = simulate._ks_sup(np.sort(xs), cdf)
+        assert cdf.points == [-(-xs.size // _B) + 1, xs.size]
+        assert repr(got) == repr(_reference_ks(xs, target))
+    assert math.isnan(got)
+
+
+@pytest.mark.parametrize("target", ["exp", "unif", "norm", "ecdf", "decreasing"])
+@pytest.mark.parametrize("which", ["y", "s"])
+def test_pruned_ks_distance_of_a_run_equals_a_full_pass(exp_run, which, target):
+    sample = exp_run.y_normalized(30) if which == "y" else exp_run.sums_normalized(30)
+    cdf = _ks_targets(sample)[target]
+    assert ks_distance(exp_run, 30, cdf, which=which) == _reference_ks(sample, cdf)
+
+
+def test_ks_distance_evaluates_few_target_points(exp_model):
+    # machine-independent: a run falling back to the full pass calls the
+    # target on all 1e5 points
+    config = SimulationConfig(rng_seed=11, n_paths=10**5, horizon=31, model=exp_model)
+    run = run_simulation(config)
+    for which in ("y", "s"):
+        cdf = _CountedCdf(cdf_limit_exponential_closed)
+        ks = ks_distance(run, 30, cdf, which=which)
+        sample = run.y_normalized(30) if which == "y" else run.sums_normalized(30)
+        assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
+        assert len(cdf.points) == 2
+        assert sum(cdf.points) <= config.n_paths // 8, cdf.points
+
+
 def test_summary_contents(exp_model):
     config = SimulationConfig(rng_seed=9, n_paths=500, horizon=10, model=exp_model)
     run = run_simulation(config)
@@ -438,6 +518,11 @@ def _phi_band_edges() -> list[tuple[float, float]]:
             z = float(np.nextafter(z, out))
         edges.append((z, float(np.nextafter(z, out))))
     return edges
+
+
+def test_the_near_phi_band_constants_are_its_edges():
+    (lo_in, _), (hi_in, _) = _phi_band_edges()
+    assert (simulate._PHI_LO, simulate._PHI_HI) == (lo_in, hi_in)
 
 
 def _ratio_edge_cases() -> list[np.ndarray]:

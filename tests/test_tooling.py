@@ -224,6 +224,19 @@ _PASS_COUNTS = {
 }
 
 
+def test_the_ks_oracle_accepts_the_pruned_sup():
+    # the benchmark's oracle recomputes the one-sided statistic on every point
+    # of the sample, where ks_distance calls the target on a few blocks
+    _, workloads = _perfbench_modules()
+    config = fsrv.SimulationConfig(rng_seed=6, n_paths=10**5, horizon=31,
+                                   model=fsrv.exponential_model())
+    assert config.n_paths >= 5 * fsrv.simulate._KS_BLOCK
+    run = fsrv.run_simulation(config)
+    for which in ("y", "s"):
+        ks = fsrv.ks_distance(run, 30, fsrv.cdf_limit_exponential_closed, which=which)
+        workloads.oracle.check_ks(ks, run.seed_pairs, workloads.UNIT_EXP, 30, which)
+
+
 @pytest.mark.parametrize("name", sorted(_PASS_COUNTS))
 def test_layer_tracer_counts_of_a_quadrature_pass_are_pinned(tmp_path, name):
     # one traced pass over the workload's ops, CLI and library ones, as the
