@@ -17,17 +17,14 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import FsrvModel, closed_form_tag, member_form, pdf_numeric
+from .marginal import FsrvModel, closed_form_tag, member_form
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
                        line_cuts, share_config)
 
-#: Quadrature settings for conditional expectations: the division by the
-#: marginal density amplifies absolute error, so the default target is
-#: tighter than the package-wide one.
-PREDICT_CONFIG = QuadratureConfig(abs_tol=1e-12)
-
-#: Conditioning values where the marginal density falls below this floor
-#: are treated as outside the effective support.
+#: Conditioning values whose slice mass (the marginal density of member n
+#: there) is below this floor or not finite are treated as outside the
+#: effective support: an empty slice has mass 0, and an infinite or NaN x a
+#: mass of 0 or NaN.
 DENSITY_FLOOR = 1e-12
 
 
@@ -134,28 +131,23 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
                      y0_lo, y0_hi, cfg, knots=member.knots())
 
 
-def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = PREDICT_CONFIG):
+def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Least-squares predictor of member n+k given member n = x, for a float
-    or elementwise over an array x: the conditional mean, computed as the
-    y-weighted joint mass over the conditional slice divided by the marginal
-    density at x. One batch of marginal densities and one batch of slice
-    integrals serve every x. The first x, in order, whose marginal density
-    is below DENSITY_FLOOR or whose slice is empty raises."""
+    or elementwise over an array x: the conditional mean, the y1-weighted
+    slice integral at x divided by the slice mass, which is the marginal
+    density at x. Both are one batch of slice integrals over the same cuts,
+    at cfg.abs_tol. The first x, in order, whose slice mass is below
+    DENSITY_FLOOR or not finite raises."""
     xs = np.ravel(np.asarray(x, dtype=np.float64))
-    marginal = pdf_numeric(model, law.n, xs, cfg)
-    cuts = line_cuts(*_y1_images(law, xs[:, None], model.seed0.cut_points(),
-                                 model.seed1.cut_points()))
-    thin = marginal < DENSITY_FLOOR
-    offending = np.flatnonzero(thin | ~(cuts[:, 0] < cuts[:, -1]))
-    if offending.size:
-        i = offending[0]
-        if thin[i]:
-            raise OutsideSupportError(
-                f"marginal density at x={float(xs[i])} is below the floor {DENSITY_FLOOR}; "
-                "the conditional mean is not identifiable there"
-            )
-        raise OutsideSupportError(f"empty conditional support at x={float(xs[i])}")
-    g = _slice_integrals(law, model, xs, cfg, weighted=True) / marginal
+    with np.errstate(invalid="ignore"):  # an infinite x cuts at inf: inf - inf widths
+        mass = _slice_integrals(law, model, xs, cfg)
+    refused = np.flatnonzero(~np.isfinite(mass) | (mass < DENSITY_FLOOR))
+    if refused.size:
+        raise OutsideSupportError(
+            f"marginal density at x={float(xs[refused[0]])} is below the floor {DENSITY_FLOOR}; "
+            "the conditional mean is not identifiable there"
+        )
+    g = _slice_integrals(law, model, xs, cfg, weighted=True) / mass
     return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 
@@ -180,7 +172,7 @@ def predict_exponential_4_to_7(x):
 
 def prediction_curve(law: JointLaw, model: FsrvModel, xs,
                      method: str = "quadrature",
-                     cfg: QuadratureConfig = PREDICT_CONFIG) -> np.ndarray:
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The predictor's values on a grid.
 
     method='quadrature' works for any seeds; method='closed_form' is only

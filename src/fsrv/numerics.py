@@ -83,10 +83,11 @@ class QuadratureConfig:
     (`scaled_convolution`), abs_tol bounds sigma times its error, sigma the
     standard deviation of c0*V0 + c1*V1: the error of the standardized
     form's density. The estimate sees an integrand only at the panels'
-    interior nodes, so it cannot see a jump that no cut marks. The CLI
-    computes at DEFAULT_CONFIG (1e-9), and `predict` at 1e-12; a library
-    caller passes its own config. The depth cap, the evaluation budget and
-    the seeds' tail cutoff are fixed constants, not settings."""
+    interior nodes, so it cannot see a jump that no cut marks. Every CLI
+    command computes at DEFAULT_CONFIG (1e-9), the default of every public
+    function that takes a config; a library caller passes its own. The
+    depth cap, the evaluation budget and the seeds' tail cutoff are fixed
+    constants, not settings."""
 
     abs_tol: float = 1e-9
 

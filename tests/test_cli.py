@@ -264,17 +264,22 @@ def test_out_file_writing_and_byte_stability(tmp_path, capsys):
 
 
 def test_grid_validation_names_flag(capsys):
-    for flag, argv in (
-            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"]),
-            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=0:inf:5"]),
-            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=-inf:0:5"]),
-            ("--grid", ["limit", "--seeds", "exp:1", "--grid=nan:1:5"]),
+    finite = "grid needs finite lo < hi"
+    for flag, argv, reason in (
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "5:1:10"], finite),
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=0:inf:5"], finite),
+            ("--grid", ["pdf", "--seeds", "exp:1", "--n", "3", "--grid=-inf:0:5"], finite),
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=nan:1:5"], finite),
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1"], "grid must be lo:hi:points"),
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:one:5"], "grid must be numeric"),
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1:1"], "at least 2 points, got 1"),
             ("--grid1", ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
-                         "--grid0", "0:1:5", "--grid1", "0:inf:5"])):
+                         "--grid0", "0:1:5", "--grid1", "0:inf:5"], finite)):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and reason in err
     simulate = ["simulate", "--seeds", "exp:1", "--paths", "10", "--horizon", "5",
                 "--rng-seed", "1"]
     for flag, bad in (("--workers", "0"), ("--paths", "0"), ("--horizon", "1"),
@@ -454,9 +459,9 @@ _EXIT_CASES = {
                                   "--horizon", "5", "--rng-seed", "1"],
                               _fail_in_a_draw_helper, "error: Unable to allocate the pairs "),
     # a large-n limit README documents: a predict slice over y1, inside the
-    # bulk of member 13, runs out of budget at its absolute 1e-12
-    "quad_tol": (3, ["predict", "--seeds", "normal01", "--n", "13", "--k", "2",
-                     "--grid=116:233:5"], None, "error: quadrature did not converge: "),
+    # bulk of member 20, runs out of budget at its absolute 1e-9
+    "quad_tol": (3, ["predict", "--seeds", "normal01", "--n", "20", "--k", "2",
+                     "--grid=3382:6765:5"], None, "error: quadrature did not converge: "),
     "density_certificate": (3, ["pdf", "--seeds", "exp:1", "--n", "4", "--grid", "0:1:2"],
                             _refuse_density,
                             "error: density table norm_defect 5.000e-04 exceeds 1e-06; "
@@ -538,7 +543,10 @@ def test_console_entry_point_runs():
 # digest of a numeric density or predictor (15 of them) was re-recorded when
 # densities moved to integrals over the seed coordinate V1, to a target on
 # sigma times the density: each value moved by at most 5.1e-16 of its
-# command's peak, except limit_table_shifted's, by 1.02e-15 at x = 0.
+# command's peak, except limit_table_shifted's, by 1.02e-15 at x = 0. The five
+# predictor digests were re-recorded when predict took its denominator from
+# the slice mass over the numerator's cuts, at the package tolerance 1e-9:
+# each value moved by at most 8.4e-15 of its command's peak.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
@@ -571,7 +579,7 @@ _ANALYTIC_DIGESTS = [
      "11508bd1d3bc495a710a4720432b5b8c395027f31ea8cdd3c8787cf6bd6fdd2f"),
     ("predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                      "--grid", "0.5:10:5", "--output", "json"],
-     "4cc30336873ae740b390541f1a29dc37789d170d5421fc572bf1abdfe1b9a00c"),
+     "c20d4233e1493d1e289d619f13f07b0422d9429ecec1538ffc79f1870dd879b7"),
     ("moments_normal", ["moments", "--seeds", "normal01", "--n", "30", "--output", "json"],
      "a9258a0c8fc5628b73e468472954262847fd0946485d78cd794848c8bd094817"),
     # recorded before the emit layer moved from cells to columns
@@ -583,10 +591,10 @@ _ANALYTIC_DIGESTS = [
      "fbcf7c6bdb59d3e3e1b34b9939da72c8a7ce8d909fbb267aaff90aba3eb054e7"),
     ("predict_exp_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                          "--grid", "0.5:10:5"],
-     "ade8581124cb4ba7e3df92f1dd553b3fe3f464ff6ca9eb7bb934517c8416b16b"),
+     "3a8819da99897619927be0daa962157d3d2df7b87e4a2831b71013d878ce6708"),
     ("predict_table_csv", ["predict", "--seeds", "TABLE", "--n", "4", "--k", "3",
                            "--grid", "0.5:5:5"],
-     "d2c375ffb412a113fd9f5244cec8728a5f49a3202a8055d5ddabb936d460ec75"),
+     "3e007442db721f0e6126989382995b58a74ca05fd42a8c3adf8bb67ec7bce192"),
     ("joint_unif_json", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
                          "--grid0", "0:5:4", "--grid1", "0:21:4", "--output", "json"],
      "8bea4ab148eedd105d32e731f940ce4d33c7be22f3dd0b587bb9a7713d5af061"),
@@ -639,10 +647,10 @@ _ANALYTIC_DIGESTS = [
      "f42ca70336840f2b798d89bba1807190465a3146843c63efff52e0e0eaf681ea"),
     ("quad_predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                           "--grid=0.1:20:50"],
-     "4d3032054dd18c4ee6764db663788e012ec1f69a389b24e81ccef1625a4ee853"),
+     "cd873ab84d8ee589e8a6dd4a006920c6b7488c84ab9fb3c16012f6b57195ed57"),
     ("quad_predict_normal", ["predict", "--seeds", "normal01", "--n", "5", "--k", "2",
                              "--grid=-10:10:20"],
-     "488bfaadbab700b758b6aee75fdcd87a85497ea28c4b7532867dc37e1a05695f"),
+     "68f55e04cdcbbb54bafd4de368e746f8bbc2356a5c3e77310b1c636ced6c957b"),
     # recorded before the closed-form predictor moved from one call per grid
     # point to the array: the emit_bound benchmark's grid, and one from 0,
     # where the removable singularity prints 0
@@ -673,10 +681,11 @@ def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
 # quad_smooth commands above, recorded with their digests: the engine's nodes
 # are its work, so a change that keeps the bytes but adds nodes shows here.
 # The normal01 density and predict counts were re-recorded when densities
-# moved to the seed coordinate V1.
+# moved to the seed coordinate V1, and the normal01 predict count (27,600
+# before) when predict took its denominator from the slice mass.
 _QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 68_760, "quad_limit_normal": 67_200,
                        "quad_sums_normal": 70_200, "quad_pdf_exp_numeric": 26_940,
-                       "quad_predict_exp": 6_000, "quad_predict_normal": 27_600}
+                       "quad_predict_exp": 6_000, "quad_predict_normal": 13_320}
 
 
 @pytest.mark.parametrize("name,points", _QUAD_SMOOTH_POINTS.items())

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,66 @@ def test_batched_predict_names_the_first_offending_point(law43, exp_model, norm_
         with pytest.raises(OutsideSupportError) as excinfo:
             prediction_curve(law43, model, xs)
         assert str(excinfo.value) == f"marginal density at x={bad} {floor}"
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", ["uniform", "table", "exponential", "normal"])
+def test_predict_refuses_a_non_finite_x(law43, family, x, unif_model, triangle_seed,
+                                        exp_model, norm_model):
+    # an infinite x cuts its slice at inf, a NaN x at NaN: the slice mass is
+    # 0 or NaN, refused by the floor with no RuntimeWarning on the way
+    model = {"uniform": unif_model, "table": FsrvModel(triangle_seed, triangle_seed),
+             "exponential": exp_model, "normal": norm_model}[family]
+    for xs in (x, np.array([1.0, x])):
+        with pytest.raises(OutsideSupportError, match=f"^marginal density at x={x} "):
+            predict(law43, model, xs)
+
+
+def _fib_coeffs(n: int, k: int) -> tuple[int, int, int, int]:
+    return fib(n - 1), fib(n), fib(n + k - 1), fib(n + k)
+
+
+@pytest.mark.parametrize("n", range(12, 19))
+def test_normal_predictor_reaches_large_n(n, norm_model):
+    # the slices over y1 ran out of budget from n = 12 at the former 1e-12
+    c0, c1, d0, d1 = _fib_coeffs(n, 2)
+    xs = np.linspace(-2.0, 2.0, 9) * math.hypot(c0, c1)
+    linear = xs * (c0 * d0 + c1 * d1) / (c0 * c0 + c1 * c1)
+    got = predict(joint_law(n, 2), norm_model, xs)
+    assert np.max(np.abs(got - linear)) <= 1e-8 * np.max(np.abs(linear))
+
+
+@pytest.mark.parametrize("n", range(14, 21))
+def test_exponential_predictor_reaches_large_n(n, exp_model):
+    # the slices over y1 ran out of budget from n = 14 at the former 1e-12
+    quad = pytest.importorskip("scipy.integrate").quad
+    c0, c1, d0, d1 = _fib_coeffs(n, 2)
+    xs = np.linspace(c1 / 2.0, c1, 5)
+    got = predict(joint_law(n, 2), exp_model, xs)
+    for x, value in zip(xs, got):
+        # member n = c0*V0 + c1*V1 = x; integrate over V1 = u in [0, x/c1],
+        # where exp(-V0 - u) is exp(-x/c0) * exp(u*(c1/c0 - 1))
+        weight = lambda u: math.exp(u * (c1 / c0 - 1.0))
+        moment = lambda u: (d0 * (x - c1 * u) / c0 + d1 * u) * weight(u)
+        mass = quad(weight, 0.0, x / c1, epsabs=0.0, epsrel=1e-13)[0]
+        first = quad(moment, 0.0, x / c1, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(value - first / mass) <= 1e-8 * (first / mass)
+
+
+@pytest.mark.parametrize("n", [20, 30, 34, 38])
+def test_uniform_predictor_keeps_its_digits_at_large_n(n, unif_model):
+    # with the marginal from another discretization than the slices, the
+    # ratio read 7.0e-9 relative off at n = 20 and 0.165 at n = 38
+    c0, c1, d0, d1 = _fib_coeffs(n, 2)
+    xs = np.linspace(c1 / 2.0, c1, 5)
+    got = predict(joint_law(n, 2), unif_model, xs)
+    for x, value in zip(xs, got):
+        # the joint density is flat on the slice, so V1 given member n = x is
+        # uniform between its ends, and the predictor is linear in its midpoint
+        x = Fraction(float(x))
+        u = (max(Fraction(0), (x - c0) / c1) + min(Fraction(1), x / c1)) / 2
+        exact = d0 * (x - c1 * u) / c0 + d1 * u
+        assert abs(value - float(exact)) <= 1e-14 * float(exact)
 
 
 def test_closed_predictor_limit_and_asymptote():

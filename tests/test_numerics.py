@@ -203,6 +203,8 @@ def test_density_curve_validation():
         DensityCurve(xs=np.array([1.0, 0.0]), ys=np.array([1.0, 1.0]), norm_defect=0.0)
     with pytest.raises(DomainError):
         DensityCurve(xs=np.array([0.0]), ys=np.array([1.0]), norm_defect=0.0)
+    with pytest.raises(DomainError, match="equal length"):
+        DensityCurve(xs=np.array([0.0, 1.0, 2.0]), ys=np.array([1.0, 1.0]), norm_defect=0.0)
     for xs in ([0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]):
         with pytest.raises(DomainError):
             DensityCurve(xs=np.array(xs), ys=np.ones(len(xs)), norm_defect=0.0)

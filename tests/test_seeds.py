@@ -188,6 +188,14 @@ def test_tabulated_from_csv_rejects_bad_input(tmp_path):
     few.write_text("0,1\n1,1\n")
     with pytest.raises(DomainError, match="16"):
         tabulated_from_csv(few)
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("\n".join(f"{x},1.0" for x in np.linspace(0, 1, 20)) + "\n0.5\n")
+    with pytest.raises(DomainError, match="row 21 has fewer than 2 columns"):
+        tabulated_from_csv(narrow)
+    backwards = tmp_path / "backwards.csv"
+    backwards.write_text("\n".join(f"{x},1.0" for x in np.linspace(1, 0, 20)) + "\n")
+    with pytest.raises(DomainError, match="strictly increasing"):
+        tabulated_from_csv(backwards)
     uneven = tmp_path / "uneven.csv"
     xs = list(np.linspace(0, 1, 20))
     xs[10] += 0.01

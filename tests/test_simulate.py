@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsrv import simulate
@@ -204,6 +204,10 @@ def test_ratio_stats_bounds_and_degenerate(exp_model):
     run = run_simulation(config)
     with pytest.raises(DomainError):
         ratio_stats(run, 10)  # needs n+1 <= horizon
+    for read in (run.values_at, run.sums_at):
+        for n in (-1, 11):
+            with pytest.raises(DomainError, match=rf"n must be in \[0, 10\], got {n}"):
+                read(n)
     degenerate = SimulationRun(config, np.zeros((4, 2)))
     with pytest.raises(DegenerateSampleError):
         ratio_stats(degenerate, 5)
@@ -389,6 +393,8 @@ def _whole_array_sums(v0, v1, m0, m1) -> np.ndarray:
        edges=st.lists(st.sampled_from(_EDGE_VALUES), max_size=6),
        means=st.one_of(st.none(), st.tuples(st.sampled_from(_EDGE_VALUES),
                                             st.floats(allow_nan=False))))
+# one NaN of each sign among the deviations: the leaf tree kept +nan, numpy -nan
+@example(size=571, leaf=128, seed=284, edges=[np.inf, np.inf, np.nan], means=(np.inf, 0.0))
 def test_leaf_sums_equal_whole_array_reductions(size, leaf, seed, edges, means):
     assert simulate._LEAF >= 128, "a leaf below numpy's pairwise block is not a node of its tree"
     rng = np.random.default_rng(seed)
@@ -402,7 +408,10 @@ def test_leaf_sums_equal_whole_array_reductions(size, leaf, seed, edges, means):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "_LEAF", leaf)
             sums = simulate._deviation_sums(v0, v1, m0, m1)
-    assert sums.tobytes() == expected.tobytes(), (
+    # which sign a NaN sum keeps depends on the order its NaNs meet, and
+    # summary() refuses any non-finite sum, so only NaN-ness is compared there
+    nan = np.isnan(sums) & np.isnan(expected)
+    assert sums[~nan].tobytes() == expected[~nan].tobytes(), (
         "the leaf sums no longer match np.add.reduce: numpy's pairwise summation may have changed")
 
 

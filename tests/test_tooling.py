@@ -183,17 +183,19 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
 # arrays, mc_reduce's and emit_bound's as recorded before the summary summed
 # leaves. A speed change must leave the calls the benchmark counts as they were.
 # The quadrature workloads' cli.bytes_out was re-recorded when densities moved
-# to the seed coordinate V1, which changed digits by rounding.
+# to the seed coordinate V1, which changed digits by rounding; quad_smooth's
+# convolution, seed pdf, joint_pdf and wrapped call counts and bytes_out when
+# predict took its denominator from the slice mass instead of pdf_numeric.
 _PASS_COUNTS = {
     "quad_smooth": {
         "numerics.integrand_evals": 17, "numerics.integrate_calls": 4,
-        "numerics.evals_per_value": 17 / 550, "numerics.convolution_calls": 23,
+        "numerics.evals_per_value": 17 / 550, "numerics.convolution_calls": 21,
         "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 17,
-        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 154,
-        "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 5,
-        "joint_predict.predict_calls": 2, "cli.bytes_out": 22674,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 152,
+        "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 9,
+        "joint_predict.predict_calls": 2, "cli.bytes_out": 22670,
         "simulate.recursion_steps": 0, "simulate.sample_path_calls": 0,
-        "trace.wrapped_calls": 241},
+        "trace.wrapped_calls": 239},
     "quad_kinked": {
         "numerics.integrand_evals": 4, "numerics.integrate_calls": 4,
         "numerics.evals_per_value": 4 / 260, "numerics.convolution_calls": 8,
