@@ -5,12 +5,13 @@ a batch of rows, each cut at its own sorted edges, calling the integrand on
 arrays of at most _CHUNK_ELEMENTS nodes: exactly, one two-point
 Gauss-Legendre panel per piece, or adaptively, with Gauss-Kronrod 7/15
 panels, bisecting those whose error estimate |K15 - G7| misses their share
-of an absolute error target. Neither mode evaluates the integrand at a cut,
-so it may jump at any cut; the engine's callers cut every row at its known
-jumps and kinks. Adaptive mode keeps its panels as columns, one array per
-field with one entry per panel: a block of panels still to bisect is the
-columns a, b and piece, and the accepted panels are the columns piece, a
-and K15, from which each piece's sum is taken at the end.
+of an absolute error target (twice at the first level, where a whole piece
+seldom passes). Neither mode evaluates the integrand at a cut, so it may
+jump at any cut; the engine's callers cut every row at its known jumps and
+kinks. Adaptive mode keeps its panels as columns, one array per field with
+one entry per panel: a block of panels still to bisect is the columns a, b
+and piece, and the accepted panels are the columns piece, a and K15, from
+which each piece's sum is taken at the end.
 `integrate` is its one-row front end, `line_cuts` the cuts of every line
 integral over a seed pair, `scaled_convolution` the density of
 c0*V0 + c1*V1 for independent seeds V0, V1, one row per x integrated over
@@ -135,11 +136,13 @@ def _integrate_rows(f, rows: int, width: int, edges,
     panels, with cfg.abs_tol shared equally over the row's pieces and halved
     at each bisection: a panel contributes its K15 and is accepted once
     |K15 - G7| meets its share, after one forced bisection, or once its
-    midpoint is no longer representable. A piece still short at depth
-    _MAX_DEPTH, or that would spend more than _MAX_EVALS integrand
-    evaluations, raises NonConvergenceError. The nodes and each piece's sum
-    are those of a depth-first recursion that adds its panels from left to
-    right, whatever rows share the batch.
+    midpoint is no longer representable. A panel that misses at depth 1 is
+    bisected twice, into four depth-3 quarters; a deeper one that misses is
+    bisected once. A piece still short at depth _MAX_DEPTH, or that would
+    spend more than _MAX_EVALS integrand evaluations, raises
+    NonConvergenceError. The nodes and each piece's sum are those of a
+    depth-first recursion that adds its panels from left to right, whatever
+    rows share the batch.
     """
     out = np.empty(rows)
     step = max(1, _CHUNK_ELEMENTS // (2 * width - 2))
@@ -178,7 +181,8 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     # a block holds panels of one depth that failed their tolerance share as
     # the columns a, b and piece, one panel per entry; each piece starts as
     # one such panel, never evaluated, as its first bisection is forced to
-    # guard against G7 and K15 agreeing by chance
+    # guard against G7 and K15 agreeing by chance. A step takes one block:
+    # it bisects its panels (twice at depth 1) and evaluates the results
     stack = [(0, lo, hi, np.arange(pieces))]
     accepted = [], [], []  # piece, a and K15 of accepted panels, a column each
     evals = np.zeros(pieces, dtype=np.int64)
@@ -186,20 +190,25 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
 
     while stack:
         depth, a, b, p = stack.pop()
-        evals += 2 * _XK.size * np.bincount(p, minlength=pieces)
+        # a panel that missed at depth 1 is bisected twice before its quarters
+        # are evaluated: a piece is a whole clipped support or the span
+        # between two cuts, and its depth-2 halves would mostly miss again
+        splits = 2 if depth == 1 else 1
+        evals += (_XK.size << splits) * np.bincount(p, minlength=pieces)
         if evals.max() > _MAX_EVALS:
             q = np.argmax(evals > _MAX_EVALS)
             raise NonConvergenceError(
                 f"quadrature on [{lo[q]}, {hi[q]}] ran out of its budget of {_MAX_EVALS} "
                 f"integrand evaluations before reaching abs_tol={share[q]}")
-        depth += 1  # of the halves
-        m = (a + b) / 2.0
-        # each left half next to its right half keeps the panels in piece
-        # order, and the leftmost block on top runs the first pieces first
-        a2, b2 = np.empty(2 * a.size), np.empty(2 * a.size)  # the halves' ends
-        a2[::2], a2[1::2], b2[::2], b2[1::2] = a, m, m, b
-        a, b = a2, b2
-        p = np.repeat(p, 2)
+        for _ in range(splits):
+            depth += 1  # of the halves
+            m = (a + b) / 2.0
+            # each left half next to its right half keeps the panels in piece
+            # order, and the leftmost block on top runs the first pieces first
+            a2, b2 = np.empty(2 * a.size), np.empty(2 * a.size)  # the halves' ends
+            a2[::2], a2[1::2], b2[::2], b2[1::2] = a, m, m, b
+            a, b = a2, b2
+        p = np.repeat(p, 1 << splits)
         tol = np.ldexp(share[p], -depth)  # the share, halved at each bisection
         c, h = (a + b) / 2.0, (b - a) / 2.0
         t = c[:, None] + h[:, None] * _XK
@@ -256,17 +265,23 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
                                  lambda i, j: edges[i:j], cfg)[0])
 
 
-def line_cuts(images0, images1) -> np.ndarray:
+def line_cuts(images0, images1, bounds=None) -> np.ndarray:
     """The sorted cuts of line integrals over a seed pair, one row per line:
     each row's images of seed 0's and seed 1's cut points (their last axes),
     clipped to the range both seeds allow, from the larger of the two image
     minima to the smaller of the maxima. An image of sorted cut points is
-    monotone, so its ends bound it. A row where the ranges do not overlap
-    has every cut clipped to that maximum: no width, no mass. Leading axes
+    monotone, so its ends bound it. Where bounds, the first and last cut of
+    the same lines over the seeds' whole supports (its last axis), has a
+    finite end, that end replaces the effective one, so a line the true
+    supports bound loses no tail. A row where the ranges do not overlap has
+    every cut clipped to that maximum: no width, no mass. Leading axes
     broadcast."""
     (a0, b0), (a1, b1) = ((v[..., :1], v[..., -1:]) for v in (images0, images1))
     lo = np.maximum(np.minimum(a0, b0), np.minimum(a1, b1))
     hi = np.minimum(np.maximum(a0, b0), np.maximum(a1, b1))
+    if bounds is not None:
+        lo, hi = (np.where(np.isfinite(end), end, cut)
+                  for end, cut in ((bounds[..., :1], lo), (bounds[..., -1:], hi)))
     m0 = images0.shape[-1]
     cuts = np.empty(lo.shape[:-1] + (m0 + images1.shape[-1],))
     cuts[..., :m0], cuts[..., m0:] = images0, images1

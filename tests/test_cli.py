@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsrv import cli, joint_predict, limits, simulate
+from fsrv import cli, joint_predict, limits, numerics, simulate
 from fsrv.cli import _csv_table, _dumps, main
 from fsrv.fib_core import PHI
 from fsrv.joint_predict import predict_exponential_4_to_7
@@ -546,32 +546,37 @@ def test_console_entry_point_runs():
 # command's peak, except limit_table_shifted's, by 1.02e-15 at x = 0. The five
 # predictor digests were re-recorded when predict took its denominator from
 # the slice mass over the numerator's cuts, at the package tolerance 1e-9:
-# each value moved by at most 8.4e-15 of its command's peak.
+# each value moved by at most 8.4e-15 of its command's peak. The 11 digests
+# whose adaptive integrals bisect past the first level were re-recorded when a
+# panel that misses at depth 1 went straight to its four depth-3 quarters:
+# each value moved by at most 1.5e-16 of its command's peak (quad_predict_normal
+# by 9.2e-16), and a norm_defect by at most 8.7e-14 (pdf_exp_numeric, 9.9e-13
+# to 1.08e-12).
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
      "7b5362786152d4e288c22a3141c6453076773fb72b2aa3bc3a309886674dde13"),
     ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                          "--method", "numeric", "--output", "json"],
-     "59fa67eb82825c79117d2ad858e56b705da49b0c794a1452fd6325bb7996a2b8"),
+     "460b47f9acc1a06303e2c01cde229feeeffe522f5d6037f4085264bc5f46a9a5"),
     ("pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7",
                             "--method", "numeric"],
-     "6fbbe2a8f7b051251c864dcbb5c67033d12b2a0986947457e1409650c2dbf2d7"),
+     "16c7487497674691861f68aa7d921d4ef4218b7b047c6880bebec867abf2baa2"),
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
      "061dddc4b42233d2e4443700ef4576d26d95237bcef2498875b4e239933da669"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
-     "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
+     "ad0cfa6b099729a9ada70b06fdb4f09d47b130d2a8651329e051261fe92813d4"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
      "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
-     "6b947d7ea28eb9c2c70e4b6173dd953b192cd10b8ffa151d99ab188969821a29"),
+     "711fb846c2e729178ed23ba5186a2253e85a89f77cacac556cf90d18334334f9"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
      "48e0c7a4582027013937cffe917464cbb8843de00a19138ea84ee7ad3d4c2187"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
      "4ff31c36454eec75c599aabeef32fb75fb77fcbdfc6171af30f4b4f876952faf"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
-     "80763e3871048ae9cb94573658c68846278bbe868d543cff09ee735ac17d5f82"),
+     "43b958225aedaf2beb3fe6793ba25b99d670e41698ff45c51301500d9804834a"),
     ("sums_table", ["sums", "--seeds", "TABLE", "--n", "3", "--grid", "0:16:7", "--output", "json"],
      "ade6bb671a3ef71ef0ad4cabd0ddc7029c4b0d0d8bdaa92a23b4c3589e926c0f"),
     ("joint_unif", ["joint", "--seeds", "unif01", "--n", "4", "--k", "3",
@@ -621,7 +626,7 @@ _ANALYTIC_DIGESTS = [
     # a seed with infinite tails, and a form whose support starts far from 0
     # ("SHIFTED_TABLE" is the triangle table moved to [5, 7])
     ("limit_exp_rate", ["limit", "--seeds", "exp:2.5", "--grid=-2:4:9"],
-     "3bdb33dc1d21bfeb71670c6f74417701a53862ee9c774a76836e8b40fbc8a58f"),
+     "ad0cfa6b099729a9ada70b06fdb4f09d47b130d2a8651329e051261fe92813d4"),
     ("sums_exp_rate", ["sums", "--seeds", "exp:2.5", "--n", "4", "--grid", "0:12:7"],
      "95713e771cc777a1b7399b8de5d479f064b9b0d4d54fd8b68e689f9e400d197a"),
     ("sums_unif", ["sums", "--seeds", "unif01", "--n", "3", "--grid", "0:7:8"],
@@ -637,20 +642,20 @@ _ANALYTIC_DIGESTS = [
     # nominal grids, among them the adaptive predictor on normal seeds
     ("quad_pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-15:15:60",
                                  "--method", "numeric"],
-     "44ed21c6e2b626637897414a6f1fea527c419d91fa5b54ef1c52762b272322dc"),
+     "d335b0d700b7e8ba3fe6d6fe07f33f8a6e00e3012ce3b989da3786f7d9d8e09e"),
     ("quad_limit_normal", ["limit", "--seeds", "normal01", "--grid=-4:4:60"],
-     "e8d2571637d1a0d4987cef3d47cbd35db1fd3e41fdd40a9e0c6903e0811a6f57"),
+     "0ffde86aecf8d099549e863c8fd0d4d182de7ba133972195ae3947fe938fe5f1"),
     ("quad_sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-30:30:60"],
-     "12d713c05b6591df613f56315ae3c103d5f2001ffbb1be8434fc2d4d7c0462d6"),
+     "c3b4c40953540249a9f478ac034a5f8915ea2acf265e0b8f0b3ce055d321d574"),
     ("quad_pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "10", "--grid=0:600:300",
                               "--method", "numeric"],
-     "f42ca70336840f2b798d89bba1807190465a3146843c63efff52e0e0eaf681ea"),
+     "a2ed7e6387ce603178c342cd2221cbb89d472841d905f9990e7446589bcdc625"),
     ("quad_predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                           "--grid=0.1:20:50"],
      "cd873ab84d8ee589e8a6dd4a006920c6b7488c84ab9fb3c16012f6b57195ed57"),
     ("quad_predict_normal", ["predict", "--seeds", "normal01", "--n", "5", "--k", "2",
                              "--grid=-10:10:20"],
-     "68f55e04cdcbbb54bafd4de368e746f8bbc2356a5c3e77310b1c636ced6c957b"),
+     "bd787d37659d8f82c015aa6fbf3947269062136044d4c14924222205d948e4c0"),
     # recorded before the closed-form predictor moved from one call per grid
     # point to the array: the emit_bound benchmark's grid, and one from 0,
     # where the removable singularity prints 0
@@ -681,11 +686,20 @@ def test_analytic_outputs_are_pinned(capsys, tmp_path, argv, stdout_sha):
 # quad_smooth commands above, recorded with their digests: the engine's nodes
 # are its work, so a change that keeps the bytes but adds nodes shows here.
 # The normal01 density and predict counts were re-recorded when densities
-# moved to the seed coordinate V1, and the normal01 predict count (27,600
-# before) when predict took its denominator from the slice mass.
-_QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 68_760, "quad_limit_normal": 67_200,
-                       "quad_sums_normal": 70_200, "quad_pdf_exp_numeric": 26_940,
-                       "quad_predict_exp": 6_000, "quad_predict_normal": 13_320}
+# moved to the seed coordinate V1, the normal01 predict count (27,600
+# before) when predict took its denominator from the slice mass, and the four
+# normal01 counts (68,760, 67,200, 70,200 and 13,320 before) when a panel
+# that misses at depth 1 went straight to its four depth-3 quarters.
+_QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 62_160, "quad_limit_normal": 60_600,
+                       "quad_sums_normal": 62_160, "quad_pdf_exp_numeric": 26_940,
+                       "quad_predict_exp": 6_000, "quad_predict_normal": 12_480}
+
+# Engine steps of the same commands, one per numerics._evaluate call: each is
+# a round of numpy calls, whatever its size. They were 24, 19, 24, 13, 2 and 7
+# while a panel that missed at depth 1 was halved instead of quartered.
+_QUAD_SMOOTH_STEPS = {"quad_pdf_normal_numeric": 15, "quad_limit_normal": 11,
+                      "quad_sums_normal": 15, "quad_pdf_exp_numeric": 11,
+                      "quad_predict_exp": 2, "quad_predict_normal": 5}
 
 
 @pytest.mark.parametrize("name,points", _QUAD_SMOOTH_POINTS.items())
@@ -699,6 +713,16 @@ def test_quad_smooth_commands_evaluate_pinned_seed_points(capsys, monkeypatch, n
         monkeypatch.setattr(cls, "pdf", counted)
     assert run_cli(capsys, *argv)[0] == 0
     assert sum(evaluated) == points
+
+
+@pytest.mark.parametrize("name,steps", _QUAD_SMOOTH_STEPS.items())
+def test_quad_smooth_commands_take_pinned_engine_steps(capsys, monkeypatch, name, steps):
+    argv = next(case[1] for case in _ANALYTIC_DIGESTS if case[0] == name)
+    calls = []
+    evaluate = numerics._evaluate
+    monkeypatch.setattr(numerics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == steps
 
 
 # --- the column formatter against the per-cell formatter it replaced --------

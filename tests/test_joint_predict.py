@@ -163,6 +163,15 @@ def test_predict_outside_effective_support(law43, exp_model):
         predict(law43, exp_model, 400.0)
 
 
+def test_predict_keeps_the_tail_past_the_effective_support(law43, exp_model):
+    # member 4 = 2*V0 + 3*V1: past x = 2*28.32 a slice reaches V0 beyond the
+    # effective support end 28.32, and slices cut there read 2.3e-6 to 4.3e-6
+    # relative off; the seeds' true supports bound these slices
+    xs = np.array([60.0, 70.0, 80.0])
+    closed = predict_exponential_4_to_7(xs)
+    assert np.all(np.abs(predict(law43, exp_model, xs) - closed) <= 1e-14 * closed)
+
+
 @pytest.mark.parametrize("family", ["exponential", "normal", "table"])
 def test_batched_predict_equals_pointwise_predict(family, exp_model, norm_model,
                                                   triangle_seed, law43):
