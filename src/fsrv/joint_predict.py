@@ -18,8 +18,7 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import FsrvModel, closed_form_tag, member_form
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate,
-                       line_cuts, share_config)
+from .numerics import DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate, line_cuts
 
 #: Conditioning values whose slice mass (the marginal density of member n
 #: there) is below this floor or not finite are treated as outside the
@@ -76,7 +75,7 @@ def joint_pdf(law: JointLaw, model: FsrvModel, y0, y1):
     return model.seed0.pdf(v0) * model.seed1.pdf(v1) / law.jacobian_abs
 
 
-def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: QuadratureConfig,
+def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, abs_tol: float,
                      weighted: bool = False) -> np.ndarray:
     """For each y0[i], the integral over y1 in the slice member n = y0[i] of
     the joint density at (y0[i], y1), times y1 when weighted; 0 for an empty
@@ -86,7 +85,7 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: Quadr
     each seed's cut_points() b, where the integrand may end or kink. When
     both seeds are piecewise linear it is a polynomial of degree at most 3
     between the cuts and exact mode integrates it; otherwise it is adaptive
-    to cfg.abs_tol, an absolute target on the slice integral."""
+    to abs_tol, an absolute target on the slice integral."""
     nodes0, nodes1 = model.seed0.cut_points(), model.seed1.cut_points()
     ends0, ends1 = np.array(model.seed0.support()), np.array(model.seed1.support())
 
@@ -101,7 +100,7 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, cfg: Quadr
 
     exact = model.seed0.piecewise_linear and model.seed1.piecewise_linear
     return _integrate_rows(integrand, y0.size, nodes0.size + nodes1.size, edges,
-                           None if exact else cfg)
+                           None if exact else abs_tol)
 
 
 def _y1_images(law: JointLaw, y0, v0, v1):
@@ -132,8 +131,7 @@ def joint_normalization_check(law: JointLaw, model: FsrvModel,
     slice mass equals, and both levels are exact."""
     member = member_form(model, law.n)
     y0_lo, y0_hi = member.support()
-    inner_cfg = share_config(cfg, cfg.abs_tol * 1e-2)
-    return integrate(lambda y0: _slice_integrals(law, model, y0, inner_cfg),
+    return integrate(lambda y0: _slice_integrals(law, model, y0, cfg.abs_tol * 1e-2),
                      y0_lo, y0_hi, cfg, knots=member.knots())
 
 
@@ -146,14 +144,14 @@ def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_
     DENSITY_FLOOR or not finite raises."""
     xs = np.ravel(np.asarray(x, dtype=np.float64))
     with np.errstate(invalid="ignore"):  # an infinite x cuts at inf: inf - inf widths
-        mass = _slice_integrals(law, model, xs, cfg)
+        mass = _slice_integrals(law, model, xs, cfg.abs_tol)
     refused = np.flatnonzero(~np.isfinite(mass) | (mass < DENSITY_FLOOR))
     if refused.size:
         raise OutsideSupportError(
             f"marginal density at x={float(xs[refused[0]])} is below the floor {DENSITY_FLOOR}; "
             "the conditional mean is not identifiable there"
         )
-    g = _slice_integrals(law, model, xs, cfg, weighted=True) / mass
+    g = _slice_integrals(law, model, xs, cfg.abs_tol, weighted=True) / mass
     return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 

@@ -16,9 +16,9 @@ which each piece's sum is taken at the end.
 integral over a seed pair, `scaled_convolution` the density of
 c0*V0 + c1*V1 for independent seeds V0, V1, one row per x integrated over
 V1, cut and made exact as the seeds say, and `DensityCurve` a density
-sampled on a grid next to its normalization certificate. A density's
-target is abs_tol on sigma times its value; `integrate` and the joint
-slices take abs_tol as an absolute target. Densities take arrays of points.
+sampled on a grid next to its normalization certificate. The engine takes
+its target as a float, None for exact mode: abs_tol, or for a density
+abs_tol scaled to bound sigma times its error. Densities take arrays of points.
 """
 
 import math
@@ -69,10 +69,9 @@ _GAUSS2 = np.array((-1.0, 1.0)) / math.sqrt(3.0)
 #: points are asked for.
 _CHUNK_ELEMENTS = 1 << 12
 
-#: Panels adaptive mode bisects per step, and pieces of positive width it
-#: takes at once: they bound the memory its pending and accepted panels hold.
+#: Panels adaptive mode bisects per step, the first step of a batch's pieces
+#: as every later one: it bounds the memory its pending panels hold.
 _BLOCK_PANELS = 1 << 9
-_ADAPTIVE_PIECES = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class QuadratureConfig:
     form's density. The estimate sees an integrand only at the panels'
     interior nodes, so it cannot see a jump that no cut marks. Every CLI
     command computes at DEFAULT_CONFIG (1e-9), the default of every public
-    function that takes a config; a library caller passes its own. The
+    function that takes a config; a library caller passes its own, which
+    reaches the engine as the float abs_tol or a target scaled from it. The
     depth cap, the evaluation budget and the seeds' tail cutoff are fixed
     constants, not settings."""
 
@@ -101,15 +101,6 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def share_config(cfg: QuadratureConfig, abs_tol: float) -> QuadratureConfig:
-    """Config for abs_tol, a share of cfg's error target. A share that
-    underflows to 0 cannot be met, so it fails as an exhausted budget does."""
-    if abs_tol == 0.0:
-        raise NonConvergenceError(f"abs_tol={cfg.abs_tol} is too fine to share out: "
-                                  "its share underflows to 0")
-    return QuadratureConfig(abs_tol)
-
-
 def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
     """f(t, row) for nodes t and rows that broadcast, split flat into calls of
     at most _CHUNK_ELEMENTS nodes when larger; never on no nodes."""
@@ -120,8 +111,7 @@ def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
                            for i in range(0, t.size, _CHUNK_ELEMENTS)])
 
 
-def _integrate_rows(f, rows: int, width: int, edges,
-                    cfg: QuadratureConfig | None = None) -> np.ndarray:
+def _integrate_rows(f, rows: int, width: int, edges, abs_tol: float | None = None) -> np.ndarray:
     """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
     e = edges(i, j) is the 2-D array of the width sorted edges of rows i to
     j - 1, asked for as many rows at a time as the batch takes; f(t, row)
@@ -130,16 +120,18 @@ def _integrate_rows(f, rows: int, width: int, edges,
     jump at any edge; inside each piece it must be a polynomial of degree at
     most 3 (exact mode) or continuous (adaptive mode). Only a piece a few
     ulps wide can round a node onto its edge, where the node's weight is as
-    small as the piece. Without cfg (exact mode), one two-point
-    Gauss-Legendre panel per piece, exact on cubics. With cfg (adaptive
-    mode), each piece of positive width is bisected into Gauss-Kronrod 7/15
-    panels, with cfg.abs_tol shared equally over the row's pieces and halved
-    at each bisection: a panel contributes its K15 and is accepted once
-    |K15 - G7| meets its share, after one forced bisection, or once its
-    midpoint is no longer representable. A panel that misses at depth 1 is
-    bisected twice, into four depth-3 quarters; a deeper one that misses is
-    bisected once. A piece still short at depth _MAX_DEPTH, or that would
-    spend more than _MAX_EVALS integrand evaluations, raises
+    small as the piece. Without abs_tol (exact mode), one two-point
+    Gauss-Legendre panel per piece, exact on cubics. With abs_tol (adaptive
+    mode), the batch's pieces of positive width go to the engine at once,
+    the zero-width ones clipped cuts leave costing nothing; each is
+    bisected into Gauss-Kronrod 7/15 panels, with abs_tol shared equally
+    over the row's pieces and halved at each bisection: a panel contributes
+    its K15 and is accepted once |K15 - G7| meets its share, after one
+    forced bisection, or once its midpoint is no longer representable. A
+    panel that misses at depth 1 is bisected twice, into four depth-3
+    quarters; a deeper one that misses is bisected once. A share that
+    underflows to 0, a piece still short at depth _MAX_DEPTH, or one that
+    would spend more than _MAX_EVALS integrand evaluations raises
     NonConvergenceError. The nodes and each piece's sum are those of a
     depth-first recursion that adds its panels from left to right, whatever
     rows share the batch.
@@ -148,8 +140,14 @@ def _integrate_rows(f, rows: int, width: int, edges,
     step = max(1, _CHUNK_ELEMENTS // (2 * width - 2))
     for i in range(0, rows, step):
         cuts = edges(i, i + step)
-        if cfg:
-            out[i:i + step] = _adaptive_rows(f, cuts, i, cfg)
+        if abs_tol is not None:
+            owner, col = np.nonzero(cuts[:, :-1] < cuts[:, 1:])  # the pieces of positive width
+            share = abs_tol / np.bincount(owner, minlength=len(cuts))[owner]
+            if not share.all():
+                raise NonConvergenceError(f"abs_tol={abs_tol} is too fine to share out: "
+                                          "its share underflows to 0")
+            totals = _adaptive_pieces(f, cuts[owner, col], cuts[owner, col + 1], share, i + owner)
+            out[i:i + step] = np.bincount(owner, weights=totals, minlength=len(cuts))
             continue
         c, h = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
         t = np.multiply.outer(h, _GAUSS2)
@@ -157,21 +155,6 @@ def _integrate_rows(f, rows: int, width: int, edges,
         g = _evaluate(f, t, np.arange(i, i + len(t))[:, None, None]).reshape(t.shape)
         out[i:i + step] = np.add.reduce(h * (g[..., 0] + g[..., 1]), axis=1)
     return out
-
-
-def _adaptive_rows(f, edges: np.ndarray, start: int, cfg: QuadratureConfig) -> np.ndarray:
-    """Adaptive mode of _integrate_rows for the rows start, start + 1, ...,
-    _ADAPTIVE_PIECES pieces of positive width at a time: the zero-width
-    pieces that clipped cuts leave cost nothing."""
-    rows = len(edges)
-    owner, col = np.nonzero(edges[:, :-1] < edges[:, 1:])  # the pieces of positive width
-    share = cfg.abs_tol / np.bincount(owner, minlength=rows)[owner]
-    if not share.all():
-        share_config(cfg, 0.0)  # raises: a share underflowed
-    pieces = (edges[owner, col], edges[owner, col + 1], share, start + owner)
-    totals = [_adaptive_pieces(f, *(v[k:k + _ADAPTIVE_PIECES] for v in pieces))
-              for k in range(0, owner.size, _ADAPTIVE_PIECES)]
-    return np.bincount(owner, weights=np.concatenate([np.empty(0), *totals]), minlength=rows)
 
 
 def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
@@ -183,12 +166,19 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     # one such panel, never evaluated, as its first bisection is forced to
     # guard against G7 and K15 agreeing by chance. A step takes one block:
     # it bisects its panels (twice at depth 1) and evaluates the results
-    stack = [(0, lo, hi, np.arange(pieces))]
-    accepted = [], [], []  # piece, a and K15 of accepted panels, a column each
+    depth, a, b, p, stack = 0, lo, hi, np.arange(pieces), []
+    # piece, a and K15 of accepted panels, a column each; empty for no pieces
+    accepted = [p[:0]], [a[:0]], [a[:0]]
     evals = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)
 
-    while stack:
+    while True:
+        # the panels to bisect go on the stack in blocks, the leftmost on top
+        for i in reversed(range(0, a.size, _BLOCK_PANELS)):
+            j = i + _BLOCK_PANELS
+            stack.append((depth, a[i:j], b[i:j], p[i:j]))
+        if not stack:
+            break
         depth, a, b, p = stack.pop()
         # a panel that missed at depth 1 is bisected twice before its quarters
         # are evaluated: a piece is a whole clipped support or the span
@@ -204,7 +194,7 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
             depth += 1  # of the halves
             m = (a + b) / 2.0
             # each left half next to its right half keeps the panels in piece
-            # order, and the leftmost block on top runs the first pieces first
+            # order, so the leftmost block holds the first pieces
             a2, b2 = np.empty(2 * a.size), np.empty(2 * a.size)  # the halves' ends
             a2[::2], a2[1::2], b2[::2], b2[1::2] = a, m, m, b
             a, b = a2, b2
@@ -224,9 +214,6 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
             column.append(v[done])
         failed = ~done
         a, b, p = a[failed], b[failed], p[failed]
-        for i in reversed(range(0, a.size, _BLOCK_PANELS)):
-            j = i + _BLOCK_PANELS
-            stack.append((depth, a[i:j], b[i:j], p[i:j]))
 
     p, a, kronrod = (np.concatenate(column) for column in accepted)
     order = np.lexsort((a, p))
@@ -249,20 +236,24 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
     _integrate_rows): f must be continuous on (lo, hi), since a jump
     between two nodes goes unseen. With knots, f must be a polynomial of
     degree at most 3 on each piece; one two-point Gauss-Legendre panel per
-    piece is then exact, and cfg is not consulted.
+    piece is then exact, and cfg is not consulted. Both bounds must be
+    finite.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
+    abs_tol = cfg.abs_tol
     if knots is None:
         edges = np.array([[lo, hi]], dtype=np.float64)
     else:
         knots = np.asarray(knots, dtype=np.float64)
         edges = np.sort(np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi])))
-        edges, cfg = edges[None, np.diff(edges, prepend=-np.inf) > 0], None
+        edges, abs_tol = edges[None, np.diff(edges, prepend=-np.inf) > 0], None
     return float(_integrate_rows(lambda t, row: f(t.ravel()), 1, edges.shape[1],
-                                 lambda i, j: edges[i:j], cfg)[0])
+                                 lambda i, j: edges[i:j], abs_tol)[0])
 
 
 def line_cuts(images0, images1, bounds=None) -> np.ndarray:
@@ -299,24 +290,28 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     for seed 0's cut_points() b and at seed 1's own. The adaptive target is
     cfg.abs_tol*c0/sigma, sigma = hypot(c0*sd0, c1*sd1) the form's standard
     deviation, so abs_tol bounds sigma times the density's error at every n
-    and seed scale. When both seeds are piecewise_linear, each piece's
-    integrand is quadratic and exact mode integrates it without cfg.
+    and seed scale; a target that overflows raises DomainError. When both
+    seeds are piecewise_linear, each piece's integrand is quadratic and
+    exact mode integrates it without cfg.
     """
-    if c0 <= 0 or c1 <= 0:
-        raise DomainError(f"scale coefficients must be positive, got {c0}, {c1}")
+    if not (0 < c0 < math.inf and 0 < c1 < math.inf):
+        raise DomainError(f"scale coefficients must be positive and finite, got {c0}, {c1}")
     nodes0, nodes1 = seed0.cut_points(), seed1.cut_points()
     if not (np.all(np.isfinite(nodes0)) and np.all(np.isfinite(nodes1))):
         raise DomainError("scaled_convolution needs finite (truncated) supports")
-    if seed0.piecewise_linear and seed1.piecewise_linear:
-        cfg = None
-    else:
+    abs_tol = None
+    if not (seed0.piecewise_linear and seed1.piecewise_linear):
         sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (seed0, seed1))
-        cfg = share_config(cfg, cfg.abs_tol * c0 / math.hypot(c0 * sd0, c1 * sd1))
+        abs_tol = cfg.abs_tol * c0 / math.hypot(c0 * sd0, c1 * sd1)
+        if abs_tol == math.inf:
+            raise DomainError(f"abs_tol={cfg.abs_tol} overflows as a density target "
+                              f"for c0={c0}, c1={c1}")
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
     cut0 = c0 * nodes0
     integrand = lambda u, row: seed0.pdf((xs[row] - c1 * u) / c0) * seed1.pdf(u)
     out = _integrate_rows(integrand, xs.size, nodes0.size + nodes1.size,
-                          lambda i, j: line_cuts((xs[i:j, None] - cut0) / c1, nodes1), cfg) / c0
+                          lambda i, j: line_cuts((xs[i:j, None] - cut0) / c1, nodes1),
+                          abs_tol) / c0
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

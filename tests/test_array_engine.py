@@ -146,7 +146,7 @@ def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
             return np.exp(-0.01 * t) * np.cos(t)
 
         results.append((_integrate_rows(f, rows, cuts.shape[1], lambda i, j: cuts[i:j],
-                                       DEFAULT_CONFIG), sizes))
+                                       DEFAULT_CONFIG.abs_tol), sizes))
     (plain_values, plain_sizes), (padded_values, padded_sizes) = results
     assert padded_sizes == plain_sizes
     np.testing.assert_array_equal(padded_values, plain_values)
@@ -154,8 +154,9 @@ def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
 
 def test_batch_constants_change_no_value(monkeypatch):
     # the engine's batch sizes bound its memory, not its results: with tiny
-    # ones every integrand call, bisection block and piece batch splits, yet
-    # each row keeps its nodes and its order of summation
+    # ones every integrand call and bisection block splits, the first block of
+    # a batch's pieces too, yet each row keeps its nodes and its order of
+    # summation
     table = Tabulated(0.0, 2.0, [1.0 - abs(1.0 - x) for x in np.linspace(0.0, 2.0, 17)])
     limit = limit_density_law(normal_model())
     cases = {
@@ -181,11 +182,14 @@ def test_batch_constants_change_no_value(monkeypatch):
         return values, len(calls), sum(calls)
 
     wide = run_all()
-    monkeypatch.setattr(numerics, "_CHUNK_ELEMENTS", 128)
     monkeypatch.setattr(numerics, "_BLOCK_PANELS", 4)
-    monkeypatch.setattr(numerics, "_ADAPTIVE_PIECES", 3)
+    blocks = run_all()
+    assert blocks[1] > wide[1]  # the small blocks alone split the integrand calls
+    assert blocks[2] == wide[2]  # but evaluate the same nodes
+    monkeypatch.setattr(numerics, "_CHUNK_ELEMENTS", 128)
     narrow = run_all()
     assert narrow[1] > wide[1]  # the small batches split the integrand calls
     assert narrow[2] == wide[2]  # but evaluate the same nodes
     for name in cases:
+        np.testing.assert_array_equal(blocks[0][name], wide[0][name], err_msg=name)
         np.testing.assert_array_equal(narrow[0][name], wide[0][name], err_msg=name)

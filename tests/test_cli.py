@@ -696,9 +696,11 @@ _QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 62_160, "quad_limit_normal": 6
 
 # Engine steps of the same commands, one per numerics._evaluate call: each is
 # a round of numpy calls, whatever its size. They were 24, 19, 24, 13, 2 and 7
-# while a panel that missed at depth 1 was halved instead of quartered.
+# while a panel that missed at depth 1 was halved instead of quartered, and the
+# exp count was 11 while adaptive pieces went in batches of 128 within a row
+# batch.
 _QUAD_SMOOTH_STEPS = {"quad_pdf_normal_numeric": 15, "quad_limit_normal": 11,
-                      "quad_sums_normal": 15, "quad_pdf_exp_numeric": 11,
+                      "quad_sums_normal": 15, "quad_pdf_exp_numeric": 9,
                       "quad_predict_exp": 2, "quad_predict_normal": 5}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fsrv.errors import DomainError, NonConvergenceError
+from fsrv.marginal import FsrvModel, LinearForm, exponential_model, member_form
 from fsrv.numerics import (
     _WG,
     _WK,
@@ -28,6 +29,16 @@ def test_integrate_degenerate_and_invalid_bounds():
     assert integrate(lambda x: np.full_like(x, 5.0), 2.0, 2.0) == 0.0
     with pytest.raises(DomainError):
         integrate(np.ones_like, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, math.nan), (math.nan, 1.0), (-math.inf, 0.0),
+                                   (0.0, math.inf)])
+def test_integrate_refuses_bounds_that_are_not_finite(lo, hi):
+    # a nan bound used to read 0.0 and an infinite one nan, with no error
+    calls = []
+    with pytest.raises(DomainError, match="must be finite"):
+        integrate(lambda x: calls.append(x) or np.ones_like(x), lo, hi)
+    assert not calls
 
 
 def test_integrate_linearity():
@@ -67,6 +78,25 @@ def test_a_tolerance_share_that_underflows_fails(triangle_seed):
     with pytest.raises(NonConvergenceError, match="underflows to 0"):
         scaled_convolution(triangle_seed, Exponential(1.0), 1.0, 2.0, 1.0,
                            QuadratureConfig(5e-324))
+
+
+def test_a_positive_target_whose_piece_share_underflows_fails(triangle_seed):
+    # the density target 5e-324*c0/sigma is the smallest subnormal, not 0,
+    # but its share over the row's pieces underflows to 0
+    sigma = math.hypot(5.0 * math.sqrt(triangle_seed.moments()[1]), 3.0)
+    assert 5e-324 * 5.0 / sigma > 0.0
+    with pytest.raises(NonConvergenceError, match="underflows to 0"):
+        scaled_convolution(triangle_seed, Exponential(1.0), 5.0, 3.0, 4.0,
+                           QuadratureConfig(5e-324))
+
+
+def test_a_density_target_that_overflows_is_refused():
+    # member 4 of exp:1e150 seeds has sd about 3e-150, so 1e300 scales to an
+    # infinite target, which every panel would meet at once
+    form = member_form(exponential_model(1e150), 4)
+    assert math.isfinite(form.pdf(3e-150))
+    with pytest.raises(DomainError, match="overflows"):
+        form.pdf(3e-150, QuadratureConfig(1e300))
 
 
 def _depth_first_qk15(f, lo, hi, tol):
@@ -179,6 +209,15 @@ def test_scaled_convolution_validation():
         scaled_convolution(u, u, 0.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         scaled_convolution(_UntruncatedExponential(1.0), u, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("c0,c1", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                   (1.0, math.inf)])
+def test_scaled_convolution_refuses_coefficients_that_are_not_finite(triangle_seed, c0, c1):
+    with pytest.raises(DomainError, match="scale coefficients must be positive and finite"):
+        scaled_convolution(triangle_seed, Exponential(1.0), c0, c1, 3.0)
+    with pytest.raises(DomainError, match="scale coefficients must be positive and finite"):
+        LinearForm(FsrvModel(triangle_seed, Exponential(1.0)), c0, c1).pdf(3.0)
 
 
 def test_scaled_convolution_swap_symmetry():
