@@ -126,8 +126,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"grid must be numeric lo:hi:points, got {text!r}")
     if points < 2:
         raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, got {text!r}")
+    if not (math.isfinite(hi - lo) and lo < hi):  # also not finite when lo or hi is not
+        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi and hi - lo, got {text!r}")
     return lo, hi, points
 
 

@@ -11,13 +11,14 @@ where a seed density ends or kinks, and exact on piecewise-linear seeds.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
-from .marginal import FsrvModel, closed_form_tag, member_form
+from .marginal import FsrvModel, exponential_model, member_form
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate, line_cuts
 
 #: Conditioning values whose slice mass (the marginal density of member n
@@ -57,13 +58,30 @@ def joint_law(n: int, k: int) -> JointLaw:
     return JointLaw(n=n, k=k, coeff_matrix=c, jacobian=jac)
 
 
+def _exact_linear_map(linear_map, c_max: int, scale_by: tuple, *args):
+    """linear_map(*args), for a map linear in args with coefficients up to
+    c_max, elementwise. Where a value of scale_by (arrays among args) is
+    large enough for a product to overflow, the map runs on args scaled by
+    the power of two 2**-e that brings the largest of them below 1, and
+    scales back by 2**e: exact, so every value keeps the plain map's bits
+    wherever that does not overflow, and one past the double range is an
+    infinity of its sign, never NaN."""
+    if max(np.max(np.abs(a)) for a in scale_by) <= sys.float_info.max / (2 * c_max):
+        return linear_map(*args)
+    e = np.maximum(np.frexp(np.max(np.abs(np.broadcast_arrays(*scale_by)), axis=0))[1], 0)
+    with np.errstate(over="ignore"):
+        return tuple(np.ldexp(v, e) for v in linear_map(*(np.ldexp(a, -e) for a in args)))
+
+
 def seed_coordinates(law: JointLaw, y0: float, y1: float) -> tuple[float, float]:
-    """Invert the linear map: recover (v0, v1) from member values (y0, y1)."""
+    """Invert the linear map: recover (v0, v1) from member values (y0, y1),
+    elementwise over arrays that broadcast, without overflow (see
+    _exact_linear_map; c_nk is the largest coefficient)."""
     c_nm1, c_n, c_nkm1, c_nk = law.coeff_matrix
     jac = float(law.jacobian)
-    v0 = (c_nk * y0 - c_n * y1) / jac
-    v1 = (c_nm1 * y1 - c_nkm1 * y0) / jac
-    return v0, v1
+    return _exact_linear_map(lambda y0, y1: ((c_nk * y0 - c_n * y1) / jac,
+                                             (c_nm1 * y1 - c_nkm1 * y0) / jac),
+                             c_nk, (y0, y1), y0, y1)
 
 
 def joint_pdf(law: JointLaw, model: FsrvModel, y0, y1):
@@ -105,10 +123,13 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, abs_tol: f
 
 def _y1_images(law: JointLaw, y0, v0, v1):
     """The y1 on the slice member n = y0 where v0 = (c_nk*y0 - c_n*y1)/jac and
-    where v1 = (c_nm1*y1 - c_nkm1*y0)/jac, elementwise over arrays."""
+    where v1 = (c_nm1*y1 - c_nkm1*y0)/jac, elementwise over arrays, without
+    an overflow of a product in y0 (see _exact_linear_map)."""
     c_nm1, c_n, c_nkm1, c_nk = law.coeff_matrix
     jac = float(law.jacobian)
-    return (c_nk * y0 - jac * v0) / c_n, (jac * v1 + c_nkm1 * y0) / c_nm1
+    return _exact_linear_map(lambda y0, v0, v1: ((c_nk * y0 - jac * v0) / c_n,
+                                                 (jac * v1 + c_nkm1 * y0) / c_nm1),
+                             c_nk, (y0,), y0, v0, v1)
 
 
 def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, float] | None:
@@ -185,8 +206,7 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
     """
     xs = np.asarray(xs, dtype=np.float64)
     if method == "closed_form":
-        if (law.n, law.k) != (4, 3) or closed_form_tag(model) != "exponential" \
-                or model.seed0.rate != 1.0:
+        if (law.n, law.k) != (4, 3) or model != exponential_model():
             raise DomainError(
                 "closed_form prediction is only available for (n, k) = (4, 3) "
                 "with iid unit-rate exponential seeds"

@@ -19,6 +19,7 @@ from .fib_core import PHI
 from .marginal import (DensityLaw, FsrvModel, closed_form_tag, exponential_model, limit_form,
                        linear_form_pdf_exponential, linear_form_pdf_uniform, sum_form)
 from .numerics import DEFAULT_CONFIG, QuadratureConfig
+from .seeds import Exponential, UniformUnit
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
 
@@ -79,8 +80,8 @@ def limit_density_law(model: FsrvModel) -> DensityLaw:
     """Density law of Y: closed for exponential and unit-uniform seeds, by
     convolution otherwise (normal seeds included, though Y is then N(0, 1))."""
     form = limit_form(model)
-    closed = {"exponential": pdf_limit_exponential_closed,
-              "uniform": pdf_limit_uniform_closed}.get(closed_form_tag(model))
+    closed = {Exponential: pdf_limit_exponential_closed,
+              UniformUnit: pdf_limit_uniform_closed}.get(closed_form_tag(model))
     return DensityLaw("limit_law", form, closed, lambda x: pdf_limit_numeric(model, x),
                       lambda: {"a_scale": form.scale, "b_shift": form.shift})
 
@@ -105,7 +106,7 @@ def sum_density_law(n: int, model: FsrvModel) -> DensityLaw:
     convolution for every other seed pair."""
     form = sum_form(model, n)
     closed = None
-    if closed_form_tag(model) == "exponential":
+    if closed_form_tag(model) is Exponential:
         closed = lambda x: pdf_sum_exponential_closed(n, x, model.seed0.rate)
 
     def fields():

@@ -46,16 +46,11 @@ def normal_model() -> FsrvModel:
     return FsrvModel(StandardNormal(), StandardNormal())
 
 
-def closed_form_tag(model: FsrvModel) -> str | None:
-    """Closed-form family of the model, if one applies."""
-    s0, s1 = model.seed0, model.seed1
-    if isinstance(s0, Exponential) and isinstance(s1, Exponential) and s0.rate == s1.rate:
-        return "exponential"
-    if isinstance(s0, UniformUnit) and isinstance(s1, UniformUnit):
-        return "uniform"
-    if isinstance(s0, StandardNormal) and isinstance(s1, StandardNormal):
-        return "normal"
-    return None
+def closed_form_tag(model: FsrvModel) -> type[SeedDistribution] | None:
+    """The seed class of an iid pair, which keys the closed forms, else None.
+    The frozen seed classes compare by value, so exponential seeds pair only
+    at one rate; a Tabulated seed compares by identity and keys no closed form."""
+    return type(model.seed0) if model.seed0 == model.seed1 else None
 
 
 @dataclass(frozen=True)
@@ -221,9 +216,9 @@ def pdf_normal_closed(n: int, x):
 def member_law(model: FsrvModel, n: int) -> DensityLaw:
     """Density law of member n: closed for exponential seeds of one rate,
     unit-uniform and standard-normal seeds, by convolution otherwise."""
-    closed = {"exponential": lambda x: pdf_exponential_closed(n, x, model.seed0.rate),
-              "uniform": lambda x: pdf_uniform_closed(n, x),
-              "normal": lambda x: pdf_normal_closed(n, x)}.get(closed_form_tag(model))
+    closed = {Exponential: lambda x: pdf_exponential_closed(n, x, model.seed0.rate),
+              UniformUnit: lambda x: pdf_uniform_closed(n, x),
+              StandardNormal: lambda x: pdf_normal_closed(n, x)}.get(closed_form_tag(model))
     return DensityLaw(f"member_{n}", member_form(model, n), closed,
                       lambda x: pdf_numeric(model, n, x), lambda: {"n": n})
 

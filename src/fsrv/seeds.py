@@ -54,8 +54,8 @@ class SeedDistribution:
 
     def effective_support(self) -> tuple[float, float]:
         """Finite window outside of which less than TAIL_MASS of the mass
-        lies; equal to support() when that is already finite."""
-        raise NotImplementedError
+        lies: support() itself, which a seed with an infinite end overrides."""
+        return self.support()
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where the density is not smooth; quadrature over
@@ -133,9 +133,6 @@ class UniformUnit(SeedDistribution):
         return 0.5, 1.0 / 12.0
 
     def support(self) -> tuple[float, float]:
-        return 0.0, 1.0
-
-    def effective_support(self) -> tuple[float, float]:
         return 0.0, 1.0
 
     def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
@@ -224,9 +221,6 @@ class Tabulated(SeedDistribution):
         return self.lo + mean, second - mean * mean
 
     def support(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
-    def effective_support(self) -> tuple[float, float]:
         return self.lo, self.hi
 
     def breakpoints(self) -> tuple[float, ...]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, KsUnreliableWarning
 from .fib_core import PHI, fib
-from .marginal import FsrvModel, member_form, sum_form
+from .marginal import FsrvModel, LinearForm, member_form, sum_form
 
 #: Raw Philox words reserved per path: two per seed draw.
 _BLOCK = 4
@@ -178,19 +178,11 @@ class SimulationRun:
 
     def y_normalized(self, n: int) -> np.ndarray:
         """Standardized member n, as a new array, using its analytic moments."""
-        form = member_form(self.config.model, n).standardized()
-        y = self.values_at(n)
-        y -= form.shift
-        y /= form.scale
-        return y
+        return _standardize(self.values_at(n), member_form(self.config.model, n))
 
     def sums_normalized(self, n: int) -> np.ndarray:
         """Standardized partial sum through member n, as a new array."""
-        form = sum_form(self.config.model, n).standardized()
-        total = self.sums_at(n)
-        total -= form.shift
-        total /= form.scale
-        return total
+        return _standardize(self.sums_at(n), sum_form(self.config.model, n))
 
     def summary(self) -> dict:
         """Per-index empirical mean and variance from the seed pairs' moments:
@@ -227,6 +219,14 @@ class SimulationRun:
         """Canonical JSON rendering of summary(), computed afresh like it;
         byte-identical for identical configs regardless of thread count."""
         return json.dumps(self.summary(), separators=(",", ":"))
+
+
+def _standardize(values: np.ndarray, form: LinearForm) -> np.ndarray:
+    """values, draws of form, standardized in place by its analytic moments."""
+    form = form.standardized()
+    values -= form.shift
+    values /= form.scale
+    return values
 
 
 def _deviation_sums(v0: np.ndarray, v1: np.ndarray, m0, m1) -> np.ndarray:
@@ -344,8 +344,9 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     the cursor without copying; kept paths are copied out only when some path
     is excluded. Kept paths are counted by sign, the negative side only when
     some denominator falls short of the floor, with no |denom| temporary. The
-    near-phi count compares z, or its extremes when these settle it, with the
-    band's edges _PHI_LO and _PHI_HI; a NaN extreme settles nothing.
+    near-phi count compares z with the band's edges _PHI_LO and _PHI_HI,
+    unless both extremes lie inside the band (a NaN extreme never does),
+    when it is every kept path.
 
     Where member n has a positive density at 0, as on seeds of both signs,
     the ratio has no mean (on normal01 seeds it follows a Cauchy law), so
@@ -370,8 +371,6 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     mean, lo, hi = float(np.mean(z)), float(np.min(z)), float(np.max(z))
     if _PHI_LO <= lo and hi <= _PHI_HI:
         n_near = n_used
-    elif hi < _PHI_LO or lo > _PHI_HI:
-        n_near = 0
     else:
         n_near = int(np.count_nonzero(z >= _PHI_LO)) - int(np.count_nonzero(z > _PHI_HI))
     return RatioStats(n=n, mean=mean, min=lo, max=hi, frac_near_phi=n_near / n_used,

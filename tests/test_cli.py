@@ -378,6 +378,38 @@ def test_numeric_densities_match_their_closed_forms_at_large_n(capsys, monkeypat
         assert error <= 1e-12, (n, error)
 
 
+def test_grid_whose_span_overflows_exits_2_naming_its_flag(capsys):
+    # both ends are finite, but hi - lo is not, and linspace warned and
+    # returned NaN before the command refused its grid
+    joint = ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3"]
+    for flag, argv in (("--grid", ["limit", "--seeds", "exp:1", "--grid=-1e308:1e308:3"]),
+                       ("--grid0", joint + ["--grid0=-1e308:1e308:3", "--grid1=0:1:3"]),
+                       ("--grid1", joint + ["--grid0=0:1:3", "--grid1=-1e308:1e308:3"])):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"argument {flag}: grid needs finite lo < hi and hi - lo" in err
+
+
+def test_joint_and_predict_where_member_products_overflow(capsys):
+    # c_nk*y0 and c_n*y1 overflow from 5e307 on; joint printed nan at
+    # (5e307, 1e308) and (1e308, 1e308), where the exact v1 < 0 makes the
+    # density 0, and both commands warned on stderr
+    code, out, err = run_cli(capsys, "joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                             "--grid0=0:1e308:3", "--grid1=0:1e308:3")
+    assert (code, err) == (0, "")
+    ends = ("0", "5.0000000000000001e+307", "1e+308")
+    assert out.splitlines()[:10] == ["y0,y1,density"] + [
+        f"{y0},{y1},{0.5 if y0 == y1 == '0' else 0}" for y0 in ends for y1 in ends]
+    code, out, err = run_cli(capsys, "predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                             "--grid=1:1e308:3")
+    assert (code, out) == (2, "")
+    assert err == ("error: marginal density at x=5e+307 is below the floor 1e-12; "
+                   "the conditional mean is not identifiable there\n")
+
+
 @pytest.mark.parametrize("output", ["csv", "json"])
 def test_simulate_overflow_exits_2_naming_its_flags(capsys, output):
     # members of exp:1e-150 paths overflow from member 21 on; the summary

@@ -20,16 +20,18 @@ from fsrv.marginal import (
     ratio_diagnostics,
     sum_form,
 )
+from fsrv.joint_predict import joint_law, predict_exponential_4_to_7, prediction_curve
 from fsrv.limits import (
     limit_density_law,
     pdf_limit_exponential_closed,
     pdf_limit_numeric,
+    pdf_limit_uniform_closed,
     pdf_sum,
     pdf_sum_exponential_closed,
     sum_density_law,
 )
 from fsrv.numerics import QuadratureConfig, integrate
-from fsrv.seeds import Exponential
+from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 
 def grid_sup_distance(model, n, closed, xs, cfg=QuadratureConfig()):
@@ -302,3 +304,56 @@ def test_uniform_global_max_is_inverse_an():
     xs = np.linspace(-1.0, float(a_prev + a_n) + 1.0, 4001)
     observed = max(pdf_uniform_closed(n, float(x)) for x in xs)
     assert observed == 1.0 / a_n
+
+
+def _isinstance_family(s0, s1):
+    """The family rule the closed forms were keyed by before seed equality:
+    an isinstance test on both seeds, and for exponential seeds one rate."""
+    if isinstance(s0, Exponential) and isinstance(s1, Exponential) and s0.rate == s1.rate:
+        return "exponential"
+    if isinstance(s0, UniformUnit) and isinstance(s1, UniformUnit):
+        return "uniform"
+    if isinstance(s0, StandardNormal) and isinstance(s1, StandardNormal):
+        return "normal"
+    return None
+
+
+_TABLE_NODES = np.linspace(0.0, 1.0, 17) * np.linspace(1.0, 0.0, 17)
+_ROUTE_SEEDS = [Exponential(1.0), Exponential(1), Exponential(2.0), Exponential(1e150),
+                UniformUnit(), StandardNormal(), Tabulated(0.0, 2.0, _TABLE_NODES),
+                Tabulated(0.0, 2.0, _TABLE_NODES)]
+
+
+@pytest.mark.parametrize("s0", _ROUTE_SEEDS, ids=lambda s: s.spec_string())
+@pytest.mark.parametrize("s1", _ROUTE_SEEDS, ids=lambda s: s.spec_string())
+def test_closed_routes_follow_seed_equality_as_the_isinstance_rule_did(s0, s1):
+    # seed equality picks the same closed form as the isinstance rule on
+    # every pair: rates compare by value, tables by identity
+    model, n = FsrvModel(s0, s1), 6
+    family = _isinstance_family(s0, s1)
+    rate = getattr(s0, "rate", None)
+    expected = {
+        member_law: {"exponential": lambda x: pdf_exponential_closed(n, x, rate),
+                     "uniform": lambda x: pdf_uniform_closed(n, x),
+                     "normal": lambda x: pdf_normal_closed(n, x)},
+        limit_density_law: {"exponential": pdf_limit_exponential_closed,
+                            "uniform": pdf_limit_uniform_closed},
+        sum_density_law: {"exponential": lambda x: pdf_sum_exponential_closed(n, x, rate)},
+    }
+    for build, closed_by_family in expected.items():
+        law = build(model, n) if build is member_law else \
+            build(n, model) if build is sum_density_law else build(model)
+        reference = closed_by_family.get(family)
+        assert (law.closed is None) == (reference is None), (build.__name__, family)
+        if reference is not None:
+            xs = np.linspace(*law.form.support(), 9)
+            np.testing.assert_array_equal(law.closed(xs), reference(xs))
+    # the closed predictor takes unit-rate exponential seeds only
+    law43, xs = joint_law(4, 3), np.linspace(0.5, 20.0, 5)
+    if family == "exponential" and rate == 1.0:
+        np.testing.assert_array_equal(prediction_curve(law43, model, xs, method="closed_form"),
+                                      predict_exponential_4_to_7(xs))
+    else:
+        with pytest.raises(DomainError, match="closed_form prediction"):
+            prediction_curve(law43, model, xs, method="closed_form")
+

@@ -9,6 +9,7 @@ from fsrv.marginal import FsrvModel, member_form
 from fsrv.numerics import integrate
 from fsrv.seeds import (
     Exponential,
+    SeedDistribution,
     StandardNormal,
     Tabulated,
     UniformUnit,
@@ -221,6 +222,15 @@ def test_cut_points_are_the_effective_support_ends_and_the_kinks(triangle_seed):
     e = Exponential(1.5)
     np.testing.assert_array_equal(e.cut_points(), e.effective_support())
     assert UniformUnit().cut_points().tolist() == [0.0, 1.0]
+
+
+def test_a_bounded_seed_inherits_its_support_as_its_window():
+    class Box(SeedDistribution):
+        def support(self):
+            return -1.0, 2.0
+
+    assert Box().effective_support() == (-1.0, 2.0)
+    assert Box().cut_points().tolist() == [-1.0, 2.0]
 
 
 def test_parse_seed_spec():
