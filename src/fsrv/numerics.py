@@ -170,7 +170,6 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     # piece, a and K15 of accepted panels, a column each; empty for no pieces
     accepted = [p[:0]], [a[:0]], [a[:0]]
     evals = np.zeros(pieces, dtype=np.int64)
-    capped = np.zeros(pieces, dtype=bool)
 
     while True:
         # the panels to bisect go on the stack in blocks, the leftmost on top
@@ -207,9 +206,10 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
         kronrod = h * np.add.reduce(g * _WK, axis=1)
         gauss = h * np.add.reduce(g[:, 1::2] * _WG, axis=1)
         done = (np.abs(kronrod - gauss) <= tol) | ~((a < c) & (c < b))
-        if depth >= _MAX_DEPTH:
-            capped[p[~done]] = True
-            done[:] = True
+        if depth >= _MAX_DEPTH and not done.all():
+            q = p[np.argmin(done)]
+            raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
+                                      f"before reaching abs_tol={share[q]}")
         for column, v in zip(accepted, (p, a, kronrod)):
             column.append(v[done])
         failed = ~done
@@ -218,12 +218,7 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     p, a, kronrod = (np.concatenate(column) for column in accepted)
     order = np.lexsort((a, p))
     # bincount adds its weights in order, as a depth-first running total would
-    totals = np.bincount(p[order], weights=kronrod[order], minlength=pieces)
-    if capped.any():
-        q = np.argmax(capped)
-        raise NonConvergenceError(f"quadrature on [{lo[q]}, {hi[q]}] hit depth {_MAX_DEPTH} "
-                                  f"before reaching abs_tol={share[q]}")
-    return totals
+    return np.bincount(p[order], weights=kronrod[order], minlength=pieces)
 
 
 def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG,

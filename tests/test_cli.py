@@ -86,6 +86,21 @@ def test_numeric_uniform_pdf_meets_the_default_tolerance(capsys):
     assert np.max(error) <= DEFAULT_CONFIG.abs_tol
 
 
+@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 12: numeric densities end "
+                   "each convolution line at exp:1's effective support, 28.32, so member 4 "
+                   "prints tails 3.4e-5 to 0.92 relative low at x = 60 to 100 with exit 0")
+def test_numeric_exponential_pdf_tail_matches_the_closed_form(capsys):
+    # sigma times each error is under 1e-9, so the documented bound holds;
+    # the relative error grows with x as the cut-off part of each line grows
+    code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4", "--grid=60:100:5",
+                           "--method", "numeric", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    xs, density = np.array(doc["x"])[[0, 3, 4]], np.array(doc["density"])[[0, 3, 4]]
+    assert xs.tolist() == [60.0, 90.0, 100.0]
+    np.testing.assert_allclose(density, pdf_exponential_closed(4, xs), rtol=1e-12, atol=0)
+
+
 def test_pdf_numeric_method_for_table_seed(capsys, tmp_path):
     table = tmp_path / "tri.csv"
     xs = np.linspace(0.0, 2.0, 17)
@@ -215,13 +230,13 @@ def test_simulate_paths_csv(capsys, tmp_path):
         "345905ab5e8bdca248a6ed3c51bbb34b5f103a315b91008f3bfd22cabd86b44b"
 
 
-def test_paths_out_over_two_blocks_is_pinned(capsys, tmp_path):
+def test_paths_out_grid_table_is_pinned(capsys, tmp_path):
     paths_file = tmp_path / "paths.csv"
     code, _, _ = run_cli(capsys, "simulate", "--seeds", "normal01", "--paths", "900",
                          "--horizon", "40", "--rng-seed", "11", "--paths-out", str(paths_file))
     assert code == 0
     data = paths_file.read_bytes()
-    assert data.count(b"\n") == 1 + 900 * 41 > 1 + 2 * cli._BLOCK_ROWS
+    assert data.count(b"\n") == 1 + 900 * 41
     # recorded before the CSV writer moved from one format call per row to
     # one per block of rows
     assert hashlib.sha256(data).hexdigest() == \
@@ -833,8 +848,8 @@ def test_dumps_matches_cells_on_2d_arrays_and_documents(rows, cols, data):
     assert _dumps(doc) == _cell_dumps(doc)
 
 
-@pytest.mark.parametrize("rows", [cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
-                                  2 * cli._BLOCK_ROWS + 1])
+# the edges of the 2,048-row blocks the column writer used to format in
+@pytest.mark.parametrize("rows", [2047, 2048, 2049, 4097])
 def test_column_formatter_matches_cells_across_blocks(rows):
     ints = (np.arange(rows, dtype=np.int64) - rows // 2) * (2**62 // rows)
     flags = np.arange(rows) % 3 == 0

@@ -1,9 +1,12 @@
 """The benchmark's layer tracer must find every function it wraps: a program
 change that renames or deletes one silently empties a `--trace 1` metric.
 The benchmark's oracles must accept the program's output, so a change that
-alters what the output means fails here and not only in the benchmark."""
+alters what the output means fails here and not only in the benchmark. Each
+committed BENCH_*.json baseline must record the metrics BENCHMARK.json lists."""
 
+import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 import fsrv.cli
 from fsrv.simulate import _CHUNK_PATHS
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _perfbench_modules():
@@ -293,3 +297,23 @@ def test_workload_passes_its_oracles(tmp_path, name):
         out = run.run_op(op)
         assert out.rc == 0, (op.key, out.error)
         assert run.oracle_failure(op, out) is None, op.key
+
+
+def test_bench_files_record_the_benchmark_metrics():
+    # a BENCH_*.json at the root records one measured commit: per workload,
+    # the end-to-end metrics of `perfbench/run.py --workload all` and the
+    # per-layer ones of the same command with --trace 1
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {metric["name"] for metric in benchmark["end_to_end"]}
+    per_layer = {metric["name"] for metric in benchmark["per_layer"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert re.fullmatch("[0-9a-f]{40}", doc["commit"]), path.name
+        assert isinstance(doc["seed"], int), path.name
+        assert all(re.fullmatch(r"\d+\.\d+\.\d+", doc[key]) for key in ("python", "numpy"))
+        for workload in benchmark["workloads"]:
+            metrics = doc["workloads"][workload["name"]]
+            assert metrics["end_to_end"].keys() == end_to_end, (path.name, workload["name"])
+            assert metrics["per_layer"].keys() <= per_layer, (path.name, workload["name"])
