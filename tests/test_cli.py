@@ -237,8 +237,7 @@ def test_paths_out_grid_table_is_pinned(capsys, tmp_path):
     assert code == 0
     data = paths_file.read_bytes()
     assert data.count(b"\n") == 1 + 900 * 41
-    # recorded before the CSV writer moved from one format call per row to
-    # one per block of rows
+    # the bytes of a 36,900-row grid table, pinned across writer changes
     assert hashlib.sha256(data).hexdigest() == \
         "24eafef4f577a46d3a878905a8ed5f58f29cc50c93585591a04363d59a5756ac"
 
@@ -848,9 +847,9 @@ def test_dumps_matches_cells_on_2d_arrays_and_documents(rows, cols, data):
     assert _dumps(doc) == _cell_dumps(doc)
 
 
-# the edges of the 2,048-row blocks the column writer used to format in
+# row counts about 2,048 and twice it, kept as regression inputs
 @pytest.mark.parametrize("rows", [2047, 2048, 2049, 4097])
-def test_column_formatter_matches_cells_across_blocks(rows):
+def test_column_formatter_matches_cells_on_long_tables(rows):
     ints = (np.arange(rows, dtype=np.int64) - rows // 2) * (2**62 // rows)
     flags = np.arange(rows) % 3 == 0
     values = np.array([_EDGE_DOUBLES[i % len(_EDGE_DOUBLES)] for i in range(rows)])

@@ -311,8 +311,9 @@ def test_bench_files_record_the_benchmark_metrics():
     for path in paths:
         doc = json.loads(path.read_text())
         assert re.fullmatch("[0-9a-f]{40}", doc["commit"]), path.name
-        assert isinstance(doc["seed"], int), path.name
-        assert all(re.fullmatch(r"\d+\.\d+\.\d+", doc[key]) for key in ("python", "numpy"))
+        assert doc["seed"] == 1, path.name  # the baseline command's --seed
+        assert all(re.fullmatch(r"\d+\.\d+\.\d+", doc[key])
+                   for key in ("python", "numpy")), path.name
         for workload in benchmark["workloads"]:
             metrics = doc["workloads"][workload["name"]]
             assert metrics["end_to_end"].keys() == end_to_end, (path.name, workload["name"])
