@@ -19,7 +19,8 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import FsrvModel, exponential_model, member_form
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate, line_cuts
+from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate, line_cuts,
+                       line_points)
 
 #: Conditioning values whose slice mass (the marginal density of member n
 #: there) is below this floor or not finite are treated as outside the
@@ -97,27 +98,19 @@ def _slice_integrals(law: JointLaw, model: FsrvModel, y0: np.ndarray, abs_tol: f
                      weighted: bool = False) -> np.ndarray:
     """For each y0[i], the integral over y1 in the slice member n = y0[i] of
     the joint density at (y0[i], y1), times y1 when weighted; 0 for an empty
-    slice. The slice ends where the seeds' true supports end, and where a
-    support is unbounded, where their effective ones do. One engine row per
-    y0, cut (line_cuts) at the y1-images of the lines v0 = b and v1 = b over
-    each seed's cut_points() b, where the integrand may end or kink. When
-    both seeds are piecewise linear it is a polynomial of degree at most 3
-    between the cuts and exact mode integrates it; otherwise it is adaptive
-    to abs_tol, an absolute target on the slice integral."""
-    nodes0, nodes1 = model.seed0.cut_points(), model.seed1.cut_points()
-    ends0, ends1 = np.array(model.seed0.support()), np.array(model.seed1.support())
+    slice. One engine row per y0, cut (line_cuts) at the y1-images of the
+    lines v0 = b and v1 = b over the seeds' line_points b: exact when both
+    seeds are piecewise linear, as the integrand is then a cubic between the
+    cuts, else adaptive to abs_tol, an absolute target on the integral."""
+    nodes0, nodes1 = line_points(model.seed0, model.seed1)
 
     def integrand(y1, row):
         value = joint_pdf(law, model, y0[row], y1)
         return y1 * value if weighted else value
 
-    def edges(i, j):
-        y = y0[i:j, None]
-        bounds = line_cuts(*_y1_images(law, y, ends0, ends1))
-        return line_cuts(*_y1_images(law, y, nodes0, nodes1), bounds)
-
     exact = model.seed0.piecewise_linear and model.seed1.piecewise_linear
-    return _integrate_rows(integrand, y0.size, nodes0.size + nodes1.size, edges,
+    return _integrate_rows(integrand, y0.size, nodes0.size + nodes1.size,
+                           lambda i, j: line_cuts(*_y1_images(law, y0[i:j, None], nodes0, nodes1)),
                            None if exact else abs_tol)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError
-from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, scaled_convolution
+from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, line_points, scaled_convolution
 from .seeds import Exponential, SeedDistribution, StandardNormal, UniformUnit
 
 
@@ -89,15 +89,15 @@ class LinearForm:
 
     def knots(self) -> np.ndarray | None:
         """Sorted knots of Z's density, the images of c0*b0 + c1*b1 over the
-        seeds' cut points b0, b1, when both seeds are piecewise linear: the
+        seeds' line_points b0, b1, when both seeds are piecewise linear: the
         density is a cubic between them (the B-spline convolution rule).
         None for other seeds. Knots that coincide up to rounding, as integer
         coefficients on a uniform grid make them, are kept once."""
         s0, s1 = self.model.seed0, self.model.seed1
         if not (s0.piecewise_linear and s1.piecewise_linear):
             return None
-        knots = np.sort((float(self.c0) * s0.cut_points()[:, None]
-                         + float(self.c1) * s1.cut_points()[None, :]).ravel())
+        points0, points1 = line_points(s0, s1)
+        knots = np.sort((float(self.c0) * points0[:, None] + float(self.c1) * points1).ravel())
         keep = np.diff(knots, prepend=-np.inf) > 1e-12 * (knots[-1] - knots[0])
         return (knots[keep] - self.shift) / self.scale
 

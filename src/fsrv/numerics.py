@@ -12,13 +12,14 @@ kinks. Adaptive mode keeps its panels as columns, one array per field with
 one entry per panel: a block of panels still to bisect is the columns a, b
 and piece, and the accepted panels are the columns piece, a and K15, from
 which each piece's sum is taken at the end.
-`integrate` is its one-row front end, `line_cuts` the cuts of every line
-integral over a seed pair, `scaled_convolution` the density of
-c0*V0 + c1*V1 for independent seeds V0, V1, one row per x integrated over
-V1, cut and made exact as the seeds say, and `DensityCurve` a density
-sampled on a grid next to its normalization certificate. The engine takes
-its target as a float, None for exact mode: abs_tol, or for a density
-abs_tol scaled to bound sigma times its error. Densities take arrays of points.
+`integrate` is its one-row front end, `line_points` and `line_cuts` where
+every line integral over a seed pair ends and is cut, `scaled_convolution`
+the density of c0*V0 + c1*V1 for independent seeds V0, V1, one row per x
+integrated over V1, cut and made exact as the seeds say, and `DensityCurve`
+a density sampled on a grid next to its normalization certificate. The
+engine takes its target as a float, None for exact mode: abs_tol, or for a
+density abs_tol scaled to bound sigma times its error. Densities take
+arrays of points.
 """
 
 import math
@@ -251,23 +252,35 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
                                  lambda i, j: edges[i:j], abs_tol)[0])
 
 
-def line_cuts(images0, images1, bounds=None) -> np.ndarray:
+def line_points(seed0: SeedDistribution, seed1: SeedDistribution):
+    """Each seed's points where a line integral over the pair ends or may
+    kink, its support's ends with its breakpoints() between them: the one
+    rule for where the lines c0*V0 + c1*V1 = x (c0, c1 > 0) end. V1 rises as
+    V0 falls along them, so V0's upper and V1's lower end bound one side,
+    and V0's lower and V1's upper end the other. A side whose true ends are
+    both infinite takes both effective ends instead; one still unbounded
+    raises DomainError. line_cuts clips an infinite end that stays to the
+    finite one across the line."""
+    (lo0, hi0), (lo1, hi1) = seed0.support(), seed1.support()
+    if math.isinf(hi0) and math.isinf(lo1):
+        hi0, lo1 = seed0.effective_support()[1], seed1.effective_support()[0]
+    if math.isinf(lo0) and math.isinf(hi1):
+        lo0, hi1 = seed0.effective_support()[0], seed1.effective_support()[1]
+    if math.isinf(hi0) and math.isinf(lo1) or math.isinf(lo0) and math.isinf(hi1):
+        raise DomainError("a line integral over these seeds needs a finite end on each side")
+    return np.array((lo0, *seed0.breakpoints(), hi0)), np.array((lo1, *seed1.breakpoints(), hi1))
+
+
+def line_cuts(images0, images1) -> np.ndarray:
     """The sorted cuts of line integrals over a seed pair, one row per line:
-    each row's images of seed 0's and seed 1's cut points (their last axes),
-    clipped to the range both seeds allow, from the larger of the two image
-    minima to the smaller of the maxima. An image of sorted cut points is
-    monotone, so its ends bound it. Where bounds, the first and last cut of
-    the same lines over the seeds' whole supports (its last axis), has a
-    finite end, that end replaces the effective one, so a line the true
-    supports bound loses no tail. A row where the ranges do not overlap has
-    every cut clipped to that maximum: no width, no mass. Leading axes
-    broadcast."""
+    each row's images of seed 0's and seed 1's line_points (their last
+    axes), clipped to the range both seeds allow: from the larger of the two
+    image minima to the smaller of the maxima, the ends of the monotone
+    images. A row where the ranges do not overlap has every cut clipped to
+    that maximum: no width, no mass. Leading axes broadcast."""
     (a0, b0), (a1, b1) = ((v[..., :1], v[..., -1:]) for v in (images0, images1))
     lo = np.maximum(np.minimum(a0, b0), np.minimum(a1, b1))
     hi = np.minimum(np.maximum(a0, b0), np.maximum(a1, b1))
-    if bounds is not None:
-        lo, hi = (np.where(np.isfinite(end), end, cut)
-                  for end, cut in ((bounds[..., :1], lo), (bounds[..., -1:], hi)))
     m0 = images0.shape[-1]
     cuts = np.empty(lo.shape[:-1] + (m0 + images1.shape[-1],))
     cuts[..., :m0], cuts[..., m0:] = images0, images1
@@ -282,7 +295,7 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     seeds V0 ~ seed0 and V1 ~ seed1 with densities f0, f1: (1/c0) * integral
     of f0((x - c1*u)/c0) * f1(u) du over u = V1, one engine row per x, cut
     (line_cuts) where the integrand may end or kink: at u = (x - c0*b)/c1
-    for seed 0's cut_points() b and at seed 1's own. The adaptive target is
+    for seed 0's line_points b and at seed 1's own. The adaptive target is
     cfg.abs_tol*c0/sigma, sigma = hypot(c0*sd0, c1*sd1) the form's standard
     deviation, so abs_tol bounds sigma times the density's error at every n
     and seed scale; a target that overflows raises DomainError. When both
@@ -291,9 +304,7 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     """
     if not (0 < c0 < math.inf and 0 < c1 < math.inf):
         raise DomainError(f"scale coefficients must be positive and finite, got {c0}, {c1}")
-    nodes0, nodes1 = seed0.cut_points(), seed1.cut_points()
-    if not (np.all(np.isfinite(nodes0)) and np.all(np.isfinite(nodes1))):
-        raise DomainError("scaled_convolution needs finite (truncated) supports")
+    nodes0, nodes1 = line_points(seed0, seed1)
     abs_tol = None
     if not (seed0.piecewise_linear and seed1.piecewise_linear):
         sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (seed0, seed1))
@@ -302,11 +313,11 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
             raise DomainError(f"abs_tol={cfg.abs_tol} overflows as a density target "
                               f"for c0={c0}, c1={c1}")
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
-    cut0 = c0 * nodes0
     integrand = lambda u, row: seed0.pdf((xs[row] - c1 * u) / c0) * seed1.pdf(u)
-    out = _integrate_rows(integrand, xs.size, nodes0.size + nodes1.size,
-                          lambda i, j: line_cuts((xs[i:j, None] - cut0) / c1, nodes1),
-                          abs_tol) / c0
+    with np.errstate(invalid="ignore"):  # x = inf less an infinite end: nan cuts, no width
+        out = _integrate_rows(integrand, xs.size, nodes0.size + nodes1.size,
+                              lambda i, j: line_cuts((xs[i:j, None] - c0 * nodes0) / c1, nodes1),
+                              abs_tol) / c0
     out = out.reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

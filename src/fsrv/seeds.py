@@ -20,7 +20,8 @@ _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
 
 #: Probability mass an effective support may leave out of an infinite
-#: support; the truncation error of every quadrature over seed densities.
+#: support, where a line integral that no true end bounds on one side
+#: stops (numerics.line_points).
 TAIL_MASS = 1e-12
 
 
@@ -35,9 +36,9 @@ def _uniforms_from_words(words: np.ndarray, out: np.ndarray, factor: float = 1.0
 class SeedDistribution:
     """Common surface of all seed laws. Instances are immutable and shareable."""
 
-    #: True when the density is linear between its cut_points(); quadrature
-    #: over products of such densities is then exact with one two-point
-    #: Gauss-Legendre panel per piece.
+    #: True when the density is linear between its breakpoints() on its
+    #: support; quadrature over products of such densities is then exact
+    #: with one two-point Gauss-Legendre panel per piece.
     piecewise_linear = False
 
     def pdf(self, x):
@@ -62,12 +63,6 @@ class SeedDistribution:
         any expression in this density should split there. Support endpoints
         are not listed (integration ranges already stop at them)."""
         return ()
-
-    def cut_points(self) -> np.ndarray:
-        """The effective support's ends with breakpoints() between them:
-        every quadrature over this density cuts there."""
-        lo, hi = self.effective_support()
-        return np.array((lo, *self.breakpoints(), hi))
 
     def _variates_from_words(self, words: np.ndarray, out: np.ndarray) -> None:
         """Write n variates into out from an (n, 2) block of raw Philox words,

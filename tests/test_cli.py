@@ -86,19 +86,22 @@ def test_numeric_uniform_pdf_meets_the_default_tolerance(capsys):
     assert np.max(error) <= DEFAULT_CONFIG.abs_tol
 
 
-@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 12: numeric densities end "
-                   "each convolution line at exp:1's effective support, 28.32, so member 4 "
-                   "prints tails 3.4e-5 to 0.92 relative low at x = 60 to 100 with exit 0")
-def test_numeric_exponential_pdf_tail_matches_the_closed_form(capsys):
-    # sigma times each error is under 1e-9, so the documented bound holds;
-    # the relative error grows with x as the cut-off part of each line grows
-    code, out, _ = run_cli(capsys, "pdf", "--seeds", "exp:1", "--n", "4", "--grid=60:100:5",
+@pytest.mark.parametrize("seeds,n,grid,xs", [
+    ("exp:1", 4, "60:100:5", [60.0, 70.0, 80.0, 90.0, 100.0]),
+    ("exp:1", 10, "1000:2000:6", [1000.0, 1200.0, 1400.0, 1600.0, 1800.0, 2000.0]),
+    ("exp:1e150", 4, "6e-149:9e-149:2", [6e-149, 9e-149]),
+])
+def test_numeric_exponential_pdf_tail_matches_the_closed_form(capsys, seeds, n, grid, xs):
+    # far in the tail most of each line lies past the seeds' effective end
+    # 28.32/rate, so only a line that runs to the true end V0 = 0 keeps it
+    code, out, _ = run_cli(capsys, "pdf", "--seeds", seeds, "--n", str(n), f"--grid={grid}",
                            "--method", "numeric", "--output", "json")
     assert code == 0
     doc = json.loads(out)
-    xs, density = np.array(doc["x"])[[0, 3, 4]], np.array(doc["density"])[[0, 3, 4]]
-    assert xs.tolist() == [60.0, 90.0, 100.0]
-    np.testing.assert_allclose(density, pdf_exponential_closed(4, xs), rtol=1e-12, atol=0)
+    assert doc["x"] == xs
+    rate = parse_seed_spec(seeds).rate
+    np.testing.assert_allclose(doc["density"], pdf_exponential_closed(n, np.array(xs), rate),
+                               rtol=1e-12, atol=0)
 
 
 def test_pdf_numeric_method_for_table_seed(capsys, tmp_path):
@@ -597,14 +600,17 @@ def test_console_entry_point_runs():
 # panel that misses at depth 1 went straight to its four depth-3 quarters:
 # each value moved by at most 1.5e-16 of its command's peak (quad_predict_normal
 # by 9.2e-16), and a norm_defect by at most 8.7e-14 (pdf_exp_numeric, 9.9e-13
-# to 1.08e-12).
+# to 1.08e-12). pdf_exp_numeric and quad_pdf_exp_numeric were re-recorded when
+# every line over a seed pair ended by one rule (numerics.line_points), which
+# runs the exp:1 lines to their true ends: only their norm_defect moved, from
+# 1.08e-12 and 9.9e-13 to 0, and every density value held.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
      "7b5362786152d4e288c22a3141c6453076773fb72b2aa3bc3a309886674dde13"),
     ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                          "--method", "numeric", "--output", "json"],
-     "460b47f9acc1a06303e2c01cde229feeeffe522f5d6037f4085264bc5f46a9a5"),
+     "650e110c5fecc5343e091c0388d9554f14cccdd6860bb86348a955d3537247ac"),
     ("pdf_normal_numeric", ["pdf", "--seeds", "normal01", "--n", "4", "--grid=-6:6:7",
                             "--method", "numeric"],
      "16c7487497674691861f68aa7d921d4ef4218b7b047c6880bebec867abf2baa2"),
@@ -695,7 +701,7 @@ _ANALYTIC_DIGESTS = [
      "c3b4c40953540249a9f478ac034a5f8915ea2acf265e0b8f0b3ce055d321d574"),
     ("quad_pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "10", "--grid=0:600:300",
                               "--method", "numeric"],
-     "a2ed7e6387ce603178c342cd2221cbb89d472841d905f9990e7446589bcdc625"),
+     "38acebc19468896ab905fd472888f83adbce84378dc8ba046c6a2e80a7c06c8b"),
     ("quad_predict_exp", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                           "--grid=0.1:20:50"],
      "cd873ab84d8ee589e8a6dd4a006920c6b7488c84ab9fb3c16012f6b57195ed57"),

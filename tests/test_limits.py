@@ -65,6 +65,13 @@ def test_exponential_limit_closed_vs_numeric_grid(exp_model):
     assert sup <= 1e-8
 
 
+def test_numeric_exponential_limit_tail_matches_the_closed_form(exp_model):
+    # most of the mass at x = 25 lies past the seeds' effective end 28.32
+    xs = np.array([15.0, 20.0, 25.0])
+    np.testing.assert_allclose(pdf_limit_numeric(exp_model, xs), pdf_limit_exponential_closed(xs),
+                               rtol=1e-12, atol=0)
+
+
 def test_exponential_limit_pdf_is_rate_free():
     # standardization cancels a common seed rate
     from fsrv.seeds import Exponential

@@ -260,6 +260,33 @@ def test_normal_closed_matches_convolution(norm_model, n):
     assert grid_sup_distance(norm_model, n, lambda x: pdf_normal_closed(n, x), xs) <= 1e-6
 
 
+@pytest.mark.parametrize("normal_first", [True, False])
+def test_mixed_pair_member_meets_the_density_bound(normal_first):
+    # member 6 is 5*V0 + 8*V1, the density of c_z*Z + c_e*E, which scipy
+    # integrates over E in [0, inf), cut 40 normal sds from the line's peak.
+    # At x = 200 the line's mass lies near or past E's effective end 28.32:
+    # the relative error there is 5.2e-3 with the normal first and 1.0 with
+    # the exponential first, but sigma times it stays below 1.1e-13
+    quad = pytest.importorskip("scipy.integrate").quad
+    z, e = StandardNormal(), Exponential(1.0)
+    model = FsrvModel(z, e) if normal_first else FsrvModel(e, z)
+    c_z, c_e = (5.0, 8.0) if normal_first else (8.0, 5.0)
+
+    def oracle(x):
+        lo, hi = max(0.0, (x - 40.0 * c_z) / c_e), max(0.0, (x + 40.0 * c_z) / c_e)
+        peak = x / c_e - (c_z / c_e) ** 2
+        integrand = lambda u: math.exp(-u - 0.5 * ((x - c_e * u) / c_z) ** 2)
+        return quad(integrand, lo, hi, points=[peak] if lo < peak < hi else None, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0] / (c_z * math.sqrt(2.0 * math.pi))
+
+    form = member_form(model, 6)
+    mean, variance = form.moments()
+    sigma = math.sqrt(variance)
+    xs = np.append(mean + sigma * np.linspace(-6.0, 6.0, 49), 200.0)
+    error = np.abs(form.pdf(xs) - [oracle(float(x)) for x in xs])
+    assert sigma * np.max(error) <= 1e-9
+
+
 @pytest.mark.parametrize("n", range(2, 21))
 def test_closed_forms_normalized(n):
     cfg = QuadratureConfig(abs_tol=1e-10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fsrv.errors import DomainError, NonConvergenceError
+from fsrv.joint_predict import joint_law, predict
 from fsrv.marginal import FsrvModel, LinearForm, exponential_model, member_form
 from fsrv.numerics import (
     _WG,
@@ -14,7 +15,7 @@ from fsrv.numerics import (
     integrate,
     scaled_convolution,
 )
-from fsrv.seeds import Exponential, UniformUnit
+from fsrv.seeds import Exponential, StandardNormal, UniformUnit
 
 
 def test_integrate_known_values():
@@ -194,6 +195,9 @@ def test_scaled_convolution_outside_support():
     u = UniformUnit()
     assert scaled_convolution(u, u, 3.0, 5.0, -2.0) == 0.0
     assert scaled_convolution(u, u, 3.0, 5.0, 9.5) == 0.0
+    # an infinite x meets exp's infinite end: no width, no warning
+    e = Exponential(1.0)
+    assert scaled_convolution(e, e, 1.0, 2.0, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
 
 
 class _UntruncatedExponential(Exponential):
@@ -203,12 +207,26 @@ class _UntruncatedExponential(Exponential):
         return self.support()
 
 
+class _UntruncatedNormal(StandardNormal):
+    """A normal seed whose effective support keeps both infinite tails."""
+
+    def effective_support(self):
+        return self.support()
+
+
 def test_scaled_convolution_validation():
     u = UniformUnit()
     with pytest.raises(DomainError):
         scaled_convolution(u, u, 0.0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        scaled_convolution(_UntruncatedExponential(1.0), u, 1.0, 1.0, 0.5)
+    # V0 = 0 and V1 = 0 or 1 end every line, so the infinite tail is no bar
+    assert scaled_convolution(_UntruncatedExponential(1.0), u, 1.0, 1.0, 0.5) == pytest.approx(
+        -math.expm1(-0.5), rel=1e-12)
+    # no end, true or effective, bounds either side of a line
+    z = _UntruncatedNormal()
+    with pytest.raises(DomainError, match="finite end on each side"):
+        scaled_convolution(z, z, 1.0, 1.0, 0.5)
+    with pytest.raises(DomainError, match="finite end on each side"):
+        predict(joint_law(4, 3), FsrvModel(z, z), 1.0)
 
 
 @pytest.mark.parametrize("c0,c1", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),

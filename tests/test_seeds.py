@@ -6,7 +6,7 @@ import pytest
 from fsrv.errors import DomainError
 from fsrv.fib_core import fib
 from fsrv.marginal import FsrvModel, member_form
-from fsrv.numerics import integrate
+from fsrv.numerics import integrate, line_points
 from fsrv.seeds import (
     Exponential,
     SeedDistribution,
@@ -217,20 +217,32 @@ def test_tabulated_from_csv_rejects_bad_input(tmp_path):
         tabulated_from_csv(garbage)
 
 
-def test_cut_points_are_the_effective_support_ends_and_the_kinks(triangle_seed):
-    np.testing.assert_array_equal(triangle_seed.cut_points(), triangle_seed.grid)
-    e = Exponential(1.5)
-    np.testing.assert_array_equal(e.cut_points(), e.effective_support())
-    assert UniformUnit().cut_points().tolist() == [0.0, 1.0]
+class _Box(SeedDistribution):
+    def support(self):
+        return -1.0, 2.0
 
 
 def test_a_bounded_seed_inherits_its_support_as_its_window():
-    class Box(SeedDistribution):
-        def support(self):
-            return -1.0, 2.0
+    assert _Box().effective_support() == (-1.0, 2.0)
 
-    assert Box().effective_support() == (-1.0, 2.0)
-    assert Box().cut_points().tolist() == [-1.0, 2.0]
+
+def test_line_points_are_the_support_ends_and_the_kinks(triangle_seed):
+    np.testing.assert_array_equal(line_points(triangle_seed, triangle_seed)[0], triangle_seed.grid)
+    e, z = Exponential(1.0), StandardNormal()
+    e_hi, (z_lo, z_hi) = e.effective_support()[1], z.effective_support()
+    cases = [
+        # V0 = 0 ends one side of every line, V1 = 0 the other
+        ((e, e), ([0.0, math.inf], [0.0, math.inf])),
+        # no true end is finite, so both sides take the effective ends
+        ((z, z), ([z_lo, z_hi], [z_lo, z_hi])),
+        # the exponential's 0 ends one side; the other side has two infinite
+        # true ends, the normal's lower one and the exponential's upper one
+        ((z, e), ([z_lo, math.inf], [0.0, e_hi])),
+        ((e, z), ([0.0, e_hi], [z_lo, math.inf])),
+        ((_Box(), UniformUnit()), ([-1.0, 2.0], [0.0, 1.0])),
+    ]
+    for pair, expected in cases:
+        assert tuple(points.tolist() for points in line_points(*pair)) == expected, pair
 
 
 def test_parse_seed_spec():
