@@ -902,3 +902,164 @@ def test_grid_form_matches_a_per_row_reference(p0, p1, int0, int1, drawn, seed):
         "%s,%s,%.17g\n" % (_cell_fmt(a), _cell_fmt(b), v)
         for a, row in zip(first, values.tolist()) for b, v in zip(second, row)) + "# end\n"
     assert _csv_table(["a", "b", "v"], (first, second, values), ["# end"]) == expected
+
+
+# --- the double kernel against `%` -------------------------------------------
+
+_CUT, _BLOCK = cli._KERNEL_CELLS, cli._BLOCK_CELLS
+
+
+def _kernel_lines(values) -> list[str]:
+    return "".join(cli._format_doubles(np.asarray(values, dtype=np.float64),
+                                       ord("\n"))).split("\n")[:-1]
+
+
+def _percent_lines(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64),
+       st.sampled_from([_CUT - 1, _CUT, _CUT + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+       st.integers(0, 2**32 - 1))
+def test_double_kernel_matches_percent_on_raw_bit_patterns(patterns, size, seed):
+    # drawn 64-bit patterns as doubles, among uniformly random ones and a
+    # third of the cells where %.17g writes no exponent, in arrays about the
+    # cut-over and the block edge: every cell is the text of `%`, in and out
+    # of the kernel
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64 - 1, size, dtype=np.uint64, endpoint=True).view(np.float64)
+    thirds = len(values[::3])
+    values[::3] = rng.choice([-1.0, 1.0], thirds) * 10.0 ** rng.uniform(-5, 17, thirds)
+    values[rng.choice(size, len(patterns), replace=False)] = (
+        np.array(patterns, dtype=np.uint64).view(np.float64))
+    expected = _percent_lines(values)
+    assert _kernel_lines(values) == expected
+    assert _dumps(values) == "[" + ",".join(expected) + "]"
+
+
+def _kernel_sweep() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers]
+    for direction in (math.inf, -math.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    rng = np.random.default_rng(34)
+    ties = [float(f"{d}5e{k}") for d, k in zip(rng.integers(10**16, 10**17, 2000).tolist(),
+                                                rng.integers(-300, 290, 2000).tolist())]
+    # exact ties: n / 2**m whose 18 significant digits end in 5
+    exact = [n / 2**m for m in range(1, 26)
+             for n in rng.integers(-(-10**17 // 5**m), 10**18 // 5**m, 40).tolist()
+             if n % 2 and n < 2**53]
+    ends = [np.nextafter(end, toward) for end in (1e-280, 1e280)
+            for toward in (0.0, end, math.inf)]
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072009e-308 / 3, 2.2250738585072009e-308,
+                math.inf, -math.inf, math.nan]
+    values = np.concatenate(near + [ties, exact, ends, 2.0 ** np.arange(-1074, 1024),
+                                     specials])
+    return np.concatenate([values, -values])
+
+
+def test_double_kernel_matches_percent_on_pinned_sweeps():
+    # powers of ten at +-3 ulps, 18-digit near and exact ties, the ends of
+    # the kernel's fast range, powers of two, zeros, subnormals and
+    # non-finite values, each also negated
+    values = _kernel_sweep()
+    expected = _percent_lines(values)
+    assert _kernel_lines(values) == expected
+    assert _dumps(values) == "[" + ",".join(expected) + "]"
+
+
+def _nonzero_table(nonzero: int, seed: int):
+    """Columns (int64, bool, float64, float32) with exactly `nonzero`
+    non-zero cells in all: surplus cells are zeroed at random, but not the
+    integer column's ends +-2**53."""
+    rows = nonzero // 2
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-2**53, 2**53, rows, endpoint=True)
+    ints[-3:] = (-2**53, 2**53, 0)
+    flags = rng.random(rows) < 0.75
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    values[::9] = rng.choice(_EDGE_DOUBLES, len(values[::9]))
+    narrow = rng.standard_normal(rows).astype(np.float32)
+    narrow[::5] = 0
+    columns = [ints, flags, values, narrow]
+    cells = [(j, i) for j, column in enumerate(columns)
+             for i in np.flatnonzero(column[:-3] if j == 0 else column).tolist()]
+    for pick in rng.choice(len(cells), len(cells) + 2 - nonzero, replace=False).tolist():
+        j, i = cells[pick]
+        columns[j][i] = 0
+    assert sum(map(np.count_nonzero, columns)) == nonzero
+    return columns
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    real = cli._format_doubles
+    monkeypatch.setattr(cli, "_format_doubles", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("nonzero, kernel", [(_CUT - 1, False), (_CUT, True), (_CUT + 1, True)])
+def test_tables_about_the_cut_over_match_cells(monkeypatch, nonzero, kernel):
+    # the kernel writes a table with at least _KERNEL_CELLS non-zero cells,
+    # `%` any smaller one, and both give the text of the per-cell reference
+    calls = _count_kernel_calls(monkeypatch)
+    columns = _nonzero_table(nonzero, nonzero)
+    header = ["i", "b", "v", "f"]
+    expected = _cell_csv_table(header, zip(*columns), ["# end"])
+    assert _csv_table(header, columns, ["# end"]) == expected
+    assert _csv_table(header, [column.tolist() for column in columns], ["# end"]) == expected
+    assert bool(calls) == kernel
+    # an integer beyond 2**53 would not print exactly as a double
+    wide = [columns[0] * 4 + 1] + columns[1:]
+    assert _csv_table(header, wide) == _cell_csv_table(header, zip(*wide))
+    for column in columns[2:]:  # JSON arrays with 5 zeros and size non-zero cells
+        for size in (_CUT - 1, _CUT):
+            cells = np.concatenate([np.resize(column[column != 0], size),
+                                    np.zeros(5, column.dtype)])
+            calls.clear()
+            assert _dumps(cells) == _cell_dumps(cells)
+            assert bool(calls) == (size == _CUT)
+
+
+def _grid_reference(first, second, values) -> str:
+    return "a,b,v\n" + "".join(
+        "%s,%s,%.17g\n" % (_cell_fmt(a), _cell_fmt(b), v)
+        for a, row in zip(first, values.tolist()) for b, v in zip(second, row)) + "# end\n"
+
+
+@pytest.mark.parametrize("shape, nonzero, kernel", [((100, 100), 100, False),
+                                                    ((100, 100), _CUT, True),
+                                                    ((2000, 41), 2000 * 41, True)])
+def test_grid_form_about_the_cut_over_matches_a_per_row_reference(monkeypatch, shape, nonzero,
+                                                                 kernel):
+    # a mostly zero joint grid stays below the cut-over; the --paths-out
+    # shape, 2,000 paths of 41 members, is written by the kernel across
+    # several blocks
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(nonzero)
+    values = np.zeros(shape)
+    cells = rng.choice(values.size, nonzero, replace=False)
+    values.flat[cells] = rng.standard_normal(nonzero) * 10.0 ** rng.integers(-8, 8, nonzero)
+    values.flat[cells[:5]] = (math.nan, math.inf, 1e300, -5e-324, 0.5)
+    first, second = range(shape[0]), np.linspace(-1.0, 1.0, shape[1])
+    expected = _grid_reference(first, second, values)
+    assert _csv_table(["a", "b", "v"], (first, second, values), ["# end"]) == expected
+    assert bool(calls) == kernel
+
+
+def test_import_builds_no_formatting_tables():
+    # the kernel's tables are built on first use, and nothing it needs
+    # pulls in fractions or decimal: start-up pays for neither
+    src = str(Path(joint_predict.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, fsrv.cli as cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules, "
+            "cli._kernel_tables.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False", "0"]
