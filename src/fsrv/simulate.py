@@ -7,21 +7,28 @@ only those it uses. Results are therefore bit-identical no matter how the
 draws are split, so these whole-array passes run through one helper,
 _in_parts, that spreads parts of the paths over every CPU the process may
 use: the draws, each thread into its own rows of one column-major array;
-cursor walks of four or more steps, from the cursor or from the seeds, each
-thread walking its own rows through every step; and partial sums, fused into
-that walk. Every row sees the same operations in the same order whatever the
-thread count, so no result depends on it.
+cursor walks of at least _THREADED_PATH_STEPS paths times steps, from the
+cursor or from the seeds, each thread walking its own rows through every
+step; partial sums, fused into that walk; and ratio statistics, each thread
+reducing one node of numpy's pairwise summation tree. Every row sees the
+same operations in the same order whatever the thread count, and the ratio
+sums are added in the tree's order, so no result depends on it. The threads
+other than the caller's are daemon helpers, started on the first pass that
+needs them and kept for the passes after it, so no pass pays a thread
+start; a forked child starts with none.
 
 The summary's per-index means and variances come from the seed pairs' sample
 moments, summed afresh on each call, leaf by leaf on the calling thread.
 Member reads, partial sums, ratio statistics and sample_path share one
 forward cursor over the index: reading members in ascending n costs one array
-addition per index, on the calling thread, and reading a smaller n restarts
-the walk from the seed pairs. The cursor makes a run stateful, so a run must
-not be shared across threads. A KS distance calls the target cdf on the
-sorted sample's block edges, then only on the blocks that can hold the sup."""
+addition per index, which ratio_stats takes part by part on every CPU and the
+other reads on the calling thread, and reading a smaller n restarts the walk
+from the seed pairs. The cursor makes a run stateful, so a run must not be
+shared across threads. A KS distance calls the target cdf on the sorted
+sample's block edges, then only on the blocks that can hold the sup."""
 
 import contextvars
+import functools
 import json
 import math
 import os
@@ -42,17 +49,29 @@ _BLOCK = 4
 #: the raw words of a draw in flight at 2 MB whatever the path count.
 _CHUNK_PATHS = 1 << 16
 
-#: Steps, counted from where a cursor walk begins, from which the walk runs
-#: on every CPU. Below it a thread start costs more than it saves: at 2.5e5
-#: paths on 2 CPUs, threaded 2-step walks ran 12% to 88% slower and 3-step
-#: ones from 14% faster to 22% slower, while 4-step ones ran about 28%
-#: faster and 35-step ones 2.3 to 2.8 times faster.
-_THREADED_STEPS = 4
+#: Path-steps (paths times steps, counted from where a cursor walk begins)
+#: from which the walk runs on every CPU. Handing parts to the helpers costs
+#: about 60-90 us a pass, so the walk must be long enough to repay it.
+#: Medians on 2 CPUs, threaded against the calling thread alone: at 2.5e5
+#: paths, 1 step 0.96-1.09x the time, 2 steps 0.68-0.75x, 3 steps
+#: 0.55-0.58x; at 1.4e5 paths, 2 steps 1.16x, 3 steps 0.97x, 4 steps
+#: 0.85x; at 7e4 paths, whose rows stay in cache, 6 steps 1.17-1.36x, 8
+#: steps 1.07x, 12 steps 0.95x; at 1e6 paths, 1 step 0.75x. The former
+#: rule, four steps at any path count, reads 1.62x at 7e4 paths.
+_THREADED_PATH_STEPS = 500_000
+
+#: Most values numpy's pairwise summation adds in one unrolled loop; a
+#: longer run it splits in two.
+_PAIRWISE_BLOCK = 128
 
 #: Most paths per leaf of the summary's sums, whose scratch (three leaves,
-#: 384 KiB) stays in cache; at least numpy's pairwise block of 128, so every
-#: leaf is a node of numpy's own summation tree.
+#: 384 KiB) stays in cache; at least _PAIRWISE_BLOCK, so every leaf is a
+#: node of numpy's own summation tree.
 _LEAF = 1 << 14
+
+#: The cgroup v2 CPU quota file, "max <period>" or "<quota> <period>" in
+#: microseconds, of the cgroup mounted at the root: a container's own.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 #: Paths whose denominator magnitude falls below this are excluded from
 #: ratio statistics.
@@ -123,8 +142,9 @@ class SimulationRun:
         """Members k and k+1 of every path as views of the cursor buffers,
         which the next cursor move overwrites. With total given, the walk
         restarts from the seeds and adds members 0..k+1 into total, one by
-        one in index order. A walk of _THREADED_STEPS or more steps runs on
-        every CPU, each thread walking its own rows through every step."""
+        one in index order. A walk of _THREADED_PATH_STEPS or more
+        path-steps runs on every CPU, each thread walking its own rows
+        through every step."""
         restart = total is not None or self._k is None or k < self._k
         steps = k - (0 if restart else self._k)
         prev, cur, seeds = self._prev, self._cur, self.seed_pairs
@@ -148,7 +168,7 @@ class SimulationRun:
         # buffers to any helper thread still stepping them, and the next read
         # restarts in fresh ones.
         self._k = self._prev = self._cur = None
-        if steps >= _THREADED_STEPS:
+        if steps * self.config.n_paths >= _THREADED_PATH_STEPS:
             _in_parts(self.config.n_paths, walk)
         else:
             walk(0, self.config.n_paths)
@@ -156,6 +176,29 @@ class SimulationRun:
             prev, cur = cur, prev
         self._prev, self._cur, self._k = prev, cur, k
         return prev, cur
+
+    def _in_member_parts(self, k: int, body) -> dict:
+        """body(member k, member k + 1) on the parts of the two that
+        _pairwise_leaves cuts, through _in_parts, and its results by part.
+        With the cursor at k - 1, each part takes the cursor's one step on
+        its rows itself, so each CPU steps and reads its rows while they are
+        in its cache; the cursor is then unset until every part has ended."""
+        step = self._k == k - 1
+        prev, cur = (self._prev, self._cur) if step else self._members(k)
+        self._k = self._prev = self._cur = None  # as in _members
+
+        def part(start: int, stop: int):
+            p, c = prev[start:stop], cur[start:stop]
+            if step:
+                p += c
+                p, c = c, p
+            return body(p, c)
+
+        results = _in_parts(self.config.n_paths, part, _pairwise_leaves)
+        if step:
+            prev, cur = cur, prev
+        self._prev, self._cur, self._k = prev, cur, k
+        return results
 
     def _member(self, n: int) -> np.ndarray:
         prev, cur = self._members(max(n - 1, 0))
@@ -229,18 +272,31 @@ def _standardize(values: np.ndarray, form: LinearForm) -> np.ndarray:
     return values
 
 
+def _pairwise(start: int, stop: int, leaf):
+    """leaf(start, stop) on nodes of numpy's pairwise summation tree over
+    range(start, stop), added in the tree's order: numpy halves a node of more
+    than _PAIRWISE_BLOCK values, rounds the half down to a multiple of 8 and
+    adds the left sum to the right, so sums of the leaves come out as the IEEE
+    sum np.add.reduce gives over the whole range. leaf returns None for a node
+    to split."""
+    total = leaf(start, stop)
+    if total is None:
+        n = stop - start
+        half = start + n // 2 - n // 2 % 8
+        total = _pairwise(start, half, leaf) + _pairwise(half, stop, leaf)
+    return total
+
+
 def _deviation_sums(v0: np.ndarray, v1: np.ndarray, m0, m1) -> np.ndarray:
     """Sums of (v0 - m0)**2, (v1 - m1)**2 and (v0 - m0)*(v1 - m1), each the
-    IEEE sum np.add.reduce gives over the whole array: leaves of at most
-    _LEAF paths, split as numpy's pairwise summation splits the array (halve,
-    round the half down to a multiple of 8, add the left sum to the right)."""
+    IEEE sum np.add.reduce gives over the whole array, from leaves of at
+    most _LEAF paths."""
     scratch = np.empty((3, min(v0.size, _LEAF)))
 
-    def tree(start: int, stop: int) -> np.ndarray:
+    def leaf(start: int, stop: int) -> np.ndarray | None:
         n = stop - start
         if n > _LEAF:
-            half = start + n // 2 - n // 2 % 8
-            return tree(start, half) + tree(half, stop)
+            return None
         x = np.subtract(v0[start:stop], m0, out=scratch[0, :n])
         y = np.subtract(v1[start:stop], m1, out=scratch[1, :n])
         np.multiply(x, y, out=scratch[2, :n])
@@ -248,51 +304,143 @@ def _deviation_sums(v0: np.ndarray, v1: np.ndarray, m0, m1) -> np.ndarray:
         np.multiply(y, y, out=y)
         return np.add.reduce(scratch[:, :n], axis=1)
 
-    return tree(0, v0.size)
+    return _pairwise(0, v0.size, leaf)
 
 
 def _usable_cpus() -> int:
+    """CPUs in the affinity mask, capped by a cgroup v2 quota on the
+    process's cgroup, as a container sees its own at _CPU_MAX: quota //
+    period CPUs, at least one."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    if cpus == 1:  # nothing for a quota to cap
+        return cpus
+    try:
+        with open(_CPU_MAX) as limits:
+            quota, period = limits.read().split()
+    except (OSError, ValueError):  # no quota file, or not one "quota period" line
+        return cpus
+    if quota == "max":
+        return cpus
+    return min(cpus, max(int(quota) // int(period), 1))
 
 
-def _in_parts(n_paths: int, body) -> None:
-    """Call body(start, stop) on every part [start, stop) of range(n_paths).
+#: Helper threads of _in_parts, kept for the passes after the one that
+#: started them, the queue that feeds them and the lock that guards both.
+_helpers: list[threading.Thread] = []
+_tasks = None
+_helpers_lock = threading.Lock()
 
-    The parts hold _CHUNK_PATHS // T paths each and run on T = min(usable
-    CPUs, ceil(n_paths / _CHUNK_PATHS)) threads: thread t takes parts t,
-    t + T, ..., and the calling thread is thread 0. Each helper thread runs
-    in its own copy of the caller's context, so the caller's np.errstate
-    holds there too. A thread stops at its next part once another has
-    failed, and the first exception is raised, with its own type, after
-    every thread has ended.
+
+def _drop_helpers() -> None:
+    """Forget the helpers in a forked child, where they do not run: its
+    first threaded pass starts its own."""
+    global _helpers, _tasks, _helpers_lock
+    _helpers, _tasks, _helpers_lock = [], None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, so no hook, off POSIX
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _serve(tasks) -> None:
+    while True:
+        _run_task(*tasks.get())
+
+
+def _run_task(context, work, share, done) -> None:
+    # a function of its own, so an idle helper holds no array of the last pass
+    try:
+        context.run(work, share)
+    finally:
+        done.release()
+
+
+def _helper_queue(count: int):
+    """The helpers' task queue, with at least count daemon helpers serving
+    it. Daemons, so that an idle helper does not keep the process alive."""
+    global _tasks
+    with _helpers_lock:
+        if _tasks is None:
+            import queue  # on the first threaded pass, not at import
+
+            _tasks = queue.SimpleQueue()
+        while len(_helpers) < count:
+            helper = threading.Thread(target=_serve, args=(_tasks,), daemon=True,
+                                      name=f"fsrv-helper-{len(_helpers) + 1}")
+            helper.start()
+            _helpers.append(helper)
+        return _tasks
+
+
+def _chunks(n_paths: int, n_threads: int) -> list[tuple[int, int]]:
+    """Parts of _CHUNK_PATHS // n_threads paths, the last one short."""
+    size = _CHUNK_PATHS // n_threads
+    return [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
+
+
+def _pairwise_leaves(n_paths: int, n_threads: int) -> list[tuple[int, int]]:
+    """Nodes of numpy's pairwise summation tree over range(n_paths), about
+    one per thread: the first nodes from the root down with at most
+    n_paths // n_threads + 16 paths (a half rounded down to a multiple of 8
+    leaves its right sibling up to 8 paths over), or under two pairwise
+    blocks, so that no leaf holds fewer than _PAIRWISE_BLOCK paths."""
+    most = max(n_paths // n_threads + 16, 2 * _PAIRWISE_BLOCK - 1)
+    return _pairwise(0, n_paths, lambda start, stop: [(start, stop)] if stop - start <= most
+                     else None)
+
+
+def _in_parts(n_paths: int, body, split=_chunks) -> dict:
+    """Call body(start, stop) on every part [start, stop) of range(n_paths)
+    that split(n_paths, T) gives, and return the results by part.
+
+    T = min(usable CPUs, ceil(n_paths / _CHUNK_PATHS)) threads run the
+    parts: thread t takes parts t, t + T, ..., and the calling thread is
+    thread 0. The others are persistent daemon helpers, at most usable CPUs
+    - 1 of them, fed through a queue; a pass of T = 1 starts none. Each
+    helper task runs in its own copy of the caller's context, so the
+    caller's np.errstate holds there too. A thread stops at its next part
+    once another has failed, or once the caller was interrupted while it
+    waited, and the first exception is raised, with its own type, after
+    every part has ended.
     """
     n_threads = min(_usable_cpus(), -(-n_paths // _CHUNK_PATHS))
-    starts = range(0, n_paths, _CHUNK_PATHS // n_threads)
+    parts = split(n_paths, n_threads)
+    if n_threads == 1:  # no closure, no queue: a one-CPU pass costs what a plain call does
+        return {part: body(*part) for part in parts}
+    results = [None] * len(parts)
     errors = []
 
     def work(share: range) -> None:
         try:
-            for start in share:
+            for i in share:
                 if errors:  # another thread failed: the pass is lost
                     return
-                body(start, min(start + starts.step, n_paths))
+                results[i] = body(*parts[i])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work, starts[t::n_threads]))
-               for t in range(1, n_threads)]
-    for helper in helpers:
-        helper.start()
-    work(starts[::n_threads])
-    for helper in helpers:
-        helper.join()
+    done = []
+    try:
+        tasks = _helper_queue(n_threads - 1)
+        for t in range(1, n_threads):
+            task_done = threading.Lock()
+            task_done.acquire()
+            done.append(task_done)
+            share = range(t, len(parts), n_threads)
+            tasks.put((contextvars.copy_context(), work, share, task_done))
+        work(range(0, len(parts), n_threads))
+        for task_done in done:
+            task_done.acquire()
+    except BaseException:  # as Ctrl-C in a wait: the helpers' remaining parts are lost
+        errors.append(None)
+        raise
     if errors:  # the exception, not this list, holds the frames: no cycle keeps the arrays
         del errors[1:]
         raise errors.pop()
+    return dict(zip(parts, results))
 
 
 def run_simulation(config: SimulationConfig, n_workers: int = 1) -> SimulationRun:
@@ -340,13 +488,21 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
 
     Paths whose denominator magnitude is below RATIO_EXCLUSION_FLOOR, or is
     NaN, are excluded and counted, never silently dropped; if every path is
-    excluded a DegenerateSampleError is raised. The two members are read from
-    the cursor without copying; kept paths are copied out only when some path
-    is excluded. Kept paths are counted by sign, the negative side only when
-    some denominator falls short of the floor, with no |denom| temporary. The
-    near-phi count compares z with the band's edges _PHI_LO and _PHI_HI,
-    unless both extremes lie inside the band (a NaN extreme never does),
-    when it is every kept path.
+    excluded a DegenerateSampleError is raised.
+
+    The paths are cut where numpy's pairwise summation splits them, into
+    about one node of its tree per thread of _in_parts, and each part, on
+    its own CPU, takes the cursor's one step when the cursor sits at n - 1,
+    divides its two members without copying them and returns its sum, min,
+    max and near-phi count. The sums are added in the tree's order, so
+    `mean` is the double np.mean gives over all paths, whatever the thread
+    count. A call where some path is excluded reduces the kept paths, copied
+    out, on the calling thread, since they have a tree of their own. Kept
+    paths are counted by sign, the negative side only when some denominator
+    falls short of the floor, with no |denom| temporary. The near-phi count
+    compares z with the band's edges _PHI_LO and _PHI_HI, unless both of a
+    part's extremes lie inside the band (a NaN extreme never does), when it
+    is every path of the part.
 
     Where member n has a positive density at 0, as on seeds of both signs,
     the ratio has no mean (on normal01 seeds it follows a Cauchy law), so
@@ -357,24 +513,42 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     if n + 1 > run.config.horizon:
         raise DomainError(f"need n+1 <= horizon={run.config.horizon}, got n={n}")
     run._check_index(n)
-    denom, numer = run._members(n)
-    n_paths = denom.size
-    n_used = int(np.count_nonzero(denom >= RATIO_EXCLUSION_FLOOR))
-    if n_used < n_paths:
-        n_used += int(np.count_nonzero(denom <= -RATIO_EXCLUSION_FLOOR))
-    if n_used == 0:
-        raise DegenerateSampleError(f"all {n_paths} paths excluded at n={n}")
-    if n_used < n_paths:
+    n_paths = run.config.n_paths
+    parts = run._in_member_parts(n, _ratio_reductions)
+    if None in parts.values():  # some path is excluded
+        denom, numer = run._members(n)  # the cursor sits at n: no step
         keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR
-        numer, denom = numer[keep], denom[keep]
+        n_used = int(np.count_nonzero(keep))
+        if n_used == 0:
+            raise DegenerateSampleError(f"all {n_paths} paths excluded at n={n}")
+        total, lo, hi, n_near = _ratio_reductions(denom[keep], numer[keep])
+    else:
+        n_used = n_paths
+        sums = {part: reductions[0] for part, reductions in parts.items()}
+        total = _pairwise(0, n_paths, lambda start, stop: sums.get((start, stop)))
+        _, los, his, nears = zip(*parts.values())
+        lo = functools.reduce(np.minimum, los)  # np.minimum and np.maximum keep a NaN
+        hi, n_near = functools.reduce(np.maximum, his), sum(nears)
+    return RatioStats(n=n, mean=float(total / n_used), min=float(lo), max=float(hi),
+                      frac_near_phi=n_near / n_used, n_used=n_used,
+                      n_excluded=n_paths - n_used)
+
+
+def _ratio_reductions(denom: np.ndarray, numer: np.ndarray) -> tuple | None:
+    """(sum, min, max, near-phi count) of numer / denom, or None when some
+    |denom| falls below RATIO_EXCLUSION_FLOOR or is NaN."""
+    kept = int(np.count_nonzero(denom >= RATIO_EXCLUSION_FLOOR))
+    if kept < denom.size:
+        kept += int(np.count_nonzero(denom <= -RATIO_EXCLUSION_FLOOR))
+        if kept < denom.size:
+            return None
     z = numer / denom
-    mean, lo, hi = float(np.mean(z)), float(np.min(z)), float(np.max(z))
+    total, lo, hi = np.add.reduce(z), np.min(z), np.max(z)
     if _PHI_LO <= lo and hi <= _PHI_HI:
-        n_near = n_used
+        n_near = z.size
     else:
         n_near = int(np.count_nonzero(z >= _PHI_LO)) - int(np.count_nonzero(z > _PHI_HI))
-    return RatioStats(n=n, mean=mean, min=lo, max=hi, frac_near_phi=n_near / n_used,
-                      n_used=n_used, n_excluded=n_paths - n_used)
+    return total, lo, hi, n_near
 
 
 def ks_distance(run: SimulationRun, n: int, target_cdf, which: str = "y") -> float:

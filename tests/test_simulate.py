@@ -1,14 +1,19 @@
+import contextlib
 import gc
 import hashlib
 import itertools
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,6 +603,26 @@ def test_values_at_returns_a_private_copy(exp_model):
 def _pretend_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulate, "_CPU_MAX", "")  # no cgroup quota caps the pretence
+
+
+@contextlib.contextmanager
+def _helpers_bounded(cpus: int):
+    """The passes in the block start no thread but daemon helpers, and no
+    more of those than the cpus - 1 that a pass on cpus CPUs may need."""
+    helpers, threads = len(simulate._helpers), threading.active_count()
+    yield
+    assert len(simulate._helpers) <= max(helpers, cpus - 1)
+    assert threading.active_count() - threads == len(simulate._helpers) - helpers
+    assert all(helper.daemon and helper.is_alive() for helper in simulate._helpers)
+
+
+def _wait_idle(helper: threading.Thread) -> None:
+    """Wait until the helper has ended its task and waits for the next."""
+    deadline = time.monotonic() + 30
+    while sys._current_frames()[helper.ident].f_code is not simulate._serve.__code__:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
@@ -606,23 +631,31 @@ def test_chunked_run_matches_one_draw(monkeypatch, norm_model, cpus):
     n_paths = 3 * _CHUNK_PATHS + 12345
     config = SimulationConfig(rng_seed=31, n_paths=n_paths, horizon=5, model=norm_model)
     _pretend_cpus(monkeypatch, cpus)
+    drawing = []
 
-    def late_helper_draw(*args):  # rows a helper writes late show unless it is joined
+    def late_helper_draw(*args):  # rows a helper writes late show unless the pass waits
+        drawing.append(args[1])
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.02)
         _draw_rows(*args)
+        drawing.remove(args[1])
 
     monkeypatch.setattr(simulate, "_draw_rows", late_helper_draw)
-    threads_before = threading.active_count()
-    run = run_simulation(config)
-    assert threading.active_count() == threads_before
+    with _helpers_bounded(cpus):
+        run = run_simulation(config)
+        assert drawing == []  # no part of the pass is still running
+        helpers = len(simulate._helpers)
+        again = run_simulation(config)
+        assert drawing == [] and len(simulate._helpers) == helpers  # the next pass reuses them
     one_draw = _drawn(config, 0, n_paths)
     assert np.array_equal(run.seed_pairs, one_draw)
     assert run.seed_pairs.tobytes() == one_draw.tobytes()
+    assert again.seed_pairs.tobytes() == one_draw.tobytes()
 
 
 def test_cpu_count_without_affinity_masks(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate, "_CPU_MAX", "")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert simulate._usable_cpus() == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -633,7 +666,7 @@ def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_mod
     _pretend_cpus(monkeypatch, 2)
     draw = simulate._draw_rows
     calls = {"helper": [], "main": []}
-    may_fail, failed, helper = threading.Event(), threading.Event(), []
+    may_fail, failed, helper, waited = threading.Event(), threading.Event(), [], []
 
     def failing_draw(config, start_path, rows):
         if threading.current_thread() is not threading.main_thread():
@@ -646,17 +679,16 @@ def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_mod
         if len(calls["main"]) == 2:  # past its check: let the helper fail, and wait for it
             may_fail.set()
             assert failed.wait(timeout=30)
-            helper[0].join(timeout=30)
-            assert not helper[0].is_alive()
+            _wait_idle(helper[0])
+            waited.append(helper[0])  # an assert above would hide behind the MemoryError
         draw(config, start_path, rows)
 
     monkeypatch.setattr(simulate, "_draw_rows", failing_draw)
     config = SimulationConfig(rng_seed=4, n_paths=4 * _CHUNK_PATHS, horizon=5, model=exp_model)
-    threads_before = threading.active_count()
     gc.collect()
     gc.disable()
     try:
-        with pytest.raises(MemoryError, match="^no room for a chunk$"):
+        with _helpers_bounded(2), pytest.raises(MemoryError, match="^no room for a chunk$"):
             run_simulation(config)
         assert gc.collect() == 0  # no cycle through the threads' frames keeps the pairs
     finally:
@@ -664,7 +696,7 @@ def test_a_helper_failure_is_raised_after_every_thread_ends(monkeypatch, exp_mod
     # each thread stops at the first chunk it finds the run lost
     chunk = _CHUNK_PATHS // 2
     assert calls == {"helper": [chunk], "main": [0, 2 * chunk]}
-    assert threading.active_count() == threads_before
+    assert waited == helper
 
 
 # sha256 of the CLI outputs, recorded before the forward cursor and the
@@ -753,15 +785,14 @@ def test_threaded_reads_match_the_references(monkeypatch, exp_model, cpus):
     members = _reference_members(pairs, horizon)
     sums = list(itertools.accumulate(members))
     _pretend_cpus(monkeypatch, cpus)
-    threads_before = threading.active_count()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
     try:
-        _check_reads(config, pairs, members, sums)
-        assert SimulationRun(config, pairs).summary_json() == one_thread_summary
+        with _helpers_bounded(cpus):
+            _check_reads(config, pairs, members, sums)
+            assert SimulationRun(config, pairs).summary_json() == one_thread_summary
     finally:
         sys.setswitchinterval(switch)
-    assert threading.active_count() == threads_before
 
 
 def _check_reads(config, pairs, members, sums) -> None:
@@ -791,6 +822,127 @@ def _check_reads(config, pairs, members, sums) -> None:
                     for which, sample in (("y", y), ("s", s)):
                         ks = ks_distance(run, n, cdf_limit_exponential_closed, which=which)
                         assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
+
+
+_SEED_LAWS = {"exp": Exponential(1.0), "unif": UniformUnit(), "norm": StandardNormal()}
+
+
+@pytest.mark.parametrize("n_paths", [1, 127, 128, 129, 3 * _CHUNK_PATHS + 12345])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+@settings(max_examples=4, deadline=None)
+@given(laws=st.tuples(st.sampled_from(sorted(_SEED_LAWS)), st.sampled_from(sorted(_SEED_LAWS))),
+       rng_seed=st.integers(0, 2**32), special=st.sampled_from(("none", "zero", "nan")),
+       row=st.integers(0, 2**32), zero_at=st.integers(1, 6))
+@example(laws=("norm", "exp"), rng_seed=5, special="zero", row=0, zero_at=3)
+@example(laws=("exp", "exp"), rng_seed=5, special="nan", row=7, zero_at=1)
+def test_ratio_stats_matches_the_one_thread_reference(cpus, n_paths, laws, rng_seed, special,
+                                                      row, zero_at):
+    # member zero_at of the zero row is a_{m-1}*a_m - a_m*a_{m-1} = 0: the
+    # fallback; the NaN row gives a NaN denominator at n = 0 and n >= 2 and a
+    # NaN ratio at n = 1
+    horizon = 8
+    config = SimulationConfig(rng_seed=rng_seed, n_paths=n_paths, horizon=horizon,
+                              model=FsrvModel(*(_SEED_LAWS[law] for law in laws)))
+    with pytest.MonkeyPatch.context() as patch:
+        _pretend_cpus(patch, cpus)
+        pairs = run_simulation(config).seed_pairs
+        if special != "none":
+            pairs[row % n_paths] = ((fib(zero_at), -fib(zero_at - 1)) if special == "zero"
+                                    else (np.nan, 1.0))
+        members = _reference_members(pairs, horizon)
+        run = SimulationRun(config, pairs)
+        # ascending reads take the fused step, descending ones restart the walk
+        for n in [*range(horizon), *reversed(range(horizon))]:
+            with np.errstate(invalid="ignore"):  # NaN against the band
+                if not (np.abs(members[n]) >= RATIO_EXCLUSION_FLOOR).any():
+                    with pytest.raises(DegenerateSampleError):
+                        ratio_stats(run, n)
+                    continue
+                # repr, so that every field compares bit for bit and a NaN equals itself
+                assert repr(ratio_stats(run, n)) == repr(_reference_ratio_stats(members, n))
+
+
+def test_pairwise_leaves_are_nodes_of_numpys_summation_tree():
+    z = np.random.default_rng(3).standard_normal(3 * _CHUNK_PATHS + 12345) * 1e3
+    for n_paths in (1, 255, 256, 257, 70_001, z.size):
+        for threads in (1, 2, 3, 4, 7):
+            leaves = simulate._pairwise_leaves(n_paths, threads)
+            assert [start for start, _ in leaves] == [0, *(stop for _, stop in leaves[:-1])]
+            assert leaves[-1][1] == n_paths
+            assert threads <= len(leaves) < 2 * threads or n_paths < 2 * threads * 128
+            assert min(stop - start for start, stop in leaves) >= min(n_paths, 128)
+            sums = {(start, stop): np.add.reduce(z[start:stop]) for start, stop in leaves}
+            total = simulate._pairwise(0, n_paths, lambda start, stop: sums.get((start, stop)))
+            assert total.tobytes() == np.add.reduce(z[:n_paths]).tobytes()
+
+
+@pytest.mark.parametrize("cpu_max,cpus", [(None, 7), ("max 100000\n", 7), ("400000 100000\n", 4),
+                                          ("150000 100000\n", 1), ("50000 100000\n", 1),
+                                          ("900000 100000\n", 7), ("", 7), ("max\n", 7)])
+def test_usable_cpus_honour_a_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus):
+    _pretend_cpus(monkeypatch, 7)
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(simulate, "_CPU_MAX", str(path))
+    assert simulate._usable_cpus() == cpus
+
+
+def test_without_a_quota_file_the_cpus_are_the_affinity_mask():
+    if os.path.exists(simulate._CPU_MAX):
+        pytest.skip("this host has a cgroup v2 quota file")
+    assert simulate._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+# a threaded draw and ratio sweep on two pretend CPUs
+_SWEEP = """
+    import os, sys, time
+    from fsrv import simulate
+    from fsrv.marginal import exponential_model
+
+    os.sched_getaffinity = lambda pid: {0, 1}
+    simulate._CPU_MAX = ""
+    config = simulate.SimulationConfig(rng_seed=5, n_paths=2 * simulate._CHUNK_PATHS + 7,
+                                       horizon=12, model=exponential_model())
+
+    def sweep():
+        run = simulate.run_simulation(config)
+        return [run.seed_pairs.tobytes()] + [repr(simulate.ratio_stats(run, n)) for n in range(11)]
+
+    want = sweep()
+    assert len(simulate._helpers) == 1
+"""
+
+
+def test_a_forked_child_runs_threaded_passes_on_helpers_of_its_own():
+    result = _run_python(_SWEEP + """
+    pid = os.fork()
+    if pid == 0:  # the parent's helper does not run here
+        ok = sweep() == want and [h.is_alive() for h in simulate._helpers] == [True]
+        os._exit(0 if ok else 3)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            sys.exit("the forked child hung")
+        time.sleep(0.01)
+    sys.exit(os.waitstatus_to_exitcode(status[1]))
+    """)
+    assert result.returncode == 0, result.stderr
+
+
+def test_idle_helpers_do_not_keep_the_process_alive():
+    started = time.monotonic()
+    result = _run_python(_SWEEP)
+    assert result.returncode == 0, result.stderr
+    assert time.monotonic() - started < 60
 
 
 def test_helpers_keep_the_callers_errstate(monkeypatch, exp_model):
@@ -852,32 +1004,37 @@ def test_a_helper_left_running_steps_no_buffer_of_the_run(monkeypatch, exp_model
                               model=exp_model)
     run = run_simulation(config)
     members = _reference_members(run.seed_pairs, 20)
-    in_parts, join = simulate._in_parts, threading.Thread.join
-    release, stranded = threading.Event(), []
+    in_parts = simulate._in_parts
+    release, stranded, walked = threading.Event(), [], []
+    caller = threading.main_thread()
 
     def stalled_in_parts(n_paths, body):
         def part(start, stop):
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread() is not caller:
+                stranded.append(threading.current_thread())
+                # Ctrl-C once the caller has walked its own rows and waits
+                deadline = time.monotonic() + 30
+                while sys._current_frames()[caller.ident].f_code is not in_parts.__code__:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                signal.pthread_kill(caller.ident, signal.SIGINT)
                 assert release.wait(timeout=30)
             body(start, stop)
+            walked.append(start)
 
         in_parts(n_paths, part)
 
-    def interrupted_join(thread, timeout=None):  # Ctrl-C while the caller waits
-        stranded.append(thread)
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(simulate, "_in_parts", stalled_in_parts)
-    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
     with pytest.raises(KeyboardInterrupt):
         run.values_at(12)  # the helper has not started its rows
-    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "_in_parts", in_parts)
     try:
         assert run.values_at(2).tobytes() == members[2].tobytes()  # a restart
     finally:
         release.set()  # the stranded helper now walks its rows through 11 steps
-        join(stranded[0], timeout=30)
-    assert not stranded[0].is_alive()
+        _wait_idle(stranded[0])
+    # the helper walked its first part, then found the pass lost
+    assert _CHUNK_PATHS // 2 in walked and 3 * _CHUNK_PATHS // 2 not in walked
     # one step on from the cursor: rows the helper stepped would hold member 13
     assert run.values_at(3).tobytes() == members[3].tobytes()
     assert run.sums_at(6).tobytes() == list(itertools.accumulate(members))[6].tobytes()
