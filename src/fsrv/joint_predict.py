@@ -10,7 +10,6 @@ unit-rate exponential seeds and (n, k) = (4, 3). Slice integrals are cut
 where a seed density ends or kinks, and exact on piecewise-linear seeds.
 """
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -172,8 +171,7 @@ def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_
 def predict_exponential_4_to_7(x):
     """Closed form of the conditional mean of member 7 given member 4 = x,
     for iid unit-rate exponential seeds: 4x - 2 - x / (3*(exp(-x/6) - 1)),
-    for a float or elementwise over an array. expm1 is math's, per element:
-    numpy's differs from it in the last bit on some inputs.
+    for a float or elementwise over an array.
 
     The singularity at x = 0 is removable; the limit is 0. Below 5e-4, where
     the form cancels, the series x*(25/6 + x/216) holds to about 2e-16 relative.
@@ -183,7 +181,7 @@ def predict_exponential_4_to_7(x):
     if (xs < 0).any():
         raise DomainError(f"conditioning value must be nonnegative, got {xs[xs < 0][0]}")
     with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 at x = 0
-        g = 4.0 * xs - 2.0 - xs / (3.0 * np.vectorize(math.expm1, otypes=[float])(-xs / 6.0))
+        g = 4.0 * xs - 2.0 - xs / (3.0 * np.expm1(-xs / 6.0))
     g = np.where(xs < 5e-4, xs * (25.0 / 6.0 + xs / 216.0) + 0.0, g)  # + 0.0: g(-0.0) is +0.0
     return g if np.ndim(x) else float(g)
 

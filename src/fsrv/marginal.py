@@ -164,14 +164,16 @@ def pdf_numeric(model: FsrvModel, n: int, x, cfg: QuadratureConfig = DEFAULT_CON
 def linear_form_pdf_exponential(c0, c1, y, scale: float = 1.0):
     """scale times the density of c0*V0 + c1*V1 at y, elementwise, for iid
     unit-rate exponential seeds and 0 < c0 <= c1: (exp(-y/c1) - exp(-y/c0))
-    / (c1 - c0), or the Gamma(2) density y*exp(-y/c0)/c0^2 when c0 == c1.
-    Members and sums pass their seed rate as scale, with y = rate*x."""
+    / (c1 - c0), through expm1 so that it does not cancel for y << c0, or
+    the Gamma(2) density y*exp(-y/c0)/c0^2 when c0 == c1. Members and sums
+    pass their seed rate as scale, with y = rate*x."""
     # the exponentials overflow for y < 0, where the density is 0 anyway
     pos = np.maximum(y, 0.0)
     if c0 == c1:
         out = scale * pos / float(c0 * c0) * np.exp(-pos / float(c0))
     else:
-        out = scale * (np.exp(-pos / float(c1)) - np.exp(-pos / float(c0))) / float(c1 - c0)
+        out = (scale * np.exp(-pos / float(c1)) * -np.expm1(-pos * ((c1 - c0) / (c0 * c1)))
+               / float(c1 - c0))
     return np.where(y > 0.0, out, 0.0)[()]
 
 

@@ -13,9 +13,9 @@ step; partial sums, fused into that walk; and ratio statistics, each thread
 reducing one node of numpy's pairwise summation tree. Every row sees the
 same operations in the same order whatever the thread count, and the ratio
 sums are added in the tree's order, so no result depends on it. The threads
-other than the caller's are daemon helpers, started on the first pass that
-needs them and kept for the passes after it, so no pass pays a thread
-start; a forked child starts with none.
+other than the caller's come from one standard-library thread pool, built
+on the first pass that needs it and kept for the passes after it, so no
+pass pays a thread start; a forked child builds its own.
 
 The summary's per-index means and variances come from the seed pairs' sample
 moments, summed afresh on each call, leaf by leaf on the calling thread.
@@ -50,14 +50,14 @@ _BLOCK = 4
 _CHUNK_PATHS = 1 << 16
 
 #: Path-steps (paths times steps, counted from where a cursor walk begins)
-#: from which the walk runs on every CPU. Handing parts to the helpers costs
-#: about 60-90 us a pass, so the walk must be long enough to repay it.
+#: from which the walk runs on every CPU. Handing parts to the pool's threads
+#: costs about 40 us a pass, so the walk must be long enough to repay it.
 #: Medians on 2 CPUs, threaded against the calling thread alone: at 2.5e5
-#: paths, 1 step 0.96-1.09x the time, 2 steps 0.68-0.75x, 3 steps
-#: 0.55-0.58x; at 1.4e5 paths, 2 steps 1.16x, 3 steps 0.97x, 4 steps
-#: 0.85x; at 7e4 paths, whose rows stay in cache, 6 steps 1.17-1.36x, 8
-#: steps 1.07x, 12 steps 0.95x; at 1e6 paths, 1 step 0.75x. The former
-#: rule, four steps at any path count, reads 1.62x at 7e4 paths.
+#: paths, 1 step 0.98x the time, 2 steps 0.72x, 3 steps 0.63x; at 1.4e5
+#: paths, 2 steps 0.80x, 3 steps 0.72x, 4 steps 0.85x; at 7e4 paths, whose
+#: rows stay in cache, 6 steps 0.97x, 8 steps 0.90x, 12 steps 0.86x; at
+#: 1e6 paths, 1 step 0.71x. The former rule, four steps at any path count,
+#: reads 1.03-1.14x at 7e4 paths.
 _THREADED_PATH_STEPS = 500_000
 
 #: Most values numpy's pairwise summation adds in one unrolled loop; a
@@ -327,52 +327,21 @@ def _usable_cpus() -> int:
     return min(cpus, max(int(quota) // int(period), 1))
 
 
-#: Helper threads of _in_parts, kept for the passes after the one that
-#: started them, the queue that feeds them and the lock that guards both.
-_helpers: list[threading.Thread] = []
-_tasks = None
-_helpers_lock = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _helper_pool(helpers: int):
+    """The pool of at most helpers threads, named fsrv-helper_<i>, that
+    _in_parts runs on, built on the first threaded pass and kept for the
+    passes after it. A call for another count replaces it. The replaced pool
+    is not shut down, so a pass still in it runs to its end, and its threads
+    end once no pass holds it."""
+    from concurrent.futures import ThreadPoolExecutor  # on the first threaded pass, not at import
 
-
-def _drop_helpers() -> None:
-    """Forget the helpers in a forked child, where they do not run: its
-    first threaded pass starts its own."""
-    global _helpers, _tasks, _helpers_lock
-    _helpers, _tasks, _helpers_lock = [], None, threading.Lock()
+    return ThreadPoolExecutor(helpers, thread_name_prefix="fsrv-helper")
 
 
 if hasattr(os, "register_at_fork"):  # no fork, so no hook, off POSIX
-    os.register_at_fork(after_in_child=_drop_helpers)
-
-
-def _serve(tasks) -> None:
-    while True:
-        _run_task(*tasks.get())
-
-
-def _run_task(context, work, share, done) -> None:
-    # a function of its own, so an idle helper holds no array of the last pass
-    try:
-        context.run(work, share)
-    finally:
-        done.release()
-
-
-def _helper_queue(count: int):
-    """The helpers' task queue, with at least count daemon helpers serving
-    it. Daemons, so that an idle helper does not keep the process alive."""
-    global _tasks
-    with _helpers_lock:
-        if _tasks is None:
-            import queue  # on the first threaded pass, not at import
-
-            _tasks = queue.SimpleQueue()
-        while len(_helpers) < count:
-            helper = threading.Thread(target=_serve, args=(_tasks,), daemon=True,
-                                      name=f"fsrv-helper-{len(_helpers) + 1}")
-            helper.start()
-            _helpers.append(helper)
-        return _tasks
+    # a forked child does not run the parent's threads: its first threaded pass builds a pool
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 def _chunks(n_paths: int, n_threads: int) -> list[tuple[int, int]]:
@@ -398,42 +367,47 @@ def _in_parts(n_paths: int, body, split=_chunks) -> dict:
 
     T = min(usable CPUs, ceil(n_paths / _CHUNK_PATHS)) threads run the
     parts: thread t takes parts t, t + T, ..., and the calling thread is
-    thread 0. The others are persistent daemon helpers, at most usable CPUs
-    - 1 of them, fed through a queue; a pass of T = 1 starts none. Each
-    helper task runs in its own copy of the caller's context, so the
-    caller's np.errstate holds there too. A thread stops at its next part
-    once another has failed, or once the caller was interrupted while it
-    waited, and the first exception is raised, with its own type, after
+    thread 0. The others are threads of one standard-library pool of at
+    most usable CPUs - 1, kept from pass to pass; a pass of T = 1 starts
+    none. Each helper task runs in its own copy of the caller's context, so
+    the caller's np.errstate holds there too. A thread stops at its next
+    part once another has failed, or once the caller was interrupted while
+    it waited, and the first exception is raised, with its own type, after
     every part has ended.
     """
-    n_threads = min(_usable_cpus(), -(-n_paths // _CHUNK_PATHS))
+    cpus = _usable_cpus()
+    n_threads = min(cpus, -(-n_paths // _CHUNK_PATHS))
     parts = split(n_paths, n_threads)
-    if n_threads == 1:  # no closure, no queue: a one-CPU pass costs what a plain call does
+    if n_threads == 1:  # no closure, no pool: a one-CPU pass costs what a plain call does
         return {part: body(*part) for part in parts}
     results = [None] * len(parts)
     errors = []
 
-    def work(share: range) -> None:
+    # The caller waits on one lock per thread, released before the pool
+    # settles the task's future: on 2 CPUs, waiting on the futures instead
+    # took about 18 us more of each ratio_stats pass.
+    done = [threading.Lock() for _ in range(n_threads)]
+
+    def work(t: int) -> None:
         try:
-            for i in share:
+            for i in range(t, len(parts), n_threads):
                 if errors:  # another thread failed: the pass is lost
                     return
                 results[i] = body(*parts[i])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
+        finally:
+            done[t].release()
 
-    done = []
     try:
-        tasks = _helper_queue(n_threads - 1)
+        pool = _helper_pool(cpus - 1)
+        for thread_done in done:
+            thread_done.acquire()
         for t in range(1, n_threads):
-            task_done = threading.Lock()
-            task_done.acquire()
-            done.append(task_done)
-            share = range(t, len(parts), n_threads)
-            tasks.put((contextvars.copy_context(), work, share, task_done))
-        work(range(0, len(parts), n_threads))
-        for task_done in done:
-            task_done.acquire()
+            pool.submit(contextvars.copy_context().run, work, t)
+        work(0)
+        for thread_done in done:
+            thread_done.acquire()
     except BaseException:  # as Ctrl-C in a wait: the helpers' remaining parts are lost
         errors.append(None)
         raise

@@ -603,11 +603,19 @@ def test_console_entry_point_runs():
 # to 1.08e-12). pdf_exp_numeric and quad_pdf_exp_numeric were re-recorded when
 # every line over a seed pair ended by one rule (numerics.line_points), which
 # runs the exp:1 lines to their true ends: only their norm_defect moved, from
-# 1.08e-12 and 9.9e-13 to 0, and every density value held.
+# 1.08e-12 and 9.9e-13 to 0, and every density value held. pdf_exp_closed,
+# limit_exp, limit_exp_rate, sums_exp and sums_exp_rate were re-recorded when
+# the closed exponential density took its difference of exponentials through
+# expm1: 4 of pdf_exp_closed's 9 values moved, 3 of limit_exp's (and
+# limit_exp_rate's), 1 of sums_exp's and 1 of sums_exp_rate's, each by at
+# most 3.7e-16 relative, and sums_exp's norm_defect went from 0 to 3.3e-16.
+# predict_closed_csv and predict_closed_from_0 were re-recorded when the
+# closed predictor took numpy's expm1 for math's: 23 and 30 of their values
+# moved, each by at most 2.3e-16 relative.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
-     "7b5362786152d4e288c22a3141c6453076773fb72b2aa3bc3a309886674dde13"),
+     "55987afc9c3e901843451a015287ef5ac032d3130610ecb7ac9d9d4eb8967da3"),
     ("pdf_exp_numeric", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                          "--method", "numeric", "--output", "json"],
      "650e110c5fecc5343e091c0388d9554f14cccdd6860bb86348a955d3537247ac"),
@@ -617,7 +625,7 @@ _ANALYTIC_DIGESTS = [
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
      "061dddc4b42233d2e4443700ef4576d26d95237bcef2498875b4e239933da669"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
-     "ad0cfa6b099729a9ada70b06fdb4f09d47b130d2a8651329e051261fe92813d4"),
+     "43a6acaf71017e94163b12c1f3f27874d5ae614f1b94e713f26f37b477a0d0bc"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
      "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
@@ -625,7 +633,7 @@ _ANALYTIC_DIGESTS = [
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
      "48e0c7a4582027013937cffe917464cbb8843de00a19138ea84ee7ad3d4c2187"),
     ("sums_exp", ["sums", "--seeds", "exp:1", "--n", "4", "--grid", "0:30:7", "--output", "json"],
-     "4ff31c36454eec75c599aabeef32fb75fb77fcbdfc6171af30f4b4f876952faf"),
+     "31ff0880557a73d4e07656cad8e106ce21078196e91d5590ea4c38656d299170"),
     ("sums_normal", ["sums", "--seeds", "normal01", "--n", "4", "--grid=-10:10:7",
                      "--output", "json"],
      "43b958225aedaf2beb3fe6793ba25b99d670e41698ff45c51301500d9804834a"),
@@ -678,9 +686,9 @@ _ANALYTIC_DIGESTS = [
     # a seed with infinite tails, and a form whose support starts far from 0
     # ("SHIFTED_TABLE" is the triangle table moved to [5, 7])
     ("limit_exp_rate", ["limit", "--seeds", "exp:2.5", "--grid=-2:4:9"],
-     "ad0cfa6b099729a9ada70b06fdb4f09d47b130d2a8651329e051261fe92813d4"),
+     "43a6acaf71017e94163b12c1f3f27874d5ae614f1b94e713f26f37b477a0d0bc"),
     ("sums_exp_rate", ["sums", "--seeds", "exp:2.5", "--n", "4", "--grid", "0:12:7"],
-     "95713e771cc777a1b7399b8de5d479f064b9b0d4d54fd8b68e689f9e400d197a"),
+     "baf2a87c1d7a49aafc0e565f4058fc6c425367df2b95d6ba20905e6db8fa9bfd"),
     ("sums_unif", ["sums", "--seeds", "unif01", "--n", "3", "--grid", "0:7:8"],
      "5b29f22dcf7c90aa3f2295444967b6027c1e16e000071e463e08980befd2276d"),
     ("pdf_normal_closed_json", ["pdf", "--seeds", "normal01", "--n", "5", "--grid=-20:20:9",
@@ -713,10 +721,10 @@ _ANALYTIC_DIGESTS = [
     # where the removable singularity prints 0
     ("predict_closed_csv", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                             "--grid", "0.1:20:2000", "--method", "closed_form"],
-     "f276f579bce4a38149800920810500d003b9d75f09664ee59e0aa7f6a84259e9"),
+     "292d6f61b626cdc7e6fd619db1f3d89212cb27fa5b9309f53832cf5b964c54ac"),
     ("predict_closed_from_0", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
                                "--grid", "0:20:2001", "--method", "closed_form"],
-     "153844fe90626a679f4ea1ff7f402ca40bb8828cb077a1dd3c1501e24b5b11c5"),
+     "9883e3ee9257e1406ca6bda34c998a17ed29597fc94741e5d2e7a3872b4c93d1"),
 ]
 
 

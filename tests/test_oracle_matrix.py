@@ -1,0 +1,122 @@
+"""Oracle matrix of the closed routes: every value the CLI prints with exit 0
+lies within CLOSED_BOUND relative of a 50-digit mpmath re-derivation.
+
+The cells are routes x families x n x positions: `pdf --method closed`, and
+`sums` and `limit` on the families that have a closed form for them, at
+standardized positions z = -6..6 and, for members and partial sums, at y =
+rate*x from 1e-10*c0 to 1e-3*c0, where c0*V0 + c1*V1 is the form and c0 <=
+c1. The oracles below derive each law from the seeds' densities and use no
+closed function of fsrv."""
+
+import json
+
+import mpmath as mp
+import pytest
+
+from fsrv.cli import main
+
+#: Relative bound of every value a closed route prints, as README states it.
+CLOSED_BOUND = 1e-13
+
+_FAMILIES = ("exp:1", "exp:1e150", "unif01", "normal01")
+_NS = (2, 3, 5, 10, 19, 30, 60, 80)
+_DIGITS = 50
+
+
+def _fib(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _seed_moments(family: str) -> tuple:
+    """Mean and standard deviation of one seed, at 50 digits."""
+    if family.startswith("exp:"):
+        rate = mp.mpf(float(family[4:]))  # the double the CLI parses
+        return 1 / rate, 1 / rate
+    if family == "unif01":
+        return mp.mpf(1) / 2, 1 / mp.sqrt(12)
+    return mp.mpf(0), mp.mpf(1)
+
+
+def _form_density(family: str, c0, c1, y):
+    """Density of c0*V0 + c1*V1 at y for iid seeds of the family, c0 <= c1,
+    each as the integral over V1 = v of f(v) * f((y - c1*v)/c0) / c0."""
+    if family.startswith("exp:"):
+        # unit-rate seeds at y = rate*x, times the rate: the integrand is
+        # exp(-y/c0) * exp(-v*(1 - c1/c0)) / c0 on 0 <= v <= y/c1
+        rate = 1 / _seed_moments(family)[0]
+        y = rate * y
+        if y <= 0:
+            return mp.mpf(0)
+        if c0 == c1:
+            return rate * y * mp.exp(-y / c0) / (c0 * c0)
+        return rate * (mp.exp(-y / c1) - mp.exp(-y / c0)) / (c1 - c0)
+    if family == "unif01":
+        # the length of the v in [0, 1] with 0 <= (y - c1*v)/c0 <= 1, over c0
+        lo, hi = max(mp.mpf(0), (y - c0) / c1), min(mp.mpf(1), y / c1)
+        return max(hi - lo, mp.mpf(0)) / c0
+    variance = c0 * c0 + c1 * c1  # a normal linear form is normal
+    return mp.exp(-y * y / (2 * variance)) / mp.sqrt(2 * mp.pi * variance)
+
+
+def _printed(capsys, argv: list[str]) -> list[tuple[float, float]]:
+    """(x, density) pairs the CLI prints, after it exits 0."""
+    assert main([*argv, "--output", "json"]) == 0
+    curve = json.loads(capsys.readouterr().out)
+    return list(zip(curve["x"], curve["density"]))
+
+
+def _check(pairs, oracle) -> None:
+    for x, printed in pairs:
+        want = oracle(mp.mpf(x))
+        if want == 0:
+            assert printed == 0, (x, printed)
+        else:
+            assert abs(mp.mpf(printed) / want - 1) <= CLOSED_BOUND, (x, printed, want)
+
+
+def _z_grid(mean, sd) -> str:
+    """The grid whose 13 points sit at z = -6..6 of the given moments."""
+    return f"--grid={float(mean - 6 * sd)!r}:{float(mean + 6 * sd)!r}:13"
+
+
+def _form_cells(capsys, route: list[str], family: str, c0: int, c1: int) -> None:
+    with mp.workdps(_DIGITS):
+        c0, c1 = mp.mpf(c0), mp.mpf(c1)
+        mean, sd = _seed_moments(family)
+        pairs = _printed(capsys, [*route, _z_grid((c0 + c1) * mean, mp.sqrt(c0**2 + c1**2) * sd)])
+        scale = _seed_moments(family)[0] if family.startswith("exp:") else 1
+        for low in (1e-10, 1e-8, 1e-6, 1e-4):  # y = rate*x at low*c0 and 10*low*c0
+            ends = (float(low * c0 * scale), float(10 * low * c0 * scale))
+            pairs += _printed(capsys, [*route, f"--grid={ends[0]!r}:{ends[1]!r}:2"])
+        _check(pairs, lambda x: _form_density(family, c0, c1, x))
+
+
+@pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_closed_member_densities_match_the_oracle(capsys, family, n):
+    route = ["pdf", "--seeds", family, "--n", str(n), "--method", "closed"]
+    _form_cells(capsys, route, family, _fib(n - 1), _fib(n))
+
+
+@pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("family", ("exp:1", "exp:1e150"))
+def test_closed_sum_densities_match_the_oracle(capsys, family, n):
+    # S_n = sum of members 0..n = a_{n+1}*V0 + (a_{n+2} - 1)*V1
+    _form_cells(capsys, ["sums", "--seeds", family, "--n", str(n)], family,
+                _fib(n + 1), _fib(n + 2) - 1)
+
+
+@pytest.mark.parametrize("family", ("exp:1", "exp:1e150", "unif01"))
+def test_closed_limit_densities_match_the_oracle(capsys, family):
+    # Y is V0 + phi*V1 standardized, whatever the rate of exponential seeds
+    with mp.workdps(_DIGITS):
+        phi = (1 + mp.sqrt(5)) / 2
+        mean, sd = _seed_moments("exp:1" if family.startswith("exp:") else family)
+        mean, sd = (1 + phi) * mean, mp.sqrt(1 + phi * phi) * sd
+        pairs = _printed(capsys, ["limit", "--seeds", family, "--grid=-6:6:13"])
+        _check(pairs, lambda z: sd * _form_density(family if family == "unif01" else "exp:1",
+                                                   mp.mpf(1), phi, mean + sd * z))
+

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import thread as futures_thread
 from pathlib import Path
 
 import numpy as np
@@ -606,21 +607,32 @@ def _pretend_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(simulate, "_CPU_MAX", "")  # no cgroup quota caps the pretence
 
 
+def _helpers(threads=None) -> list[threading.Thread]:
+    """The threads of the pools _in_parts runs on, among threads (by default
+    every live thread)."""
+    return [thread for thread in threads or threading.enumerate()
+            if thread.name.startswith("fsrv-helper")]
+
+
 @contextlib.contextmanager
 def _helpers_bounded(cpus: int):
-    """The passes in the block start no thread but daemon helpers, and no
-    more of those than the cpus - 1 that a pass on cpus CPUs may need."""
-    helpers, threads = len(simulate._helpers), threading.active_count()
+    """The passes in the block start no thread but the pool's helpers, and no
+    more of those than the cpus - 1 that a pass on cpus CPUs may need. A
+    pool the block replaced ends its threads, so they are waited for."""
+    threads = threading.enumerate()
+    helpers = len(_helpers(threads))
     yield
-    assert len(simulate._helpers) <= max(helpers, cpus - 1)
-    assert threading.active_count() - threads == len(simulate._helpers) - helpers
-    assert all(helper.daemon and helper.is_alive() for helper in simulate._helpers)
+    deadline = time.monotonic() + 30
+    while len(_helpers(after := threading.enumerate())) > max(helpers, cpus - 1):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    assert len(after) - len(threads) == len(_helpers(after)) - helpers
 
 
 def _wait_idle(helper: threading.Thread) -> None:
     """Wait until the helper has ended its task and waits for the next."""
     deadline = time.monotonic() + 30
-    while sys._current_frames()[helper.ident].f_code is not simulate._serve.__code__:
+    while sys._current_frames()[helper.ident].f_code is not futures_thread._worker.__code__:
         assert time.monotonic() < deadline
         time.sleep(0.001)
 
@@ -644,13 +656,37 @@ def test_chunked_run_matches_one_draw(monkeypatch, norm_model, cpus):
     with _helpers_bounded(cpus):
         run = run_simulation(config)
         assert drawing == []  # no part of the pass is still running
-        helpers = len(simulate._helpers)
+        helpers = _helpers()
         again = run_simulation(config)
-        assert drawing == [] and len(simulate._helpers) == helpers  # the next pass reuses them
+        assert drawing == [] and _helpers() == helpers  # the next pass reuses them
     one_draw = _drawn(config, 0, n_paths)
     assert np.array_equal(run.seed_pairs, one_draw)
     assert run.seed_pairs.tobytes() == one_draw.tobytes()
     assert again.seed_pairs.tobytes() == one_draw.tobytes()
+
+
+def test_back_to_back_passes_start_no_thread_after_the_first(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def passes(count: int, body) -> int:
+        for _ in range(count):  # one part a thread, three threads on three CPUs
+            simulate._in_parts(2 * _CHUNK_PATHS + 1, body,
+                               lambda n_paths, threads: [(t, t + 1) for t in range(threads)])
+        return len(started)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    _pretend_cpus(monkeypatch, 3)
+    together = threading.Barrier(3, timeout=30)  # each pass runs its parts on three threads
+    with _helpers_bounded(3):
+        first = passes(1, lambda start, stop: together.wait())
+        assert passes(199, lambda start, stop: together.wait()) == first <= 2
+    _pretend_cpus(monkeypatch, 1)
+    assert passes(1, lambda start, stop: None) == first
 
 
 def test_cpu_count_without_affinity_masks(monkeypatch):
@@ -903,7 +939,7 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 # a threaded draw and ratio sweep on two pretend CPUs
 _SWEEP = """
-    import os, sys, time
+    import os, sys, threading, time
     from fsrv import simulate
     from fsrv.marginal import exponential_model
 
@@ -916,8 +952,11 @@ _SWEEP = """
         run = simulate.run_simulation(config)
         return [run.seed_pairs.tobytes()] + [repr(simulate.ratio_stats(run, n)) for n in range(11)]
 
+    def helpers():
+        return [t for t in threading.enumerate() if t.name.startswith("fsrv-helper")]
+
     want = sweep()
-    assert len(simulate._helpers) == 1
+    assert len(helpers()) == 1
 """
 
 
@@ -925,7 +964,7 @@ def test_a_forked_child_runs_threaded_passes_on_helpers_of_its_own():
     result = _run_python(_SWEEP + """
     pid = os.fork()
     if pid == 0:  # the parent's helper does not run here
-        ok = sweep() == want and [h.is_alive() for h in simulate._helpers] == [True]
+        ok = sweep() == want and len(helpers()) == 1
         os._exit(0 if ok else 3)
     deadline = time.monotonic() + 60
     while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
