@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fib_core, joint_predict, limits, marginal, simulate
 from .errors import FsrvError, NonConvergenceError
-from .numerics import DensityCurve
+from .numerics import DensityCurve, dekker_split
 from .seeds import parse_seed_spec
 
 NORM_DEFECT_LIMIT = 1e-6
@@ -58,7 +58,6 @@ def _fmt(value) -> str:
 _KERNEL_CELLS = 1024
 _BLOCK_CELLS = 8192
 _POW_MIN, _POW_MAX = -280, 300  # the range of k in the table of 10**k
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into 26-bit halves
 _FALLBACK_SLOTS = np.frombuffer(b"\0%.17g" + b"\0" * 23, np.uint8)
 _LEAD_ZEROS = np.array([[-1], [-2], [-3]])  # e below these takes a zero after "0."
 
@@ -76,9 +75,8 @@ def _kernel_tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         n, d = hi.as_integer_ratio()  # d is a power of two
         pairs.append((hi, math.ldexp((num * d - n * den) / den, 1 - d.bit_length())))
     hi, lo = np.array(pairs).T
-    split = hi * _SPLIT
-    hi1 = split - (split - hi)
-    powers, quads = (hi, hi1, hi - hi1, lo), (np.indices((10,) * 4, np.uint8) + 48).reshape(4, -1)
+    powers = (hi, *dekker_split(hi), lo)
+    quads = (np.indices((10,) * 4, np.uint8) + 48).reshape(4, -1)
     for table in (*powers, quads):
         table.flags.writeable = False  # every call shares them
     return powers, quads
@@ -92,9 +90,7 @@ def _digits(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (hi, hi1, hi2, lo), _ = _kernel_tables()
     k = 16 - _POW_MIN - e
     hi, hi1, hi2, lo = (np.take(col, k) for col in (hi, hi1, hi2, lo))
-    split = a * _SPLIT
-    a1 = split - (split - a)
-    a2 = a - a1
+    a1, a2 = dekker_split(a)
     p = a * hi
     whole = np.floor(p)
     rest = (p - whole) + ((((a1 * hi1 - p) + a1 * hi2) + a2 * hi1) + a2 * hi2) + a * lo

@@ -23,6 +23,13 @@ from .seeds import Exponential, UniformUnit
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
 
+#: The lower ends of Y's support, -(1+phi)/sqrt(1+phi^2) for exponential and
+#: -(1+phi)/sqrt((1+phi^2)/3) for unit-uniform seeds, as the doubles nearest
+#: their 50-digit values and the rest. The closed densities map x from the
+#: end: x - hi is exact near it, so the image keeps its relative accuracy.
+_EXP_END = (-1.3763819204711736, 4.287034122518378e-17)
+_UNIFORM_END = (-2.3839634168752983, -3.3226738299348067e-17)
+
 
 def pdf_limit_numeric(model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of Y at x, a float or an array, by scaled convolution."""
@@ -33,7 +40,8 @@ def pdf_limit_exponential_closed(x):
     """Closed-form density of Y for iid exponential seeds: the density of
     V0 + phi*V1 at c = x*sqrt(1+phi^2) + (1+phi), rescaled by sqrt(1+phi^2).
     Standardization makes the result rate-free."""
-    return linear_form_pdf_exponential(1.0, PHI, x * _SQRT_1_PHI2 + (1.0 + PHI), _SQRT_1_PHI2)
+    c = _SQRT_1_PHI2 * ((x - _EXP_END[0]) - _EXP_END[1])
+    return linear_form_pdf_exponential(1.0, PHI, c, _SQRT_1_PHI2)
 
 
 def cdf_limit_exponential_closed(x):
@@ -53,8 +61,10 @@ _UNIFORM_B = (1.0 + PHI) / 2.0
 
 def pdf_limit_uniform_closed(x):
     """Closed-form density of Y for iid unit-uniform seeds: the trapezoidal
-    density of V0 + phi*V1 pushed through the standardization."""
-    return linear_form_pdf_uniform(1.0, PHI, _UNIFORM_A * x + _UNIFORM_B, _UNIFORM_A)
+    density of V0 + phi*V1 pushed through the standardization. Y is
+    symmetric, so the density is read at -|x|, from the nearer end."""
+    u = _UNIFORM_A * ((-np.abs(x) - _UNIFORM_END[0]) - _UNIFORM_END[1])
+    return linear_form_pdf_uniform(1.0, PHI, u, _UNIFORM_A)
 
 
 def cdf_limit_uniform_closed(x):

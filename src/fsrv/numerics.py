@@ -102,6 +102,14 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def dekker_split(a):
+    """Doubles a below 2**996 in magnitude as hi + lo exactly, each of at most
+    26 significant bits, so products of halves are exact (Dekker, 1971)."""
+    split = a * 134217729.0
+    hi = split - (split - a)
+    return hi, a - hi
+
+
 def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
     """f(t, row) for nodes t and rows that broadcast, split flat into calls of
     at most _CHUNK_ELEMENTS nodes when larger; never on no nodes."""

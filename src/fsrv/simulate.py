@@ -6,26 +6,24 @@ of four raw words per path, of which each seed family turns into uniforms
 only those it uses. Results are therefore bit-identical no matter how the
 draws are split, so these whole-array passes run through one helper,
 _in_parts, that spreads parts of the paths over every CPU the process may
-use: the draws, each thread into its own rows of one column-major array;
-cursor walks of at least _THREADED_PATH_STEPS paths times steps, from the
-cursor or from the seeds, each thread walking its own rows through every
-step; partial sums, fused into that walk; and ratio statistics, each thread
-reducing one node of numpy's pairwise summation tree. Every row sees the
-same operations in the same order whatever the thread count, and the ratio
-sums are added in the tree's order, so no result depends on it. The threads
-other than the caller's come from one standard-library thread pool, built
-on the first pass that needs it and kept for the passes after it, so no
-pass pays a thread start; a forked child builds its own.
+use: the draws, each thread into its own rows of one column-major array,
+and cursor walks, each thread walking its own rows through every step with
+the partial sums or the ratio statistics fused in, the latter on nodes of
+numpy's pairwise summation tree, whose sums are added in the tree's order.
+Every row sees the same operations in the same order whatever the thread
+count, so no result depends on it. The threads other than the caller's
+come from one standard-library thread pool, built on the first pass that
+needs it and kept for the passes after it; a forked child builds its own.
 
 The summary's per-index means and variances come from the seed pairs' sample
 moments, summed afresh on each call, leaf by leaf on the calling thread.
 Member reads, partial sums, ratio statistics and sample_path share one
-forward cursor over the index: reading members in ascending n costs one array
-addition per index, which ratio_stats takes part by part on every CPU and the
-other reads on the calling thread, and reading a smaller n restarts the walk
-from the seed pairs. The cursor makes a run stateful, so a run must not be
-shared across threads. A KS distance calls the target cdf on the sorted
-sample's block edges, then only on the blocks that can hold the sup."""
+forward cursor over the index, moved by one walk, SimulationRun._members:
+reading members in ascending n costs one array addition per index, and
+reading a smaller n restarts the walk from the seed pairs. The cursor makes
+a run stateful, so a run must not be shared across threads. A KS distance
+calls the target cdf on the sorted sample's block edges, then only on the
+blocks that can hold the sup."""
 
 import contextvars
 import functools
@@ -138,21 +136,27 @@ class SimulationRun:
         if not 0 <= n <= self.config.horizon:
             raise DomainError(f"n must be in [0, {self.config.horizon}], got {n}")
 
-    def _members(self, k: int, total: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _members(self, k: int, total: np.ndarray | None = None, body=None):
         """Members k and k+1 of every path as views of the cursor buffers,
         which the next cursor move overwrites. With total given, the walk
         restarts from the seeds and adds members 0..k+1 into total, one by
         one in index order. A walk of _THREADED_PATH_STEPS or more
         path-steps runs on every CPU, each thread walking its own rows
-        through every step."""
+        through every step. With body given, body(member k, member k+1) runs
+        on each part _pairwise_leaves cuts, right after the part's own walk:
+        one step from the cursor at k - 1, none after a restart or a longer
+        move, which walk to k first. Its results come back by part; up to
+        1.5 * _CHUNK_PATHS paths, from the calling thread as one root part."""
         restart = total is not None or self._k is None or k < self._k
+        if body is not None and (restart or k - self._k > 1):
+            self._members(k)
+            restart = False
         steps = k - (0 if restart else self._k)
-        prev, cur, seeds = self._prev, self._cur, self.seed_pairs
+        prev, cur, seeds, n_paths = self._prev, self._cur, self.seed_pairs, self.config.n_paths
         if prev is None:
-            n_paths, dtype = self.config.n_paths, seeds.dtype
-            prev, cur = np.empty(n_paths, dtype), np.empty(n_paths, dtype)
+            prev, cur = np.empty(n_paths, seeds.dtype), np.empty(n_paths, seeds.dtype)
 
-        def walk(start: int, stop: int) -> None:
+        def walk(start: int, stop: int):
             p, c = prev[start:stop], cur[start:stop]
             if restart:
                 p[:], c[:] = seeds[start:stop, 0], seeds[start:stop, 1]
@@ -163,42 +167,22 @@ class SimulationRun:
                 p, c = c, p
                 if total is not None:
                     t += c
+            return None if body is None else body(p, c)
 
         # No cursor until every row has walked: a failed walk leaves its
         # buffers to any helper thread still stepping them, and the next read
         # restarts in fresh ones.
         self._k = self._prev = self._cur = None
-        if steps * self.config.n_paths >= _THREADED_PATH_STEPS:
-            _in_parts(self.config.n_paths, walk)
+        if body is not None and n_paths > 3 * _CHUNK_PATHS // 2:
+            parts = _in_parts(n_paths, walk, _pairwise_leaves)
+        elif body is None and steps * n_paths >= _THREADED_PATH_STEPS:
+            parts = _in_parts(n_paths, walk)
         else:
-            walk(0, self.config.n_paths)
+            parts = {(0, n_paths): walk(0, n_paths)}
         if steps % 2:
             prev, cur = cur, prev
         self._prev, self._cur, self._k = prev, cur, k
-        return prev, cur
-
-    def _in_member_parts(self, k: int, body) -> dict:
-        """body(member k, member k + 1) on the parts of the two that
-        _pairwise_leaves cuts, through _in_parts, and its results by part.
-        With the cursor at k - 1, each part takes the cursor's one step on
-        its rows itself, so each CPU steps and reads its rows while they are
-        in its cache; the cursor is then unset until every part has ended."""
-        step = self._k == k - 1
-        prev, cur = (self._prev, self._cur) if step else self._members(k)
-        self._k = self._prev = self._cur = None  # as in _members
-
-        def part(start: int, stop: int):
-            p, c = prev[start:stop], cur[start:stop]
-            if step:
-                p += c
-                p, c = c, p
-            return body(p, c)
-
-        results = _in_parts(self.config.n_paths, part, _pairwise_leaves)
-        if step:
-            prev, cur = cur, prev
-        self._prev, self._cur, self._k = prev, cur, k
-        return results
+        return (prev, cur) if body is None else parts
 
     def _member(self, n: int) -> np.ndarray:
         prev, cur = self._members(max(n - 1, 0))
@@ -464,19 +448,20 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
     NaN, are excluded and counted, never silently dropped; if every path is
     excluded a DegenerateSampleError is raised.
 
-    The paths are cut where numpy's pairwise summation splits them, into
-    about one node of its tree per thread of _in_parts, and each part, on
-    its own CPU, takes the cursor's one step when the cursor sits at n - 1,
-    divides its two members without copying them and returns its sum, min,
-    max and near-phi count. The sums are added in the tree's order, so
-    `mean` is the double np.mean gives over all paths, whatever the thread
-    count. A call where some path is excluded reduces the kept paths, copied
-    out, on the calling thread, since they have a tree of their own. Kept
-    paths are counted by sign, the negative side only when some denominator
-    falls short of the floor, with no |denom| temporary. The near-phi count
-    compares z with the band's edges _PHI_LO and _PHI_HI, unless both of a
-    part's extremes lie inside the band (a NaN extreme never does), when it
-    is every path of the part.
+    The cursor's one walk, SimulationRun._members, cuts the paths where
+    numpy's pairwise summation splits them, about one node of its tree per
+    thread of _in_parts (the root alone up to 1.5 * _CHUNK_PATHS paths,
+    where a second thread loses), and each part, on its own CPU, takes the
+    cursor's one step when it sits at n - 1, divides its two members without
+    copying them and returns its sum, min, max and near-phi count. The sums
+    are added in the tree's order, so `mean` is the double np.mean gives
+    over all paths, whatever the thread count. A call where some path is
+    excluded reduces the kept paths, copied out, on the calling thread,
+    since they have a tree of their own. Kept paths are counted by sign, the
+    negative side only when some denominator falls short of the floor, with
+    no |denom| temporary. The near-phi count compares z with the band's
+    edges _PHI_LO and _PHI_HI, unless both of a part's extremes lie inside
+    the band (a NaN extreme never does), when it is every path of the part.
 
     Where member n has a positive density at 0, as on seeds of both signs,
     the ratio has no mean (on normal01 seeds it follows a Cauchy law), so
@@ -488,7 +473,7 @@ def ratio_stats(run: SimulationRun, n: int) -> RatioStats:
         raise DomainError(f"need n+1 <= horizon={run.config.horizon}, got n={n}")
     run._check_index(n)
     n_paths = run.config.n_paths
-    parts = run._in_member_parts(n, _ratio_reductions)
+    parts = run._members(n, body=_ratio_reductions)
     if None in parts.values():  # some path is excluded
         denom, numer = run._members(n)  # the cursor sits at n: no step
         keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR

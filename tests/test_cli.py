@@ -611,7 +611,11 @@ def test_console_entry_point_runs():
 # most 3.7e-16 relative, and sums_exp's norm_defect went from 0 to 3.3e-16.
 # predict_closed_csv and predict_closed_from_0 were re-recorded when the
 # closed predictor took numpy's expm1 for math's: 23 and 30 of their values
-# moved, each by at most 2.3e-16 relative.
+# moved, each by at most 2.3e-16 relative. limit_exp, limit_exp_rate and
+# limit_unif were re-recorded when the closed limit densities mapped x from
+# the support's lower end, a pair of doubles (unif01 reading the symmetric
+# density at -|x|): 3 of limit_exp's 9 values moved (and limit_exp_rate's),
+# each by at most 1.2e-15 relative, and 6 of limit_unif's, by at most 1.7e-15.
 _ANALYTIC_DIGESTS = [
     ("pdf_exp_closed", ["pdf", "--seeds", "exp:1", "--n", "5", "--grid", "0:20:9",
                         "--method", "closed"],
@@ -625,9 +629,9 @@ _ANALYTIC_DIGESTS = [
     ("pdf_table", ["pdf", "--seeds", "TABLE", "--n", "3", "--grid", "0:7:8", "--output", "json"],
      "061dddc4b42233d2e4443700ef4576d26d95237bcef2498875b4e239933da669"),
     ("limit_exp", ["limit", "--seeds", "exp:1", "--grid=-2:4:9"],
-     "43a6acaf71017e94163b12c1f3f27874d5ae614f1b94e713f26f37b477a0d0bc"),
+     "c303f59284b6c846539e8b13ac610d3a395d077eacacc61ba43e5eb24f0b2a41"),
     ("limit_unif", ["limit", "--seeds", "unif01", "--grid=-2:2:9", "--output", "json"],
-     "0d9ea5ac02eac20b8612097509a51739169bbe6666a6776d94edd8e9046b9852"),
+     "cb4dcc61cc8d959777e11b2d5301216dd4d7ff639e209deefbf44ff69be15e39"),
     ("limit_normal", ["limit", "--seeds", "normal01", "--grid=-3:3:7"],
      "711fb846c2e729178ed23ba5186a2253e85a89f77cacac556cf90d18334334f9"),
     ("limit_table", ["limit", "--seeds", "TABLE", "--grid=-3:3:7", "--output", "json"],
@@ -686,7 +690,7 @@ _ANALYTIC_DIGESTS = [
     # a seed with infinite tails, and a form whose support starts far from 0
     # ("SHIFTED_TABLE" is the triangle table moved to [5, 7])
     ("limit_exp_rate", ["limit", "--seeds", "exp:2.5", "--grid=-2:4:9"],
-     "43a6acaf71017e94163b12c1f3f27874d5ae614f1b94e713f26f37b477a0d0bc"),
+     "c303f59284b6c846539e8b13ac610d3a395d077eacacc61ba43e5eb24f0b2a41"),
     ("sums_exp_rate", ["sums", "--seeds", "exp:2.5", "--n", "4", "--grid", "0:12:7"],
      "baf2a87c1d7a49aafc0e565f4058fc6c425367df2b95d6ba20905e6db8fa9bfd"),
     ("sums_unif", ["sums", "--seeds", "unif01", "--n", "3", "--grid", "0:7:8"],

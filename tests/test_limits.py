@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from fsrv import limits
 from fsrv.errors import DomainError
 from fsrv.fib_core import PHI, fib
 from fsrv.limits import (
@@ -21,6 +23,14 @@ from fsrv.seeds import SeedDistribution
 EDGE = -(1.0 + PHI) / math.sqrt(1.0 + PHI * PHI)
 UNIF_A = math.sqrt((1.0 + PHI * PHI) / 12.0)
 UNIF_B = (1.0 + PHI) / 2.0
+
+
+def test_support_ends_are_the_double_doubles_of_their_50_digit_values():
+    with mp.workdps(50):
+        phi = (1 + mp.sqrt(5)) / 2
+        for (hi, lo), end in ((limits._EXP_END, -(1 + phi) / mp.sqrt(1 + phi**2)),
+                              (limits._UNIFORM_END, -(1 + phi) / mp.sqrt((1 + phi**2) / 3))):
+            assert (hi, lo) == (float(end), float(end - hi))
 
 
 def test_limit_law_constants(exp_model, unif_model):

@@ -12,6 +12,7 @@ from fsrv.numerics import (
     _XK,
     DensityCurve,
     QuadratureConfig,
+    dekker_split,
     integrate,
     scaled_convolution,
 )
@@ -283,3 +284,12 @@ def test_density_curve_from_function_certificate():
     assert curve.norm_defect < 1e-9
     assert curve.xs.size == 64
     assert curve.ys[0] == 1.0
+
+
+def test_dekker_split_halves_are_exact_and_short():
+    a = np.random.default_rng(5).standard_normal(1000) * 10.0 ** np.arange(-150, 150, 0.3)
+    hi, lo = dekker_split(a)
+    assert np.array_equal(hi + lo, a)
+    for half in (hi, lo):  # at most 26 significant bits, so products of halves are exact
+        mantissa = np.frexp(half)[0] * 2.0**26
+        assert np.array_equal(mantissa, np.round(mantissa))

@@ -1,13 +1,19 @@
-"""Oracle matrix of the closed routes: every value the CLI prints with exit 0
-lies within CLOSED_BOUND relative of a 50-digit mpmath re-derivation.
+"""Oracle matrix: every value the CLI prints with exit 0 lies within its
+documented bound of a 50-digit mpmath re-derivation.
 
-The cells are routes x families x n x positions: `pdf --method closed`, and
-`sums` and `limit` on the families that have a closed form for them, at
-standardized positions z = -6..6 and, for members and partial sums, at y =
-rate*x from 1e-10*c0 to 1e-3*c0, where c0*V0 + c1*V1 is the form and c0 <=
-c1. The oracles below derive each law from the seeds' densities and use no
-closed function of fsrv."""
+The cells are routes x families x n x positions. The closed routes, `pdf
+--method closed`, and `sums` and `limit` on the families that have a closed
+form for them, must print within CLOSED_BOUND relative, at standardized
+positions z = -6..6 and near the lower end of the support: for members and
+partial sums at y = rate*x from 1e-10*c0 to 1e-3*c0, where c0*V0 + c1*V1 is
+the form and c0 <= c1, and for the limit law from 1e-10 to 1e-3 above the
+end of V0 + phi*V1 (and below its upper end on unif01). The numeric routes,
+`pdf --method numeric`, and `sums` and `limit` on normal01, must exit 2 or 3
+or print within NUMERIC_BOUND/sigma at z = -6..6, sigma the standard
+deviation of the printed variable. The oracles below derive each law from
+the seeds' densities and use no closed function of fsrv."""
 
+import itertools
 import json
 
 import mpmath as mp
@@ -17,6 +23,10 @@ from fsrv.cli import main
 
 #: Relative bound of every value a closed route prints, as README states it.
 CLOSED_BOUND = 1e-13
+
+#: Absolute bound of every value a numeric route prints, times the standard
+#: deviation sigma of the printed variable, as README states it.
+NUMERIC_BOUND = 1e-12
 
 _FAMILIES = ("exp:1", "exp:1e150", "unif01", "normal01")
 _NS = (2, 3, 5, 10, 19, 30, 60, 80)
@@ -116,7 +126,56 @@ def test_closed_limit_densities_match_the_oracle(capsys, family):
         phi = (1 + mp.sqrt(5)) / 2
         mean, sd = _seed_moments("exp:1" if family.startswith("exp:") else family)
         mean, sd = (1 + phi) * mean, mp.sqrt(1 + phi * phi) * sd
-        pairs = _printed(capsys, ["limit", "--seeds", family, "--grid=-6:6:13"])
+        route = ["limit", "--seeds", family]
+        pairs = _printed(capsys, [*route, "--grid=-6:6:13"])
+        # c = mean + sd*z from 1e-10 to 1e-3 inside each end where the density is 0
+        ends = [(0, 1)] + ([(1 + phi, -1)] if family == "unif01" else [])
+        for (end, inward), low in itertools.product(ends, (1e-10, 1e-8, 1e-6, 1e-4)):
+            zs = sorted(float((end + inward * c - mean) / sd) for c in (low, 10 * low))
+            pairs += _printed(capsys, [*route, f"--grid={zs[0]!r}:{zs[1]!r}:2"])
         _check(pairs, lambda z: sd * _form_density(family if family == "unif01" else "exp:1",
                                                    mp.mpf(1), phi, mean + sd * z))
+
+
+def _check_numeric(capsys, argv: list[str], sigma, oracle) -> None:
+    """A numeric cell passes if it exits 2 or 3, or if it exits 0 with every
+    value within NUMERIC_BOUND/sigma of the oracle."""
+    code = main([*argv, "--output", "json"])
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    if code == 0:
+        curve = json.loads(out)
+        for x, printed in zip(curve["x"], curve["density"]):
+            want = oracle(mp.mpf(x))
+            assert abs(printed - want) <= NUMERIC_BOUND / sigma, (x, printed, want)
+
+
+def _numeric_form_cells():
+    """(route, family, c0, c1) of each numeric member and partial-sum cell."""
+    for family in ("exp:1", "exp:1e150", "normal01"):
+        for n in _NS:
+            yield pytest.param(["pdf", "--seeds", family, "--n", str(n), "--method", "numeric"],
+                               family, _fib(n - 1), _fib(n), id=f"pdf-{family}-{n}")
+    for n in _NS:  # S_n = a_{n+1}*V0 + (a_{n+2} - 1)*V1
+        yield pytest.param(["sums", "--seeds", "normal01", "--n", str(n)], "normal01",
+                           _fib(n + 1), _fib(n + 2) - 1, id=f"sums-normal01-{n}")
+
+
+@pytest.mark.parametrize("route,family,c0,c1", list(_numeric_form_cells()))
+def test_numeric_densities_match_the_oracle(capsys, route, family, c0, c1):
+    with mp.workdps(_DIGITS):
+        c0, c1 = mp.mpf(c0), mp.mpf(c1)
+        mean, sd = _seed_moments(family)
+        sigma = mp.sqrt(c0**2 + c1**2) * sd
+        _check_numeric(capsys, [*route, _z_grid((c0 + c1) * mean, sigma)], sigma,
+                       lambda x: _form_density(family, c0, c1, x))
+
+
+def test_numeric_limit_density_matches_the_oracle(capsys):
+    # Y is (V0 + phi*V1) / sqrt(1 + phi^2) on normal01 seeds, of standard deviation 1
+    with mp.workdps(_DIGITS):
+        phi = (1 + mp.sqrt(5)) / 2
+        sd = mp.sqrt(1 + phi * phi)
+        _check_numeric(capsys, ["limit", "--seeds", "normal01", "--grid=-6:6:13"], 1,
+                       lambda z: sd * _form_density("normal01", mp.mpf(1), phi, sd * z))
 

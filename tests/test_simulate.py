@@ -898,6 +898,66 @@ def test_ratio_stats_matches_the_one_thread_reference(cpus, n_paths, laws, rng_s
                 assert repr(ratio_stats(run, n)) == repr(_reference_ratio_stats(members, n))
 
 
+def test_ratio_stats_fuses_one_step_into_its_leaf_pass(monkeypatch, exp_model):
+    # 2 steps of these paths pass _THREADED_PATH_STEPS, so every walk is a pass too
+    _pretend_cpus(monkeypatch, 2)
+    config = SimulationConfig(rng_seed=9, n_paths=4 * _CHUNK_PATHS + 99, horizon=12,
+                              model=exp_model)
+    run = run_simulation(config)
+    members = _reference_members(run.seed_pairs, 12)
+    leaves = simulate._pairwise_leaves(config.n_paths, 2)
+    in_parts, reductions = simulate._in_parts, simulate._ratio_reductions
+    passes, reduced = [], []
+
+    def counted_in_parts(n_paths, body, split=simulate._chunks):
+        passes.append(split)
+        return in_parts(n_paths, body, split)
+
+    def counted_reductions(denom, numer):
+        reduced.append((denom.size, threading.current_thread() is threading.main_thread()))
+        return reductions(denom, numer)
+
+    monkeypatch.setattr(simulate, "_in_parts", counted_in_parts)
+    monkeypatch.setattr(simulate, "_ratio_reductions", counted_reductions)
+    walk_then_reduce = [simulate._chunks, simulate._pairwise_leaves]
+    # a restart, one step from the cursor, none, two steps, a restart below the cursor
+    for n, structure in ((5, walk_then_reduce), (6, [simulate._pairwise_leaves]),
+                         (6, [simulate._pairwise_leaves]), (8, walk_then_reduce),
+                         (3, walk_then_reduce)):
+        passes.clear()
+        reduced.clear()
+        assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
+        assert passes == structure
+        # each leaf reduced once, the even ones by the calling thread
+        assert sorted(reduced) == sorted((stop - start, i % 2 == 0)
+                                         for i, (start, stop) in enumerate(leaves))
+
+
+def test_ratio_stats_on_few_paths_stays_on_the_calling_thread(monkeypatch, exp_model):
+    _pretend_cpus(monkeypatch, 2)
+    pool, submitted = simulate._helper_pool, []
+
+    class CountedPool:
+        def __init__(self, helpers: int):
+            self.pool = pool(helpers)
+
+        def submit(self, *args):
+            submitted.append(args)
+            return self.pool.submit(*args)
+
+    monkeypatch.setattr(simulate, "_helper_pool", CountedPool)
+    # up to 3 * _CHUNK_PATHS // 2 paths a second thread costs more than it saves
+    for n_paths, threaded in ((70_000, False), (3 * _CHUNK_PATHS + 12345, True)):
+        config = SimulationConfig(rng_seed=12, n_paths=n_paths, horizon=8, model=exp_model)
+        pairs = run_simulation(config).seed_pairs
+        members = _reference_members(pairs, 8)
+        run = SimulationRun(config, pairs)
+        submitted.clear()
+        for n in range(8):  # from the seeds, then one step at a time
+            assert ratio_stats(run, n) == _reference_ratio_stats(members, n)
+        assert bool(submitted) == threaded
+
+
 def test_pairwise_leaves_are_nodes_of_numpys_summation_tree():
     z = np.random.default_rng(3).standard_normal(3 * _CHUNK_PATHS + 12345) * 1e3
     for n_paths in (1, 255, 256, 257, 70_001, z.size):

@@ -199,6 +199,9 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
 # emit_bound's bytes_out (1,460,995 before) was re-recorded when the closed
 # exponential density and the closed predictor moved to expm1 forms: the
 # values that moved by rounding print with a different count of digits.
+# emit_bound's bytes_out (1,460,984 before) was re-recorded when the closed
+# limit densities mapped x from the support's lower end: the limit_exp1 ops
+# print 6 and 8 bytes more, the limit_unif01 ops 1 and 12 fewer.
 _PASS_COUNTS = {
     "quad_smooth": {
         "numerics.integrand_evals": 13, "numerics.integrate_calls": 4,
@@ -224,7 +227,7 @@ _PASS_COUNTS = {
         "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 34,
         "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 4,
         "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 2,
-        "joint_predict.predict_calls": 0, "cli.bytes_out": 1460984,
+        "joint_predict.predict_calls": 0, "cli.bytes_out": 1460985,
         "simulate.recursion_steps": 40, "simulate.sample_path_calls": 1,
         "trace.wrapped_calls": 152},
     "mc_reduce": {
