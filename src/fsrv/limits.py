@@ -22,13 +22,19 @@ from .numerics import DEFAULT_CONFIG, QuadratureConfig
 from .seeds import Exponential, UniformUnit
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
+_UNIFORM_A = math.sqrt((1.0 + PHI * PHI) / 12.0)
 
 #: The lower ends of Y's support, -(1+phi)/sqrt(1+phi^2) for exponential and
 #: -(1+phi)/sqrt((1+phi^2)/3) for unit-uniform seeds, as the doubles nearest
-#: their 50-digit values and the rest. The closed densities map x from the
-#: end: x - hi is exact near it, so the image keeps its relative accuracy.
+#: their 50-digit values and the rest. The closed densities and cdfs map x
+#: from the end: x - hi is exact near it, so the image keeps its accuracy.
 _EXP_END = (-1.3763819204711736, 4.287034122518378e-17)
 _UNIFORM_END = (-2.3839634168752983, -3.3226738299348067e-17)
+
+#: The Taylor series of the exponential limit cdf over c^2, highest power
+#: first, to c^15: the first term left out is below 1e-19 of F at c = 1/2.
+_EXP_CDF_SERIES = [PHI * (1.0 - PHI ** (1 - k)) * (-1) ** k / math.factorial(k)
+                   for k in range(17, 1, -1)]
 
 
 def pdf_limit_numeric(model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -48,15 +54,15 @@ def cdf_limit_exponential_closed(x):
     """Distribution function matching pdf_limit_exponential_closed.
 
     Accepts a float or an array; obtained by integrating the closed density,
-    F = (phi*(1 - exp(-c/phi)) - (1 - exp(-c))) / (phi - 1) for c >= 0.
+    F = (phi*(1 - exp(-c/phi)) - (1 - exp(-c))) / (phi - 1) for c >= 0 as
+    there, or its series below c = 1/2, where that cancels to c^2/(2*phi).
     """
-    c = np.maximum(np.asarray(x, dtype=np.float64) * _SQRT_1_PHI2 + (1.0 + PHI), 0.0)
-    out = (PHI * -np.expm1(-c / PHI) + np.expm1(-c)) / (PHI - 1.0)
-    return float(out) if np.isscalar(x) else out
-
-
-_UNIFORM_A = math.sqrt((1.0 + PHI * PHI) / 12.0)
-_UNIFORM_B = (1.0 + PHI) / 2.0
+    c = _SQRT_1_PHI2 * ((np.asarray(x, dtype=np.float64) - _EXP_END[0]) - _EXP_END[1])
+    c = np.asarray(np.maximum(c, 0.0))
+    out = np.asarray((PHI * -np.expm1(-c / PHI) + np.expm1(-c)) / (PHI - 1.0))
+    small = c < 0.5
+    out[small] = c[small] ** 2 * np.polyval(_EXP_CDF_SERIES, c[small])
+    return float(out) if np.isscalar(x) else out[()]
 
 
 def pdf_limit_uniform_closed(x):
@@ -68,21 +74,15 @@ def pdf_limit_uniform_closed(x):
 
 
 def cdf_limit_uniform_closed(x):
-    """Distribution function of Y for iid unit-uniform seeds.
-
-    Computed as the exact integral of the trapezoidal density, so it is
-    continuous and hits 0 and 1 exactly at the support edges. Accepts a
-    float or an array.
-    """
-    u = np.asarray(_UNIFORM_A * np.asarray(x, dtype=np.float64) + _UNIFORM_B)
-    rising = u * u / (2.0 * PHI)
-    flat = 1.0 / (2.0 * PHI) + (u - 1.0) / PHI
-    falling = 1.0 - (1.0 + PHI - u) ** 2 / (2.0 * PHI)
-    out = np.select(
-        [u <= 0.0, u < 1.0, u <= PHI, u < 1.0 + PHI],
-        [0.0, rising, flat, falling],
-        default=1.0,
-    )
+    """Distribution function of Y for iid unit-uniform seeds: the exact
+    integral of the trapezoidal density, read like it at -|x|, where only its
+    ramp and plateau reach, and mirrored above 0, so it is continuous and
+    hits 0 and 1 exactly at the support edges. Accepts a float or an array."""
+    y = -np.abs(x)
+    u = _UNIFORM_A * ((y - _UNIFORM_END[0]) - _UNIFORM_END[1])
+    out = np.select([u <= 0.0, u < 1.0], [0.0, u * u / (2.0 * PHI)],
+                    default=0.5 + y * (_UNIFORM_A / PHI))  # the plateau, (u - 1/2)/phi
+    out = np.where(np.asarray(x) > 0.0, 1.0 - out, out)
     return float(out) if np.isscalar(x) else out
 
 

@@ -1,17 +1,18 @@
 """Quadrature, scaled density convolution, and certified grid curves.
 
 Every integral goes through one engine, `_integrate_rows`, which integrates
-a batch of rows, each cut at its own sorted edges, calling the integrand on
-arrays of at most _CHUNK_ELEMENTS nodes: exactly, one two-point
-Gauss-Legendre panel per piece, or adaptively, with Gauss-Kronrod 7/15
-panels, bisecting those whose error estimate |K15 - G7| misses their share
-of an absolute error target (twice at the first level, where a whole piece
-seldom passes). Neither mode evaluates the integrand at a cut, so it may
-jump at any cut; the engine's callers cut every row at its known jumps and
-kinks. Adaptive mode keeps its panels as columns, one array per field with
-one entry per panel: a block of panels still to bisect is the columns a, b
-and piece, and the accepted panels are the columns piece, a and K15, from
-which each piece's sum is taken at the end.
+a batch of rows, each cut at its own sorted edges, calling the integrand
+once per step on all of that step's nodes: exactly, one two-point
+Gauss-Legendre panel per piece, a step per row batch, or adaptively, with
+Gauss-Kronrod 7/15 panels, a step per block of panels, bisecting those whose
+error estimate |K15 - G7| misses their share of an absolute error target
+(twice at the first level, where a whole piece seldom passes). Neither mode
+evaluates the integrand at a cut, so it may jump at any cut; the engine's
+callers cut every row at its known jumps and kinks. Adaptive mode keeps its
+panels as columns, one array per field with one entry per panel: a block of
+panels still to bisect is the columns a, b and piece, and the accepted
+panels are the columns piece, a and K15, from which each piece's sum is
+taken at the end.
 `integrate` is its one-row front end, `line_points` and `line_cuts` where
 every line integral over a seed pair ends and is cut, `scaled_convolution`
 the density of c0*V0 + c1*V1 for independent seeds V0, V1, one row per x
@@ -66,12 +67,13 @@ _XK, _WK, _WG = (np.concatenate((sign * np.array(half[:-1]), half[::-1])) for si
 #: Rabinowitz, Methods of Numerical Integration, 1984).
 _GAUSS2 = np.array((-1.0, 1.0)) / math.sqrt(3.0)
 
-#: Nodes one integrand call may receive, so memory stays flat however many
-#: points are asked for.
+#: Nodes of one exact-mode step, a batch of as many rows as fit at two nodes
+#: per piece (or one row), so memory stays flat however many points are asked
+#: for; adaptive mode batches its rows the same way.
 _CHUNK_ELEMENTS = 1 << 12
 
-#: Panels adaptive mode bisects per step, the first step of a batch's pieces
-#: as every later one: it bounds the memory its pending panels hold.
+#: Panels one adaptive step bisects, a batch's first step as every later one:
+#: at most 30,720 nodes a step, 15 per half or, at depth 1, per quarter.
 _BLOCK_PANELS = 1 << 9
 
 
@@ -110,21 +112,11 @@ def dekker_split(a):
     return hi, a - hi
 
 
-def _evaluate(f, t: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """f(t, row) for nodes t and rows that broadcast, split flat into calls of
-    at most _CHUNK_ELEMENTS nodes when larger; never on no nodes."""
-    if t.size <= _CHUNK_ELEMENTS:
-        return f(t, row) if t.size else np.empty(0)
-    t, row = t.ravel(), np.broadcast_to(row, t.shape).ravel()
-    return np.concatenate([f(t[i:i + _CHUNK_ELEMENTS], row[i:i + _CHUNK_ELEMENTS])
-                           for i in range(0, t.size, _CHUNK_ELEMENTS)])
-
-
 def _integrate_rows(f, rows: int, width: int, edges, abs_tol: float | None = None) -> np.ndarray:
     """Integral of f over [e[i, 0], e[i, -1]] for each row i < rows, where
     e = edges(i, j) is the 2-D array of the width sorted edges of rows i to
     j - 1, asked for as many rows at a time as the batch takes; f(t, row)
-    takes nodes and the rows they belong to, which broadcast. Both modes
+    takes a step's nodes and their rows, which broadcast. Both modes
     evaluate f only inside the pieces between consecutive edges, so f may
     jump at any edge; inside each piece it must be a polynomial of degree at
     most 3 (exact mode) or continuous (adaptive mode). Only a piece a few
@@ -161,7 +153,7 @@ def _integrate_rows(f, rows: int, width: int, edges, abs_tol: float | None = Non
         c, h = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
         t = np.multiply.outer(h, _GAUSS2)
         t += c[..., None]
-        g = _evaluate(f, t, np.arange(i, i + len(t))[:, None, None]).reshape(t.shape)
+        g = f(t, np.arange(i, i + len(t))[:, None, None]).reshape(t.shape)
         out[i:i + step] = np.add.reduce(h * (g[..., 0] + g[..., 1]), axis=1)
     return out
 
@@ -210,7 +202,7 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
         tol = np.ldexp(share[p], -depth)  # the share, halved at each bisection
         c, h = (a + b) / 2.0, (b - a) / 2.0
         t = c[:, None] + h[:, None] * _XK
-        g = _evaluate(f, t, row[p][:, None]).reshape(t.shape)
+        g = f(t, row[p][:, None]).reshape(t.shape)
         # a sum along each panel's own nodes, in an order no batch width changes
         kronrod = h * np.add.reduce(g * _WK, axis=1)
         gauss = h * np.add.reduce(g[:, 1::2] * _WG, axis=1)

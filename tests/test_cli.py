@@ -758,8 +758,9 @@ _QUAD_SMOOTH_POINTS = {"quad_pdf_normal_numeric": 62_160, "quad_limit_normal": 6
                        "quad_sums_normal": 62_160, "quad_pdf_exp_numeric": 26_940,
                        "quad_predict_exp": 6_000, "quad_predict_normal": 12_480}
 
-# Engine steps of the same commands, one per numerics._evaluate call: each is
-# a round of numpy calls, whatever its size. They were 24, 19, 24, 13, 2 and 7
+# Engine steps of the same commands, one per integrand call that
+# numerics._integrate_rows makes: each is a round of numpy calls, whatever its
+# size. They were 24, 19, 24, 13, 2 and 7
 # while a panel that missed at depth 1 was halved instead of quartered, and the
 # exp count was 11 while adaptive pieces went in batches of 128 within a row
 # batch.
@@ -785,8 +786,12 @@ def test_quad_smooth_commands_evaluate_pinned_seed_points(capsys, monkeypatch, n
 def test_quad_smooth_commands_take_pinned_engine_steps(capsys, monkeypatch, name, steps):
     argv = next(case[1] for case in _ANALYTIC_DIGESTS if case[0] == name)
     calls = []
-    evaluate = numerics._evaluate
-    monkeypatch.setattr(numerics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    integrate_rows = numerics._integrate_rows
+
+    def counted(f, *args):
+        return integrate_rows(lambda t, row: calls.append(1) or f(t, row), *args)
+    for module in (numerics, joint_predict):
+        monkeypatch.setattr(module, "_integrate_rows", counted)
     assert run_cli(capsys, *argv)[0] == 0
     assert len(calls) == steps
 

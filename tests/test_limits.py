@@ -108,12 +108,17 @@ def test_uniform_limit_pdf_plateau(unif_model):
 
 
 def test_uniform_limit_cdf_support_edges():
-    lo = -UNIF_B / UNIF_A
-    hi = (1.0 + PHI - UNIF_B) / UNIF_A
-    assert cdf_limit_uniform_closed(lo) == 0.0
-    assert cdf_limit_uniform_closed(hi) == 1.0
-    assert cdf_limit_uniform_closed(lo - 1.0) == 0.0
-    assert cdf_limit_uniform_closed(hi + 1.0) == 1.0
+    # Y's support is +-(1+phi)/sqrt((1+phi^2)/3): the cdf is 0 from the double
+    # just below its lower end down, 1 from the negated double up, and
+    # positive on the next double up, which lies inside the support
+    with mp.workdps(50):
+        phi = (1 + mp.sqrt(5)) / 2
+        end = -(1 + phi) / mp.sqrt((1 + phi**2) / 3)
+        lo = float(end) if float(end) < end else math.nextafter(float(end), -math.inf)
+    for x in (lo, lo - 1.0, -math.inf):
+        assert cdf_limit_uniform_closed(x) == 0.0
+        assert cdf_limit_uniform_closed(-x) == 1.0
+    assert cdf_limit_uniform_closed(math.nextafter(lo, math.inf)) > 0.0
 
 
 def test_uniform_limit_cdf_value_at_plateau_end():

@@ -1,5 +1,6 @@
 """Oracle matrix: every value the CLI prints with exit 0 lies within its
-documented bound of a 50-digit mpmath re-derivation.
+documented bound of a 50-digit mpmath re-derivation, and so does every value
+of the closed limit cdfs that the KS distance reads.
 
 The cells are routes x families x n x positions. The closed routes, `pdf
 --method closed`, and `sums` and `limit` on the families that have a closed
@@ -10,8 +11,13 @@ the form and c0 <= c1, and for the limit law from 1e-10 to 1e-3 above the
 end of V0 + phi*V1 (and below its upper end on unif01). The numeric routes,
 `pdf --method numeric`, and `sums` and `limit` on normal01, must exit 2 or 3
 or print within NUMERIC_BOUND/sigma at z = -6..6, sigma the standard
-deviation of the printed variable. The oracles below derive each law from
-the seeds' densities and use no closed function of fsrv."""
+deviation of the printed variable. `predict --k 2` on normal01 and exp:1 must
+exit 2 or 3 or print within PREDICT_BOUND relative, at six even positions
+from the lowest z in -3..3 where the member density is above DENSITY_FLOOR
+(-3 if none is) to z = 3. The closed limit cdfs must read within
+CLOSED_BOUND relative at the limit cells' positions. The oracles below
+derive each law from the seeds' densities and use no closed function of
+fsrv."""
 
 import itertools
 import json
@@ -20,6 +26,8 @@ import mpmath as mp
 import pytest
 
 from fsrv.cli import main
+from fsrv.joint_predict import DENSITY_FLOOR
+from fsrv.limits import cdf_limit_exponential_closed, cdf_limit_uniform_closed
 
 #: Relative bound of every value a closed route prints, as README states it.
 CLOSED_BOUND = 1e-13
@@ -27,6 +35,9 @@ CLOSED_BOUND = 1e-13
 #: Absolute bound of every value a numeric route prints, times the standard
 #: deviation sigma of the printed variable, as README states it.
 NUMERIC_BOUND = 1e-12
+
+#: Relative bound of every value `predict` prints, as README states it.
+PREDICT_BOUND = 1e-12
 
 _FAMILIES = ("exp:1", "exp:1e150", "unif01", "normal01")
 _NS = (2, 3, 5, 10, 19, 30, 60, 80)
@@ -119,22 +130,47 @@ def test_closed_sum_densities_match_the_oracle(capsys, family, n):
                 _fib(n + 1), _fib(n + 2) - 1)
 
 
+def _limit_cells(family: str):
+    """phi, the mean and sd of V0 + phi*V1 on the family's seeds, and the
+    standardized pairs of positions from c = 1e-10 to 1e-3 inside each end
+    of its support where the density is 0; at 50 digits."""
+    phi = (1 + mp.sqrt(5)) / 2
+    mean, sd = _seed_moments(family)
+    mean, sd = (1 + phi) * mean, mp.sqrt(1 + phi * phi) * sd
+    ends = [(0, 1)] + ([(1 + phi, -1)] if family == "unif01" else [])
+    pairs = [sorted(float((end + inward * c - mean) / sd) for c in (low, 10 * low))
+             for (end, inward), low in itertools.product(ends, (1e-10, 1e-8, 1e-6, 1e-4))]
+    return phi, mean, sd, pairs
+
+
 @pytest.mark.parametrize("family", ("exp:1", "exp:1e150", "unif01"))
 def test_closed_limit_densities_match_the_oracle(capsys, family):
     # Y is V0 + phi*V1 standardized, whatever the rate of exponential seeds
     with mp.workdps(_DIGITS):
-        phi = (1 + mp.sqrt(5)) / 2
-        mean, sd = _seed_moments("exp:1" if family.startswith("exp:") else family)
-        mean, sd = (1 + phi) * mean, mp.sqrt(1 + phi * phi) * sd
+        law = family if family == "unif01" else "exp:1"
+        phi, mean, sd, ends = _limit_cells(law)
         route = ["limit", "--seeds", family]
         pairs = _printed(capsys, [*route, "--grid=-6:6:13"])
-        # c = mean + sd*z from 1e-10 to 1e-3 inside each end where the density is 0
-        ends = [(0, 1)] + ([(1 + phi, -1)] if family == "unif01" else [])
-        for (end, inward), low in itertools.product(ends, (1e-10, 1e-8, 1e-6, 1e-4)):
-            zs = sorted(float((end + inward * c - mean) / sd) for c in (low, 10 * low))
-            pairs += _printed(capsys, [*route, f"--grid={zs[0]!r}:{zs[1]!r}:2"])
-        _check(pairs, lambda z: sd * _form_density(family if family == "unif01" else "exp:1",
-                                                   mp.mpf(1), phi, mean + sd * z))
+        for lo, hi in ends:
+            pairs += _printed(capsys, [*route, f"--grid={lo!r}:{hi!r}:2"])
+        _check(pairs, lambda z: sd * _form_density(law, mp.mpf(1), phi, mean + sd * z))
+
+
+@pytest.mark.parametrize("family,cdf", [("exp:1", cdf_limit_exponential_closed),
+                                        ("unif01", cdf_limit_uniform_closed)])
+def test_closed_limit_cdfs_match_the_oracle(family, cdf):
+    # Y's cdf at z is the mass of V0 + phi*V1 below c = mean + sd*z: the
+    # oracle density's integral from 0 to c, cut where it kinks or ends
+    with mp.workdps(_DIGITS):
+        phi, mean, sd, ends = _limit_cells(family)
+        cuts = (1, phi, 1 + phi) if family == "unif01" else ()
+
+        def oracle(z):
+            c = mean + sd * z
+            return mp.quad(lambda v: _form_density(family, mp.mpf(1), phi, v),
+                           [0, *(k for k in cuts if k < c), c]) if c > 0 else 0
+        zs = [float(z) for z in range(-6, 7)] + [z for pair in ends for z in pair]
+        _check([(z, cdf(z)) for z in zs], oracle)
 
 
 def _check_numeric(capsys, argv: list[str], sigma, oracle) -> None:
@@ -179,3 +215,50 @@ def test_numeric_limit_density_matches_the_oracle(capsys):
         _check_numeric(capsys, ["limit", "--seeds", "normal01", "--grid=-6:6:13"], 1,
                        lambda z: sd * _form_density("normal01", mp.mpf(1), phi, sd * z))
 
+
+def _conditional_mean(family: str, n: int, x):
+    """E[member n+2 | member n = x] at 50 digits: normal01's linear
+    predictor, or on exp:1 the mean of d0*V0 + d1*V1 over the slice
+    c0*V0 + c1*V1 = x, integrated over V1 = v in [0, x/c1], where the seeds'
+    joint density is exp(-x/c0) * exp(v*(c1/c0 - 1))."""
+    c0, c1, d0, d1 = (mp.mpf(_fib(i)) for i in (n - 1, n, n + 1, n + 2))
+    if family == "normal01":
+        return x * (c0 * d0 + c1 * d1) / (c0 * c0 + c1 * c1)
+    top = x / c1
+    weight = lambda v: mp.exp((c1 / c0 - 1) * (v - top))  # at most 1
+    moment = mp.quad(lambda v: (d0 * (x - c1 * v) / c0 + d1 * v) * weight(v), [0, top])
+    return moment / mp.quad(weight, [0, top])
+
+
+#: The predict cells that print values outside PREDICT_BOUND with exit 0.
+_PREDICT_DEFECTS = {("normal01", 19): 3.5e-9, ("normal01", 30): 7.9e-4,
+                    ("normal01", 35): 2.6e-2, ("exp:1", 30): 1.6e-4, ("exp:1", 35): 2.0e-2}
+
+
+def _predict_cells():
+    for family, n in itertools.product(("normal01", "exp:1"), (2, 3, 5, 10, 19, 25, 30, 35, 40, 60)):
+        marks = []
+        if (family, n) in _PREDICT_DEFECTS:
+            marks.append(pytest.mark.xfail(strict=True, reason=(
+                f"known defect, ROADMAP item 8: predict prints values up to "
+                f"{_PREDICT_DEFECTS[family, n]:.1e} relative off with exit 0")))
+        yield pytest.param(family, n, marks=marks, id=f"{family}-{n}")
+
+
+@pytest.mark.parametrize("family,n", list(_predict_cells()))
+def test_predict_matches_the_oracle(capsys, family, n):
+    with mp.workdps(_DIGITS):
+        c0, c1 = mp.mpf(_fib(n - 1)), mp.mpf(_fib(n))
+        mean, sd = _seed_moments(family)
+        mean, sd = (c0 + c1) * mean, mp.sqrt(c0 * c0 + c1 * c1) * sd
+        lowest = next((z for z in range(-3, 4)
+                       if _form_density(family, c0, c1, mean + z * sd) > DENSITY_FLOOR), -3)
+        code = main(["predict", "--seeds", family, "--n", str(n), "--k", "2", "--output", "json",
+                     f"--grid={float(mean + lowest * sd)!r}:{float(mean + 3 * sd)!r}:6"])
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3)
+        if code == 0:
+            curve = json.loads(out)
+            for x, printed in zip(curve["x"], curve["predicted"]):
+                want = _conditional_mean(family, n, mp.mpf(x))
+                assert abs(mp.mpf(printed) / want - 1) <= PREDICT_BOUND, (x, printed, want)

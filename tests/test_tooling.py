@@ -202,16 +202,20 @@ def test_layer_tracer_counts_do_not_depend_on_the_cpu_count(monkeypatch):
 # emit_bound's bytes_out (1,460,984 before) was re-recorded when the closed
 # limit densities mapped x from the support's lower end: the limit_exp1 ops
 # print 6 and 8 bytes more, the limit_unif01 ops 1 and 12 fewer.
+# quad_smooth's seed pdf and wrapped call counts (110 and 187 before) were
+# re-recorded when the engine stopped cutting a step into integrand calls of
+# at most 4,096 nodes: ten steps of its normal01 and exp:1 density ops had
+# been split into 21 calls.
 _PASS_COUNTS = {
     "quad_smooth": {
         "numerics.integrand_evals": 13, "numerics.integrate_calls": 4,
         "numerics.evals_per_value": 13 / 550, "numerics.convolution_calls": 17,
         "numerics.pieces_per_convolution": 0.0, "numerics.certificate_evals": 13,
-        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 110,
+        "numerics.nonconvergence_errors": 0, "seeds.pdf_calls": 88,
         "seeds.breakpoints_calls": 0, "joint_predict.joint_pdf_calls": 7,
         "joint_predict.predict_calls": 2, "cli.bytes_out": 22649,
         "simulate.recursion_steps": 0, "simulate.sample_path_calls": 0,
-        "trace.wrapped_calls": 187},
+        "trace.wrapped_calls": 165},
     "quad_kinked": {
         "numerics.integrand_evals": 4, "numerics.integrate_calls": 4,
         "numerics.evals_per_value": 4 / 260, "numerics.convolution_calls": 8,
