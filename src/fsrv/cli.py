@@ -262,7 +262,8 @@ def _padded(cells: list[str]) -> np.ndarray:
     return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1).T
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> np.ndarray:
+    """The points of a LO:HI:POINTS grid: np.linspace(lo, hi, points)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:points, got {text!r}")
@@ -274,7 +275,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
     if not (math.isfinite(hi - lo) and lo < hi):  # also not finite when lo or hi is not
         raise argparse.ArgumentTypeError(f"grid needs finite lo < hi and hi - lo, got {text!r}")
-    return lo, hi, points
+    return np.linspace(lo, hi, points)
 
 
 class _Refusal(FsrvError):
@@ -311,9 +312,8 @@ def _cmd_density(args) -> str:
     if method == "closed" and law.closed is None:
         raise FsrvError(f"--method closed: no closed form for seeds {args.seeds!r}")
     numeric = method == "numeric" or law.closed is None
-    lo, hi, points = args.grid
     support = law.form.support()
-    curve = DensityCurve.from_function(law.numeric if numeric else law.closed, lo, hi, points,
+    curve = DensityCurve.from_function(law.numeric if numeric else law.closed, args.grid,
                                        support, knots=law.form.knots())
     _certify("density table", curve.norm_defect)
     if args.output == "csv":
@@ -353,22 +353,18 @@ def _cmd_ratios(args) -> str:
 def _cmd_joint(args) -> str:
     model = _model_from(args)
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
-    lo0, hi0, p0 = args.grid0
-    lo1, hi1, p1 = args.grid1
-    xs0 = np.linspace(lo0, hi0, p0)
-    xs1 = np.linspace(lo1, hi1, p1)
     defect = abs(joint_predict.joint_normalization_check(law, model) - 1.0)
     _certify("joint density", defect)
-    density = joint_predict.joint_pdf(law, model, xs0[:, None], xs1[None, :])
+    density = joint_predict.joint_pdf(law, model, args.grid0[:, None], args.grid1[None, :])
     if args.output == "csv":
-        return _csv_table(["y0", "y1", "density"], (xs0, xs1, density),
+        return _csv_table(["y0", "y1", "density"], (args.grid0, args.grid1, density),
                           [f"# norm_defect={_fmt(defect)}"])
     return _dumps({
         "kind": "joint_density",
         "n": args.n,
         "k": args.k,
-        "y0": xs0,
-        "y1": xs1,
+        "y0": args.grid0,
+        "y1": args.grid1,
         "density": density,
         "norm_defect": defect,
     })
@@ -377,17 +373,15 @@ def _cmd_joint(args) -> str:
 def _cmd_predict(args) -> str:
     model = _model_from(args)
     law = _flagged("--n/--k", joint_predict.joint_law, args.n, args.k)
-    lo, hi, points = args.grid
-    xs = np.linspace(lo, hi, points)
-    predicted = joint_predict.prediction_curve(law, model, xs, method=args.method)
+    predicted = joint_predict.prediction_curve(law, model, args.grid, method=args.method)
     if args.output == "csv":
-        return _csv_table(["x", "predicted"], (xs, predicted))
+        return _csv_table(["x", "predicted"], (args.grid, predicted))
     return _dumps({
         "kind": "prediction_curve",
         "n": args.n,
         "k": args.k,
         "method": args.method,
-        "x": xs,
+        "x": args.grid,
         "predicted": predicted,
     })
 
@@ -516,8 +510,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)  # a grid too large to allocate raises MemoryError
         _emit(args.func(args), args.out)
     except NonConvergenceError as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)

@@ -347,18 +347,15 @@ class DensityCurve:
     def from_function(
         cls,
         f: Func,
-        grid_lo: float,
-        grid_hi: float,
-        points: int,
+        xs: np.ndarray,
         support: tuple[float, float],
         cfg: QuadratureConfig = DEFAULT_CONFIG,
         knots=None,
     ) -> "DensityCurve":
-        """Sample f on an even grid, in one call, and certify its
-        normalization over support, the full (truncated) support, whatever
-        the viewing window. With knots, f is a piecewise cubic there and the
-        certificate is exact per piece."""
-        xs = np.linspace(grid_lo, grid_hi, points)
+        """Sample f at xs, in one call, and certify its normalization over
+        support, the full (truncated) support, whatever the viewing window.
+        With knots, f is a piecewise cubic there and the certificate is exact
+        per piece."""
         ys = f(xs)
         mass = integrate(f, support[0], support[1], cfg, knots=knots)
         return cls(xs=xs, ys=ys, norm_defect=abs(mass - 1.0))

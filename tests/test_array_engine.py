@@ -163,7 +163,7 @@ def test_batch_constants_change_no_value(monkeypatch):
         "normal member": lambda: pdf_numeric(normal_model(), 4, np.linspace(-15.0, 15.0, 60)),
         "exp member": lambda: pdf_numeric(exponential_model(), 10, np.linspace(0.0, 600.0, 40)),
         "normal limit certificate": lambda: numerics.DensityCurve.from_function(
-            limit.numeric, -4.0, 4.0, 5, limit.form.support()).norm_defect,
+            limit.numeric, np.linspace(-4.0, 4.0, 5), limit.form.support()).norm_defect,
         "table with exp": lambda: LinearForm(FsrvModel(table, Exponential(1.0)), 3.0, 5.0).pdf(
             np.linspace(0.0, 40.0, 30)),
         "normal predictor": lambda: predict(joint_law(5, 2), normal_model(),

@@ -290,6 +290,10 @@ def test_grid_validation_names_flag(capsys):
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1"], "grid must be lo:hi:points"),
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:one:5"], "grid must be numeric"),
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1:1"], "at least 2 points, got 1"),
+            # past numpy's largest array size linspace raises ValueError,
+            # which argparse reports as an invalid value
+            ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1:10000000000000000000"],
+             "invalid _parse_grid value"),
             ("--grid1", ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
                          "--grid0", "0:1:5", "--grid1", "0:inf:5"], finite)):
         with pytest.raises(SystemExit) as excinfo:
@@ -501,6 +505,9 @@ _EXIT_CASES = {
     "pdf_too_large": (2, ["pdf", "--seeds", "exp:1", "--n", "4",
                           "--grid", "0:1:100000000000000000"], None,
                       "error: Unable to allocate "),
+    "joint_too_large": (2, ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3", "--grid0",
+                            "0:1:3", "--grid1", "0:1:100000000000000000"], None,
+                        "error: Unable to allocate "),
     "simulate_too_large": (2, ["simulate", "--seeds", "exp:1", "--paths", "100000000000000000",
                                "--horizon", "5", "--rng-seed", "1"], None,
                            "error: Unable to allocate "),

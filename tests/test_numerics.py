@@ -280,10 +280,31 @@ def test_density_curve_validation():
 def test_density_curve_from_function_certificate():
     e = Exponential(1.0)
     lo, hi = e.effective_support()
-    curve = DensityCurve.from_function(e.pdf, 0.0, 5.0, 64, (lo, hi))
+    curve = DensityCurve.from_function(e.pdf, np.linspace(0.0, 5.0, 64), (lo, hi))
     assert curve.norm_defect < 1e-9
     assert curve.xs.size == 64
     assert curve.ys[0] == 1.0
+
+
+def test_density_curve_from_function_samples_the_points_it_is_given():
+    # uneven points come back bit for bit, f sees them in one call, and the
+    # certificate reads the support alone, whatever points are sampled
+    e = Exponential(1.0)
+    support = e.effective_support()
+    xs = np.array([-1.0, 0.0, 1e-300, 0.1, 1.0 / 3.0, 2.5, 2.5 + 2.0**-50, 40.0])
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, copy=True))
+        return e.pdf(x)
+
+    curve = DensityCurve.from_function(f, xs, support)
+    assert curve.xs.tobytes() == xs.tobytes()
+    assert curve.ys.tobytes() == e.pdf(xs).tobytes()
+    assert calls[0].tobytes() == xs.tobytes()
+    assert sum(c.shape == xs.shape and np.array_equal(c, xs) for c in calls) == 1
+    even = DensityCurve.from_function(e.pdf, np.linspace(0.0, 5.0, 64), support)
+    assert curve.norm_defect == even.norm_defect
 
 
 def test_dekker_split_halves_are_exact_and_short():

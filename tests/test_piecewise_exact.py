@@ -69,7 +69,7 @@ def test_certificates_and_joint_mass_are_exact(seed0, seed1, n, k):
     for law in laws:
         support, knots = law.form.support(), law.form.knots()
         assert knots is not None
-        curve = DensityCurve.from_function(law.numeric, support[0], support[1], 3, support,
+        curve = DensityCurve.from_function(law.numeric, np.linspace(*support, 3), support,
                                            knots=knots)
         assert curve.norm_defect <= 1e-12, law.label
     assert abs(joint_normalization_check(joint_law(n, k), model) - 1.0) <= 1e-12
