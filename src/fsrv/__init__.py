@@ -54,7 +54,6 @@ from .marginal import (
 )
 from .numerics import (
     DensityCurve,
-    QuadratureConfig,
     integrate,
     scaled_convolution,
 )

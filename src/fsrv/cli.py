@@ -275,7 +275,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
     if not (math.isfinite(hi - lo) and lo < hi):  # also not finite when lo or hi is not
         raise argparse.ArgumentTypeError(f"grid needs finite lo < hi and hi - lo, got {text!r}")
-    return np.linspace(lo, hi, points)
+    try:
+        return np.linspace(lo, hi, points)
+    except (ValueError, IndexError):  # numpy's refusals; from 2**63 - 3 points it is an IndexError
+        raise argparse.ArgumentTypeError(
+            f"grid of {points} points exceeds numpy's maximum array size") from None
 
 
 class _Refusal(FsrvError):

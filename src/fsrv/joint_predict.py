@@ -18,8 +18,7 @@ import numpy as np
 from . import fib_core
 from .errors import DomainError, OutsideSupportError
 from .marginal import FsrvModel, exponential_model, member_form
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, _integrate_rows, integrate, line_cuts,
-                       line_points)
+from .numerics import ABS_TOL, _integrate_rows, integrate, line_cuts, line_points
 
 #: Conditioning values whose slice mass (the marginal density of member n
 #: there) is below this floor or not finite are treated as outside the
@@ -135,36 +134,36 @@ def joint_support(law: JointLaw, model: FsrvModel, y0: float) -> tuple[float, fl
     return (float(cuts[0]), float(cuts[-1])) if cuts[0] < cuts[-1] else None
 
 
-def joint_normalization_check(law: JointLaw, model: FsrvModel,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def joint_normalization_check(law: JointLaw, model: FsrvModel) -> float:
     """Total mass of the joint density by iterated 1-D quadrature over the
     exact support slices, one batch of slices per outer step. A correct
     implementation returns 1 within 1e-6. On piecewise-linear seeds the
     outer integral is split at the knots of member n's density, which the
-    slice mass equals, and both levels are exact."""
+    slice mass equals, and both levels are exact; otherwise the outer
+    integral is adaptive to ABS_TOL and each slice to 1e-2*ABS_TOL."""
     member = member_form(model, law.n)
     y0_lo, y0_hi = member.support()
-    return integrate(lambda y0: _slice_integrals(law, model, y0, cfg.abs_tol * 1e-2),
-                     y0_lo, y0_hi, cfg, knots=member.knots())
+    return integrate(lambda y0: _slice_integrals(law, model, y0, ABS_TOL * 1e-2),
+                     y0_lo, y0_hi, knots=member.knots())
 
 
-def predict(law: JointLaw, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def predict(law: JointLaw, model: FsrvModel, x):
     """Least-squares predictor of member n+k given member n = x, for a float
     or elementwise over an array x: the conditional mean, the y1-weighted
     slice integral at x divided by the slice mass, which is the marginal
     density at x. Both are one batch of slice integrals over the same cuts,
-    at cfg.abs_tol. The first x, in order, whose slice mass is below
+    at ABS_TOL. The first x, in order, whose slice mass is below
     DENSITY_FLOOR or not finite raises."""
     xs = np.ravel(np.asarray(x, dtype=np.float64))
     with np.errstate(invalid="ignore"):  # an infinite x cuts at inf: inf - inf widths
-        mass = _slice_integrals(law, model, xs, cfg.abs_tol)
+        mass = _slice_integrals(law, model, xs, ABS_TOL)
     refused = np.flatnonzero(~np.isfinite(mass) | (mass < DENSITY_FLOOR))
     if refused.size:
         raise OutsideSupportError(
             f"marginal density at x={float(xs[refused[0]])} is below the floor {DENSITY_FLOOR}; "
             "the conditional mean is not identifiable there"
         )
-    g = _slice_integrals(law, model, xs, cfg.abs_tol, weighted=True) / mass
+    g = _slice_integrals(law, model, xs, ABS_TOL, weighted=True) / mass
     return g.reshape(np.shape(x)) if np.ndim(x) else float(g[0])
 
 
@@ -187,8 +186,7 @@ def predict_exponential_4_to_7(x):
 
 
 def prediction_curve(law: JointLaw, model: FsrvModel, xs,
-                     method: str = "quadrature",
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+                     method: str = "quadrature") -> np.ndarray:
     """The predictor's values on a grid.
 
     method='quadrature' works for any seeds; method='closed_form' is only
@@ -204,5 +202,5 @@ def prediction_curve(law: JointLaw, model: FsrvModel, xs,
             )
         return predict_exponential_4_to_7(xs)
     if method == "quadrature":
-        return predict(law, model, xs, cfg)
+        return predict(law, model, xs)
     raise DomainError(f"unknown prediction method {method!r}")

@@ -18,7 +18,6 @@ import numpy as np
 from .fib_core import PHI
 from .marginal import (DensityLaw, FsrvModel, closed_form_tag, exponential_model, limit_form,
                        linear_form_pdf_exponential, linear_form_pdf_uniform, sum_form)
-from .numerics import DEFAULT_CONFIG, QuadratureConfig
 from .seeds import Exponential, UniformUnit
 
 _SQRT_1_PHI2 = math.sqrt(1.0 + PHI * PHI)
@@ -37,9 +36,9 @@ _EXP_CDF_SERIES = [PHI * (1.0 - PHI ** (1 - k)) * (-1) ** k / math.factorial(k)
                    for k in range(17, 1, -1)]
 
 
-def pdf_limit_numeric(model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def pdf_limit_numeric(model: FsrvModel, x):
     """Density of Y at x, a float or an array, by scaled convolution."""
-    return limit_form(model).pdf(x, cfg)
+    return limit_form(model).pdf(x)
 
 
 def pdf_limit_exponential_closed(x):
@@ -96,10 +95,10 @@ def limit_density_law(model: FsrvModel) -> DensityLaw:
                       lambda: {"a_scale": form.scale, "b_shift": form.shift})
 
 
-def pdf_sum(n: int, model: FsrvModel, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def pdf_sum(n: int, model: FsrvModel, x):
     """Density of the partial sum S_n at x by scaled convolution with
     coefficients a_{n+1} and a_{n+2}-1."""
-    return sum_form(model, n).pdf(x, cfg)
+    return sum_form(model, n).pdf(x)
 
 
 def pdf_sum_exponential_closed(n: int, x, rate: float = 1.0):

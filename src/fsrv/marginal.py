@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fib_core
 from .errors import DomainError
-from .numerics import DEFAULT_CONFIG, Func, QuadratureConfig, line_points, scaled_convolution
+from .numerics import Func, line_points, scaled_convolution
 from .seeds import Exponential, SeedDistribution, StandardNormal, UniformUnit
 
 
@@ -101,14 +101,14 @@ class LinearForm:
         keep = np.diff(knots, prepend=-np.inf) > 1e-12 * (knots[-1] - knots[0])
         return (knots[keep] - self.shift) / self.scale
 
-    def pdf(self, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    def pdf(self, x):
         """Density of Z at x, a float or an array: scale times the density of
         c0*V0 + c1*V1 at scale*x + shift, by scaled convolution of the seed
         pair, which tells it where to cut and whether it is exact (see
         numerics.scaled_convolution)."""
         return self.scale * scaled_convolution(self.model.seed0, self.model.seed1,
                                                float(self.c0), float(self.c1),
-                                               self.scale * x + self.shift, cfg)
+                                               self.scale * x + self.shift)
 
     def standardized(self) -> "LinearForm":
         """The form of zero mean and unit variance over the same seeds and
@@ -156,9 +156,9 @@ class DensityLaw:
     fields: Callable[[], dict]
 
 
-def pdf_numeric(model: FsrvModel, n: int, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def pdf_numeric(model: FsrvModel, n: int, x):
     """Density of member n at x by scaled convolution of the seed densities."""
-    return member_form(model, n).pdf(x, cfg)
+    return member_form(model, n).pdf(x)
 
 
 def linear_form_pdf_exponential(c0, c1, y, scale: float = 1.0):

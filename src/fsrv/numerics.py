@@ -18,9 +18,9 @@ every line integral over a seed pair ends and is cut, `scaled_convolution`
 the density of c0*V0 + c1*V1 for independent seeds V0, V1, one row per x
 integrated over V1, cut and made exact as the seeds say, and `DensityCurve`
 a density sampled on a grid next to its normalization certificate. The
-engine takes its target as a float, None for exact mode: abs_tol, or for a
-density abs_tol scaled to bound sigma times its error. Densities take
-arrays of points.
+engine takes its target as a float, None for exact mode; its callers derive
+it from the one constant ABS_TOL, which for a density is scaled to bound
+sigma times its error. Densities take arrays of points.
 """
 
 import math
@@ -77,31 +77,17 @@ _CHUNK_ELEMENTS = 1 << 12
 _BLOCK_PANELS = 1 << 9
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error target for adaptive integration: abs_tol is the absolute error
-    allowed in one integral by `integrate` and the joint slices, as
-    estimated by its Gauss-Kronrod panels' |K15 - G7|; on smooth integrands
-    that overstates the error of the K15 they contribute. For a density
-    (`scaled_convolution`), abs_tol bounds sigma times its error, sigma the
-    standard deviation of c0*V0 + c1*V1: the error of the standardized
-    form's density. The estimate sees an integrand only at the panels'
-    interior nodes, so it cannot see a jump that no cut marks. Every CLI
-    command computes at DEFAULT_CONFIG (1e-9), the default of every public
-    function that takes a config; a library caller passes its own, which
-    reaches the engine as the float abs_tol or a target scaled from it. The
-    depth cap, the evaluation budget and the seeds' tail cutoff are fixed
-    constants, not settings."""
-
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        # a nan tolerance is never met, so every panel would bisect to the cap
-        if not 0 < self.abs_tol < math.inf:
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+#: The absolute error target of every adaptive integral, as estimated by its
+#: Gauss-Kronrod panels' |K15 - G7|; on smooth integrands that overstates the
+#: error of the K15 they contribute. `integrate` and `predict`'s slices take
+#: it as is, and the inner slices of the joint certificate a hundredth of it;
+#: for a density (`scaled_convolution`) it bounds sigma times the error, sigma
+#: the standard deviation of c0*V0 + c1*V1: the error of the standardized
+#: form's density. The estimate sees an integrand only at the panels' interior
+#: nodes, so it cannot see a jump that no cut marks. Every command computes at
+#: this one target; the depth cap, the evaluation budget and the seeds' tail
+#: cutoff are fixed constants too.
+ABS_TOL = 1e-9
 
 
 def dekker_split(a):
@@ -222,18 +208,16 @@ def _adaptive_pieces(f, lo, hi, share, row) -> np.ndarray:
     return np.bincount(p[order], weights=kronrod[order], minlength=pieces)
 
 
-def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-              knots=None) -> float:
+def integrate(f: Func, lo: float, hi: float, knots=None) -> float:
     """Integral of f over [lo, hi]; f takes an array of nodes.
 
     The pieces are [lo, hi] cut at the knots inside it; f is never
     evaluated at lo, hi or a knot, so it may jump there. Without knots,
-    adaptive to cfg.abs_tol with Gauss-Kronrod panels (see
-    _integrate_rows): f must be continuous on (lo, hi), since a jump
-    between two nodes goes unseen. With knots, f must be a polynomial of
-    degree at most 3 on each piece; one two-point Gauss-Legendre panel per
-    piece is then exact, and cfg is not consulted. Both bounds must be
-    finite.
+    adaptive to ABS_TOL with Gauss-Kronrod panels (see _integrate_rows): f
+    must be continuous on (lo, hi), since a jump between two nodes goes
+    unseen. With knots, f must be a polynomial of degree at most 3 on each
+    piece; one two-point Gauss-Legendre panel per piece is then exact.
+    Both bounds must be finite.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"integration bounds must be finite, got [{lo}, {hi}]")
@@ -241,7 +225,7 @@ def integrate(f: Func, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CON
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    abs_tol = cfg.abs_tol
+    abs_tol = ABS_TOL
     if knots is None:
         edges = np.array([[lo, hi]], dtype=np.float64)
     else:
@@ -290,17 +274,17 @@ def line_cuts(images0, images1) -> np.ndarray:
 
 
 def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: float,
-                       c1: float, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+                       c1: float, x):
     """Density of c0*V0 + c1*V1 at x, a float or an array, for independent
     seeds V0 ~ seed0 and V1 ~ seed1 with densities f0, f1: (1/c0) * integral
     of f0((x - c1*u)/c0) * f1(u) du over u = V1, one engine row per x, cut
     (line_cuts) where the integrand may end or kink: at u = (x - c0*b)/c1
     for seed 0's line_points b and at seed 1's own. The adaptive target is
-    cfg.abs_tol*c0/sigma, sigma = hypot(c0*sd0, c1*sd1) the form's standard
-    deviation, so abs_tol bounds sigma times the density's error at every n
+    ABS_TOL*c0/sigma, sigma = hypot(c0*sd0, c1*sd1) the form's standard
+    deviation, so ABS_TOL bounds sigma times the density's error at every n
     and seed scale; a target that overflows raises DomainError. When both
     seeds are piecewise_linear, each piece's integrand is quadratic and
-    exact mode integrates it without cfg.
+    exact mode integrates it without a target.
     """
     if not (0 < c0 < math.inf and 0 < c1 < math.inf):
         raise DomainError(f"scale coefficients must be positive and finite, got {c0}, {c1}")
@@ -308,9 +292,9 @@ def scaled_convolution(seed0: SeedDistribution, seed1: SeedDistribution, c0: flo
     abs_tol = None
     if not (seed0.piecewise_linear and seed1.piecewise_linear):
         sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (seed0, seed1))
-        abs_tol = cfg.abs_tol * c0 / math.hypot(c0 * sd0, c1 * sd1)
+        abs_tol = ABS_TOL * c0 / math.hypot(c0 * sd0, c1 * sd1)
         if abs_tol == math.inf:
-            raise DomainError(f"abs_tol={cfg.abs_tol} overflows as a density target "
+            raise DomainError(f"abs_tol={ABS_TOL} overflows as a density target "
                               f"for c0={c0}, c1={c1}")
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
     integrand = lambda u, row: seed0.pdf((xs[row] - c1 * u) / c0) * seed1.pdf(u)
@@ -349,7 +333,6 @@ class DensityCurve:
         f: Func,
         xs: np.ndarray,
         support: tuple[float, float],
-        cfg: QuadratureConfig = DEFAULT_CONFIG,
         knots=None,
     ) -> "DensityCurve":
         """Sample f at xs, in one call, and certify its normalization over
@@ -357,5 +340,5 @@ class DensityCurve:
         With knots, f is a piecewise cubic there and the certificate is exact
         per piece."""
         ys = f(xs)
-        mass = integrate(f, support[0], support[1], cfg, knots=knots)
+        mass = integrate(f, support[0], support[1], knots=knots)
         return cls(xs=xs, ys=ys, norm_defect=abs(mass - 1.0))

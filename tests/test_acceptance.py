@@ -36,7 +36,7 @@ from fsrv.marginal import (
     sum_form,
     uniform_model,
 )
-from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.numerics import integrate
 from fsrv.simulate import SimulationConfig, ks_distance, ratio_stats, run_simulation
 
 EXP = exponential_model()
@@ -77,7 +77,6 @@ def test_criterion_01_golden_ratio_limits():
 def test_criterion_02_closed_forms_match_convolution():
     worst_sup = 0.0
     worst_mass = 0.0
-    cfg = QuadratureConfig(abs_tol=1e-10)
     for n in range(2, 13):
         mean, var = member_form(EXP, n).moments()
         xs = np.linspace(0.0, mean + 12.0 * math.sqrt(var), 400)
@@ -87,9 +86,9 @@ def test_criterion_02_closed_forms_match_convolution():
         sup_u = max(abs(pdf_numeric(UNIF, n, float(x)) - pdf_uniform_closed(n, float(x)))
                     for x in xs_u)
         worst_sup = max(worst_sup, sup_e, sup_u)
-        mass_e = integrate(lambda x: pdf_exponential_closed(n, x), 0.0, 30.0 * fib(n), cfg)
+        mass_e = integrate(lambda x: pdf_exponential_closed(n, x), 0.0, 30.0 * fib(n))
         mass_u = integrate(lambda x: pdf_uniform_closed(n, x), 0.0,
-                           float(fib(n - 1) + fib(n)), cfg)
+                           float(fib(n - 1) + fib(n)))
         worst_mass = max(worst_mass, abs(mass_e - 1.0), abs(mass_u - 1.0))
     ok = worst_sup <= 1e-6 and worst_mass <= 1e-8
     _criterion(2, "closed forms match the generic convolution and normalize",
@@ -104,9 +103,8 @@ def test_criterion_03_moment_identities():
             (UNIF, lambda x, n=n: pdf_uniform_closed(n, x), float(fib(n - 1) + fib(n))),
         ):
             mean, var = member_form(model, n).moments()
-            cfg = QuadratureConfig(abs_tol=1e-10 * max(1.0, mean * mean))
-            m1 = integrate(lambda x: x * closed(x), 0.0, hi, cfg)
-            m2 = integrate(lambda x: x * x * closed(x), 0.0, hi, cfg)
+            m1 = integrate(lambda x: x * closed(x), 0.0, hi)
+            m2 = integrate(lambda x: x * x * closed(x), 0.0, hi)
             worst = max(worst, abs(m1 - mean) / mean, abs((m2 - m1 * m1) - var) / var)
     _criterion(3, "quadrature moments match exact Fibonacci formulas",
                worst <= 1e-6, f"worst relative deviation {worst:.3e} (tol 1e-6)")
@@ -119,12 +117,11 @@ def test_criterion_04_joint_law_normalization_and_marginal():
             mass = joint_normalization_check(joint_law(n, k), model)
             worst_mass = max(worst_mass, abs(mass - 1.0))
     law = joint_law(4, 3)
-    cfg = QuadratureConfig(abs_tol=1e-9)
     sup = 0.0
     for x in np.linspace(0.01, 60.0, 120):
         bounds = joint_support(law, EXP, float(x))
         got = 0.0 if bounds is None else integrate(
-            lambda y: joint_pdf(law, EXP, float(x), y), bounds[0], bounds[1], cfg)
+            lambda y: joint_pdf(law, EXP, float(x), y), bounds[0], bounds[1])
         sup = max(sup, abs(got - (math.exp(-x / 3.0) - math.exp(-x / 2.0))))
     ok = worst_mass <= 1e-6 and sup <= 1e-6
     _criterion(4, "joint density normalizes and marginalizes correctly",
@@ -137,7 +134,7 @@ def test_criterion_05_predictor():
               for x in np.linspace(0.1, 20.0, 200))
     # integrands take arrays of nodes; prediction_curve predicts them in one batch
     integrand = lambda xs: prediction_curve(law, EXP, xs) * pdf_exponential_closed(4, xs)
-    tower = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
+    tower = integrate(integrand, 1e-9, 80.0)
     tower_rel = abs(tower - 21.0) / 21.0
     ok = sup <= 1e-6 and tower_rel <= 1e-4
     _criterion(5, "conditional-mean predictor matches closed form and is unbiased",
@@ -182,14 +179,13 @@ def test_criterion_07_sums(exp_run_100k, unif_run_100k):
                                                     / (1.0 + np.abs(sums)))))
     worst_mass = 0.0
     worst_sup = 0.0
-    cfg = QuadratureConfig(abs_tol=1e-10)
     for n in range(3, 11):
         law = sum_form(EXP, n)
-        mass = integrate(lambda x: pdf_sum(n, EXP, x, cfg), 0.0, 30.0 * law.c1, cfg)
+        mass = integrate(lambda x: pdf_sum(n, EXP, x), 0.0, 30.0 * law.c1)
         worst_mass = max(worst_mass, abs(mass - 1.0))
         mean, variance = law.moments()
         hi = mean + 10.0 * math.sqrt(variance)
-        sup = max(abs(pdf_sum(n, EXP, float(x), cfg)
+        sup = max(abs(pdf_sum(n, EXP, float(x))
                       - pdf_sum_exponential_closed(n, float(x)))
                   for x in np.linspace(0.0, hi, 80))
         worst_sup = max(worst_sup, sup)

@@ -1,7 +1,7 @@
 """Densities take arrays of points, and the quadrature engine integrates a
 batch of rows at once. A value must not depend on the other points of its
 batch, and smooth-seed values must match an independent quadrature and, at
-the default tolerance, their closed forms."""
+ABS_TOL, their closed forms."""
 
 import math
 
@@ -23,7 +23,7 @@ from fsrv.marginal import (
     pdf_normal_closed,
     pdf_numeric,
 )
-from fsrv.numerics import DEFAULT_CONFIG, QuadratureConfig, _integrate_rows
+from fsrv.numerics import ABS_TOL, _integrate_rows
 from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 rates = st.floats(0.2, 5.0)
@@ -92,10 +92,11 @@ def _scipy_linear_form_pdf(model, c0, c1, x):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=smooth_models, c0=coefficients, c1=coefficients, where=fractions)
 def test_smooth_seed_values_match_scipy(model, c0, c1, where):
-    # the error target bounds the integral, and the density divides it by
-    # c0*c1 >= 1/16; 1e-12 keeps the density within 1e-9 on every draw
+    # ABS_TOL bounds sigma times the density's estimated error, and on these
+    # smooth integrands |K15 - G7| overstates the error of K15 by far: the
+    # density is within 1e-9 on every draw
     xs = _points(model, c0, c1, where)
-    values = LinearForm(model, c0, c1).pdf(xs, QuadratureConfig(abs_tol=1e-12))
+    values = LinearForm(model, c0, c1).pdf(xs)
     for x, value in zip(xs, values):
         want = _scipy_linear_form_pdf(model, c0, c1, float(x))
         assert math.isfinite(value) and abs(value - want) <= 1e-9
@@ -115,11 +116,11 @@ def _closed_linear_form_pdf(model, c0, c1, xs):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=smooth_models, c0=coefficients, c1=coefficients, where=fractions)
 def test_smooth_seed_values_meet_the_default_tolerance(model, c0, c1, where):
-    # the default error target bounds the integral, which the density
+    # ABS_TOL bounds the integral, which the density
     # divides by c0*c1; the seeds' truncated tails stay far below that
     xs = _points(model, c0, c1, where)
     values = LinearForm(model, c0, c1).pdf(xs)
-    bound = DEFAULT_CONFIG.abs_tol / (c0 * c1)
+    bound = ABS_TOL / (c0 * c1)
     assert np.max(np.abs(values - _closed_linear_form_pdf(model, c0, c1, xs))) <= bound
 
 
@@ -127,7 +128,7 @@ def test_numeric_normal_member_meets_the_default_tolerance():
     # member 3 of standard normal seeds is N(0, 5), over +-6 sd
     xs = np.linspace(-6.0, 6.0, 301) * math.sqrt(5.0)
     error = np.abs(pdf_numeric(normal_model(), 3, xs) - pdf_normal_closed(3, xs))
-    assert np.max(error) <= DEFAULT_CONFIG.abs_tol
+    assert np.max(error) <= ABS_TOL
 
 
 def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
@@ -146,7 +147,7 @@ def test_zero_width_pieces_cost_the_adaptive_engine_nothing():
             return np.exp(-0.01 * t) * np.cos(t)
 
         results.append((_integrate_rows(f, rows, cuts.shape[1], lambda i, j: cuts[i:j],
-                                       DEFAULT_CONFIG.abs_tol), sizes))
+                                       ABS_TOL), sizes))
     (plain_values, plain_sizes), (padded_values, padded_sizes) = results
     assert padded_sizes == plain_sizes
     np.testing.assert_array_equal(padded_values, plain_values)

@@ -22,7 +22,7 @@ from fsrv.limits import (pdf_limit_exponential_closed, pdf_limit_uniform_closed,
                          pdf_sum_exponential_closed)
 from fsrv.marginal import (FsrvModel, member_form, pdf_exponential_closed, pdf_uniform_closed,
                            sum_form)
-from fsrv.numerics import DEFAULT_CONFIG, DensityCurve
+from fsrv.numerics import ABS_TOL, DensityCurve
 from fsrv.seeds import Exponential, StandardNormal, parse_seed_spec
 
 
@@ -83,7 +83,7 @@ def test_numeric_uniform_pdf_meets_the_default_tolerance(capsys):
     doc = json.loads(out)
     assert doc["method"] == "numeric"
     error = np.abs(np.array(doc["density"]) - pdf_uniform_closed(5, np.array(doc["x"])))
-    assert np.max(error) <= DEFAULT_CONFIG.abs_tol
+    assert np.max(error) <= ABS_TOL
 
 
 @pytest.mark.parametrize("seeds,n,grid,xs", [
@@ -290,10 +290,16 @@ def test_grid_validation_names_flag(capsys):
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1"], "grid must be lo:hi:points"),
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:one:5"], "grid must be numeric"),
             ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1:1"], "at least 2 points, got 1"),
-            # past numpy's largest array size linspace raises ValueError,
-            # which argparse reports as an invalid value
-            ("--grid", ["limit", "--seeds", "exp:1", "--grid=0:1:10000000000000000000"],
-             "invalid _parse_grid value"),
+            # past numpy's largest array size linspace raises ValueError, and
+            # near 2**63 points IndexError: both name the point count
+            *(("--grid", ["limit", "--seeds", "exp:1", f"--grid=0:1:{points}"],
+               f"grid of {points} points exceeds numpy's maximum array size")
+              for points in (2**61, 10**19, 2**63 - 2, 2**63 - 1, 2**63)),
+            ("--grid", ["predict", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                        f"--grid=1:2:{2**63}"], "exceeds numpy's maximum array size"),
+            ("--grid0", ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
+                         "--grid0", f"0:1:{2**63 - 1}", "--grid1", "0:1:5"],
+             "exceeds numpy's maximum array size"),
             ("--grid1", ["joint", "--seeds", "exp:1", "--n", "4", "--k", "3",
                          "--grid0", "0:1:5", "--grid1", "0:inf:5"], finite)):
         with pytest.raises(SystemExit) as excinfo:

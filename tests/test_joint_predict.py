@@ -19,7 +19,7 @@ from fsrv.joint_predict import (
     seed_coordinates,
 )
 from fsrv.marginal import FsrvModel, pdf_exponential_closed, pdf_uniform_closed
-from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.numerics import integrate
 from fsrv.seeds import Exponential, UniformUnit
 
 
@@ -118,17 +118,10 @@ def test_joint_normalization_small_cases(exp_model, unif_model):
     assert abs(joint_normalization_check(joint_law(4, 3), unif_model) - 1.0) <= 1e-6
 
 
-def test_joint_check_fails_when_its_inner_share_underflows(law43, exp_model):
-    # the slices get 1e-2 of the outer tolerance, and 1e-325 is below doubles
-    with pytest.raises(NonConvergenceError, match="underflows to 0"):
-        joint_normalization_check(law43, exp_model, QuadratureConfig(1e-323))
-
-
 def test_marginalizing_joint_recovers_member_density(law43, exp_model):
     for x in (0.5, 2.0, 6.0, 15.0):
         bounds = joint_support(law43, exp_model, x)
-        got = integrate(lambda y: joint_pdf(law43, exp_model, x, y), bounds[0], bounds[1],
-                        QuadratureConfig(abs_tol=1e-10))
+        got = integrate(lambda y: joint_pdf(law43, exp_model, x, y), bounds[0], bounds[1])
         expected = math.exp(-x / 3.0) - math.exp(-x / 2.0)
         assert abs(got - expected) <= 1e-6
         assert abs(expected - pdf_exponential_closed(4, x)) < 1e-15
@@ -154,8 +147,7 @@ def test_marginalization_over_all_benchmark_pairs(n, k, family, exp_model, unif_
     for x in np.linspace(0.05, hi, 12):
         bounds = joint_support(law, model, float(x))
         got = 0.0 if bounds is None else integrate(
-            lambda y: joint_pdf(law, model, float(x), y), bounds[0], bounds[1],
-            QuadratureConfig(abs_tol=1e-9))
+            lambda y: joint_pdf(law, model, float(x), y), bounds[0], bounds[1])
         assert abs(got - closed(float(x))) <= 1e-6
 
 
@@ -338,7 +330,7 @@ def test_predictor_unbiasedness_small_grid(law43, exp_model):
     # tower property: E[g(member 4)] should equal E[member 7] = a_8 = 21
     # integrands take arrays of nodes; prediction_curve predicts them in one batch
     integrand = lambda xs: prediction_curve(law43, exp_model, xs) * pdf_exponential_closed(4, xs)
-    total = integrate(integrand, 1e-9, 80.0, QuadratureConfig(abs_tol=1e-6))
+    total = integrate(integrand, 1e-9, 80.0)
     assert abs(total - 21.0) / 21.0 <= 1e-4
 
 

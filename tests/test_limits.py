@@ -17,7 +17,7 @@ from fsrv.limits import (
     pdf_sum_exponential_closed,
 )
 from fsrv.marginal import FsrvModel, limit_form, member_form, sum_form
-from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.numerics import integrate
 from fsrv.seeds import SeedDistribution
 
 EDGE = -(1.0 + PHI) / math.sqrt(1.0 + PHI * PHI)
@@ -182,25 +182,22 @@ def test_sum_closed_form_example_coefficients(exp_model):
 def test_sum_closed_matches_convolution(exp_model, n):
     mean, variance = sum_form(exp_model, n).moments()
     hi = mean + 10.0 * math.sqrt(variance)
-    cfg = QuadratureConfig(abs_tol=1e-10)
     for x in np.linspace(0.0, hi, 80):
-        got = pdf_sum(n, exp_model, float(x), cfg)
+        got = pdf_sum(n, exp_model, float(x))
         assert abs(got - pdf_sum_exponential_closed(n, float(x))) <= 1e-8
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_sum_density_normalized(exp_model, n):
     hi = 30.0 * sum_form(exp_model, n).c1
-    mass = integrate(lambda x: pdf_sum_exponential_closed(n, x), 0.0, hi,
-                     QuadratureConfig(abs_tol=1e-10))
+    mass = integrate(lambda x: pdf_sum_exponential_closed(n, x), 0.0, hi)
     assert abs(mass - 1.0) <= 1e-8
 
 
 def test_sum_uniform_mean_by_quadrature(unif_model):
     law = sum_form(unif_model, 3)
-    cfg = QuadratureConfig(abs_tol=1e-8)
     hi = float(law.c0 + law.c1)
-    mean = integrate(lambda x: x * pdf_sum(3, unif_model, x), 0.0, hi, cfg)
+    mean = integrate(lambda x: x * pdf_sum(3, unif_model, x), 0.0, hi)
     assert abs(mean - 3.5) < 1e-6
 
 

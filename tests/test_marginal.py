@@ -30,12 +30,12 @@ from fsrv.limits import (
     pdf_sum_exponential_closed,
     sum_density_law,
 )
-from fsrv.numerics import QuadratureConfig, integrate
+from fsrv.numerics import integrate
 from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 
-def grid_sup_distance(model, n, closed, xs, cfg=QuadratureConfig()):
-    return float(np.max(np.abs(pdf_numeric(model, n, xs, cfg) - closed(xs))))
+def grid_sup_distance(model, n, closed, xs):
+    return float(np.max(np.abs(pdf_numeric(model, n, xs) - closed(xs))))
 
 
 def exp_grid(n, points=250):
@@ -289,14 +289,13 @@ def test_mixed_pair_member_meets_the_density_bound(normal_first):
 
 @pytest.mark.parametrize("n", range(2, 21))
 def test_closed_forms_normalized(n):
-    cfg = QuadratureConfig(abs_tol=1e-10)
-    mass_exp = integrate(lambda x: pdf_exponential_closed(n, x), 0.0, 30.0 * fib(n), cfg)
+    mass_exp = integrate(lambda x: pdf_exponential_closed(n, x), 0.0, 30.0 * fib(n))
     assert abs(mass_exp - 1.0) <= 1e-8
     mass_unif = integrate(lambda x: pdf_uniform_closed(n, x), 0.0,
-                          float(fib(n - 1) + fib(n)), cfg)
+                          float(fib(n - 1) + fib(n)))
     assert abs(mass_unif - 1.0) <= 1e-8
     sd = math.sqrt(float(fib(2 * n - 1)))
-    mass_norm = integrate(lambda x: pdf_normal_closed(n, x), -8.0 * sd, 8.0 * sd, cfg)
+    mass_norm = integrate(lambda x: pdf_normal_closed(n, x), -8.0 * sd, 8.0 * sd)
     assert abs(mass_norm - 1.0) <= 1e-8
 
 
@@ -307,9 +306,8 @@ def test_quadrature_moments_match_formulas(exp_model, unif_model, n):
         (unif_model, lambda x: pdf_uniform_closed(n, x), float(fib(n - 1) + fib(n))),
     ):
         mean, var = member_form(model, n).moments()
-        cfg = QuadratureConfig(abs_tol=1e-10 * max(1.0, mean * mean))
-        m1 = integrate(lambda x: x * closed(x), 0.0, hi, cfg)
-        m2 = integrate(lambda x: x * x * closed(x), 0.0, hi, cfg)
+        m1 = integrate(lambda x: x * closed(x), 0.0, hi)
+        m2 = integrate(lambda x: x * x * closed(x), 0.0, hi)
         assert abs(m1 - mean) <= 1e-6 * abs(mean)
         assert abs((m2 - m1 * m1) - var) <= 1e-6 * var
 

@@ -5,18 +5,19 @@ import pytest
 
 from fsrv.errors import DomainError, NonConvergenceError
 from fsrv.joint_predict import joint_law, predict
-from fsrv.marginal import FsrvModel, LinearForm, exponential_model, member_form
+from fsrv.marginal import FsrvModel, LinearForm
 from fsrv.numerics import (
+    ABS_TOL,
     _WG,
     _WK,
     _XK,
     DensityCurve,
-    QuadratureConfig,
+    _integrate_rows,
     dekker_split,
     integrate,
     scaled_convolution,
 )
-from fsrv.seeds import Exponential, StandardNormal, UniformUnit
+from fsrv.seeds import Exponential, StandardNormal, Tabulated, UniformUnit
 
 
 def test_integrate_known_values():
@@ -68,37 +69,36 @@ def test_integrate_evaluation_budget():
     # a tolerance finer than doubles resolve used to bisect every panel to
     # the depth cap, about 2^60 evaluations; the budget stops it at 2^20
     sizes = []
-    smooth = lambda x: sizes.append(x.size) or np.exp(-x * x)
+    smooth = lambda t, row: sizes.append(t.size) or np.exp(-t * t)
+    edges = np.array([[0.0, 3.0]])
     with pytest.raises(NonConvergenceError, match="integrand evaluations"):
-        integrate(smooth, 0.0, 3.0, QuadratureConfig(abs_tol=1e-300))
+        _integrate_rows(smooth, 1, 2, lambda i, j: edges[i:j], 1e-300)
     assert sum(sizes) <= 1 << 20
 
 
-def test_a_tolerance_share_that_underflows_fails(triangle_seed):
-    # a table seed with exp:1 stays adaptive, and 5e-324 shared over its
-    # pieces underflows to 0: a target no panel can meet
+def test_a_tolerance_share_that_underflows_fails():
+    # exp:1 seeds stay adaptive, and at c0 = 1e-320 the density target
+    # ABS_TOL*c0/sigma underflows to 0: a target no panel can meet
     with pytest.raises(NonConvergenceError, match="underflows to 0"):
-        scaled_convolution(triangle_seed, Exponential(1.0), 1.0, 2.0, 1.0,
-                           QuadratureConfig(5e-324))
+        scaled_convolution(Exponential(1.0), Exponential(1.0), 1e-320, 1.0, 1.0)
 
 
-def test_a_positive_target_whose_piece_share_underflows_fails(triangle_seed):
-    # the density target 5e-324*c0/sigma is the smallest subnormal, not 0,
-    # but its share over the row's pieces underflows to 0
-    sigma = math.hypot(5.0 * math.sqrt(triangle_seed.moments()[1]), 3.0)
-    assert 5e-324 * 5.0 / sigma > 0.0
+def test_a_positive_target_whose_piece_share_underflows_fails():
+    # the engine's target 5e-324 is the smallest subnormal, not 0, but its
+    # share over a row's two pieces underflows to 0
+    edges = np.array([[0.0, 1.0, 2.0]])
     with pytest.raises(NonConvergenceError, match="underflows to 0"):
-        scaled_convolution(triangle_seed, Exponential(1.0), 5.0, 3.0, 4.0,
-                           QuadratureConfig(5e-324))
+        _integrate_rows(lambda t, row: np.exp(-t), 1, 3, lambda i, j: edges[i:j], 5e-324)
 
 
 def test_a_density_target_that_overflows_is_refused():
-    # member 4 of exp:1e150 seeds has sd about 3e-150, so 1e300 scales to an
-    # infinite target, which every panel would meet at once
-    form = member_form(exponential_model(1e150), 4)
-    assert math.isfinite(form.pdf(3e-150))
+    # the table's variance underflows to 0, so sigma is c1*1 = 1e-300 and
+    # the density target ABS_TOL*1e300/1e-300 is infinite, which every panel
+    # would meet at once
+    table = Tabulated(0.0, 1e-300, np.ones(16))
+    assert table.moments()[1] == 0.0
     with pytest.raises(DomainError, match="overflows"):
-        form.pdf(3e-150, QuadratureConfig(1e300))
+        scaled_convolution(table, Exponential(1.0), 1e300, 1e-300, 1.0)
 
 
 def _depth_first_qk15(f, lo, hi, tol):
@@ -154,8 +154,8 @@ def test_integrate_repeats_the_depth_first_recursion(f):
     # meet theirs, so quartering spends eight depth-3 panels where four
     # depth-2 ones would do: the price of the rule, pinned by the nodes
     nodes = []
-    got = integrate(lambda x: nodes.extend(x.tolist()) or f(x), -1.0, 2.0, QuadratureConfig(1e-10))
-    want, want_nodes = _depth_first_qk15(lambda x: f(np.float64(x)), -1.0, 2.0, 1e-10)
+    got = integrate(lambda x: nodes.extend(x.tolist()) or f(x), -1.0, 2.0)
+    want, want_nodes = _depth_first_qk15(lambda x: f(np.float64(x)), -1.0, 2.0, ABS_TOL)
     assert got == want
     assert sorted(nodes) == want_nodes
 
@@ -163,20 +163,21 @@ def test_integrate_repeats_the_depth_first_recursion(f):
 def test_scaled_convolution_repeats_the_recursion_per_piece(triangle_seed):
     # a table seed with an exponential one: the adaptive rows run over
     # u = V1, cut at the images of the table's kinks, and the target
-    # abs_tol*c0/sigma is shared over the non-empty pieces
+    # ABS_TOL*c0/sigma is shared over the non-empty pieces
     e = Exponential(1.5)
     se = e.effective_support()
     sd0, sd1 = (math.sqrt(seed.moments()[1]) for seed in (triangle_seed, e))
     sigma = math.hypot(2.0 * sd0, 3.0 * sd1)
     for x in (0.7, 3.3, 9.0):
-        got = scaled_convolution(triangle_seed, e, 2.0, 3.0, x, QuadratureConfig(1e-9))
+        got = scaled_convolution(triangle_seed, e, 2.0, 3.0, x)
         u_lo, u_hi = max(0.0, (x - 2.0 * 2.0) / 3.0), min(se[1], x / 3.0)
         images = ((x - 2.0 * b) / 3.0 for b in triangle_seed.breakpoints())
         cuts = [u_lo] + sorted(c for c in images if u_lo < c < u_hi) + [u_hi]
         integrand = lambda u: triangle_seed.pdf((x - 3.0 * u) / 2.0) * e.pdf(u)
         total = 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
-            total += _depth_first_qk15(integrand, a, b, 1e-9 * 2.0 / sigma / (len(cuts) - 1))[0]
+            total += _depth_first_qk15(integrand, a, b,
+                                       ABS_TOL * 2.0 / sigma / (len(cuts) - 1))[0]
         assert got == total / 2.0
 
 
@@ -251,16 +252,23 @@ def test_scaled_convolution_swap_symmetry():
 def test_scaled_convolution_normalized_output():
     e = Exponential(1.0)
     density = lambda x: scaled_convolution(e, e, 2.0, 3.0, x)
-    mass = integrate(density, 0.0, 5.0 * e.effective_support()[1], QuadratureConfig(abs_tol=1e-8))
+    mass = integrate(density, 0.0, 5.0 * e.effective_support()[1])
     assert abs(mass - 1.0) <= 1e-6
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=bad)
+_SPIKE_MISSED = pytest.mark.xfail(strict=True, reason=(
+    "known defect, ROADMAP item 12: from c0 = 1e-5 down the integrand is a spike of "
+    "width c0 at the end of its one piece, which no K15 panel sees, and the density "
+    "reads 1.0 relative low"))
+
+
+@pytest.mark.parametrize("c0", [1e-4, pytest.param(1e-5, marks=_SPIKE_MISSED)])
+def test_a_spike_at_the_end_of_a_piece_is_integrated(c0):
+    # the density of c0*V0 + V1 at 1 for exp:1 seeds, (e^-1 - e^(-1/c0))/(1 - c0);
+    # the CLI's forms keep c0/c1 >= 1/2, so no command reaches such a spike
+    e = Exponential(1.0)
+    want = (math.exp(-1.0) - math.exp(-1.0 / c0)) / (1.0 - c0)
+    assert abs(scaled_convolution(e, e, c0, 1.0, 1.0) / want - 1.0) <= 1e-13
 
 
 def test_density_curve_validation():

@@ -20,8 +20,7 @@ from fsrv.fib_core import fib
 from fsrv.joint_predict import joint_law, joint_normalization_check
 from fsrv.limits import limit_density_law, sum_density_law
 from fsrv.marginal import FsrvModel, LinearForm, member_law
-from fsrv.numerics import (DensityCurve, QuadratureConfig, _integrate_rows, integrate,
-                           scaled_convolution)
+from fsrv.numerics import ABS_TOL, DensityCurve, _integrate_rows, integrate
 from fsrv.seeds import Exponential, Tabulated
 
 
@@ -131,7 +130,7 @@ def test_knot_mode_integrate_calls_f_once_per_batch():
     assert sizes == [2 * 10_000]  # two nodes per piece, no shared ends
 
 
-@pytest.mark.parametrize("abs_tol", [None, QuadratureConfig().abs_tol], ids=["exact", "adaptive"])
+@pytest.mark.parametrize("abs_tol", [None, ABS_TOL], ids=["exact", "adaptive"])
 def test_the_engine_never_evaluates_a_cut(abs_tol):
     # f counts the cuts at or left of t: constant inside each piece and one
     # higher at every cut, so a node on a cut would change the integral
@@ -165,14 +164,6 @@ def test_exact_convolution_takes_scalars_and_arrays(triangle_seed):
     for x, value in zip(xs.ravel(), batch.ravel()):
         assert value == pytest.approx(LinearForm(model, 2.0, 3.0).pdf(float(x)), abs=1e-15)
     assert LinearForm(model, 2.0, 3.0).pdf(-1.0) == 0.0 and batch[0, 0] == 0.0
-
-
-def test_exact_convolution_ignores_the_tolerance(triangle_seed):
-    # exact mode does not consult cfg, not even one whose share per piece
-    # would underflow to 0 on the adaptive route
-    xs = np.linspace(-1.0, 8.0, 37)
-    fine = scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, xs, QuadratureConfig(1e-323))
-    assert fine.tobytes() == scaled_convolution(triangle_seed, triangle_seed, 1.0, 2.0, xs).tobytes()
 
 
 def test_linear_form_knots(triangle_seed):

@@ -1104,19 +1104,32 @@ def test_a_helper_left_running_steps_no_buffer_of_the_run(monkeypatch, exp_model
     run = run_simulation(config)
     members = _reference_members(run.seed_pairs, 20)
     in_parts = simulate._in_parts
-    release, stranded, walked = threading.Event(), [], []
+    release, interrupted, stranded, walked = threading.Event(), threading.Event(), [], []
     caller = threading.main_thread()
 
     def stalled_in_parts(n_paths, body):
+        # the starts of the caller's parts: thread 0 of two takes every second one
+        own = {start for start, _ in simulate._chunks(n_paths, 2)[::2]}
+
         def part(start, stop):
             if threading.current_thread() is not caller:
                 stranded.append(threading.current_thread())
-                # Ctrl-C once the caller has walked its own rows and waits
+                # Ctrl-C once the caller has walked its own rows and waits in
+                # _in_parts. Its frame is _in_parts before its first part too,
+                # and a signal taken inside a part would end the caller's walk
+                # as a part failure, leaving it to wait on this helper
                 deadline = time.monotonic() + 30
-                while sys._current_frames()[caller.ident].f_code is not in_parts.__code__:
+                while not (own <= set(walked) and
+                           sys._current_frames()[caller.ident].f_code is in_parts.__code__):
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
                 signal.pthread_kill(caller.ident, signal.SIGINT)
+                # a signal that lands as the caller enters its lock wait, past
+                # its last check for one, is not taken until the wait ends:
+                # wake the wait with a signal whose handler does nothing
+                while not interrupted.wait(0.001):
+                    assert time.monotonic() < deadline
+                    signal.pthread_kill(caller.ident, signal.SIGUSR1)
                 assert release.wait(timeout=30)
             body(start, stop)
             walked.append(start)
@@ -1124,14 +1137,17 @@ def test_a_helper_left_running_steps_no_buffer_of_the_run(monkeypatch, exp_model
         in_parts(n_paths, part)
 
     monkeypatch.setattr(simulate, "_in_parts", stalled_in_parts)
-    with pytest.raises(KeyboardInterrupt):
-        run.values_at(12)  # the helper has not started its rows
-    monkeypatch.setattr(simulate, "_in_parts", in_parts)
+    previous = signal.signal(signal.SIGUSR1, lambda signum, frame: None)
     try:
+        with pytest.raises(KeyboardInterrupt):
+            run.values_at(12)  # the helper has not started its rows
+        monkeypatch.setattr(simulate, "_in_parts", in_parts)
         assert run.values_at(2).tobytes() == members[2].tobytes()  # a restart
     finally:
+        interrupted.set()  # the helper stops waking the caller
         release.set()  # the stranded helper now walks its rows through 11 steps
         _wait_idle(stranded[0])
+        signal.signal(signal.SIGUSR1, previous)  # the idle helper sends no more
     # the helper walked its first part, then found the pass lost
     assert _CHUNK_PATHS // 2 in walked and 3 * _CHUNK_PATHS // 2 not in walked
     # one step on from the cursor: rows the helper stepped would hold member 13
