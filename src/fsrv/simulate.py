@@ -7,9 +7,9 @@ only those it uses. Results are therefore bit-identical no matter how the
 draws are split, so these whole-array passes run through one helper,
 _in_parts, that spreads parts of the paths over every CPU the process may
 use: the draws, each thread into its own rows of one column-major array,
-and cursor walks, each thread walking its own rows through every step with
-the partial sums or the ratio statistics fused in, the latter on nodes of
-numpy's pairwise summation tree, whose sums are added in the tree's order.
+and cursor walks, each thread walking its own rows through every step, with
+the ratio statistics fused in on nodes of numpy's pairwise summation tree,
+whose sums are added in the tree's order.
 Every row sees the same operations in the same order whatever the thread
 count, so no result depends on it. The threads other than the caller's
 come from one standard-library thread pool, built on the first pass that
@@ -20,10 +20,12 @@ moments, summed afresh on each call, leaf by leaf on the calling thread.
 Member reads, partial sums, ratio statistics and sample_path share one
 forward cursor over the index, moved by one walk, SimulationRun._members:
 reading members in ascending n costs one array addition per index, and
-reading a smaller n restarts the walk from the seed pairs. The cursor makes
-a run stateful, so a run must not be shared across threads. A KS distance
-calls the target cdf on the sorted sample's block edges, then only on the
-blocks that can hold the sup."""
+reading a smaller n restarts the walk from the seed pairs. A partial sum
+through member n is read off the cursor as member n + 2 less member 1, by
+a_0 + ... + a_n = a_{n+2} - 1, so partial sums read in ascending n cost one
+step per index too. The cursor makes a run stateful, so a run must not be
+shared across threads. A KS distance calls the target cdf on the sorted
+sample's block edges, then only on the blocks that can hold the sup."""
 
 import contextvars
 import functools
@@ -121,9 +123,10 @@ class SimulationRun:
     follow the additive recursion. A forward cursor keeps members k and k+1
     of every path in two run-owned buffers, stepped in place: ascending reads
     are O(1) array additions per index, and a read below the cursor restarts
-    the walk from the seeds. In-place steps give the same IEEE sums as fresh
-    additions, so results do not depend on the order of reads. Not safe to
-    share across threads.
+    the walk from the seeds. A partial sum through member n reads member
+    n + 2 from the same cursor. In-place steps give the same IEEE sums as
+    fresh additions, so results do not depend on the order of reads. Not
+    safe to share across threads.
     """
 
     def __init__(self, config: SimulationConfig, seed_pairs: np.ndarray):
@@ -136,18 +139,16 @@ class SimulationRun:
         if not 0 <= n <= self.config.horizon:
             raise DomainError(f"n must be in [0, {self.config.horizon}], got {n}")
 
-    def _members(self, k: int, total: np.ndarray | None = None, body=None):
+    def _members(self, k: int, body=None):
         """Members k and k+1 of every path as views of the cursor buffers,
-        which the next cursor move overwrites. With total given, the walk
-        restarts from the seeds and adds members 0..k+1 into total, one by
-        one in index order. A walk of _THREADED_PATH_STEPS or more
-        path-steps runs on every CPU, each thread walking its own rows
-        through every step. With body given, body(member k, member k+1) runs
-        on each part _pairwise_leaves cuts, right after the part's own walk:
-        one step from the cursor at k - 1, none after a restart or a longer
-        move, which walk to k first. Its results come back by part; up to
-        1.5 * _CHUNK_PATHS paths, from the calling thread as one root part."""
-        restart = total is not None or self._k is None or k < self._k
+        which the next cursor move overwrites. A walk of _THREADED_PATH_STEPS
+        or more path-steps runs on every CPU, each thread walking its own
+        rows through every step. With body given, body(member k, member k+1)
+        runs on each part _pairwise_leaves cuts, right after the part's own
+        walk: one step from the cursor at k - 1, none after a restart or a
+        longer move, which walk to k first. Its results come back by part; up
+        to 1.5 * _CHUNK_PATHS paths, from the calling thread as one root part."""
+        restart = self._k is None or k < self._k
         if body is not None and (restart or k - self._k > 1):
             self._members(k)
             restart = False
@@ -160,13 +161,9 @@ class SimulationRun:
             p, c = prev[start:stop], cur[start:stop]
             if restart:
                 p[:], c[:] = seeds[start:stop, 0], seeds[start:stop, 1]
-            if total is not None:
-                t = np.add(p, c, out=total[start:stop])
             for _ in range(steps):
                 p += c
                 p, c = c, p
-                if total is not None:
-                    t += c
             return None if body is None else body(p, c)
 
         # No cursor until every row has walked: a failed walk leaves its
@@ -194,14 +191,13 @@ class SimulationRun:
         return self._member(n).copy()
 
     def sums_at(self, n: int) -> np.ndarray:
-        """Running sum of members 0..n per path, accumulated term by term in
-        index order in the same pass as the cursor walk from the seeds."""
+        """Sum of members 0..n per path, as a new array: member n + 2 less
+        member 1 from n = 2 on, since a_0 + ... + a_n = a_{n+2} - 1, read
+        off the cursor, which then holds members n + 1 and n + 2."""
         self._check_index(n)
-        if n == 0:
-            return self._member(0).copy()
-        total = np.empty(self.config.n_paths, self.seed_pairs.dtype)
-        self._members(n - 1, total)
-        return total
+        if n < 2:  # X_0, and X_0 + X_1 is X_2 exactly
+            return self._member(2 * n).copy()
+        return self._members(n + 1)[1] - self.seed_pairs[:, 1]
 
     def y_normalized(self, n: int) -> np.ndarray:
         """Standardized member n, as a new array, using its analytic moments."""

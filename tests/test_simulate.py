@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -14,6 +13,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import thread as futures_thread
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +166,59 @@ def test_sum_identity_across_paths(exp_run, exp_model):
         law = sum_form(exp_model, n)
         closed = law.c0 * exp_run.seed_pairs[:, 0] + law.c1 * exp_run.seed_pairs[:, 1]
         assert np.max(np.abs(sums - closed) / (1.0 + np.abs(sums))) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["exp", "unif", "norm", "tri"])
+def test_sums_are_within_1e_14_sd_of_the_exact_rational_sums(exp_model, unif_model, norm_model,
+                                                               triangle_seed, family):
+    # X_{n+2} - X_1 rounds at each step of the walk and once in the
+    # subtraction; against a_{n+1}*V0 + (a_{n+2}-1)*V1 in exact rationals
+    # the worst path reads 5.2e-15 sd (the triangle at n = 90), as the
+    # term-by-term sum does
+    model = {"exp": exp_model, "unif": unif_model, "norm": norm_model,
+             "tri": FsrvModel(triangle_seed, triangle_seed)}[family]
+    config = SimulationConfig(rng_seed=31, n_paths=1000, horizon=90, model=model)
+    run = run_simulation(config)
+    pairs = [(Fraction(v0), Fraction(v1)) for v0, v1 in run.seed_pairs.tolist()]
+    for n in (2, 10, 30, 60, 90):
+        c0, c1 = fib(n + 1), fib(n + 2) - 1
+        sd = math.sqrt(sum_form(model, n).moments()[1])
+        worst = max(abs(Fraction(s) - (c0 * v0 + c1 * v1))
+                    for s, (v0, v1) in zip(run.sums_at(n).tolist(), pairs))
+        assert worst <= 1e-14 * sd, (n, float(worst) / sd)
+
+
+def test_ascending_sums_step_once_from_the_cursor(monkeypatch, exp_model):
+    horizon = 12
+    config = SimulationConfig(rng_seed=9, n_paths=300, horizon=horizon, model=exp_model)
+    run = run_simulation(config)
+    sums = _reference_sums(_reference_members(run.seed_pairs, horizon + 2))
+    moves, members = [], SimulationRun._members
+
+    def spy(self, k, body=None):
+        moves.append((self._k, k))  # the cursor before the move, and its target
+        return members(self, k, body)
+
+    monkeypatch.setattr(SimulationRun, "_members", spy)
+    for n in range(horizon + 1):
+        assert run.sums_at(n).tobytes() == sums[n].tobytes()
+    # S_0 reads members 0 and 1, S_1 members 1 and 2, then S_n members n + 1
+    # and n + 2: from n = 2 on each read is one step on, and none restarts
+    assert moves == [(None, 0), (0, 1), (1, 3)] + [(k, k + 1) for k in range(3, horizon + 1)]
+
+
+def test_sums_at_the_horizon_walk_two_members_past_it(exp_model):
+    horizon = 20
+    config = SimulationConfig(rng_seed=10, n_paths=500, horizon=horizon, model=exp_model)
+    run = run_simulation(config)
+    sums = _reference_sums(_reference_members(run.seed_pairs, horizon + 2))
+    assert run.sums_at(horizon).tobytes() == sums[horizon].tobytes()
+    standard = sum_form(exp_model, horizon).standardized()
+    sample = (sums[horizon] - standard.shift) / standard.scale
+    ks = ks_distance(run, horizon, cdf_limit_exponential_closed, which="s")
+    assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
+    with pytest.raises(DomainError, match=r"^n must be in \[0, 20\], got 21$"):
+        run.sums_at(horizon + 1)
 
 
 def test_empirical_moments_match_analytic(exp_run, exp_model):
@@ -459,6 +512,12 @@ def _reference_members(pairs: np.ndarray, horizon: int) -> list[np.ndarray]:
     return members
 
 
+def _reference_sums(members: list[np.ndarray]) -> list[np.ndarray]:
+    """The partial sums through members 0..len(members) - 3 as sums_at reads
+    them: X_0, X_2, and X_{n+2} - X_1 from n = 2 on."""
+    return [members[0], members[2]] + [member - members[1] for member in members[4:]]
+
+
 def _reference_ratio_stats(members: list[np.ndarray], n: int) -> RatioStats:
     denom, numer = members[n], members[n + 1]
     keep = np.abs(denom) >= RATIO_EXCLUSION_FLOOR
@@ -487,8 +546,8 @@ def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_mode
              "tri": FsrvModel(triangle_seed, triangle_seed)}[family]
     config = SimulationConfig(rng_seed=rng_seed, n_paths=37, horizon=_HORIZON, model=model)
     run = run_simulation(config)
-    members = _reference_members(run.seed_pairs, _HORIZON)
-    sums = list(itertools.accumulate(members))
+    members = _reference_members(run.seed_pairs, _HORIZON + 2)
+    sums = _reference_sums(members)
     if order != "drawn":
         queries = sorted(queries, key=lambda q: q[1], reverse=order == "descending")
     for kind, n in queries:
@@ -514,8 +573,9 @@ def test_any_read_order_matches_fresh_recursion(exp_model, unif_model, norm_mode
                     with pytest.warns(KsUnreliableWarning):
                         ks = ks_distance(run, n, cdf_limit_exponential_closed, which=which)
                     assert ks == _reference_ks(sample, cdf_limit_exponential_closed)
-            # the cursor sits at member n - 1 or n: these reads step from its
-            # buffers, so a write that landed on them shows here
+            # the cursor sits at member n - 1, n or n + 1: these reads step
+            # from its buffers or restart in them, so a write that landed on
+            # them shows here
             later = min(n + 1, _HORIZON)
             assert np.array_equal(run.values_at(n), members[n])
             assert np.array_equal(run.values_at(later), members[later])
@@ -818,8 +878,8 @@ def test_threaded_reads_match_the_references(monkeypatch, exp_model, cpus):
     _pretend_cpus(monkeypatch, 1)
     pairs = run_simulation(config).seed_pairs
     one_thread_summary = SimulationRun(config, pairs).summary_json()
-    members = _reference_members(pairs, horizon)
-    sums = list(itertools.accumulate(members))
+    members = _reference_members(pairs, horizon + 2)
+    sums = _reference_sums(members)
     _pretend_cpus(monkeypatch, cpus)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
@@ -1070,7 +1130,7 @@ def test_a_failed_walk_restarts_from_the_seeds(monkeypatch, exp_model):
                               model=exp_model)
     run = run_simulation(config)
     members = _reference_members(run.seed_pairs, 20)
-    sums = list(itertools.accumulate(members))
+    sums = _reference_sums(members)
     in_parts = simulate._in_parts
 
     def failing_in_parts(n_paths, body):
@@ -1152,4 +1212,4 @@ def test_a_helper_left_running_steps_no_buffer_of_the_run(monkeypatch, exp_model
     assert _CHUNK_PATHS // 2 in walked and 3 * _CHUNK_PATHS // 2 not in walked
     # one step on from the cursor: rows the helper stepped would hold member 13
     assert run.values_at(3).tobytes() == members[3].tobytes()
-    assert run.sums_at(6).tobytes() == list(itertools.accumulate(members))[6].tobytes()
+    assert run.sums_at(6).tobytes() == _reference_sums(members)[6].tobytes()
